@@ -144,3 +144,25 @@ def test_prime_field_embedding():
     emb = g.build_embedding(system)
     assert emb.dim_even == 3
     assert emb.verify_even_grading() == []
+
+
+def test_descent_failure_names_the_escaping_coordinate():
+    base = g.builtin("zero_3")
+    products = {(0, 0, 1): {2: Fraction(1)}, (2, 1, 2): {0: Fraction(-1)}}
+    system = g.GradedTripleSystem(base.field, base.group, base.degrees, products)
+    with pytest.raises(g.NotWellDefined) as info:
+        g.build_embedding(system)
+    assert str(info.value) == "bracket of the tensor square into the null space escapes it"
+    assert info.value.witness["coordinate"] == 7
+
+
+def test_leibniz_failure_names_the_witness_triple():
+    base = g.builtin("sl2_Z")
+    products = {key: dict(entry) for key, entry in base.nonzero_triples()}
+    assert products[(1, 2, 0)] == {1: Fraction(2)}
+    products[(1, 2, 0)] = {1: Fraction(4)}
+    system = g.GradedTripleSystem(base.field, base.group, base.degrees, products)
+    with pytest.raises(g.LeibnizIdentityFailure) as info:
+        g.build_embedding(system)
+    assert str(info.value) == "quotient algebra fails the right Leibniz identity"
+    assert info.value.witness == {"triple": (0, 1, 6)}
