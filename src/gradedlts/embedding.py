@@ -20,9 +20,14 @@ the quotient algebra satisfies the right Leibniz identity on every basis
 triple, raising `NotWellDefined` or `LeibnizIdentityFailure` with a witness
 otherwise.
 
-Quotient coordinates are the greedy standard-tensor complement of N, which
-is deterministic, and the resulting coordinate tensors are homogeneous, so
-the even part inherits the grading.  Everything is immutable after build.
+N is read off one reduced row echelon form R of the stacked action matrix
+A (the phi rows, then the psi rows, built sparse from the structure
+constants): N is the kernel of R, the quotient coordinates are the pivot
+columns of R, and R itself is the reduction, since it kills N and sends the
+pivot tensor of each row to that row's coordinate.  The pivot tensors are
+exactly the greedy standard-tensor complement of N, so the choice is
+deterministic, and they are homogeneous, so the even part inherits the
+grading.  Everything is immutable after build.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from itertools import product
 
 from .errors import DecompositionFailure, LeibnizIdentityFailure, NotWellDefined
 from .groups import GroupElement
-from .linalg import Matrix, Subspace, complete_complement, invert, kernel, vec_times_matrix
+from .linalg import Matrix, Subspace, kernel, rref, vec_times_matrix
 from .triples import GradedTripleSystem
 
 
@@ -84,9 +89,9 @@ class StandardEmbedding:
         zero = self.system.field.zero
         out = [zero] * self.tensor_dim
         for i, xi in enumerate(x):
-            if xi != zero:
+            if xi:
                 for j, yj in enumerate(y):
-                    if yj != zero:
+                    if yj:
                         out[i * n + j] = xi * yj
         return tuple(out)
 
@@ -98,10 +103,10 @@ class StandardEmbedding:
         zero = self.system.field.zero
         out = [zero] * n
         for c, coef in enumerate(tensor_vec):
-            if coef != zero:
+            if coef:
                 i, j = divmod(c, n)
                 for widx, wc in enumerate(w):
-                    if wc != zero:
+                    if wc:
                         entry = self.system.basis_product(i, j, widx)
                         for l, cc in entry.items():
                             out[l] = out[l] + coef * wc * cc
@@ -113,10 +118,10 @@ class StandardEmbedding:
         zero = self.system.field.zero
         out = [zero] * n
         for c, coef in enumerate(tensor_vec):
-            if coef != zero:
+            if coef:
                 i, j = divmod(c, n)
                 for zidx, zc in enumerate(z):
-                    if zc != zero:
+                    if zc:
                         for l, cc in self.system.basis_product(zidx, i, j).items():
                             out[l] = out[l] + coef * zc * cc
                         for l, cc in self.system.basis_product(zidx, j, i).items():
@@ -129,11 +134,11 @@ class StandardEmbedding:
         zero = self.system.field.zero
         out = [zero] * self.tensor_dim
         for ca, coef_a in enumerate(tensor_a):
-            if coef_a == zero:
+            if not coef_a:
                 continue
             i, j = divmod(ca, n)
             for cb, coef_b in enumerate(tensor_b):
-                if coef_b == zero:
+                if not coef_b:
                     continue
                 k, l = divmod(cb, n)
                 coef = coef_a * coef_b
@@ -211,14 +216,13 @@ class StandardEmbedding:
         """Check [L0_g, L0_h] lands in L0_{gh} for all component pairs."""
         violations = []
         comps = self.components()
-        zero = self.system.field.zero
         for g, cg in comps.items():
             for h, ch in comps.items():
                 target = self.component(g.compose(h))
                 for u in cg.basis.rows:
                     for v in ch.basis.rows:
                         w = self.bracket_even_even(u, v)
-                        if any(x != zero for x in w) and not target.contains(w):
+                        if any(w) and not target.contains(w):
                             violations.append(
                                 {
                                     "degrees": (g.format(), h.format()),
@@ -234,6 +238,48 @@ class StandardEmbedding:
         )
 
 
+class _ActionMatrix:
+    """The stacked phi/psi action matrix A as tagged sparse rows; N = ker(A).
+
+    The phi row (w, out) holds the out-coordinate of {b_i, b_j, b_w} in
+    column i*n + j, and the psi row (z, out) that of
+    {b_z, b_i, b_j} - {b_z, b_j, b_i}.  All phi rows come first, then all
+    psi rows, each in (w, out) order; zero rows are left out.
+    """
+
+    def __init__(self, system: GradedTripleSystem):
+        n = system.dim
+        zero = system.field.zero
+        blocks = {"phi": {}, "psi": {}}
+        for (i, j, k), entry in system.nonzero_triples():
+            for l, c in entry.items():
+                blocks["phi"].setdefault((k, l), {})[i * n + j] = c
+                row = blocks["psi"].setdefault((i, l), {})
+                row[j * n + k] = row.get(j * n + k, zero) + c
+                row[k * n + j] = row.get(k * n + j, zero) - c
+        self.ncols = n * n
+        self.rows = []  # (tag, {column: scalar})
+        for tag, block in blocks.items():
+            for key in sorted(block):
+                row = {c: v for c, v in block[key].items() if v}
+                if row:
+                    self.rows.append((tag, row))
+        self._columns = [[] for _ in range(self.ncols)]
+        for r, (_, row) in enumerate(self.rows):
+            for c, v in row.items():
+                self._columns[c].append((r, v))
+
+    def failing_action(self, vec):
+        """Tag of the first row r with (A vec)_r != 0, or None when A vec = 0."""
+        acc = {}
+        for c, x in enumerate(vec):
+            if x:
+                for r, v in self._columns[c]:
+                    acc[r] = acc.get(r, 0) + v * x
+        failing = [r for r, total in acc.items() if total]
+        return self.rows[min(failing)][0] if failing else None
+
+
 def build_embedding(system: GradedTripleSystem) -> StandardEmbedding:
     """Construct and certify the standard embedding of a verified system.
 
@@ -243,113 +289,67 @@ def build_embedding(system: GradedTripleSystem) -> StandardEmbedding:
         LeibnizIdentityFailure: the quotient algebra fails the right
             Leibniz identity on some basis triple (witness attached).
     """
-    field = system.field
-    n = system.dim
-    nn = n * n
-    zero = field.zero
-
-    # Stack the matrices of phi and psi; N is the joint kernel.
-    rows = []
-    for w in range(n):
-        for out in range(n):
-            row = [zero] * nn
-            nonzero = False
-            for i in range(n):
-                for j in range(n):
-                    c = system.basis_product(i, j, w).get(out)
-                    if c is not None:
-                        row[i * n + j] = c
-                        nonzero = True
-            if nonzero:
-                rows.append(row)
-    for z in range(n):
-        for out in range(n):
-            row = [zero] * nn
-            nonzero = False
-            for i in range(n):
-                for j in range(n):
-                    c = system.basis_product(z, i, j).get(out, zero) - system.basis_product(
-                        z, j, i
-                    ).get(out, zero)
-                    if c != zero:
-                        row[i * n + j] = c
-                        nonzero = True
-            if nonzero:
-                rows.append(row)
-    action_matrix = Matrix(field, rows, ncols=nn)
-    null_space = kernel(action_matrix)
-
-    # Greedy standard-tensor complement: deterministic coset representatives.
-    coset_space = complete_complement(null_space, Subspace.full(field, nn))
-    coset_indices = tuple(coset_space.pivots)
-
-    # Reduction matrix: coordinates in the (N basis | coset basis) frame,
-    # keeping only the coset block.
-    frame = Matrix.vstack(
-        field, [null_space.basis, coset_space.basis], ncols=nn
+    action = _ActionMatrix(system)
+    zero = system.field.zero
+    dense = [[row.get(c, zero) for c in range(action.ncols)] for _, row in action.rows]
+    # One RREF gives everything: ker(R) = N, the pivot columns index the
+    # greedy standard-tensor complement of N, and R kills N while sending
+    # the pivot tensor of row r to the r-th quotient coordinate.
+    reduced, pivots = rref(Matrix(system.field, dense, ncols=action.ncols))
+    emb = StandardEmbedding(
+        system, action.ncols, kernel(reduced), pivots, reduced.transpose()
     )
-    frame_inv = invert(frame)
-    r = null_space.dim
-    reduction = Matrix(
-        field,
-        [row[r:] for row in frame_inv.rows],
-        ncols=len(coset_indices),
-    )
-
-    emb = StandardEmbedding(system, nn, null_space, coset_indices, reduction)
-
-    _certify_descent(emb)
+    _certify_descent(emb, action)
     _certify_leibniz_identity(emb)
     return emb
 
 
-def _certify_descent(emb: StandardEmbedding):
+def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix):
     """Certify the bracket descends to the tensor-square quotient.
 
-    Checks, for every null-space basis vector nu and every coordinate
-    tensor t: [t, nu] and [nu, t] stay in N, and both E-valued actions of
-    nu vanish.  With N = ker(phi) & ker(psi) the actions vanish by
-    construction, but they are rechecked directly against the structure
-    constants as a guard against construction bugs.
+    Membership in N is tested by its definition, A x = 0, against the
+    sparse rows of the action matrix rather than against the basis read off
+    its RREF, so a fault in the elimination cannot certify itself.  For
+    every null-space basis vector nu, A nu = 0 (both actions of nu vanish;
+    the tag of the first nonzero row names the action that does not), and
+    for every coordinate tensor t, A [t, nu] = 0 and A [nu, t] = 0.
     """
     system = emb.system
-    n = system.dim
-    zero = system.field.zero
-    one = system.field.one
-    basis_vecs = [
-        tuple(one if t == idx else zero for t in range(n)) for idx in range(n)
+    fmt = system.field.format
+    zero, one = system.field.zero, system.field.one
+    action_messages = {
+        "phi": "left action of a null tensor does not vanish",
+        "psi": "twisted right action of a null tensor does not vanish",
+    }
+    coord_tensors = [
+        tuple(one if t == c else zero for t in range(emb.tensor_dim))
+        for c in range(emb.tensor_dim)
     ]
     for nu in emb.null_space.basis.rows:
-        for w in basis_vecs:
-            if any(x != zero for x in emb.phi_apply(nu, w)):
-                raise NotWellDefined(
-                    "left action of a null tensor does not vanish",
-                    witness={"tensor": [system.field.format(x) for x in nu]},
-                )
-            if any(x != zero for x in emb.psi_apply(nu, w)):
-                raise NotWellDefined(
-                    "twisted right action of a null tensor does not vanish",
-                    witness={"tensor": [system.field.format(x) for x in nu]},
-                )
-        for c in range(emb.tensor_dim):
-            coord_tensor = tuple(one if t == c else zero for t in range(emb.tensor_dim))
+        failing = action.failing_action(nu)
+        if failing:
+            raise NotWellDefined(
+                action_messages[failing],
+                witness={"tensor": [fmt(x) for x in nu]},
+            )
+        for c, coord_tensor in enumerate(coord_tensors):
             outward = emb.tensor_bracket(coord_tensor, nu)
-            if not emb.null_space.contains(outward):
+            if action.failing_action(outward):
                 raise NotWellDefined(
                     "bracket of the tensor square into the null space escapes it",
                     witness={
                         "coordinate": c,
-                        "null_vector": [system.field.format(x) for x in nu],
-                        "bracket": [system.field.format(x) for x in outward],
+                        "null_vector": [fmt(x) for x in nu],
+                        "bracket": [fmt(x) for x in outward],
                     },
                 )
             inward = emb.tensor_bracket(nu, coord_tensor)
-            if not emb.null_space.contains(inward):
+            if action.failing_action(inward):
                 raise NotWellDefined(
                     "bracket of the null space into the tensor square escapes it",
                     witness={
                         "coordinate": c,
-                        "null_vector": [system.field.format(x) for x in nu],
+                        "null_vector": [fmt(x) for x in nu],
                     },
                 )
 
@@ -388,29 +388,22 @@ def _certify_leibniz_identity(emb: StandardEmbedding):
                 odd = (zero,) * n
             table[a][b] = even + odd
 
-    def apply_right(vec, x):
-        # [v, e_x] for a general element v, via the precomputed table.
+    def combine(vec, rows):
+        # sum over l of vec[l] * rows[l]
         out = [zero] * m
-        for l, coef in enumerate(vec):
-            if coef != zero:
-                row = table[l][x]
+        for coef, row in zip(vec, rows):
+            if coef:
                 for t, c in enumerate(row):
-                    if c != zero:
+                    if c:
                         out[t] = out[t] + coef * c
         return out
 
+    # right multiplication by e_x sends e_l to table[l][x]
+    right = [[table[l][x] for l in range(m)] for x in range(m)]
     for y, z, x in product(range(m), repeat=3):
-        lhs = apply_right(table[y][z], x)
-        rhs_a = apply_right(table[y][x], z)
-        # [y, [z, x]] with the inner bracket expanded over basis elements.
-        rhs_b = [zero] * m
-        inner = table[z][x]
-        for l, coef in enumerate(inner):
-            if coef != zero:
-                row = table[y][l]
-                for t, c in enumerate(row):
-                    if c != zero:
-                        rhs_b[t] = rhs_b[t] + coef * c
+        lhs = combine(table[y][z], right[x])
+        rhs_a = combine(table[y][x], right[z])
+        rhs_b = combine(table[z][x], table[y])  # [y, [z, x]]
         if any(lhs[t] != rhs_a[t] + rhs_b[t] for t in range(m)):
             raise LeibnizIdentityFailure(
                 "quotient algebra fails the right Leibniz identity",

@@ -286,15 +286,6 @@ class Matrix:
         one, zero = field.one, field.zero
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)], ncols=n)
 
-    @classmethod
-    def vstack(cls, field, matrices: Sequence["Matrix"], ncols: int) -> "Matrix":
-        rows = []
-        for m in matrices:
-            if m.ncols != ncols:
-                raise ValueError("column mismatch in vstack")
-            rows.extend(m.rows)
-        return cls(field, rows, ncols=ncols)
-
     def transpose(self) -> "Matrix":
         return Matrix(
             self.field,
@@ -358,23 +349,6 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
             break
     nonzero = rows[: len(pivots)]
     return Matrix(field, nonzero, ncols=ncols), tuple(pivots)
-
-
-def invert(m: Matrix) -> Matrix:
-    """Exact inverse of a square matrix; raises ValueError when singular."""
-    if m.nrows != m.ncols:
-        raise ValueError("only square matrices can be inverted")
-    n = m.nrows
-    ident = Matrix.identity(m.field, n)
-    augmented = Matrix(
-        m.field,
-        [tuple(m.rows[i]) + tuple(ident.rows[i]) for i in range(n)],
-        ncols=2 * n,
-    )
-    reduced, pivots = rref(augmented)
-    if len(pivots) != n or any(p >= n for p in pivots):
-        raise ValueError("matrix is singular")
-    return Matrix(m.field, [row[n:] for row in reduced.rows], ncols=n)
 
 
 def vec_times_matrix(vec: Sequence, m: Matrix) -> tuple:

@@ -33,6 +33,11 @@ from .triples import GradedTripleSystem
 _SCALAR_KINDS = (str,)
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_system(path) -> GradedTripleSystem:
     """Parse a system from a file path."""
     try:
@@ -62,7 +67,7 @@ def system_from_data(data) -> GradedTripleSystem:
     if not isinstance(group_desc, dict) or "moduli" not in group_desc:
         raise InputError("group must be an object with a 'moduli' list")
     moduli = group_desc["moduli"]
-    if not isinstance(moduli, list) or not all(isinstance(m, int) for m in moduli):
+    if not isinstance(moduli, list) or not all(_is_int(m) for m in moduli):
         raise InputError("group moduli must be a list of integers")
     group = AbelianGroup(tuple(moduli))
 
@@ -71,7 +76,7 @@ def system_from_data(data) -> GradedTripleSystem:
     field = field_from_descriptor(data["field"])
 
     n = data["dimension"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise InputError("dimension must be a non-negative integer")
 
     degrees_raw = data["degrees"]
@@ -79,7 +84,7 @@ def system_from_data(data) -> GradedTripleSystem:
         raise InputError(f"degrees must list exactly {n} coordinate vectors")
     degrees = []
     for coords in degrees_raw:
-        if not isinstance(coords, list) or not all(isinstance(c, int) for c in coords):
+        if not isinstance(coords, list) or not all(_is_int(c) for c in coords):
             raise InputError("each degree must be a list of integers")
         degrees.append(group.element(coords))
 
@@ -94,7 +99,7 @@ def system_from_data(data) -> GradedTripleSystem:
         if (
             not isinstance(args, list)
             or len(args) != 3
-            or not all(isinstance(a, int) for a in args)
+            or not all(_is_int(a) for a in args)
         ):
             raise InputError(f"args must be three integers, got {args!r}")
         i, j, k = args
@@ -110,7 +115,7 @@ def system_from_data(data) -> GradedTripleSystem:
             if not isinstance(item, dict) or "idx" not in item or "val" not in item:
                 raise InputError("each output needs 'idx' and 'val'")
             l = item["idx"]
-            if not isinstance(l, int) or not 0 <= l < n:
+            if not _is_int(l) or not 0 <= l < n:
                 raise InputError(f"output index {l!r} out of range")
             if l in entry:
                 raise InputError(f"duplicate output index {l} for args {args}")

@@ -149,6 +149,17 @@ def mutate_constant(system, i, j, k, l, delta):
     return g.GradedTripleSystem(system.field, system.group, system.degrees, prods)
 
 
+def sl2_square(field) -> g.GradedTripleSystem:
+    """sl2 + sl2 graded by Z^2: copy i has degrees (e_i, 0, -e_i), so n = 6."""
+    copy = g.from_leibniz_algebra(g.sl2_algebra(field))
+    target = g.AbelianGroup((0, 0))
+    parts = [
+        g.relabel_degrees(copy, target, [[1 if t == i else 0 for t in range(2)]])
+        for i in range(2)
+    ]
+    return g.direct_sum(parts)
+
+
 # -- randomized graded variants ------------------------------------------------
 
 

@@ -63,6 +63,16 @@ def test_verify_rejects_malformed_scalar(tmp_path):
     assert "input error" in result.stderr
 
 
+def test_verify_rejects_boolean_degree(tmp_path):
+    data = json.loads(fixture_text("sl2_Z"))
+    data["degrees"][0] = [True]
+    bad = tmp_path / "bool_degree.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    result = run_cli("verify", str(bad))
+    assert result.returncode == 2
+    assert "input error" in result.stderr
+
+
 def test_broken_json_reports_position(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{"group": \n', encoding="utf-8")

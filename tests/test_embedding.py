@@ -6,6 +6,10 @@ from fractions import Fraction
 import pytest
 
 import gradedlts as g
+from gradedlts.embedding import _ActionMatrix
+from gradedlts.linalg import complete_complement
+
+from conftest import sl2_square
 
 Q = g.RationalField()
 
@@ -166,3 +170,49 @@ def test_leibniz_failure_names_the_witness_triple():
         g.build_embedding(system)
     assert str(info.value) == "quotient algebra fails the right Leibniz identity"
     assert info.value.witness == {"triple": (0, 1, 6)}
+
+
+def oracle_cases():
+    cases = {name: g.builtin(name) for name in g.BUILTIN_NAMES}
+    cases["sl2x2_Q"] = sl2_square(g.RationalField())
+    cases["sl2x2_F7"] = sl2_square(g.PrimeField(7))
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(oracle_cases()))
+def test_one_rref_construction_matches_independent_oracles(name):
+    system = oracle_cases()[name]
+    emb = g.build_embedding(system)
+    field, nn = system.field, emb.tensor_dim
+    zero, one = field.zero, field.one
+    null = emb.null_space
+    # the cosets are the greedy standard-tensor completion of N
+    greedy = complete_complement(null, g.Subspace.full(field, nn))
+    assert emb.coset_indices == greedy.pivots
+    # the reduction kills N and is a projection along N onto the coset tensors
+    for nu in null.basis.rows:
+        assert not any(emb.reduce_tensor(nu))
+    for c in range(nn):
+        unit_c = [one if t == c else zero for t in range(nn)]
+        lifted = emb.lift(emb.reduce_tensor(unit_c))
+        assert null.contains([a - b for a, b in zip(unit_c, lifted)]), c
+    # A x = 0 agrees with membership in the stored N basis and with both
+    # actions applied directly to every basis vector
+    action = _ActionMatrix(system)
+    basis = [[one if t == w else zero for t in range(system.dim)] for w in range(system.dim)]
+    rng = random.Random(17)
+    outcomes = set()
+    for trial in range(40):
+        x = [zero] * nn
+        for row in null.basis.rows:
+            coef = field.element(rng.randint(-2, 2))
+            x = [a + coef * b for a, b in zip(x, row)]
+        if trial % 2:
+            x[rng.randrange(nn)] += field.element(rng.randint(1, 3))
+        in_null = action.failing_action(x) is None
+        acts_trivially = not any(
+            any(emb.phi_apply(x, w)) or any(emb.psi_apply(x, w)) for w in basis
+        )
+        assert in_null == null.contains(x) == acts_trivially, trial
+        outcomes.add(in_null)
+    assert outcomes == {True, False} or null.dim == nn

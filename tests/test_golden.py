@@ -21,18 +21,9 @@ import gradedlts as g
 from gradedlts.cli import main
 from gradedlts.fixtures import fixture_text
 
+from conftest import sl2_square
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-
-def sl2_square(field) -> g.GradedTripleSystem:
-    """sl2 + sl2 graded by Z^2: copy i has degrees (e_i, 0, -e_i)."""
-    copy = g.from_leibniz_algebra(g.sl2_algebra(field))
-    target = g.AbelianGroup((0, 0))
-    parts = [
-        g.relabel_degrees(copy, target, [[1 if t == i else 0 for t in range(2)]])
-        for i in range(2)
-    ]
-    return g.direct_sum(parts)
 
 
 def golden_inputs() -> dict[str, str]:

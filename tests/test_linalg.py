@@ -12,11 +12,9 @@ from gradedlts.linalg import (
     RationalField,
     Subspace,
     complete_complement,
-    invert,
     kernel,
     rref,
     span,
-    vec_times_matrix,
 )
 
 Q = RationalField()
@@ -98,19 +96,6 @@ def test_zero_dimensional_ambient():
     assert z.dim == 0
     assert z == Subspace.full(Q, 0)
     assert complete_complement(z, z).dim == 0
-
-
-def test_invert_round_trip():
-    m = qmat([[2, 1, 0], [0, 1, 3], [1, 0, 1]])
-    inv = invert(m)
-    for i in range(3):
-        row = vec_times_matrix(m.rows[i], inv)
-        assert list(row) == [Fraction(1) if j == i else Fraction(0) for j in range(3)]
-
-
-def test_invert_rejects_singular():
-    with pytest.raises(ValueError):
-        invert(qmat([[1, 2], [2, 4]]))
 
 
 def test_prime_field_requires_prime_modulus():

@@ -119,3 +119,32 @@ def test_rational_scalars_parse_and_reduce():
     system = loads_data(doc)
     ((_, entry),) = system.structure_constants()
     assert system.field.format(entry[0][1]) == "2/3"
+
+
+# JSON true/false load as bool, a subclass of int; the grammar wants integers.
+
+
+def test_boolean_dimension_rejected():
+    with pytest.raises(InputError, match="dimension"):
+        loads_data(minimal(dimension=True, degrees=[[0]]))
+
+
+def test_boolean_group_modulus_rejected():
+    with pytest.raises(InputError, match="moduli"):
+        loads_data(minimal(group={"moduli": [False]}))
+
+
+def test_boolean_degree_coordinate_rejected():
+    with pytest.raises(InputError, match="degree"):
+        loads_data(minimal(degrees=[[True], [0]]))
+
+
+def test_boolean_args_rejected():
+    with pytest.raises(InputError, match="args"):
+        loads_data(minimal(triple=[{"args": [0, False, 0], "out": []}]))
+
+
+def test_boolean_output_index_rejected():
+    doc = minimal(triple=[{"args": [0, 0, 0], "out": [{"idx": False, "val": "1"}]}])
+    with pytest.raises(InputError, match="output index"):
+        loads_data(doc)
