@@ -2,7 +2,8 @@
 
 Exit codes are a contract for scripted use: 0 means every check and
 certificate passed, 1 means a mathematical verification or certificate
-failed, and 2 means the input could not be parsed or validated.  Reports
+failed, 2 means the input could not be parsed or validated, and 3 means an
+internal error (any other exception, reported on one line).  Reports
 are emitted as JSON with fixed key order and string-serialized scalars, so
 identical inputs and flags produce byte-identical files.
 """
@@ -36,6 +37,10 @@ def main(argv=None) -> int:
     except CertificateFailure as exc:
         print(f"certificate failure [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,9 +123,7 @@ def _supports_section(system, emb) -> dict:
     }
 
 
-def _classes_section(system, emb) -> list[dict]:
-    sup = SupportData.from_system(system, emb)
-    classes = connection_classes(sup)
+def _classes_section(sup, classes) -> list[dict]:
     out = []
     for cls in classes:
         witnesses = {}
@@ -255,7 +258,8 @@ def _cmd_analyze(args) -> int:
         return 1
     emb = build_embedding(system)
     report["supports"] = _supports_section(system, emb)
-    report["classes"] = _classes_section(system, emb)
+    sup = SupportData.from_system(system, emb)
+    report["classes"] = _classes_section(sup, connection_classes(sup))
     _emit(report, args.json_out)
     print("odd support:", " ".join(report["supports"]["odd_support"]) or "(empty)")
     print("even support:", " ".join(report["supports"]["even_support"]) or "(empty)")
@@ -300,13 +304,13 @@ def _cmd_decompose(args) -> int:
         print("verdict: fail (verification)")
         return 1
     emb = build_embedding(system)
-    report["supports"] = _supports_section(system, emb)
-    report["classes"] = _classes_section(system, emb)
-    report["embedding"] = _embedding_section(system, emb)
     deco = decompose(system, emb, seed=args.seed)
-    report["decomposition"] = _decomposition_section(system, deco)
     sup = deco.supports
     classes = [ideal.cls for ideal in deco.ideals]
+    report["supports"] = _supports_section(system, emb)
+    report["classes"] = _classes_section(sup, classes)
+    report["embedding"] = _embedding_section(system, emb)
+    report["decomposition"] = _decomposition_section(system, deco)
     lemma_checks = verify_structure_lemmas(system, emb, classes, sup)
     report["lemmas"] = _lemma_section(lemma_checks)
     report["obstructions"] = _obstruction_section(deco.obstructions)

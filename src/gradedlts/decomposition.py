@@ -17,6 +17,12 @@ identity.  The library certifies, exactly and on every run:
   * when the identity component is tight and the annihilator is zero, the
     ideals meet pairwise in zero and their dimensions add up.
 
+Every product family of a fixed degree pattern (the class cores, the span
+of all support products, the core sources of the lemmas) comes from one
+enumerator, `_degree_products`, which walks the stored constants once and
+keeps the products {b_p, b_q, b_r} whose slot degrees lie in three given
+sets and multiply to the identity.
+
 A separate report evaluates the structural vanishing and degree-confinement
 laws that drive those facts, instance by instance, and a last pass emits
 simplicity obstructions.  The obstruction search is deliberately
@@ -81,6 +87,25 @@ class DecompositionReport:
     seed: int
 
 
+def _degree_products(system: GradedTripleSystem, first, second, third):
+    """Stored products {b_p, b_q, b_r} of a degree pattern, with product degree 1.
+
+    Yields ((p, q, r), dense vector) in increasing (p, q, r) order for the
+    stored constants whose slot degrees lie in the sets `first`, `second`
+    and `third` and multiply to the identity.
+    """
+    degrees = system.degrees
+    for (p, q, r), entry in system.nonzero_triples():
+        dp, dq, dr = degrees[p], degrees[q], degrees[r]
+        if (
+            dp in first
+            and dq in second
+            and dr in third
+            and dp.compose(dq).compose(dr).is_identity()
+        ):
+            yield (p, q, r), system.vector(entry)
+
+
 def class_core_span(system: GradedTripleSystem, cls: ConnectionClass) -> Subspace:
     """Span of the products {E_h, E_k, E_{(hk)^-1}}, h in [g], k in [g] or 1.
 
@@ -88,27 +113,10 @@ def class_core_span(system: GradedTripleSystem, cls: ConnectionClass) -> Subspac
     valid, because the three degrees multiply to the identity.
     """
     members = set(cls.members)
-    identity = system.group.identity()
-    vectors = []
-    for p in range(system.dim):
-        dp = system.degrees[p]
-        if dp not in members:
-            continue
-        for q in range(system.dim):
-            dq = system.degrees[q]
-            if dq not in members and dq != identity:
-                continue
-            target = dp.compose(dq).inverse()
-            for r in range(system.dim):
-                if system.degrees[r] != target:
-                    continue
-                entry = system.basis_product(p, q, r)
-                if entry:
-                    vec = [system.field.zero] * system.dim
-                    for l, c in entry.items():
-                        vec[l] = c
-                    vectors.append(vec)
-    return Subspace(system.field, system.dim, vectors)
+    pattern = _degree_products(
+        system, members, members | {system.group.identity()}, set(system.degrees)
+    )
+    return Subspace(system.field, system.dim, [u for _, u in pattern])
 
 
 def class_ideal(system: GradedTripleSystem, cls: ConnectionClass) -> ClassIdeal:
@@ -155,27 +163,12 @@ def class_ideal(system: GradedTripleSystem, cls: ConnectionClass) -> ClassIdeal:
 
 def support_product_span(system: GradedTripleSystem) -> Subspace:
     """Span of all {E_g, E_h, E_{(gh)^-1}} over the whole odd support."""
-    identity = system.group.identity()
-    vectors = []
-    for p in range(system.dim):
-        dp = system.degrees[p]
-        if dp.is_identity():
-            continue
-        for q in range(system.dim):
-            dq = system.degrees[q]
-            # second degree ranges over the support plus the identity,
-            # which is every basis degree
-            target = dp.compose(dq).inverse()
-            for r in range(system.dim):
-                if system.degrees[r] != target:
-                    continue
-                entry = system.basis_product(p, q, r)
-                if entry:
-                    vec = [system.field.zero] * system.dim
-                    for l, c in entry.items():
-                        vec[l] = c
-                    vectors.append(vec)
-    return Subspace(system.field, system.dim, vectors)
+    # the second degree ranges over the support plus the identity, which is
+    # every basis degree
+    every = set(system.degrees)
+    odd = {d for d in every if not d.is_identity()}
+    pattern = _degree_products(system, odd, every, every)
+    return Subspace(system.field, system.dim, [u for _, u in pattern])
 
 
 def _cross_products_vanish(system, left: Subspace, right: Subspace):
@@ -553,56 +546,31 @@ def _lemma_products_confined_to_class(system, classes) -> LemmaCheck:
 def _core_product_sources(system, cls):
     """Basis products {b_p, b_q, b_r} whose degrees qualify as core products."""
     members = set(cls.members)
-    identity = system.group.identity()
-    sources = []
-    for p in range(system.dim):
-        dp = system.degrees[p]
-        if dp not in members:
-            continue
-        for q in range(system.dim):
-            dq = system.degrees[q]
-            if dq not in members and dq != identity:
-                continue
-            for r in range(system.dim):
-                dr = system.degrees[r]
-                if dr not in members:
-                    continue
-                if not dp.compose(dq).compose(dr).is_identity():
-                    continue
-                entry = system.basis_product(p, q, r)
-                if entry:
-                    vec = [system.field.zero] * system.dim
-                    for l, c in entry.items():
-                        vec[l] = c
-                    sources.append(((p, q, r), vec))
-    return sources
+    return list(
+        _degree_products(system, members, members | {system.group.identity()}, members)
+    )
 
 
 def _lemma_core_products_confined(system, classes) -> LemmaCheck:
     check = LemmaCheck("core_products_confined_to_class")
-    zero = system.field.zero
     for cls in classes:
         members = set(cls.members)
         for (p, q, r), u in _core_product_sources(system, cls):
-            for jq in range(system.dim):
-                for jr in range(system.dim):
-                    dl = system.degrees[jq]
-                    dm = system.degrees[jr]
-                    for slot in (0, 1, 2):
-                        w = system.product_with_basis(u, slot, jq, jr)
-                        if any(x != zero for x in w):
-                            check.instances += 1
-                            check.nonvacuous += 1
-                            for d in (dl, dm, dl.compose(dm)):
-                                if not d.is_identity() and d not in members:
-                                    check.failures.append(
-                                        {
-                                            "core_triple": (p, q, r),
-                                            "outer_pair": (jq, jr),
-                                            "slot": slot,
-                                            "degree": d.format(),
-                                        }
-                                    )
+            # each nonzero slot product of the core vector is one instance
+            for jq, jr, slot in system.slot_products(u):
+                check.instances += 1
+                check.nonvacuous += 1
+                dl, dm = system.degrees[jq], system.degrees[jr]
+                for d in (dl, dm, dl.compose(dm)):
+                    if not d.is_identity() and d not in members:
+                        check.failures.append(
+                            {
+                                "core_triple": (p, q, r),
+                                "outer_pair": (jq, jr),
+                                "slot": slot,
+                                "degree": d.format(),
+                            }
+                        )
     return check
 
 

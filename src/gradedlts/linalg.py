@@ -15,12 +15,32 @@ functions, so everything here is safe for concurrent read-only use.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# "a" or "a/b" in ASCII decimal digits: no sign on b, no spaces, no "+",
+# no "_" separators and no other Unicode digits, all of which int() accepts.
+_SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _parse_scalar(text: str) -> tuple[int, int]:
+    """Numerator and positive denominator of a scalar string "a" or "a/b"."""
+    if not _SCALAR.fullmatch(text):
+        raise InputError(f"malformed scalar {text!r}")
+    num, _, den = text.partition("/")
+    try:
+        numerator, denominator = int(num), int(den or "1")
+    except ValueError:
+        # past the interpreter's limit on int/str conversion length
+        raise InputError(f"malformed scalar {text!r}") from None
+    if denominator == 0:
+        raise InputError(f"scalar {text!r} has non-positive denominator")
+    return numerator, denominator
 
 
 def is_prime(p: int) -> bool:
@@ -151,24 +171,8 @@ class RationalField:
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, str):
-            return self._parse(x)
+            return Fraction(*_parse_scalar(x))
         raise InputError(f"cannot interpret {x!r} as a rational scalar")
-
-    def _parse(self, text: str) -> Fraction:
-        num, slash, den = text.partition("/")
-        try:
-            numerator = int(num)
-        except ValueError:
-            raise InputError(f"malformed scalar {text!r}") from None
-        if not slash:
-            return Fraction(numerator)
-        try:
-            denominator = int(den)
-        except ValueError:
-            raise InputError(f"malformed scalar {text!r}") from None
-        if denominator <= 0:
-            raise InputError(f"scalar {text!r} has non-positive denominator")
-        return Fraction(numerator, denominator)
 
     def format(self, x) -> str:
         return str(x)
@@ -210,26 +214,11 @@ class PrimeField:
         if isinstance(x, int):
             return PrimeFieldElement(x, self.p)
         if isinstance(x, str):
-            return self._parse(x)
+            numerator, denominator = _parse_scalar(x)
+            if denominator % self.p == 0:
+                raise InputError(f"scalar {x!r} has denominator divisible by {self.p}")
+            return PrimeFieldElement(numerator, self.p) / PrimeFieldElement(denominator, self.p)
         raise InputError(f"cannot interpret {x!r} as a mod-{self.p} scalar")
-
-    def _parse(self, text: str) -> PrimeFieldElement:
-        num, slash, den = text.partition("/")
-        try:
-            numerator = int(num)
-        except ValueError:
-            raise InputError(f"malformed scalar {text!r}") from None
-        if not slash:
-            return PrimeFieldElement(numerator, self.p)
-        try:
-            denominator = int(den)
-        except ValueError:
-            raise InputError(f"malformed scalar {text!r}") from None
-        if denominator <= 0:
-            raise InputError(f"scalar {text!r} has non-positive denominator")
-        if denominator % self.p == 0:
-            raise InputError(f"scalar {text!r} has denominator divisible by {self.p}")
-        return PrimeFieldElement(numerator, self.p) / PrimeFieldElement(denominator, self.p)
 
     def format(self, x) -> str:
         return str(x)
@@ -284,12 +273,15 @@ class Matrix:
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
         one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)], ncols=n)
+        return cls(field, [[zero] * i + [one] + [zero] * (n - 1 - i) for i in range(n)], ncols=n)
 
     def transpose(self) -> "Matrix":
         return Matrix(
             self.field,
-            [[self.rows[r][c] for r in range(self.nrows)] for c in range(self.ncols)],
+            [
+                [self.rows[r][c] for r in range(self.nrows)]
+                for c in range(self.ncols)
+            ],
             ncols=self.nrows,
         )
 
@@ -430,7 +422,7 @@ class Subspace:
 
     def __init__(self, field, ambient: int, vectors: Iterable[Sequence]):
         # entries are coerced so stored bases carry canonical scalar types
-        coerced = [[field.element(x) for x in row] for row in vectors]
+        coerced = [list(map(field.element, row)) for row in vectors]
         raw = Matrix(field, coerced, ncols=ambient)
         reduced, pivots = rref(raw)
         self.field = field

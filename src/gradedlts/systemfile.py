@@ -11,8 +11,8 @@ Document layout::
                      "out": [{"idx": l, "val": "a" or "a/b"}, ...]}, ...]
     }
 
-Indices are 0-based; scalars are strings with arbitrary-precision integers
-and positive denominators; unspecified argument triples mean a zero
+Indices are 0-based; scalars are strings matching `-?[0-9]+(/[0-9]+)?`
+(ASCII digits, a positive denominator); unspecified argument triples mean a zero
 product; duplicate argument triples (and duplicate output indices within a
 record) are rejected.  Serialization is canonical: records sorted by
 arguments, outputs sorted by index, zero entries omitted, two-space

@@ -6,6 +6,9 @@ sparse structure constants.  The two defining five-term identities of a
 Leibniz triple system, the grading condition {E_g, E_h, E_k} in E_{ghk},
 and the derived six-term identity are all verified by exhaustive sweeps
 over basis tuples, which suffices because each identity is multilinear.
+The products of a vector with every basis pair, which the ideal predicate,
+ideal closures, the defect-ideal certificate and the annihilator need, come
+from `slot_products`: one pass over the stored constants.
 
 Systems are immutable after construction; verification sweeps are pure and
 may be run concurrently on the same instance.
@@ -107,35 +110,99 @@ class GradedTripleSystem:
                     out[l] = out[l] + coef * c
         return tuple(out)
 
-    def product_with_basis(self, v: Sequence, slot: int, j: int, k: int) -> list:
-        """Product with `v` in one slot and basis vectors in the others.
-
-        slot 0: {v, b_j, b_k};  slot 1: {b_j, v, b_k};  slot 2: {b_j, b_k, v}.
-        """
-        zero = self.field.zero
-        out = [zero] * self.dim
-        for i, coef in enumerate(v):
-            if coef == zero:
-                continue
-            if slot == 0:
-                entry = self._table.get((i, j, k))
-            elif slot == 1:
-                entry = self._table.get((j, i, k))
-            else:
-                entry = self._table.get((j, k, i))
-            if entry:
-                for l, c in entry.items():
-                    out[l] = out[l] + coef * c
+    def vector(self, sparse: Mapping[int, object]) -> list:
+        """Dense coordinate list of a sparse mapping l -> scalar."""
+        out = [self.field.zero] * self.dim
+        for l, c in sparse.items():
+            out[l] = c
         return out
+
+    def slot_products(self, v: Sequence) -> dict[tuple[int, int, int], dict[int, object]]:
+        """Products of `v` with every basis pair, in one pass over the constants.
+
+        Key (j, k, 0) is {v, b_j, b_k}, (j, k, 1) is {b_j, v, b_k} and
+        (j, k, 2) is {b_j, b_k, v}.  Only the nonzero products are returned,
+        as sparse mappings l -> scalar, with keys in increasing order; a
+        missing key means the product is zero.
+        """
+        if len(v) != self.dim:
+            raise InputError("vector length does not match system dimension")
+        zero = self.field.zero
+        acc: dict[tuple[int, int, int], dict[int, object]] = {}
+        for (a, b, c), entry in self._table.items():
+            for key, coef in (((b, c, 0), v[a]), ((a, c, 1), v[b]), ((a, b, 2), v[c])):
+                if coef:
+                    out = acc.setdefault(key, {})
+                    for l, x in entry.items():
+                        out[l] = out.get(l, zero) + coef * x
+        products = {}
+        for key in sorted(acc):
+            out = {l: x for l, x in acc[key].items() if x}
+            if out:
+                products[key] = out
+        return products
 
     # -- identity sweeps ----------------------------------------------------
 
-    def _dense_table(self):
+    def _sweep(self, identities) -> list[Violation]:
+        """Evaluate residual expansions on all n^5 basis quintuples.
+
+        `identities` is a sequence of (name, accumulate) pairs, where
+        accumulate(a, b, c, d, e, acc) adds the identity's residual at that
+        quintuple into the sparse mapping `acc`.  Nonzero residuals become
+        violations, in tuple order and then in the given identity order.
+        """
+        violations = []
+        for indices in product(range(self.dim), repeat=5):
+            for name, accumulate in identities:
+                acc: dict[int, object] = {}
+                accumulate(*indices, acc)
+                if any(acc.values()):
+                    violations.append(Violation(name, indices, tuple(self.vector(acc))))
+        return violations
+
+    def _nested_terms(self):
+        """The dense table P and accumulators for nested products.
+
+        left(F, d, e, acc, sign), middle(a, F, e, acc, sign) and
+        right(a, b, F, acc, sign) add sign times {F, b_d, b_e},
+        {b_a, F, b_e} and {b_a, b_b, F} into `acc`, where F is a stored
+        entry of P (a sparse first-level product) or None.
+        """
         n = self.dim
-        dense = [[[None] * n for _ in range(n)] for _ in range(n)]
+        P = [[[None] * n for _ in range(n)] for _ in range(n)]
         for (i, j, k), entry in self._table.items():
-            dense[i][j][k] = entry
-        return dense
+            P[i][j][k] = entry
+        zero = self.field.zero
+
+        def left(first, d, e, acc, sign):
+            if first:
+                for l, coef in first.items():
+                    entry = P[l][d][e]
+                    if entry:
+                        coef = sign * coef
+                        for m, c in entry.items():
+                            acc[m] = acc.get(m, zero) + coef * c
+
+        def middle(a, inner, e, acc, sign):
+            if inner:
+                for l, coef in inner.items():
+                    entry = P[a][l][e]
+                    if entry:
+                        coef = sign * coef
+                        for m, c in entry.items():
+                            acc[m] = acc.get(m, zero) + coef * c
+
+        def right(a, b, inner, acc, sign):
+            if inner:
+                for l, coef in inner.items():
+                    entry = P[a][b][l]
+                    if entry:
+                        coef = sign * coef
+                        for m, c in entry.items():
+                            acc[m] = acc.get(m, zero) + coef * c
+
+        return P, left, middle, right
 
     def verify_axioms(self) -> list[Violation]:
         """Check both defining five-term identities on all n^5 basis tuples.
@@ -143,65 +210,29 @@ class GradedTripleSystem:
         Returns the list of violations; a valid system yields the empty
         list.  Each violation names the quintuple and its nonzero residual.
         """
-        n = self.dim
-        P = self._dense_table()
-        zero = self.field.zero
-        violations = []
+        P, left, middle, right = self._nested_terms()
+        one = self.field.one
+        minus = -one
 
-        def left(first, d, e, acc, sign):
-            # {F, b_d, b_e} with F a sparse first-slot vector.
-            if first:
-                for l, coef in first.items():
-                    entry = P[l][d][e]
-                    if entry:
-                        for m, c in entry.items():
-                            acc[m] = acc.get(m, zero) + sign * coef * c
-
-        for a, b, c, d, e in product(range(n), repeat=5):
-            # identity expanding a nested product in the middle slot:
+        def middle_slot(a, b, c, d, e, acc):
             # {a,{b,c,d},e} = {{a,b,c},d,e} - {{a,c,b},d,e}
             #                 - {{a,d,b},c,e} + {{a,d,c},b,e}
-            acc: dict[int, object] = {}
-            inner = P[b][c][d]
-            if inner:
-                for l, coef in inner.items():
-                    entry = P[a][l][e]
-                    if entry:
-                        for m, cc in entry.items():
-                            acc[m] = acc.get(m, zero) + coef * cc
-            left(P[a][b][c], d, e, acc, -self.field.one)
-            left(P[a][c][b], d, e, acc, self.field.one)
-            left(P[a][d][b], c, e, acc, self.field.one)
-            left(P[a][d][c], b, e, acc, -self.field.one)
-            residual = {m: v for m, v in acc.items() if v != zero}
-            if residual:
-                vec = [zero] * n
-                for m, v in residual.items():
-                    vec[m] = v
-                violations.append(Violation("middle_slot", (a, b, c, d, e), tuple(vec)))
+            middle(a, P[b][c][d], e, acc, one)
+            left(P[a][b][c], d, e, acc, minus)
+            left(P[a][c][b], d, e, acc, one)
+            left(P[a][d][b], c, e, acc, one)
+            left(P[a][d][c], b, e, acc, minus)
 
-            # identity expanding a nested product in the right slot:
+        def right_slot(a, b, c, d, e, acc):
             # {a,b,{c,d,e}} = {{a,b,c},d,e} - {{a,b,d},c,e}
             #                 - {{a,b,e},c,d} + {{a,b,e},d,c}
-            acc = {}
-            inner = P[c][d][e]
-            if inner:
-                for l, coef in inner.items():
-                    entry = P[a][b][l]
-                    if entry:
-                        for m, cc in entry.items():
-                            acc[m] = acc.get(m, zero) + coef * cc
-            left(P[a][b][c], d, e, acc, -self.field.one)
-            left(P[a][b][d], c, e, acc, self.field.one)
-            left(P[a][b][e], c, d, acc, self.field.one)
-            left(P[a][b][e], d, c, acc, -self.field.one)
-            residual = {m: v for m, v in acc.items() if v != zero}
-            if residual:
-                vec = [zero] * n
-                for m, v in residual.items():
-                    vec[m] = v
-                violations.append(Violation("right_slot", (a, b, c, d, e), tuple(vec)))
-        return violations
+            right(a, b, P[c][d][e], acc, one)
+            left(P[a][b][c], d, e, acc, minus)
+            left(P[a][b][d], c, e, acc, one)
+            left(P[a][b][e], c, d, acc, one)
+            left(P[a][b][e], d, c, acc, minus)
+
+        return self._sweep((("middle_slot", middle_slot), ("right_slot", right_slot)))
 
     def verify_fundamental_identity(self) -> list[Violation]:
         """Check the derived six-term identity on all basis quintuples.
@@ -210,64 +241,30 @@ class GradedTripleSystem:
         must come back empty for any system that passes `verify_axioms`; it
         is checked independently as a cross-validation sweep.
         """
-        n = self.dim
-        P = self._dense_table()
-        zero = self.field.zero
+        P, left, middle, right = self._nested_terms()
         one = self.field.one
-        violations = []
+        minus = -one
 
-        def left(first, d, e, acc, sign):
-            if first:
-                for l, coef in first.items():
-                    entry = P[l][d][e]
-                    if entry:
-                        for m, c in entry.items():
-                            acc[m] = acc.get(m, zero) + sign * coef * c
-
-        def middle(a, inner, e, acc, sign):
-            if inner:
-                for l, coef in inner.items():
-                    entry = P[a][l][e]
-                    if entry:
-                        for m, c in entry.items():
-                            acc[m] = acc.get(m, zero) + sign * coef * c
-
-        def right(a, b, inner, acc, sign):
-            if inner:
-                for l, coef in inner.items():
-                    entry = P[a][b][l]
-                    if entry:
-                        for m, c in entry.items():
-                            acc[m] = acc.get(m, zero) + sign * coef * c
-
-        for a, b, c, d, e in product(range(n), repeat=5):
+        def six_term(a, b, c, d, e, acc):
             # {{c,d,e},b,a} - {{c,d,e},a,b} - {{c,b,a},d,e} + {{c,a,b},d,e}
             #   - {c,{a,b,d},e} - {c,d,{a,b,e}} = 0
-            acc: dict[int, object] = {}
             left(P[c][d][e], b, a, acc, one)
-            left(P[c][d][e], a, b, acc, -one)
-            left(P[c][b][a], d, e, acc, -one)
+            left(P[c][d][e], a, b, acc, minus)
+            left(P[c][b][a], d, e, acc, minus)
             left(P[c][a][b], d, e, acc, one)
-            middle(c, P[a][b][d], e, acc, -one)
-            right(c, d, P[a][b][e], acc, -one)
-            residual = {m: v for m, v in acc.items() if v != zero}
-            if residual:
-                vec = [zero] * n
-                for m, v in residual.items():
-                    vec[m] = v
-                violations.append(Violation("six_term", (a, b, c, d, e), tuple(vec)))
-        return violations
+            middle(c, P[a][b][d], e, acc, minus)
+            right(c, d, P[a][b][e], acc, minus)
+
+        return self._sweep((("six_term", six_term),))
 
     def verify_grading(self) -> list[Violation]:
         """Check degree compatibility of every stored structure constant."""
         violations = []
-        zero = self.field.zero
         for (i, j, k), entry in sorted(self._table.items()):
             expected = self.degrees[i].compose(self.degrees[j]).compose(self.degrees[k])
             for l in sorted(entry):
                 if self.degrees[l] != expected:
-                    vec = [zero] * self.dim
-                    vec[l] = entry[l]
+                    vec = self.vector({l: entry[l]})
                     violations.append(Violation("grading", (i, j, k, l), tuple(vec)))
         return violations
 
@@ -303,9 +300,11 @@ class GradedTripleSystem:
     def ideal_closure(self, sub: Subspace) -> Subspace:
         """Least ideal containing `sub`.
 
-        Fixed-point iteration adding {v, E, E}, {E, v, E}, and {E, E, v} for
-        every new spanning vector v; terminates because the dimension grows
-        strictly until stable (at most `dim` steps).
+        Fixed-point iteration adding the nonzero slot products {v, E, E},
+        {E, v, E} and {E, E, v} of every new spanning vector v; terminates
+        because the dimension grows strictly until stable (at most `dim`
+        steps).  The result is the canonical basis, whatever the order in
+        which products were added.
         """
         if sub.ambient != self.dim:
             raise InputError("subspace ambient dimension mismatch")
@@ -314,15 +313,11 @@ class GradedTripleSystem:
         for row in sub.basis.rows:
             if acc.add(row):
                 queue.append(row)
-        zero = self.field.zero
         while queue:
-            v = queue.pop()
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    for slot in (0, 1, 2):
-                        w = self.product_with_basis(v, slot, j, k)
-                        if any(x != zero for x in w) and acc.add(w):
-                            queue.append(w)
+            for w in self.slot_products(queue.pop()).values():
+                w = self.vector(w)
+                if acc.add(w):
+                    queue.append(w)
         return Subspace(self.field, self.dim, acc.vectors())
 
     def is_ideal(self, sub: Subspace) -> bool:
@@ -331,16 +326,17 @@ class GradedTripleSystem:
         return witness is None
 
     def ideal_witness(self, sub: Subspace):
-        """First product escaping the subspace, or None when it is an ideal."""
+        """First product escaping the subspace, or None when it is an ideal.
+
+        Every nonzero slot product of every basis row is tested, in
+        (row, j, k, slot) order; zero products always lie in the subspace.
+        """
         if sub.ambient != self.dim:
             raise InputError("subspace ambient dimension mismatch")
         for row in sub.basis.rows:
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    for slot in (0, 1, 2):
-                        w = self.product_with_basis(row, slot, j, k)
-                        if not sub.contains(w):
-                            return {"vector": row, "slot": slot, "j": j, "k": k}
+            for (j, k, slot), w in self.slot_products(row).items():
+                if not sub.contains(self.vector(w)):
+                    return {"vector": row, "slot": slot, "j": j, "k": k}
         return None
 
     def is_subsystem(self, sub: Subspace) -> bool:
@@ -358,8 +354,10 @@ class GradedTripleSystem:
 
         This ideal is zero exactly when the system is a Lie triple system.
         The returned ideal is certified to satisfy the vanishing laws
-        {E,E,I} = {E,I,E} = 0 exactly; a certificate failure means the
-        input system itself is corrupt.
+        {E,E,I} = {E,I,E} = 0 exactly, on every nonzero slot product of
+        every basis row; a certificate failure means the input system itself
+        is corrupt.  The witness is the first failing pair (j, k), with
+        {E,E,I} tested before {E,I,E} on each pair.
         """
         zero = self.field.zero
         generators = []
@@ -372,25 +370,20 @@ class GradedTripleSystem:
                 acc[l] = acc.get(l, zero) - c
             for l, c in self._table.get((j, k, i), {}).items():
                 acc[l] = acc.get(l, zero) + c
-            if any(v != zero for v in acc.values()):
-                vec = [zero] * n
-                for l, v in acc.items():
-                    vec[l] = v
-                generators.append(vec)
+            if any(acc.values()):
+                generators.append(self.vector(acc))
         ideal = self.ideal_closure(Subspace(self.field, n, generators))
         for row in ideal.basis.rows:
-            for j in range(n):
-                for k in range(n):
-                    if any(x != zero for x in self.product_with_basis(row, 2, j, k)):
-                        raise CertificateFailure(
-                            "products {E,E,I} of the defect ideal do not vanish",
-                            witness={"vector": row, "j": j, "k": k},
-                        )
-                    if any(x != zero for x in self.product_with_basis(row, 1, j, k)):
-                        raise CertificateFailure(
-                            "products {E,I,E} of the defect ideal do not vanish",
-                            witness={"vector": row, "j": j, "k": k},
-                        )
+            # keyed (j, k, -slot) so that on each pair {E,E,I} (slot 2)
+            # comes before {E,I,E} (slot 1)
+            failing = [(j, k, -slot) for j, k, slot in self.slot_products(row) if slot]
+            if failing:
+                j, k, slot = min(failing)
+                family = "{E,E,I}" if slot == -2 else "{E,I,E}"
+                raise CertificateFailure(
+                    f"products {family} of the defect ideal do not vanish",
+                    witness={"vector": row, "j": j, "k": k},
+                )
         return ideal
 
     def is_lie_triple(self) -> bool:
@@ -440,30 +433,18 @@ class GradedTripleSystem:
         """Elements x with {x,E,E} + {E,x,E} + {E,E,x} = 0.
 
         Computed as the kernel of the stacked linear map collecting all
-        three slot actions against basis pairs.
+        three slot actions against basis pairs.  Its nonzero rows, keyed
+        (slot, j, k, l), are read straight off the stored constants: the
+        constant {b_a, b_b, b_c} = sum_l x_l b_l puts x_l in column a of row
+        (0, b, c, l), in column b of (1, a, c, l) and in column c of
+        (2, a, b, l).  The kernel is canonical, so row order is immaterial.
         """
-        n = self.dim
-        zero = self.field.zero
-        rows = []
-        for slot in (0, 1, 2):
-            for j in range(n):
-                for k in range(n):
-                    for out in range(n):
-                        row = [zero] * n
-                        nonzero = False
-                        for i in range(n):
-                            if slot == 0:
-                                entry = self._table.get((i, j, k))
-                            elif slot == 1:
-                                entry = self._table.get((j, i, k))
-                            else:
-                                entry = self._table.get((j, k, i))
-                            if entry and out in entry:
-                                row[i] = entry[out]
-                                nonzero = True
-                        if nonzero:
-                            rows.append(row)
-        return kernel(Matrix(self.field, rows, ncols=n))
+        rows: dict[tuple[int, int, int, int], dict[int, object]] = {}
+        for (a, b, c), entry in self._table.items():
+            for key, column in (((0, b, c), a), ((1, a, c), b), ((2, a, b), c)):
+                for l, x in entry.items():
+                    rows.setdefault((*key, l), {})[column] = x
+        return kernel(Matrix(self.field, [self.vector(r) for r in rows.values()], ncols=self.dim))
 
     # -- misc -----------------------------------------------------------------
 

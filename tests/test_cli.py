@@ -8,6 +8,8 @@ import sys
 import pytest
 
 import gradedlts as g
+from gradedlts import cli
+from gradedlts.cli import main
 from gradedlts.fixtures import fixture_text
 
 
@@ -61,6 +63,31 @@ def test_verify_rejects_malformed_scalar(tmp_path):
     result = run_cli("verify", str(bad))
     assert result.returncode == 2
     assert "input error" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1_000", " 7 ", "+7", "\u0663"],
+    ids=["underscore", "spaces", "plus", "arabic_indic_digit"],
+)
+def test_verify_rejects_scalar_outside_grammar(text, tmp_path, capsys):
+    # int() accepts each of these; the grammar is -?[0-9]+(/[0-9]+)?
+    data = json.loads(fixture_text("sl2_Z"))
+    data["triple"][0]["out"][0]["val"] = text
+    bad = tmp_path / "bad_scalar.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify", str(bad)]) == 2
+    assert "malformed scalar" in capsys.readouterr().err
+
+
+def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
+    def broken(path):
+        raise RuntimeError("loader exploded\nsecond line")
+
+    monkeypatch.setattr(cli, "load_system", broken)
+    assert main(["verify", "whatever.json"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: loader exploded second line\n"
 
 
 def test_verify_rejects_boolean_degree(tmp_path):

@@ -1,9 +1,12 @@
-"""Golden `decompose --json` reports: refactors must not change a byte.
+"""Golden `--json` reports: refactors must not change a byte.
 
 Each case writes its system file into a scratch directory and runs the CLI
 from there on the bare file name, so the report's `input.path` is the fixed
 relative path `<case>.json` and the whole report compares byte for byte,
-header included.  The frozen reports live in `tests/golden/`.
+header included.  The frozen reports live in `tests/golden/`:
+`<case>.decompose.json` for valid systems (exit 0) and `<case>.verify.json`
+for systems with one corrupted structure constant (exit 1), which freeze
+the violation lists of the identity sweeps.
 
 Regenerate them only for a deliberate change of the report format, with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -21,30 +24,53 @@ import gradedlts as g
 from gradedlts.cli import main
 from gradedlts.fixtures import fixture_text
 
-from conftest import sl2_square
+from conftest import mutate_constant, sl2_square
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def golden_inputs() -> dict[str, str]:
-    """Case name -> system file text."""
+    """Case name -> system file text, for `decompose`."""
     inputs = {name: fixture_text(name) for name in g.BUILTIN_NAMES}
     inputs["sl2x2_Q"] = g.dumps_system(sl2_square(g.RationalField()))
     inputs["sl2x2_F7"] = g.dumps_system(sl2_square(g.PrimeField(7)))
     return inputs
 
 
-def decompose_report(name: str, text: str, directory: Path) -> bytes:
-    """Run `decompose --seed 0 --json` with `directory` as working directory."""
+def corrupted_inputs() -> dict[str, str]:
+    """Case name -> system file text, for `verify` (each fails it)."""
+    one = g.RationalField().one
+    # {b0, b2, b0} = 2 b0 becomes 3 b0: 41 axiom and 20 six-term violations
+    sl2 = mutate_constant(g.builtin("sl2_Z"), 0, 2, 0, 0, one)
+    # {b0, b0, b0} = b2 gains a b0 term: axiom, grading and six-term violations
+    nonlie = mutate_constant(g.builtin("nonlie_J"), 0, 0, 0, 0, one)
+    return {
+        "sl2_Z_corrupt": g.dumps_system(sl2),
+        "nonlie_J_corrupt": g.dumps_system(nonlie),
+    }
+
+
+def cli_report(command: str, name: str, text: str, directory: Path, code: int) -> bytes:
+    """Run `<command> <name>.json --json report.json` with `directory` as working directory."""
     (directory / f"{name}.json").write_text(text, encoding="utf-8")
+    argv = [command, f"{name}.json", "--json", "report.json"]
+    if command == "decompose":
+        argv[2:2] = ["--seed", "0"]
     previous = os.getcwd()
     os.chdir(directory)
     try:
-        code = main(["decompose", f"{name}.json", "--seed", "0", "--json", "report.json"])
+        assert main(argv) == code, name
     finally:
         os.chdir(previous)
-    assert code == 0, name
     return (directory / "report.json").read_bytes()
+
+
+def decompose_report(name: str, text: str, directory: Path) -> bytes:
+    return cli_report("decompose", name, text, directory, 0)
+
+
+def verify_report(name: str, text: str, directory: Path) -> bytes:
+    return cli_report("verify", name, text, directory, 1)
 
 
 @pytest.mark.parametrize("name", sorted(golden_inputs()))
@@ -53,12 +79,22 @@ def test_decompose_report_matches_golden(name, tmp_path):
     assert decompose_report(name, golden_inputs()[name], tmp_path) == expected
 
 
+@pytest.mark.parametrize("name", sorted(corrupted_inputs()))
+def test_verify_report_matches_golden(name, tmp_path):
+    expected = (GOLDEN_DIR / f"{name}.verify.json").read_bytes()
+    assert verify_report(name, corrupted_inputs()[name], tmp_path) == expected
+
+
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for case, source in sorted(golden_inputs().items()):
-        with tempfile.TemporaryDirectory() as scratch:
-            report = decompose_report(case, source, Path(scratch))
-        (GOLDEN_DIR / f"{case}.decompose.json").write_bytes(report)
-        print(f"wrote {case}.decompose.json", file=sys.stderr)
+    for inputs, command, run in (
+        (golden_inputs(), "decompose", decompose_report),
+        (corrupted_inputs(), "verify", verify_report),
+    ):
+        for case, source in sorted(inputs.items()):
+            with tempfile.TemporaryDirectory() as scratch:
+                report = run(case, source, Path(scratch))
+            (GOLDEN_DIR / f"{case}.{command}.json").write_bytes(report)
+            print(f"wrote {case}.{command}.json", file=sys.stderr)

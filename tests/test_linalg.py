@@ -202,3 +202,29 @@ def test_echelon_accumulator_matches_subspace():
     added = [acc.add([Fraction(x) for x in v]) for v in vectors]
     assert added == [True, False, True]
     assert span(Q, 3, acc.vectors()) == span(Q, 3, vectors)
+
+
+# -- the scalar grammar "a" / "a/b" -------------------------------------------
+
+# Values stay below the interpreter's 4,300-digit limit on int/str conversion;
+# longer scalars are still rejected, which is a known open bug.
+big_int = st.integers(min_value=-(10**80), max_value=10**80)
+
+
+@given(st.builds(Fraction, big_int, st.integers(min_value=1, max_value=10**80)))
+@settings(max_examples=200, deadline=None)
+def test_rational_scalar_format_round_trip(x):
+    assert Q.element(Q.format(x)) == x
+
+
+@given(
+    st.sampled_from([2, 5, 7, 101, 2**61 - 1]).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(min_value=0, max_value=p - 1))
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_prime_scalar_format_round_trip(data):
+    p, value = data
+    field = PrimeField(p)
+    x = field.element(value)
+    assert field.element(field.format(x)) == x

@@ -1,0 +1,118 @@
+"""The sparse slot-product enumerator and its callers against dense oracles.
+
+`slot_products`, `ideal_closure` and `annihilator` all read the stored
+constants in one pass; here each is compared with a computation built from
+`oracle_triple` (the dense table in conftest) on every builtin, on sl2^2
+over Q and over GF(7) and on a one-constant system, with seeded random
+vectors.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import product
+
+import pytest
+
+import gradedlts as g
+from conftest import mutate_constant, oracle_triple, sl2_square
+
+
+def systems():
+    out = {name: g.builtin(name) for name in g.BUILTIN_NAMES}
+    out["sl2x2_Q"] = sl2_square(g.RationalField())
+    out["sl2x2_F7"] = sl2_square(g.PrimeField(7))
+    # {b0, b1, b2} = b0 alone: each basis vector acts in exactly one slot
+    out["lone_constant"] = mutate_constant(
+        g.builtin("zero_3"), 0, 1, 2, 0, g.RationalField().one
+    )
+    return out
+
+
+SYSTEMS = systems()
+
+
+def unit(system, i):
+    zero, one = system.field.zero, system.field.one
+    return [one if t == i else zero for t in range(system.dim)]
+
+
+def random_vectors(system, seed, count=3):
+    rng = random.Random(seed)
+    field = system.field
+    coefficients = [0, 0, 1, -1, 2, -3]
+    return [
+        [field.element(rng.choice(coefficients)) for _ in range(system.dim)]
+        for _ in range(count)
+    ]
+
+
+def oracle_slot_product(system, v, j, k, slot):
+    args = [unit(system, j), unit(system, k)]
+    args.insert(slot, v)
+    return oracle_triple(system, *args)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_slot_products_match_oracle(name):
+    system = SYSTEMS[name]
+    n = system.dim
+    for v in random_vectors(system, seed=n) + [unit(system, i) for i in range(n)]:
+        products = system.slot_products(v)
+        assert list(products) == sorted(products)
+        for j, k, slot in product(range(n), range(n), range(3)):
+            expected = oracle_slot_product(system, v, j, k, slot)
+            if any(expected):
+                assert system.vector(products[(j, k, slot)]) == expected
+            else:
+                assert (j, k, slot) not in products
+        assert all(all(x for x in w.values()) for w in products.values())
+
+
+def naive_closure(system, vectors):
+    """Least ideal by brute force: add escaping oracle products until stable."""
+    n = system.dim
+    current = g.Subspace(system.field, n, vectors)
+    changed = True
+    while changed:
+        changed = False
+        for v, j, k, slot in product(current.basis.rows, range(n), range(n), range(3)):
+            w = oracle_slot_product(system, list(v), j, k, slot)
+            if not current.contains(w):
+                current = current.sum(g.Subspace(system.field, n, [w]))
+                changed = True
+                break
+    return current
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_ideal_closure_matches_naive_fixed_point(name):
+    system = SYSTEMS[name]
+    for v in random_vectors(system, seed=100 + system.dim) + [unit(system, 0)]:
+        line = g.Subspace(system.field, system.dim, [v])
+        assert system.ideal_closure(line) == naive_closure(system, [v])
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_annihilator_is_kernel_of_oracle_action_matrix(name):
+    system = SYSTEMS[name]
+    n = system.dim
+    # one row per (slot, j, k, l): column i holds coordinate l of the slot
+    # product of b_i with (b_j, b_k)
+    columns = [
+        [x for j, k, slot in product(range(n), range(n), range(3))
+         for x in oracle_slot_product(system, unit(system, i), j, k, slot)]
+        for i in range(n)
+    ]
+    rows = [list(row) for row in zip(*columns)]
+    assert system.annihilator() == g.kernel(g.Matrix(system.field, rows, ncols=n))
+
+
+@pytest.mark.parametrize("field", [g.RationalField(), g.PrimeField(7)], ids=["Q", "F7"])
+def test_ideal_witness_on_sl2_cartan_line(field):
+    # {h, e, h} = [[h, e], h] = -4e escapes span{h}: the first escaping
+    # product in (row, j, k, slot) order
+    sl2 = g.from_leibniz_algebra(g.sl2_algebra(field))
+    h = unit(sl2, 1)
+    witness = sl2.ideal_witness(g.Subspace(field, 3, [h]))
+    assert witness == {"vector": tuple(h), "slot": 0, "j": 0, "k": 1}

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradedlts as g
-from conftest import dense_table, oracle_is_lie, oracle_triple
+from gradedlts.errors import CertificateFailure
+from conftest import dense_table, mutate_constant, oracle_is_lie, oracle_triple
 
 Q = g.RationalField()
 
@@ -307,3 +308,20 @@ def test_library_product_matches_oracle_on_random_vectors(builtins):
             assert list(system.triple_product(x, y, z)) == oracle_triple(
                 system, x, y, z
             ), name
+
+
+@pytest.mark.parametrize(
+    ("constant", "family", "pair"),
+    [
+        # {b0, b0, b0} = b0: at the pair (0, 0) both {E,E,I} and {E,I,E} fail
+        ((0, 0, 0, 0), "{E,E,I}", (0, 0)),
+        # {b0, b0, b1} = b0: only {b0, b0, b1}, an {E,I,E} product, fails
+        ((0, 0, 1, 0), "{E,I,E}", (0, 1)),
+    ],
+)
+def test_defect_ideal_certificate_reports_first_failing_pair(constant, family, pair):
+    bad = mutate_constant(g.builtin("zero_3"), *constant, Q.one)
+    with pytest.raises(CertificateFailure) as info:
+        bad.lie_defect_ideal()
+    assert str(info.value) == f"products {family} of the defect ideal do not vanish"
+    assert info.value.witness == {"vector": (1, 0, 0), "j": pair[0], "k": pair[1]}
