@@ -20,11 +20,11 @@ the quotient algebra satisfies the right Leibniz identity on every basis
 triple, raising `NotWellDefined` or `LeibnizIdentityFailure` with a witness
 otherwise.
 
-N is read off one reduced row echelon form R of the stacked action matrix
-A (the phi rows, then the psi rows, built sparse from the structure
+N is read off the sparse reduced row echelon form R of the stacked action
+matrix A (the phi rows, then the psi rows, built sparse from the structure
 constants): N is the kernel of R, the quotient coordinates are the pivot
-columns of R, and R itself is the reduction, since it kills N and sends the
-pivot tensor of each row to that row's coordinate.  The pivot tensors are
+columns of R, and R's sparse rows are the reduction, since R kills N and
+sends the pivot tensor of each row to that row's coordinate.  The pivot tensors are
 exactly the greedy standard-tensor complement of N, so the choice is
 deterministic, and they are homogeneous, so the even part inherits the
 grading.  Everything is immutable after build.
@@ -36,7 +36,7 @@ from itertools import product
 
 from .errors import DecompositionFailure, LeibnizIdentityFailure, NotWellDefined
 from .groups import GroupElement
-from .linalg import Matrix, Subspace, kernel, rref, vec_times_matrix
+from .linalg import Echelon, Subspace
 from .triples import GradedTripleSystem
 
 
@@ -73,7 +73,11 @@ class StandardEmbedding:
 
     def reduce_tensor(self, tensor_vec) -> tuple:
         """Project a tensor-square vector to quotient coordinates along N."""
-        return vec_times_matrix(tensor_vec, self._reduction)
+        zero = self.system.field.zero
+        return tuple(
+            sum((tensor_vec[c] * x for c, x in row.items() if tensor_vec[c]), zero)
+            for row in self._reduction
+        )
 
     def lift(self, coords) -> tuple:
         """Canonical tensor representative of a quotient coordinate vector."""
@@ -172,10 +176,14 @@ class StandardEmbedding:
         bracket images of E_h with E_{h^-1 g}.
         """
         if self._components is None:
+            # the image of b_i (x) b_j is column i*n + j of the reduction
+            images = [{} for _ in range(self.tensor_dim)]
+            for r, row in enumerate(self._reduction):
+                for c, x in row.items():
+                    images[c][r] = x
             buckets: dict[GroupElement, list] = {}
-            for c in range(self.tensor_dim):
-                g = self._tensor_degrees[c]
-                buckets.setdefault(g, []).append(self._reduction.rows[c])
+            for g, image in zip(self._tensor_degrees, images):
+                buckets.setdefault(g, []).append(image)
             comps = {}
             for g in sorted(buckets):
                 sub = Subspace(self.system.field, self.dim_even, buckets[g])
@@ -290,15 +298,12 @@ def build_embedding(system: GradedTripleSystem) -> StandardEmbedding:
             Leibniz identity on some basis triple (witness attached).
     """
     action = _ActionMatrix(system)
-    zero = system.field.zero
-    dense = [[row.get(c, zero) for c in range(action.ncols)] for _, row in action.rows]
     # One RREF gives everything: ker(R) = N, the pivot columns index the
     # greedy standard-tensor complement of N, and R kills N while sending
     # the pivot tensor of row r to the r-th quotient coordinate.
-    reduced, pivots = rref(Matrix(system.field, dense, ncols=action.ncols))
-    emb = StandardEmbedding(
-        system, action.ncols, kernel(reduced), pivots, reduced.transpose()
-    )
+    reduced = Echelon(system.field, action.ncols, (row for _, row in action.rows))
+    rows = tuple(reduced.rows[p] for p in reduced.pivots)
+    emb = StandardEmbedding(system, action.ncols, reduced.kernel(), reduced.pivots, rows)
     _certify_descent(emb, action)
     _certify_leibniz_identity(emb)
     return emb

@@ -42,7 +42,6 @@ class GradedLeibnizAlgebra:
     def build(cls, field, group, degrees, brackets: Mapping[tuple[int, int], Mapping[int, object]]):
         degrees = tuple(degrees)
         n = len(degrees)
-        zero = field.zero
         canon = []
         for (i, j) in sorted(brackets):
             if not (0 <= i < n and 0 <= j < n):
@@ -50,7 +49,7 @@ class GradedLeibnizAlgebra:
             entry = []
             for l in sorted(brackets[(i, j)]):
                 value = field.element(brackets[(i, j)][l])
-                if value != zero:
+                if value:
                     entry.append((l, value))
             if entry:
                 canon.append(((i, j), tuple(entry)))
@@ -68,7 +67,7 @@ class GradedLeibnizAlgebra:
         out = [zero] * self.dim
         for (i, j), entry in self.brackets:
             coef = x[i] * y[j]
-            if coef != zero:
+            if coef:
                 for l, c in entry:
                     out[l] = out[l] + coef * c
         return out
@@ -92,7 +91,7 @@ class GradedLeibnizAlgebra:
             rhs_a = self.bracket(self.bracket(unit(y), unit(x)), unit(z))
             rhs_b = self.bracket(unit(y), self.bracket(unit(z), unit(x)))
             residual = [a - b - c for a, b, c in zip(lhs, rhs_a, rhs_b)]
-            if any(v != zero for v in residual):
+            if any(residual):
                 violations.append(Violation("right_leibniz", (y, z, x), tuple(residual)))
         return violations
 
@@ -120,7 +119,7 @@ def from_leibniz_algebra(algebra: GradedLeibnizAlgebra) -> GradedTripleSystem:
             for m, c in inner.items():
                 for l, c2 in table.get((m, k), {}).items():
                     acc[l] = acc.get(l, zero) + c * c2
-            acc = {l: v for l, v in acc.items() if v != zero}
+            acc = {l: v for l, v in acc.items() if v}
             if acc:
                 products[(i, j, k)] = acc
     return GradedTripleSystem(algebra.field, algebra.group, algebra.degrees, products)

@@ -4,20 +4,25 @@ Scalars are either arbitrary-precision rationals (``fractions.Fraction``,
 always in lowest terms with positive denominator) or residues modulo a
 prime.  Arithmetic is exact; rank and zero tests are never approximate, so
 intermediate entry growth during elimination is unbounded by design.
+Scalar strings "a" and "a/b" of any length parse and format exactly.
 
-Subspaces are stored by a canonical reduced-row-echelon basis.  Two
-subspaces are equal exactly when their stored bases are equal entry by
-entry, which makes every cross-module equality check deterministic.
+All elimination goes through one sparse eliminator, `Echelon`; `rref`,
+kernels, complements, subspace membership, sums and intersections (by
+Zassenhaus elimination) are read off it.  Subspaces are stored by their
+canonical reduced-row-echelon basis, so two subspaces are equal exactly when
+their stored bases are equal entry by entry, which makes every cross-module
+equality check deterministic.
 
-All values are immutable after construction and all operations are pure
-functions, so everything here is safe for concurrent read-only use.
+An `Echelon` grows in place; everything else is immutable after
+construction and all operations are pure functions, so it is safe for
+concurrent read-only use.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
 
@@ -28,16 +33,40 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+# Decimal digits per piece of an int/str conversion: under 640, the lowest
+# limit the interpreter lets sys.set_int_max_str_digits set, so scalars of
+# any length convert without touching that global setting.
+_PIECE = 600
+_PIECE_BASE = 10**_PIECE
+
+
+def _int_from_decimal(text: str) -> int:
+    """int(text) for an optionally signed ASCII decimal string of any length."""
+    digits = text.lstrip("-")
+    value = 0
+    for start in range(0, len(digits), _PIECE):
+        piece = digits[start : start + _PIECE]
+        value = value * 10 ** len(piece) + int(piece)
+    return -value if text.startswith("-") else value
+
+
+def _decimal(value: int) -> str:
+    """str(value) for an int of any length."""
+    magnitude = abs(value)
+    pieces = []
+    while magnitude >= _PIECE_BASE:
+        magnitude, low = divmod(magnitude, _PIECE_BASE)
+        pieces.append(f"{low:0{_PIECE}d}")
+    pieces.append(str(magnitude))
+    return ("-" if value < 0 else "") + "".join(reversed(pieces))
+
+
 def _parse_scalar(text: str) -> tuple[int, int]:
     """Numerator and positive denominator of a scalar string "a" or "a/b"."""
     if not _SCALAR.fullmatch(text):
         raise InputError(f"malformed scalar {text!r}")
     num, _, den = text.partition("/")
-    try:
-        numerator, denominator = int(num), int(den or "1")
-    except ValueError:
-        # past the interpreter's limit on int/str conversion length
-        raise InputError(f"malformed scalar {text!r}") from None
+    numerator, denominator = _int_from_decimal(num), _int_from_decimal(den or "1")
     if denominator == 0:
         raise InputError(f"scalar {text!r} has non-positive denominator")
     return numerator, denominator
@@ -175,7 +204,9 @@ class RationalField:
         raise InputError(f"cannot interpret {x!r} as a rational scalar")
 
     def format(self, x) -> str:
-        return str(x)
+        if x.denominator == 1:
+            return _decimal(x.numerator)
+        return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -275,16 +306,6 @@ class Matrix:
         one, zero = field.one, field.zero
         return cls(field, [[zero] * i + [one] + [zero] * (n - 1 - i) for i in range(n)], ncols=n)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            [
-                [self.rows[r][c] for r in range(self.nrows)]
-                for c in range(self.ncols)
-            ],
-            ncols=self.nrows,
-        )
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -298,116 +319,110 @@ class Matrix:
         return hash((self.field, self.ncols, self.rows))
 
     def __repr__(self):
-        body = "; ".join("(" + ", ".join(str(x) for x in r) + ")" for r in self.rows)
+        body = "; ".join(f"({', '.join(map(str, r))})" for r in self.rows)
         return f"Matrix[{self.nrows}x{self.ncols} | {body}]"
+
+
+def _eliminate(v: dict, p: int, row: dict) -> None:
+    """v -= v[p] * row in place, for a stored row with row[p] = 1; zeros are dropped."""
+    coef = v.pop(p)
+    for c, x in row.items():
+        if c in v:
+            y = v[c] - coef * x
+            if y:
+                v[c] = y
+            else:
+                del v[c]
+        elif c != p:
+            v[c] = -coef * x
+
+
+class Echelon:
+    """The one eliminator: a span kept in sparse reduced row echelon form.
+
+    Each row is a mapping {column: scalar} of its nonzero entries, stored
+    under its pivot (its first column).  Every pivot entry is 1 and every
+    pivot column is zero in all other rows, so the stored rows are the
+    canonical RREF of their span in whatever order the vectors arrived, and
+    a vector is reduced in one pass over its entries in pivot columns.
+    Vectors are dense sequences of length `ambient` or sparse mappings
+    {column: scalar}; stored entries are field scalars.
+    """
+
+    __slots__ = ("field", "ambient", "rows")
+
+    def __init__(self, field, ambient: int, vectors: Iterable = ()):
+        self.field = field
+        self.ambient = ambient
+        self.rows: dict[int, dict] = {}
+        for vec in vectors:
+            self.add(vec)
+
+    def reduce(self, vec) -> dict:
+        """Nonzero entries of the residual of `vec`; empty exactly on the span."""
+        if not isinstance(vec, Mapping):
+            if len(vec) != self.ambient:
+                raise ValueError("ambient dimension mismatch")
+            vec = dict(enumerate(vec))
+        v = {c: x for c, x in vec.items() if x}
+        rows = self.rows
+        for p in [c for c in v if c in rows]:
+            _eliminate(v, p, rows[p])
+        return v
+
+    def add(self, vec) -> bool:
+        """Insert a vector; returns True when it enlarged the span."""
+        v = self.reduce(vec)
+        if not v:
+            return False
+        p = min(v)
+        inv = self.field.one / v[p]
+        row = {c: v[c] * inv for c in sorted(v)}
+        for other in self.rows.values():
+            if p in other:
+                _eliminate(other, p, row)
+        self.rows[p] = row
+        return True
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(sorted(self.rows))
+
+    def dense(self) -> list[tuple]:
+        """The rows as dense tuples, in pivot order."""
+        zero = self.field.zero
+        out = []
+        for p in self.pivots:
+            row = [zero] * self.ambient
+            for c, x in self.rows[p].items():
+                row[c] = x
+            out.append(tuple(row))
+        return out
+
+    def kernel(self) -> "Subspace":
+        """{x : r . x = 0 for every row r}.  The vector of free column c is
+        e_c minus, at each pivot p, the entry of row p in column c."""
+        one = self.field.one
+        free = {c: {c: one} for c in range(self.ambient) if c not in self.rows}
+        for p, row in self.rows.items():
+            for c, x in row.items():
+                if c != p:
+                    free[c][p] = -x
+        return Subspace(self.field, self.ambient, free.values())
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with strictly increasing pivot columns.
 
-    The pivot search takes the first nonzero entry in each column, every
-    pivot is scaled to 1, and pivot columns are cleared above and below, so
-    the result is the canonical normal form of the row space.
+    Every pivot is 1 and pivot columns are cleared above and below, so the
+    result is the canonical normal form of the row space.
 
     Returns:
         (R, pivots) where R has the same row space as `m` and `pivots` lists
         the pivot column indices in increasing order.
     """
-    field = m.field
-    zero, one = field.zero, field.one
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = one / rows[r][c]
-        if inv != one:
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != zero:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    nonzero = rows[: len(pivots)]
-    return Matrix(field, nonzero, ncols=ncols), tuple(pivots)
-
-
-def vec_times_matrix(vec: Sequence, m: Matrix) -> tuple:
-    """Row vector times matrix, returning a row vector of length m.ncols."""
-    if len(vec) != m.nrows:
-        raise ValueError("vector length does not match row count")
-    zero = m.field.zero
-    out = [zero] * m.ncols
-    for coef, row in zip(vec, m.rows):
-        if coef != zero:
-            for c, entry in enumerate(row):
-                if entry != zero:
-                    out[c] = out[c] + coef * entry
-    return tuple(out)
-
-
-class Echelon:
-    """Mutable forward-elimination accumulator for building spans.
-
-    Rows are kept normalized with leading coefficient 1, indexed by pivot
-    column.  This supports fast "does this vector enlarge the span" queries
-    inside fixed-point loops; canonical output goes through `Subspace`.
-    """
-
-    def __init__(self, field, ambient: int):
-        self.field = field
-        self.ambient = ambient
-        self._rows: dict[int, list] = {}
-
-    def residual(self, vec: Sequence) -> list:
-        zero = self.field.zero
-        v = list(vec)
-        for p in sorted(self._rows):
-            coef = v[p]
-            if coef != zero:
-                row = self._rows[p]
-                for c in range(p, self.ambient):
-                    v[c] = v[c] - coef * row[c]
-        return v
-
-    def add(self, vec: Sequence) -> bool:
-        """Insert a vector; returns True when it enlarged the span."""
-        zero, one = self.field.zero, self.field.one
-        v = self.residual(vec)
-        pivot = None
-        for c, entry in enumerate(v):
-            if entry != zero:
-                pivot = c
-                break
-        if pivot is None:
-            return False
-        inv = one / v[pivot]
-        if inv != one:
-            v = [x * inv for x in v]
-        self._rows[pivot] = v
-        return True
-
-    def contains(self, vec: Sequence) -> bool:
-        zero = self.field.zero
-        return all(x == zero for x in self.residual(vec))
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def vectors(self) -> list[tuple]:
-        return [tuple(self._rows[p]) for p in sorted(self._rows)]
+    echelon = Echelon(m.field, m.ncols, m.rows)
+    return Matrix(m.field, echelon.dense(), ncols=m.ncols), echelon.pivots
 
 
 class Subspace:
@@ -415,20 +430,19 @@ class Subspace:
 
     Invariants: the basis matrix has full row rank and is in reduced row
     echelon form with strictly increasing pivot columns, so subspace
-    equality is plain equality of the stored bases.
+    equality is plain equality of the stored bases.  Spanning vectors may be
+    dense sequences or sparse mappings {column: scalar}.
     """
 
-    __slots__ = ("field", "ambient", "basis", "pivots")
+    __slots__ = ("field", "ambient", "basis", "pivots", "_echelon")
 
-    def __init__(self, field, ambient: int, vectors: Iterable[Sequence]):
-        # entries are coerced so stored bases carry canonical scalar types
-        coerced = [list(map(field.element, row)) for row in vectors]
-        raw = Matrix(field, coerced, ncols=ambient)
-        reduced, pivots = rref(raw)
+    def __init__(self, field, ambient: int, vectors: Iterable):
+        echelon = Echelon(field, ambient, vectors)
         self.field = field
         self.ambient = ambient
-        self.basis = reduced
-        self.pivots = pivots
+        self.basis = Matrix(field, echelon.dense(), ncols=ambient)
+        self.pivots = echelon.pivots
+        self._echelon = echelon
 
     @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":
@@ -445,53 +459,39 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.basis.nrows == 0
 
-    def residual(self, vec: Sequence) -> list:
-        """Reduce a vector against the basis; zero residual means membership."""
-        zero = self.field.zero
-        v = list(vec)
-        if len(v) != self.ambient:
-            raise ValueError("ambient dimension mismatch")
-        for row, p in zip(self.basis.rows, self.pivots):
-            coef = v[p]
-            if coef != zero:
-                for c in range(p, self.ambient):
-                    v[c] = v[c] - coef * row[c]
-        return v
-
-    def contains(self, vec: Sequence) -> bool:
-        zero = self.field.zero
-        return all(x == zero for x in self.residual(vec))
+    def contains(self, vec) -> bool:
+        return not self._echelon.reduce(vec)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains(row) for row in other.basis.rows)
+        return all(self.contains(row) for row in other._echelon.rows.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace(self.field, self.ambient, list(self.basis.rows) + list(other.basis.rows))
+        rows = [*self._echelon.rows.values(), *other._echelon.rows.values()]
+        return Subspace(self.field, self.ambient, rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked basis matrix.
+        """Intersection by Zassenhaus elimination in K^2n.
 
-        A row vector (c | d) with c * A = d * B witnesses a common element
-        c * A, so the intersection is spanned by those combinations.
+        The rows (a | a) for a in this basis and (b | 0) for b in the other
+        span {(a + b | a)}; its vectors with zero left half are (0 | x) for x
+        in the intersection, and they are spanned by the reduced rows whose
+        pivot lies in the right half.
         """
         self._check_compatible(other)
-        ra = self.basis.nrows
-        stacked_rows = list(self.basis.rows) + [
-            tuple(-x for x in row) for row in other.basis.rows
+        n = self.ambient
+        rows = []
+        for a in self._echelon.rows.values():
+            row = dict(a)
+            row.update((c + n, x) for c, x in a.items())
+            rows.append(row)
+        rows.extend(other._echelon.rows.values())
+        meet = Echelon(self.field, 2 * n, rows)
+        right = [
+            {c - n: x for c, x in row.items()} for p, row in meet.rows.items() if p >= n
         ]
-        stacked = Matrix(self.field, stacked_rows, ncols=self.ambient)
-        k = kernel(stacked.transpose())
-        vectors = []
-        for combo in k.basis.rows:
-            vec = [self.field.zero] * self.ambient
-            for coef, row in zip(combo[:ra], self.basis.rows):
-                if coef != self.field.zero:
-                    for c, entry in enumerate(row):
-                        vec[c] = vec[c] + coef * entry
-            vectors.append(vec)
-        return Subspace(self.field, self.ambient, vectors)
+        return Subspace(self.field, n, right)
 
     def _check_compatible(self, other: "Subspace"):
         if self.ambient != other.ambient or self.field != other.field:
@@ -513,26 +513,14 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
 
-def span(field, ambient: int, vectors: Iterable[Sequence]) -> Subspace:
+def span(field, ambient: int, vectors: Iterable) -> Subspace:
     """Canonical subspace spanned by the given vectors."""
     return Subspace(field, ambient, vectors)
 
 
 def kernel(m: Matrix) -> Subspace:
     """Right kernel {x : m x = 0} as a canonical subspace of K^ncols."""
-    reduced, pivots = rref(m)
-    field = m.field
-    zero, one = field.zero, field.one
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    vectors = []
-    for c in free:
-        v = [zero] * m.ncols
-        v[c] = one
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.rows[r][c]
-        vectors.append(v)
-    return Subspace(field, m.ncols, vectors)
+    return Echelon(m.field, m.ncols, m.rows).kernel()
 
 
 def complete_complement(sub: Subspace, within: Subspace) -> Subspace:
@@ -546,11 +534,6 @@ def complete_complement(sub: Subspace, within: Subspace) -> Subspace:
         raise ValueError("subspaces live in different ambient spaces")
     if not within.contains_subspace(sub):
         raise ValueError("complement requested for a subspace not contained in the carrier")
-    acc = Echelon(sub.field, sub.ambient)
-    for row in sub.basis.rows:
-        acc.add(row)
-    kept = []
-    for row in within.basis.rows:
-        if acc.add(row):
-            kept.append(row)
+    acc = Echelon(sub.field, sub.ambient, sub._echelon.rows.values())
+    kept = [row for row in within.basis.rows if acc.add(row)]
     return Subspace(sub.field, sub.ambient, kept)

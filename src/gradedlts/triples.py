@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .errors import CertificateFailure, InputError, OracleDisagreement
 from .groups import AbelianGroup, GroupElement
-from .linalg import Echelon, Matrix, Subspace, kernel
+from .linalg import Echelon, Subspace
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,6 @@ class GradedTripleSystem:
         for d in degrees:
             if d.group != group:
                 raise InputError("degree from a different group")
-        zero = field.zero
         table: dict[tuple[int, int, int], dict[int, object]] = {}
         for key, out in products.items():
             i, j, k = key
@@ -75,7 +74,7 @@ class GradedTripleSystem:
                 if not 0 <= l < n:
                     raise InputError(f"structure constant output index {l} out of range")
                 value = field.element(value)
-                if value != zero:
+                if value:
                     entry[l] = value
             if entry:
                 table[(i, j, k)] = entry
@@ -105,7 +104,7 @@ class GradedTripleSystem:
         out = [zero] * n
         for (i, j, k), entry in self._table.items():
             coef = x[i] * y[j] * z[k]
-            if coef != zero:
+            if coef:
                 for l, c in entry.items():
                     out[l] = out[l] + coef * c
         return tuple(out)
@@ -117,20 +116,23 @@ class GradedTripleSystem:
             out[l] = c
         return out
 
-    def slot_products(self, v: Sequence) -> dict[tuple[int, int, int], dict[int, object]]:
+    def slot_products(self, v) -> dict[tuple[int, int, int], dict[int, object]]:
         """Products of `v` with every basis pair, in one pass over the constants.
 
-        Key (j, k, 0) is {v, b_j, b_k}, (j, k, 1) is {b_j, v, b_k} and
+        `v` is a dense sequence or a sparse mapping l -> scalar.  Key
+        (j, k, 0) is {v, b_j, b_k}, (j, k, 1) is {b_j, v, b_k} and
         (j, k, 2) is {b_j, b_k, v}.  Only the nonzero products are returned,
         as sparse mappings l -> scalar, with keys in increasing order; a
         missing key means the product is zero.
         """
-        if len(v) != self.dim:
-            raise InputError("vector length does not match system dimension")
-        zero = self.field.zero
+        if not isinstance(v, Mapping):
+            if len(v) != self.dim:
+                raise InputError("vector length does not match system dimension")
+            v = dict(enumerate(v))
+        zero, get = self.field.zero, v.get
         acc: dict[tuple[int, int, int], dict[int, object]] = {}
         for (a, b, c), entry in self._table.items():
-            for key, coef in (((b, c, 0), v[a]), ((a, c, 1), v[b]), ((a, b, 2), v[c])):
+            for key, coef in (((b, c, 0), get(a)), ((a, c, 1), get(b)), ((a, b, 2), get(c))):
                 if coef:
                     out = acc.setdefault(key, {})
                     for l, x in entry.items():
@@ -272,14 +274,9 @@ class GradedTripleSystem:
 
     def homogeneous_component(self, g: GroupElement) -> Subspace:
         """The span of the basis vectors of degree g."""
-        one, zero = self.field.one, self.field.zero
-        vectors = []
-        for i, d in enumerate(self.degrees):
-            if d == g:
-                v = [zero] * self.dim
-                v[i] = one
-                vectors.append(v)
-        return Subspace(self.field, self.dim, vectors)
+        one = self.field.one
+        units = [{i: one} for i, d in enumerate(self.degrees) if d == g]
+        return Subspace(self.field, self.dim, units)
 
     def support(self) -> tuple[GroupElement, ...]:
         """Nonidentity degrees with a nonzero component, in canonical order."""
@@ -315,10 +312,9 @@ class GradedTripleSystem:
                 queue.append(row)
         while queue:
             for w in self.slot_products(queue.pop()).values():
-                w = self.vector(w)
                 if acc.add(w):
                     queue.append(w)
-        return Subspace(self.field, self.dim, acc.vectors())
+        return Subspace(self.field, self.dim, acc.rows.values())
 
     def is_ideal(self, sub: Subspace) -> bool:
         """Whether {I,E,E} + {E,I,E} + {E,E,I} is contained in I."""
@@ -335,7 +331,7 @@ class GradedTripleSystem:
             raise InputError("subspace ambient dimension mismatch")
         for row in sub.basis.rows:
             for (j, k, slot), w in self.slot_products(row).items():
-                if not sub.contains(self.vector(w)):
+                if not sub.contains(w):
                     return {"vector": row, "slot": slot, "j": j, "k": k}
         return None
 
@@ -371,7 +367,7 @@ class GradedTripleSystem:
             for l, c in self._table.get((j, k, i), {}).items():
                 acc[l] = acc.get(l, zero) + c
             if any(acc.values()):
-                generators.append(self.vector(acc))
+                generators.append(acc)
         ideal = self.ideal_closure(Subspace(self.field, n, generators))
         for row in ideal.basis.rows:
             # keyed (j, k, -slot) so that on each pair {E,E,I} (slot 2)
@@ -416,7 +412,7 @@ class GradedTripleSystem:
                 acc[l] = acc.get(l, zero) + c
             for l, c in self._table.get((j, i, k), {}).items():
                 acc[l] = acc.get(l, zero) + c
-            if any(v != zero for v in acc.values()):
+            if any(acc.values()):
                 return False
             acc = {}
             for l, c in self._table.get((i, j, k), {}).items():
@@ -425,7 +421,7 @@ class GradedTripleSystem:
                 acc[l] = acc.get(l, zero) + c
             for l, c in self._table.get((k, i, j), {}).items():
                 acc[l] = acc.get(l, zero) + c
-            if any(v != zero for v in acc.values()):
+            if any(acc.values()):
                 return False
         return True
 
@@ -444,7 +440,7 @@ class GradedTripleSystem:
             for key, column in (((0, b, c), a), ((1, a, c), b), ((2, a, b), c)):
                 for l, x in entry.items():
                     rows.setdefault((*key, l), {})[column] = x
-        return kernel(Matrix(self.field, [self.vector(r) for r in rows.values()], ncols=self.dim))
+        return Echelon(self.field, self.dim, rows.values()).kernel()
 
     # -- misc -----------------------------------------------------------------
 

@@ -54,6 +54,41 @@ def oracle_triple(system, x, y, z):
     return out
 
 
+def oracle_rref(m):
+    """Dense Gauss-Jordan elimination, column by column: (rows, pivots).
+
+    The row loop the library ran before its sparse eliminator, kept as the
+    reference the eliminator is compared against.
+    """
+    field = m.field
+    zero, one = field.zero, field.one
+    rows = [list(r) for r in m.rows]
+    nrows, ncols = m.nrows, m.ncols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c] != zero:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = one / rows[r][c]
+        if inv != one:
+            rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != zero:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return [tuple(row) for row in rows[: len(pivots)]], tuple(pivots)
+
+
 def oracle_grading_ok(system) -> bool:
     for (i, j, k), entry in system.nonzero_triples():
         expect = (

@@ -65,6 +65,30 @@ def test_verify_rejects_malformed_scalar(tmp_path):
     assert "input error" in result.stderr
 
 
+def test_verify_reports_exact_residuals_of_a_5000_digit_scalar(tmp_path, capsys):
+    # {b0, b0, b0} = c b0 with c = 2 10^4999 + 1: both five-term residuals
+    # are c^2 = 4 10^9998 + 4 10^4999 + 1 and the six-term one is -2 c^2
+    c = "2" + "0" * 4998 + "1"
+    doc = {
+        "group": {"moduli": [0]},
+        "field": {"kind": "rational"},
+        "dimension": 1,
+        "degrees": [[0]],
+        "triple": [{"args": [0, 0, 0], "out": [{"idx": 0, "val": c}]}],
+    }
+    path = tmp_path / "long_scalar.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["verify", str(path), "--json", str(out)]) == 1
+    assert "verdict: fail" in capsys.readouterr().out
+    verification = json.loads(out.read_text(encoding="utf-8"))["verification"]
+    square = "4" + "0" * 4998 + "4" + "0" * 4998 + "1"
+    assert [v["residual"] for v in verification["axioms"]["violations"]] == [[square]] * 2
+    assert verification["fundamental_identity"]["violations"][0]["residual"] == [
+        "-8" + "0" * 4998 + "8" + "0" * 4998 + "2"
+    ]
+
+
 @pytest.mark.parametrize(
     "text",
     ["1_000", " 7 ", "+7", "\u0663"],

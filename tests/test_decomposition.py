@@ -1,11 +1,13 @@
 """Class ideals, the certified decomposition, lemma suite, and obstructions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 import gradedlts as g
-from conftest import oracle_triple, random_variant
+from conftest import oracle_triple, random_variant, sl2_square
+from gradedlts.decomposition import _cross_products_vanish
 
 Q = g.RationalField()
 
@@ -122,6 +124,71 @@ def test_cross_class_products_vanish_by_direct_evaluation(disjoint_pipe):
             for u in units:
                 for args in ((va, u, vb), (va, vb, u), (u, va, vb)):
                     assert all(x == 0 for x in oracle_triple(system, *args))
+
+
+def oracle_cross_products_vanish(system, left, right):
+    """The three families evaluated densely, one unit vector b_m at a time."""
+    n = system.dim
+    zero, one = system.field.zero, system.field.one
+    units = [[one if t == m else zero for t in range(n)] for m in range(n)]
+    checks = {"left_middle": True, "left_right": True, "middle_right": True}
+    for va in left.basis.rows:
+        for vb in right.basis.rows:
+            for u in units:
+                for family, args in (
+                    ("left_right", (va, u, vb)),
+                    ("left_middle", (va, vb, u)),
+                    ("middle_right", (u, va, vb)),
+                ):
+                    if any(x != zero for x in oracle_triple(system, *args)):
+                        checks[family] = False
+    return checks
+
+
+def sparse_subspace(field, n, rng):
+    vectors = []
+    for _ in range(rng.randint(1, 3)):
+        v = [field.zero] * n
+        for i in rng.sample(range(n), rng.randint(1, 3)):
+            v[i] = field.element(rng.choice([1, -1, 2]))
+        vectors.append(v)
+    return g.span(field, n, vectors)
+
+
+@pytest.mark.parametrize("field", [g.RationalField(), g.PrimeField(7)], ids=["Q", "F7"])
+def test_cross_products_match_dense_oracle_on_random_subspaces(field):
+    system = sl2_square(field)
+    rng = random.Random(7)
+    ideals = g.decompose(system, g.build_embedding(system)).ideals
+    pairs = [(ideals[0].total, ideals[1].total)]
+    pairs += [
+        (sparse_subspace(field, system.dim, rng), sparse_subspace(field, system.dim, rng))
+        for _ in range(30)
+    ]
+    outcomes = set()
+    for left, right in pairs:
+        checks = _cross_products_vanish(system, left, right)
+        assert checks == oracle_cross_products_vanish(system, left, right)
+        outcomes.add(tuple(checks.values()))
+    # vanishing, partly vanishing and nonvanishing pairs all occur
+    assert {(True, True, True), (True, False, False), (False, False, False)} <= outcomes
+
+
+def test_cross_products_tell_the_three_families_apart():
+    # {b0, b1, b2} = b0 is the only product, so each pair of lines below
+    # meets exactly one family: {b0, E, b2}, {b0, b1, E} and {E, b1, b2}
+    system = g.GradedTripleSystem(
+        Q, g.AbelianGroup((0,)), [g.AbelianGroup((0,)).identity()] * 3, {(0, 1, 2): {0: 1}}
+    )
+    line = [g.span(Q, 3, [[int(t == i) for t in range(3)]]) for i in range(3)]
+    expected = {
+        (0, 2): {"left_middle": True, "left_right": False, "middle_right": True},
+        (0, 1): {"left_middle": False, "left_right": True, "middle_right": True},
+        (1, 2): {"left_middle": True, "left_right": True, "middle_right": False},
+    }
+    for (a, b), checks in expected.items():
+        assert _cross_products_vanish(system, line[a], line[b]) == checks
+        assert oracle_cross_products_vanish(system, line[a], line[b]) == checks
 
 
 def test_complement_recorded_and_spans(disjoint_pipe):

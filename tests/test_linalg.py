@@ -1,10 +1,13 @@
 """Exact linear algebra: canonical forms, the subspace lattice, complements."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import oracle_rref
+from gradedlts import linalg
 from gradedlts.linalg import (
     Echelon,
     Matrix,
@@ -201,30 +204,172 @@ def test_echelon_accumulator_matches_subspace():
     vectors = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     added = [acc.add([Fraction(x) for x in v]) for v in vectors]
     assert added == [True, False, True]
-    assert span(Q, 3, acc.vectors()) == span(Q, 3, vectors)
+    assert span(Q, 3, acc.rows.values()) == span(Q, 3, vectors)
+    assert acc.dense() == list(span(Q, 3, vectors).basis.rows)
+
+
+# -- the eliminator against the dense oracle ------------------------------------
+
+
+@st.composite
+def ragged_matrices(draw, field, elems):
+    """Matrices with zero, duplicate and scaled rows, tall or wide, as (rows, ncols)."""
+    nc = draw(st.integers(min_value=1, max_value=6))
+    fresh = st.lists(elems, min_size=nc, max_size=nc)
+    rows = draw(st.lists(fresh, min_size=0, max_size=7))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "scaled"]))
+        if kind == "zero" or not rows:
+            rows.append([field.zero] * nc)
+        else:
+            row = draw(st.sampled_from(rows))
+            scale = field.one if kind == "duplicate" else draw(elems) or field.one
+            rows.insert(draw(st.integers(0, len(rows))), [scale * x for x in row])
+    return [list(map(field.element, row)) for row in rows], nc
+
+
+def oracle_rank(field, nc, rows):
+    return len(oracle_rref(Matrix(field, rows, ncols=nc))[1])
+
+
+def oracle_kernel(field, nc, rows):
+    """Free-column vectors of the dense RREF."""
+    reduced, pivots = oracle_rref(Matrix(field, rows, ncols=nc))
+    vectors = []
+    for c in (c for c in range(nc) if c not in pivots):
+        v = [field.zero] * nc
+        v[c] = field.one
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[c]
+        vectors.append(v)
+    return vectors
+
+
+def oracle_intersection(field, nc, rows_a, rows_b):
+    """The intersection by the kernel of the stacked (A | -B) transpose."""
+    stacked = list(rows_a) + [[-x for x in row] for row in rows_b]
+    transpose = [[row[c] for row in stacked] for c in range(nc)]
+    vectors = []
+    for combo in oracle_kernel(field, len(stacked), transpose):
+        vec = [field.zero] * nc
+        for coef, row in zip(combo, rows_a):
+            vec = [v + coef * x for v, x in zip(vec, row)]
+        vectors.append(vec)
+    return vectors
+
+
+def canonical(field, nc, rows):
+    return oracle_rref(Matrix(field, rows, ncols=nc))
+
+
+small_rational = st.builds(
+    Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=2)
+)
+FIELDS = [
+    (Q, st.one_of(st.just(Fraction(0)), small_rational)),
+    (F5, st.integers(min_value=0, max_value=4).map(F5.element)),
+]
+
+
+@pytest.mark.parametrize("field, elems", FIELDS, ids=["Q", "F5"])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_eliminator_matches_dense_oracle(field, elems, data):
+    rows, nc = data.draw(ragged_matrices(field, elems))
+    m = Matrix(field, rows, ncols=nc)
+    reduced, pivots = rref(m)
+    assert (list(reduced.rows), pivots) == canonical(field, nc, rows)
+    assert kernel(m).basis.rows == tuple(canonical(field, nc, oracle_kernel(field, nc, rows))[0])
+
+    acc = Echelon(field, nc)
+    prefix = []
+    for row in rows:
+        grew = oracle_rank(field, nc, prefix + [row]) > oracle_rank(field, nc, prefix)
+        assert acc.add(row) == grew
+        prefix.append(row)
+    assert acc.dense() == list(reduced.rows)
+
+    sub = span(field, nc, rows)
+    probe = data.draw(st.lists(elems, min_size=nc, max_size=nc))
+    probe = list(map(field.element, probe))
+    inside = oracle_rank(field, nc, rows + [probe]) == oracle_rank(field, nc, rows)
+    assert sub.contains(probe) == inside
+    assert sub.contains(dict(enumerate(probe))) == inside
+
+
+@pytest.mark.parametrize("field, elems", FIELDS, ids=["Q", "F5"])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_intersection_and_complement_match_dense_oracle(field, elems, data):
+    rows_a, nc = data.draw(ragged_matrices(field, elems))
+    fresh = st.lists(st.lists(elems, min_size=nc, max_size=nc), max_size=5)
+    rows_b = [list(map(field.element, row)) for row in data.draw(fresh)]
+    # share some rows so that the intersection is often nonzero
+    rows_b += rows_a[: data.draw(st.integers(0, len(rows_a)))]
+    a, b = span(field, nc, rows_a), span(field, nc, rows_b)
+    meet = oracle_intersection(field, nc, a.basis.rows, b.basis.rows)
+    assert a.intersect(b).basis.rows == tuple(canonical(field, nc, meet)[0])
+
+    within = a.sum(b)
+    kept = []
+    for row in within.basis.rows:
+        if oracle_rank(field, nc, list(a.basis.rows) + kept + [row]) > len(kept) + a.dim:
+            kept.append(row)
+    complement = complete_complement(a, within)
+    assert complement.basis.rows == tuple(canonical(field, nc, kept)[0])
+
+
+def test_no_two_code_objects_share_a_line_and_name():
+    # the benchmark's call counter keys profiler entries by (file, line, name)
+    path = Path(linalg.__file__)
+    seen = {}
+
+    def walk(code):
+        key = (code.co_firstlineno, code.co_name)
+        assert key not in seen, f"{path.name}:{key[0]} holds two code objects named {key[1]}"
+        seen[key] = code
+        for const in code.co_consts:
+            if hasattr(const, "co_consts"):
+                walk(const)
+
+    walk(compile(path.read_text(encoding="utf-8"), str(path), "exec"))
+    assert len(seen) > 50
 
 
 # -- the scalar grammar "a" / "a/b" -------------------------------------------
 
-# Values stay below the interpreter's 4,300-digit limit on int/str conversion;
-# longer scalars are still rejected, which is a known open bug.
-big_int = st.integers(min_value=-(10**80), max_value=10**80)
+# Up to 5,000 digits: past the interpreter's default 4,300-digit limit on
+# int/str conversion, which parsing and formatting must not depend on.
+big_int = st.integers(min_value=1, max_value=5000).flatmap(
+    lambda digits: st.integers(min_value=-(10**digits), max_value=10**digits)
+)
 
 
-@given(st.builds(Fraction, big_int, st.integers(min_value=1, max_value=10**80)))
+@given(st.builds(Fraction, big_int, big_int.filter(bool).map(abs)))
 @settings(max_examples=200, deadline=None)
 def test_rational_scalar_format_round_trip(x):
     assert Q.element(Q.format(x)) == x
 
 
+@pytest.mark.parametrize("length", [1, 599, 600, 601, 1200, 1201, 4300, 4301, 5000])
+def test_long_scalars_parse_and_format_exactly(length):
+    # 10^L - 1 is L nines and 10^(L-1) is a one and L-1 zeros
+    nines, power = 10**length - 1, 10 ** (length - 1)
+    assert Q.element("9" * length) == nines
+    assert Q.element("-1" + "0" * (length - 1)) == -power
+    assert Q.format(Fraction(nines, 10 * power)) == "9" * length + "/1" + "0" * length
+    assert Q.format(Fraction(-power)) == "-1" + "0" * (length - 1)
+
+
 @given(
     st.sampled_from([2, 5, 7, 101, 2**61 - 1]).flatmap(
-        lambda p: st.tuples(st.just(p), st.integers(min_value=0, max_value=p - 1))
+        lambda p: st.tuples(st.just(p), st.integers(min_value=0, max_value=p - 1), big_int)
     )
 )
 @settings(max_examples=200, deadline=None)
 def test_prime_scalar_format_round_trip(data):
-    p, value = data
+    p, value, big = data
     field = PrimeField(p)
     x = field.element(value)
     assert field.element(field.format(x)) == x
+    assert field.element(Q.format(Fraction(big))) == field.element(big)

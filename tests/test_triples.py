@@ -293,6 +293,19 @@ def test_ideal_closure_outputs_pass_is_ideal(builtins):
             assert system.is_ideal(closure), name
 
 
+def test_ideal_closure_follows_products_of_new_vectors():
+    # {b0,b0,b0} = b1 and {b1,b1,b1} = b2: b2 appears only as a product of
+    # b1, which is itself new in the closure of the line b0
+    group = g.AbelianGroup((0,))
+    chain = g.GradedTripleSystem(
+        Q, group, [group.identity()] * 3, {(0, 0, 0): {1: 1}, (1, 1, 1): {2: 1}}
+    )
+    assert chain.ideal_closure(g.span(Q, 3, [unit(3, 0)])) == g.Subspace.full(Q, 3)
+    assert chain.ideal_closure(g.span(Q, 3, [unit(3, 1)])) == g.span(
+        Q, 3, [unit(3, 1), unit(3, 2)]
+    )
+
+
 def test_library_product_matches_oracle_on_random_vectors(builtins):
     import random
 
