@@ -160,7 +160,8 @@ def _embedding_section(system, emb) -> dict:
 
 
 def _basis_strings(system, subspace) -> list[list[str]]:
-    return [[system.field.format(x) for x in row] for row in subspace.basis.rows]
+    fmt = system.field.format
+    return [list(map(fmt, row)) for row in subspace.basis.rows]
 
 
 def _decomposition_section(system, report) -> dict:

@@ -41,7 +41,13 @@ from .triples import GradedTripleSystem
 
 
 class StandardEmbedding:
-    """The computed standard embedding; construct via `build_embedding`."""
+    """The computed standard embedding; construct via `build_embedding`.
+
+    One set of sparse kernels carries every bracket: tensors, quotient
+    coordinates and system vectors are mappings {index: nonzero scalar},
+    and products are read straight off the stored structure constants.
+    The public methods take and return dense tuples and wrap the kernels.
+    """
 
     __slots__ = (
         "system",
@@ -49,10 +55,12 @@ class StandardEmbedding:
         "null_space",
         "coset_indices",
         "dim_even",
-        "_reduction",
+        "descent_instances",
+        "leibniz_instances",
+        "_columns",
+        "_by_pair",
         "_components",
         "_support",
-        "_tensor_degrees",
     )
 
     def __init__(self, system, tensor_dim, null_space, coset_indices, reduction):
@@ -61,110 +69,118 @@ class StandardEmbedding:
         self.null_space = null_space
         self.coset_indices = coset_indices
         self.dim_even = len(coset_indices)
-        self._reduction = reduction
+        self.descent_instances = self.leibniz_instances = 0
         n = system.dim
-        self._tensor_degrees = tuple(
-            system.degrees[c // n].compose(system.degrees[c % n]) for c in range(tensor_dim)
-        )
+        # column c of the reduction, {row: scalar}: the image of b_i (x) b_j, c = i*n + j
+        self._columns = [{} for _ in range(tensor_dim)]
+        for r, row in enumerate(reduction):
+            for c, x in row.items():
+                self._columns[c][r] = x
+        # _by_pair[i*n + j][k] holds the items of {b_i, b_j, b_k}
+        self._by_pair = [{} for _ in range(tensor_dim)]
+        for (i, j, k), entry in system.nonzero_triples():
+            self._by_pair[i * n + j][k] = tuple(entry.items())
         self._components = None
         self._support = None
 
-    # -- quotient coordinates -------------------------------------------------
+    # -- sparse kernels ---------------------------------------------------------
+
+    def _reduce(self, tensor) -> dict:
+        """Quotient coordinates of a sparse tensor, along N."""
+        zero, acc = self.system.field.zero, {}
+        for c, x in tensor.items():
+            for r, y in self._columns[c].items():
+                acc[r] = acc.get(r, zero) + x * y
+        return {r: x for r, x in acc.items() if x}
+
+    def _bracket(self, a, b) -> dict:
+        """[a, b] of sparse tensors: [b_i(x)b_j, b_k(x)b_l] = {i,j,k}(x)b_l - {i,j,l}(x)b_k."""
+        n, zero, acc = self.system.dim, self.system.field.zero, {}
+        for ca, x in a.items():
+            third = self._by_pair[ca]
+            if third:
+                for cb, y in b.items():
+                    k, l = divmod(cb, n)
+                    coef = x * y
+                    for m, c in third.get(k, ()):
+                        acc[m * n + l] = acc.get(m * n + l, zero) + coef * c
+                    for m, c in third.get(l, ()):
+                        acc[m * n + k] = acc.get(m * n + k, zero) - coef * c
+        return {t: x for t, x in acc.items() if x}
+
+    def _phi(self, tensor, w) -> dict:
+        """Left multiplication of a sparse vector w by a sparse tensor: sum {x_i, y_i, w}."""
+        zero, acc = self.system.field.zero, {}
+        for c, x in tensor.items():
+            third = self._by_pair[c]
+            if third:
+                for k, y in w.items():
+                    for l, v in third.get(k, ()):
+                        acc[l] = acc.get(l, zero) + x * y * v
+        return {l: x for l, x in acc.items() if x}
+
+    def _psi(self, tensor, z) -> dict:
+        """Twisted right action of a sparse tensor on z: sum {z, x_i, y_i} - {z, y_i, x_i}."""
+        n, zero, acc = self.system.dim, self.system.field.zero, {}
+        for c, x in tensor.items():
+            i, j = divmod(c, n)
+            for k, y in z.items():
+                coef = x * y
+                for l, v in self._by_pair[k * n + i].get(j, ()):
+                    acc[l] = acc.get(l, zero) + coef * v
+                for l, v in self._by_pair[k * n + j].get(i, ()):
+                    acc[l] = acc.get(l, zero) - coef * v
+        return {l: x for l, x in acc.items() if x}
+
+    def _lift(self, coords) -> dict:
+        return {self.coset_indices[r]: x for r, x in _sparse(coords).items()}
+
+    def _dense(self, sparse, size) -> tuple:
+        out = [self.system.field.zero] * size
+        for t, x in sparse.items():
+            out[t] = x
+        return tuple(out)
+
+    # -- dense wrappers -----------------------------------------------------------
 
     def reduce_tensor(self, tensor_vec) -> tuple:
         """Project a tensor-square vector to quotient coordinates along N."""
-        zero = self.system.field.zero
-        return tuple(
-            sum((tensor_vec[c] * x for c, x in row.items() if tensor_vec[c]), zero)
-            for row in self._reduction
-        )
+        return self._dense(self._reduce(_sparse(tensor_vec)), self.dim_even)
 
     def lift(self, coords) -> tuple:
         """Canonical tensor representative of a quotient coordinate vector."""
-        zero = self.system.field.zero
-        out = [zero] * self.tensor_dim
-        for coef, c in zip(coords, self.coset_indices):
-            out[c] = coef
-        return tuple(out)
+        return self._dense(self._lift(coords), self.tensor_dim)
 
     def tensor_of_pair(self, x, y) -> tuple:
         """The tensor x (x) y of two system vectors, as a flat vector."""
-        n = self.system.dim
-        zero = self.system.field.zero
-        out = [zero] * self.tensor_dim
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        out[i * n + j] = xi * yj
-        return tuple(out)
-
-    # -- the two actions -------------------------------------------------------
+        return self._dense(_pair(self.system.dim, x, y), self.tensor_dim)
 
     def phi_apply(self, tensor_vec, w) -> tuple:
         """Left multiplication by a tensor: sum {x_i, y_i, w}."""
-        n = self.system.dim
-        zero = self.system.field.zero
-        out = [zero] * n
-        for c, coef in enumerate(tensor_vec):
-            if coef:
-                i, j = divmod(c, n)
-                for widx, wc in enumerate(w):
-                    if wc:
-                        entry = self.system.basis_product(i, j, widx)
-                        for l, cc in entry.items():
-                            out[l] = out[l] + coef * wc * cc
-        return tuple(out)
+        return self._dense(self._phi(_sparse(tensor_vec), _sparse(w)), self.system.dim)
 
     def psi_apply(self, tensor_vec, z) -> tuple:
         """Twisted right action of a tensor: sum {z, x_i, y_i} - {z, y_i, x_i}."""
-        n = self.system.dim
-        zero = self.system.field.zero
-        out = [zero] * n
-        for c, coef in enumerate(tensor_vec):
-            if coef:
-                i, j = divmod(c, n)
-                for zidx, zc in enumerate(z):
-                    if zc:
-                        for l, cc in self.system.basis_product(zidx, i, j).items():
-                            out[l] = out[l] + coef * zc * cc
-                        for l, cc in self.system.basis_product(zidx, j, i).items():
-                            out[l] = out[l] - coef * zc * cc
-        return tuple(out)
+        return self._dense(self._psi(_sparse(tensor_vec), _sparse(z)), self.system.dim)
 
     def tensor_bracket(self, tensor_a, tensor_b) -> tuple:
         """Tensor part of the bracket of two even elements (before reduction)."""
-        n = self.system.dim
-        zero = self.system.field.zero
-        out = [zero] * self.tensor_dim
-        for ca, coef_a in enumerate(tensor_a):
-            if not coef_a:
-                continue
-            i, j = divmod(ca, n)
-            for cb, coef_b in enumerate(tensor_b):
-                if not coef_b:
-                    continue
-                k, l = divmod(cb, n)
-                coef = coef_a * coef_b
-                for m, cc in self.system.basis_product(i, j, k).items():
-                    out[m * n + l] = out[m * n + l] + coef * cc
-                for m, cc in self.system.basis_product(i, j, l).items():
-                    out[m * n + k] = out[m * n + k] - coef * cc
-        return tuple(out)
+        return self._dense(self._bracket(_sparse(tensor_a), _sparse(tensor_b)), self.tensor_dim)
 
     # -- quotient brackets ------------------------------------------------------
 
     def bracket_even_even(self, u_coords, v_coords) -> tuple:
-        return self.reduce_tensor(self.tensor_bracket(self.lift(u_coords), self.lift(v_coords)))
+        bracket = self._bracket(self._lift(u_coords), self._lift(v_coords))
+        return self._dense(self._reduce(bracket), self.dim_even)
 
     def bracket_even_odd(self, u_coords, w) -> tuple:
-        return self.phi_apply(self.lift(u_coords), w)
+        return self._dense(self._phi(self._lift(u_coords), _sparse(w)), self.system.dim)
 
     def bracket_odd_even(self, z, v_coords) -> tuple:
-        return self.psi_apply(self.lift(v_coords), z)
+        return self._dense(self._psi(self._lift(v_coords), _sparse(z)), self.system.dim)
 
     def bracket_odd_odd(self, z, w) -> tuple:
-        return self.reduce_tensor(self.tensor_of_pair(z, w))
+        return self._dense(self._reduce(_pair(self.system.dim, z, w)), self.dim_even)
 
     # -- grading of the even part ------------------------------------------------
 
@@ -177,13 +193,10 @@ class StandardEmbedding:
         """
         if self._components is None:
             # the image of b_i (x) b_j is column i*n + j of the reduction
-            images = [{} for _ in range(self.tensor_dim)]
-            for r, row in enumerate(self._reduction):
-                for c, x in row.items():
-                    images[c][r] = x
+            n, degrees = self.system.dim, self.system.degrees
             buckets: dict[GroupElement, list] = {}
-            for g, image in zip(self._tensor_degrees, images):
-                buckets.setdefault(g, []).append(image)
+            for c, image in enumerate(self._columns):
+                buckets.setdefault(degrees[c // n].compose(degrees[c % n]), []).append(image)
             comps = {}
             for g in sorted(buckets):
                 sub = Subspace(self.system.field, self.dim_even, buckets[g])
@@ -199,25 +212,18 @@ class StandardEmbedding:
     def support(self) -> tuple[GroupElement, ...]:
         """Nonidentity degrees with a nonzero even component, sorted."""
         if self._support is None:
-            self._support = tuple(
-                g for g in sorted(self.components()) if not g.is_identity()
-            )
+            self._support = tuple(g for g in sorted(self.components()) if not g.is_identity())
         return self._support
 
     def _certify_direct_sum(self):
         comps = self._components
-        total = Subspace.zero(self.system.field, self.dim_even)
-        dims = 0
-        for g, sub in comps.items():
-            total = total.sum(sub)
-            dims += sub.dim
-        if dims != self.dim_even or total.dim != self.dim_even:
+        rows = (r for sub in comps.values() for r in sub.basis.rows)
+        total = Subspace(self.system.field, self.dim_even, rows)
+        dims = {g.format(): sub.dim for g, sub in comps.items()}
+        if sum(dims.values()) != self.dim_even or total.dim != self.dim_even:
             raise DecompositionFailure(
                 "homogeneous components of the even part do not decompose it directly",
-                witness={
-                    "component_dims": {g.format(): sub.dim for g, sub in comps.items()},
-                    "even_dim": self.dim_even,
-                },
+                witness={"component_dims": dims, "even_dim": self.dim_even},
             )
 
     def verify_even_grading(self) -> list[dict]:
@@ -231,12 +237,9 @@ class StandardEmbedding:
                     for v in ch.basis.rows:
                         w = self.bracket_even_even(u, v)
                         if any(w) and not target.contains(w):
-                            violations.append(
-                                {
-                                    "degrees": (g.format(), h.format()),
-                                    "bracket": [self.system.field.format(x) for x in w],
-                                }
-                            )
+                            bracket = [self.system.field.format(x) for x in w]
+                            degrees = (g.format(), h.format())
+                            violations.append({"degrees": degrees, "bracket": bracket})
         return violations
 
     def __repr__(self):
@@ -278,12 +281,11 @@ class _ActionMatrix:
                 self._columns[c].append((r, v))
 
     def failing_action(self, vec):
-        """Tag of the first row r with (A vec)_r != 0, or None when A vec = 0."""
+        """Tag of the first row r with (A vec)_r != 0, or None when A vec = 0 (vec sparse)."""
         acc = {}
-        for c, x in enumerate(vec):
-            if x:
-                for r, v in self._columns[c]:
-                    acc[r] = acc.get(r, 0) + v * x
+        for c, x in vec.items():
+            for r, v in self._columns[c]:
+                acc[r] = acc.get(r, 0) + v * x
         failing = [r for r, total in acc.items() if total]
         return self.rows[min(failing)][0] if failing else None
 
@@ -317,100 +319,92 @@ def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix):
     its RREF, so a fault in the elimination cannot certify itself.  For
     every null-space basis vector nu, A nu = 0 (both actions of nu vanish;
     the tag of the first nonzero row names the action that does not), and
-    for every coordinate tensor t, A [t, nu] = 0 and A [nu, t] = 0.
+    for every coordinate tensor t, A [t, nu] = 0 and A [nu, t] = 0.  All
+    tensors are sparse; the dense witness lists are built only on failure.
     """
-    system = emb.system
-    fmt = system.field.format
-    zero, one = system.field.zero, system.field.one
+    fmt, one = emb.system.field.format, emb.system.field.one
     action_messages = {
         "phi": "left action of a null tensor does not vanish",
         "psi": "twisted right action of a null tensor does not vanish",
     }
-    coord_tensors = [
-        tuple(one if t == c else zero for t in range(emb.tensor_dim))
-        for c in range(emb.tensor_dim)
-    ]
-    for nu in emb.null_space.basis.rows:
+
+    def dense(tensor):
+        return [fmt(x) for x in emb._dense(tensor, emb.tensor_dim)]
+
+    for row in emb.null_space.basis.rows:
+        nu = _sparse(row)
+        emb.descent_instances += 1
         failing = action.failing_action(nu)
         if failing:
-            raise NotWellDefined(
-                action_messages[failing],
-                witness={"tensor": [fmt(x) for x in nu]},
-            )
-        for c, coord_tensor in enumerate(coord_tensors):
-            outward = emb.tensor_bracket(coord_tensor, nu)
+            raise NotWellDefined(action_messages[failing], witness={"tensor": dense(nu)})
+        for c in range(emb.tensor_dim):
+            emb.descent_instances += 2
+            outward = emb._bracket({c: one}, nu)
             if action.failing_action(outward):
                 raise NotWellDefined(
                     "bracket of the tensor square into the null space escapes it",
-                    witness={
-                        "coordinate": c,
-                        "null_vector": [fmt(x) for x in nu],
-                        "bracket": [fmt(x) for x in outward],
-                    },
+                    witness={"coordinate": c, "null_vector": dense(nu), "bracket": dense(outward)},
                 )
-            inward = emb.tensor_bracket(nu, coord_tensor)
-            if action.failing_action(inward):
+            if action.failing_action(emb._bracket(nu, {c: one})):
                 raise NotWellDefined(
                     "bracket of the null space into the tensor square escapes it",
-                    witness={
-                        "coordinate": c,
-                        "null_vector": [fmt(x) for x in nu],
-                    },
+                    witness={"coordinate": c, "null_vector": dense(nu)},
                 )
 
 
 def _certify_leibniz_identity(emb: StandardEmbedding):
     """Sweep the right Leibniz identity over all basis triples of L0 + L1.
 
-    Elements of L are coordinate vectors of length dim_even + dim; the
-    bracket table on basis elements is precomputed once and the identity
-    [[y,z],x] = [[y,x],z] + [y,[z,x]] is evaluated exactly.
+    Basis element a < dim_even of L is the even coordinate a, and a >= dim_even
+    the system basis vector a - dim_even.  The bracket table on basis elements
+    holds sparse vectors over L, read off the stored constants and the
+    reduction; for each triple the residual
+    [[y,z],x] - [[y,x],z] - [y,[z,x]] is summed into one sparse accumulator.
     """
-    system = emb.system
-    field = system.field
-    zero, one = field.zero, field.one
-    s = emb.dim_even
-    n = system.dim
+    zero, one = emb.system.field.zero, emb.system.field.one
+    s, n, cosets = emb.dim_even, emb.system.dim, emb.coset_indices
     m = s + n
 
-    def unit(k, size):
-        return tuple(one if t == k else zero for t in range(size))
+    def entry(a, b):
+        if a < s and b < s:
+            return emb._reduce(emb._bracket({cosets[a]: one}, {cosets[b]: one}))
+        if a >= s and b >= s:
+            return emb._columns[(a - s) * n + b - s]
+        if a < s:
+            odd = emb._phi({cosets[a]: one}, {b - s: one})
+        else:
+            odd = emb._psi({cosets[b]: one}, {a - s: one})
+        return {s + l: x for l, x in odd.items()}
 
-    table = [[None] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            if a < s and b < s:
-                even = emb.bracket_even_even(unit(a, s), unit(b, s))
-                odd = (zero,) * n
-            elif a < s:
-                even = (zero,) * s
-                odd = emb.bracket_even_odd(unit(a, s), unit(b - s, n))
-            elif b < s:
-                even = (zero,) * s
-                odd = emb.bracket_odd_even(unit(a - s, n), unit(b, s))
-            else:
-                even = emb.bracket_odd_odd(unit(a - s, n), unit(b - s, n))
-                odd = (zero,) * n
-            table[a][b] = even + odd
+    flat = [entry(a, b) for a, b in product(range(m), repeat=2)]
+    table = [flat[a * m : (a + 1) * m] for a in range(m)]
 
-    def combine(vec, rows):
-        # sum over l of vec[l] * rows[l]
-        out = [zero] * m
-        for coef, row in zip(vec, rows):
-            if coef:
-                for t, c in enumerate(row):
-                    if c:
-                        out[t] = out[t] + coef * c
-        return out
+    def add(acc, coef, vec):
+        for t, x in vec.items():
+            acc[t] = acc.get(t, zero) + coef * x
 
-    # right multiplication by e_x sends e_l to table[l][x]
-    right = [[table[l][x] for l in range(m)] for x in range(m)]
     for y, z, x in product(range(m), repeat=3):
-        lhs = combine(table[y][z], right[x])
-        rhs_a = combine(table[y][x], right[z])
-        rhs_b = combine(table[z][x], table[y])  # [y, [z, x]]
-        if any(lhs[t] != rhs_a[t] + rhs_b[t] for t in range(m)):
+        emb.leibniz_instances += 1
+        residual = {}
+        for l, c in table[y][z].items():
+            add(residual, c, table[l][x])  # [[y, z], x]
+        for l, c in table[y][x].items():
+            add(residual, -c, table[l][z])  # [[y, x], z]
+        for l, c in table[z][x].items():
+            add(residual, -c, table[y][l])  # [y, [z, x]]
+        if any(residual.values()):
             raise LeibnizIdentityFailure(
                 "quotient algebra fails the right Leibniz identity",
                 witness={"triple": (y, z, x)},
             )
+
+
+def _sparse(vec) -> dict:
+    """{index: scalar} of the nonzero entries of a dense vector."""
+    return {t: x for t, x in enumerate(vec) if x}
+
+
+def _pair(n, x, y) -> dict:
+    """The sparse tensor x (x) y of two dense system vectors."""
+    y = _sparse(y)
+    return {i * n + j: xi * yj for i, xi in _sparse(x).items() for j, yj in y.items()}

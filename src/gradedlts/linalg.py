@@ -61,14 +61,21 @@ def _decimal(value: int) -> str:
     return ("-" if value < 0 else "") + "".join(reversed(pieces))
 
 
+def _quote(text: str) -> str:
+    """repr of a scalar string for a message; a long one becomes a prefix and its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _parse_scalar(text: str) -> tuple[int, int]:
     """Numerator and positive denominator of a scalar string "a" or "a/b"."""
     if not _SCALAR.fullmatch(text):
-        raise InputError(f"malformed scalar {text!r}")
+        raise InputError(f"malformed scalar {_quote(text)}")
     num, _, den = text.partition("/")
     numerator, denominator = _int_from_decimal(num), _int_from_decimal(den or "1")
     if denominator == 0:
-        raise InputError(f"scalar {text!r} has non-positive denominator")
+        raise InputError(f"scalar {_quote(text)} has non-positive denominator")
     return numerator, denominator
 
 
@@ -247,7 +254,7 @@ class PrimeField:
         if isinstance(x, str):
             numerator, denominator = _parse_scalar(x)
             if denominator % self.p == 0:
-                raise InputError(f"scalar {x!r} has denominator divisible by {self.p}")
+                raise InputError(f"scalar {_quote(x)} has denominator divisible by {self.p}")
             return PrimeFieldElement(numerator, self.p) / PrimeFieldElement(denominator, self.p)
         raise InputError(f"cannot interpret {x!r} as a mod-{self.p} scalar")
 

@@ -86,10 +86,6 @@ class GradedTripleSystem:
 
     # -- product evaluation -------------------------------------------------
 
-    def basis_product(self, i: int, j: int, k: int) -> dict[int, object]:
-        """{b_i, b_j, b_k} as a sparse mapping l -> scalar (copies are cheap)."""
-        return dict(self._table.get((i, j, k), ()))
-
     def nonzero_triples(self):
         """Iterate ((i, j, k), {l: scalar}) over the stored constants."""
         for key in sorted(self._table):
@@ -172,7 +168,8 @@ class GradedTripleSystem:
         entry of P (a sparse first-level product) or None.
         """
         n = self.dim
-        P = [[[None] * n for _ in range(n)] for _ in range(n)]
+        rows = [[None] * n for _ in range(n * n)]
+        P = [rows[i * n : (i + 1) * n] for i in range(n)]
         for (i, j, k), entry in self._table.items():
             P[i][j][k] = entry
         zero = self.field.zero

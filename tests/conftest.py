@@ -34,11 +34,11 @@ def dense_table(system):
     return table
 
 
-def oracle_triple(system, x, y, z):
-    """Direct trilinear evaluation from the dense table."""
+def oracle_triple(system, x, y, z, table=None):
+    """Direct trilinear evaluation from the dense table (built here unless given)."""
     n = system.dim
     zero = system.field.zero
-    table = dense_table(system)
+    table = table or dense_table(system)
     out = [zero] * n
     for i in range(n):
         if x[i] == zero:
@@ -52,6 +52,203 @@ def oracle_triple(system, x, y, z):
                     for l in range(n):
                         out[l] = out[l] + c * table[i][j][k][l]
     return out
+
+
+def _units(system):
+    zero, one = system.field.zero, system.field.one
+    return [[one if t == i else zero for t in range(system.dim)] for i in range(system.dim)]
+
+
+def oracle_tensor_bracket(system, a, b, table=None):
+    """[a, b] of two dense tensor-square vectors, evaluated with `oracle_triple`.
+
+    [b_i (x) b_j, b_k (x) b_l] = {b_i, b_j, b_k} (x) b_l - {b_i, b_j, b_l} (x) b_k,
+    summed as {A_j, b_j, B^l} (x) b_l - {A_j, b_j, B_k} (x) b_k, where A_j is
+    column j of a, B^l column l of b and B_k row k of b (as n x n matrices).
+    """
+    n = system.dim
+    zero = system.field.zero
+    table = table or dense_table(system)
+    units = _units(system)
+    out = [zero] * (n * n)
+    for j in range(n):
+        a_col = [a[i * n + j] for i in range(n)]
+        if all(x == zero for x in a_col):
+            continue
+        for l in range(n):
+            b_col = [b[k * n + l] for k in range(n)]
+            if any(x != zero for x in b_col):
+                for m, x in enumerate(oracle_triple(system, a_col, units[j], b_col, table)):
+                    out[m * n + l] += x
+        for k in range(n):
+            b_row = [b[k * n + l] for l in range(n)]
+            if any(x != zero for x in b_row):
+                for m, x in enumerate(oracle_triple(system, a_col, units[j], b_row, table)):
+                    out[m * n + k] -= x
+    return out
+
+
+def oracle_actions(system, x, table=None):
+    """Both actions of a dense tensor x on every basis vector, via `oracle_triple`.
+
+    phi[w] = sum x_ij {b_i, b_j, b_w} and psi[z] = sum x_ij ({b_z, b_i, b_j} - {b_z, b_j, b_i}).
+    """
+    n = system.dim
+    zero = system.field.zero
+    table = table or dense_table(system)
+    units = _units(system)
+    terms = [(divmod(c, n), coef) for c, coef in enumerate(x) if coef != zero]
+    phi, psi = [], []
+    for w in range(n):
+        out_phi, out_psi = [zero] * n, [zero] * n
+        for (i, j), coef in terms:
+            ui, uj, uw = units[i], units[j], units[w]
+            for t, v in enumerate(oracle_triple(system, ui, uj, uw, table)):
+                out_phi[t] += coef * v
+            plus = oracle_triple(system, uw, ui, uj, table)
+            minus = oracle_triple(system, uw, uj, ui, table)
+            for t in range(n):
+                out_psi[t] += coef * (plus[t] - minus[t])
+        phi.append(out_phi)
+        psi.append(out_psi)
+    return phi, psi
+
+
+def oracle_reduction(null_space, coset_indices):
+    """The dense s x n^2 matrix sending a tensor to its quotient coordinates.
+
+    The N basis rows and the coset unit tensors e_p together form a basis M
+    of the tensor square, so t = M^T (alpha, c) has one solution, and its
+    last s entries c are the coordinates of t: the rows of (M^T)^-1 after the
+    first dim N, read off the Gauss-Jordan form of [M^T | I].
+    """
+    field = null_space.field
+    zero, one = field.zero, field.one
+    nn = null_space.ambient
+    basis = [list(row) for row in null_space.basis.rows]
+    basis += [[one if t == p else zero for t in range(nn)] for p in coset_indices]
+    assert len(basis) == nn
+    augmented = [
+        [basis[r][q] for r in range(nn)] + [one if t == q else zero for t in range(nn)]
+        for q in range(nn)
+    ]
+    rows, pivots = oracle_rref(g.Matrix(field, augmented))
+    assert pivots == tuple(range(nn))
+    return [list(row[nn:]) for row in rows[null_space.dim :]]
+
+
+def oracle_reduce(field, reduction, tensor):
+    """Apply `oracle_reduction` to a dense tensor."""
+    return [sum((x * y for x, y in zip(row, tensor)), field.zero) for row in reduction]
+
+
+def oracle_certify(system, null_space, coset_indices):
+    """The dense descent and Leibniz certificates, on the oracles above.
+
+    Returns None when both pass, else (exception type, message, witness) of
+    the first failure, checked in the order the library checks them: for
+    each N basis vector nu, both actions of nu, then for every coordinate
+    tensor t, [t, nu] and [nu, t] in N; then the right Leibniz identity
+    [[y,z],x] = [[y,x],z] + [y,[z,x]] over all basis triples of L0 + L1.
+    """
+    field = system.field
+    fmt = field.format
+    zero, one = field.zero, field.one
+    n = system.dim
+    nn = n * n
+    table = dense_table(system)
+    units = _units(system)
+
+    def failing_action(x):
+        phi, psi = oracle_actions(system, x, table)
+        if any(v != zero for out in phi for v in out):
+            return "phi"
+        if any(v != zero for out in psi for v in out):
+            return "psi"
+        return None
+
+    messages = {
+        "phi": "left action of a null tensor does not vanish",
+        "psi": "twisted right action of a null tensor does not vanish",
+    }
+    for nu in null_space.basis.rows:
+        failing = failing_action(nu)
+        if failing:
+            return g.NotWellDefined, messages[failing], {"tensor": [fmt(x) for x in nu]}
+        for c in range(nn):
+            coord = [one if t == c else zero for t in range(nn)]
+            outward = oracle_tensor_bracket(system, coord, nu, table)
+            if failing_action(outward):
+                return (
+                    g.NotWellDefined,
+                    "bracket of the tensor square into the null space escapes it",
+                    {
+                        "coordinate": c,
+                        "null_vector": [fmt(x) for x in nu],
+                        "bracket": [fmt(x) for x in outward],
+                    },
+                )
+            if failing_action(oracle_tensor_bracket(system, nu, coord, table)):
+                return (
+                    g.NotWellDefined,
+                    "bracket of the null space into the tensor square escapes it",
+                    {"coordinate": c, "null_vector": [fmt(x) for x in nu]},
+                )
+
+    s = len(coset_indices)
+    m = s + n
+
+    def lift(a):
+        return [one if t == coset_indices[a] else zero for t in range(nn)]
+
+    reduction = oracle_reduction(null_space, coset_indices)
+
+    def reduce(tensor):
+        return oracle_reduce(field, reduction, tensor)
+
+    bracket = [[None] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(m):
+            if a < s and b < s:
+                even = reduce(oracle_tensor_bracket(system, lift(a), lift(b), table))
+                odd = [zero] * n
+            elif a < s:
+                i, j = divmod(coset_indices[a], n)
+                even = [zero] * s
+                odd = oracle_triple(system, units[i], units[j], units[b - s], table)
+            elif b < s:
+                i, j = divmod(coset_indices[b], n)
+                z = units[a - s]
+                plus = oracle_triple(system, z, units[i], units[j], table)
+                minus = oracle_triple(system, z, units[j], units[i], table)
+                even, odd = [zero] * s, [p - q for p, q in zip(plus, minus)]
+            else:
+                pair = [zero] * nn
+                pair[(a - s) * n + b - s] = one
+                even, odd = reduce(pair), [zero] * n
+            bracket[a][b] = list(even) + list(odd)
+
+    def combine(vec, rows):
+        # sum over l of vec[l] * rows[l]
+        out = [zero] * m
+        for coef, row in zip(vec, rows):
+            if coef != zero:
+                for t, c in enumerate(row):
+                    out[t] = out[t] + coef * c
+        return out
+
+    right = [[bracket[l][x] for l in range(m)] for x in range(m)]
+    for y, z, x in product(range(m), repeat=3):
+        lhs = combine(bracket[y][z], right[x])
+        rhs_a = combine(bracket[y][x], right[z])
+        rhs_b = combine(bracket[z][x], bracket[y])  # [y, [z, x]]
+        if any(lhs[t] != rhs_a[t] + rhs_b[t] for t in range(m)):
+            return (
+                g.LeibnizIdentityFailure,
+                "quotient algebra fails the right Leibniz identity",
+                {"triple": (y, z, x)},
+            )
+    return None
 
 
 def oracle_rref(m):
@@ -184,15 +381,26 @@ def mutate_constant(system, i, j, k, l, delta):
     return g.GradedTripleSystem(system.field, system.group, system.degrees, prods)
 
 
-def sl2_square(field) -> g.GradedTripleSystem:
-    """sl2 + sl2 graded by Z^2: copy i has degrees (e_i, 0, -e_i), so n = 6."""
+def sl2_power(k, field) -> g.GradedTripleSystem:
+    """k copies of sl2 graded by Z^k: copy i has degrees (e_i, 0, -e_i), so n = 3k."""
     copy = g.from_leibniz_algebra(g.sl2_algebra(field))
-    target = g.AbelianGroup((0, 0))
+    target = g.AbelianGroup((0,) * k)
     parts = [
-        g.relabel_degrees(copy, target, [[1 if t == i else 0 for t in range(2)]])
-        for i in range(2)
+        g.relabel_degrees(copy, target, [[1 if t == i else 0 for t in range(k)]])
+        for i in range(k)
     ]
     return g.direct_sum(parts)
+
+
+def sl2_square(field) -> g.GradedTripleSystem:
+    """sl2 + sl2 graded by Z^2, n = 6."""
+    return sl2_power(2, field)
+
+
+def coordinate_sum(system, modulus) -> g.GradedTripleSystem:
+    """Push a Z^k grading to Z_m by summing coordinates (merges degrees and classes)."""
+    target = g.AbelianGroup((modulus,))
+    return g.relabel_degrees(system, target, [[1]] * system.group.rank)
 
 
 # -- randomized graded variants ------------------------------------------------

@@ -104,6 +104,25 @@ def test_verify_rejects_scalar_outside_grammar(text, tmp_path, capsys):
     assert "malformed scalar" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("+" + "7" * 5000, "malformed scalar '+777"),
+        ("7" * 5000 + "/0", "has non-positive denominator"),
+    ],
+    ids=["plus", "zero_denominator"],
+)
+def test_long_bad_scalar_exits_2_with_one_short_line(text, message, tmp_path, capsys):
+    data = json.loads(fixture_text("sl2_Z"))
+    data["triple"][0]["out"][0]["val"] = text
+    bad = tmp_path / "bad_scalar.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200, err[:300]
+    assert message in err and f"({len(text)} characters)" in err
+
+
 def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
     def broken(path):
         raise RuntimeError("loader exploded\nsecond line")

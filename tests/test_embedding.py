@@ -209,7 +209,7 @@ def test_one_rref_construction_matches_independent_oracles(name):
             x = [a + coef * b for a, b in zip(x, row)]
         if trial % 2:
             x[rng.randrange(nn)] += field.element(rng.randint(1, 3))
-        in_null = action.failing_action(x) is None
+        in_null = action.failing_action(dict(enumerate(x))) is None
         acts_trivially = not any(
             any(emb.phi_apply(x, w)) or any(emb.psi_apply(x, w)) for w in basis
         )

@@ -24,7 +24,7 @@ import gradedlts as g
 from gradedlts.cli import main
 from gradedlts.fixtures import fixture_text
 
-from conftest import mutate_constant, sl2_square
+from conftest import coordinate_sum, mutate_constant, sl2_power, sl2_square
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -34,6 +34,9 @@ def golden_inputs() -> dict[str, str]:
     inputs = {name: fixture_text(name) for name in g.BUILTIN_NAMES}
     inputs["sl2x2_Q"] = g.dumps_system(sl2_square(g.RationalField()))
     inputs["sl2x2_F7"] = g.dumps_system(sl2_square(g.PrimeField(7)))
+    # n = 9: the fine Z^3 grading over Q, and GF(7) pushed to Z_2 (one class)
+    inputs["sl2x3_Q"] = g.dumps_system(sl2_power(3, g.RationalField()))
+    inputs["sl2x3_F7_Z2"] = g.dumps_system(coordinate_sum(sl2_power(3, g.PrimeField(7)), 2))
     return inputs
 
 

@@ -321,19 +321,22 @@ def test_intersection_and_complement_match_dense_oracle(field, elems, data):
 
 def test_no_two_code_objects_share_a_line_and_name():
     # the benchmark's call counter keys profiler entries by (file, line, name)
-    path = Path(linalg.__file__)
-    seen = {}
+    paths = sorted(Path(linalg.__file__).parent.glob("*.py"))
+    total = 0
+    for path in paths:
+        seen = {}
 
-    def walk(code):
-        key = (code.co_firstlineno, code.co_name)
-        assert key not in seen, f"{path.name}:{key[0]} holds two code objects named {key[1]}"
-        seen[key] = code
-        for const in code.co_consts:
-            if hasattr(const, "co_consts"):
-                walk(const)
+        def walk(code):
+            key = (code.co_firstlineno, code.co_name)
+            assert key not in seen, f"{path.name}:{key[0]} holds two code objects named {key[1]}"
+            seen[key] = code
+            for const in code.co_consts:
+                if hasattr(const, "co_consts"):
+                    walk(const)
 
-    walk(compile(path.read_text(encoding="utf-8"), str(path), "exec"))
-    assert len(seen) > 50
+        walk(compile(path.read_text(encoding="utf-8"), str(path), "exec"))
+        total += len(seen)
+    assert len(paths) >= 12 and total > 250
 
 
 # -- the scalar grammar "a" / "a/b" -------------------------------------------
