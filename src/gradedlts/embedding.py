@@ -37,7 +37,7 @@ from itertools import product
 from .errors import DecompositionFailure, LeibnizIdentityFailure, NotWellDefined
 from .groups import GroupElement
 from .linalg import Echelon, Subspace
-from .triples import GradedTripleSystem
+from .triples import RIGHT_LEIBNIZ, GradedTripleSystem, index_constants, term_violations
 
 
 class StandardEmbedding:
@@ -353,15 +353,16 @@ def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix):
 
 
 def _certify_leibniz_identity(emb: StandardEmbedding):
-    """Sweep the right Leibniz identity over all basis triples of L0 + L1.
+    """Check the right Leibniz identity on all basis triples of L0 + L1.
 
     Basis element a < dim_even of L is the even coordinate a, and a >= dim_even
     the system basis vector a - dim_even.  The bracket table on basis elements
     holds sparse vectors over L, read off the stored constants and the
-    reduction; for each triple the residual
-    [[y,z],x] - [[y,x],z] - [y,[z,x]] is summed into one sparse accumulator.
+    reduction; the identity runs through the exact term-driven join over its
+    nonzero entries, and the witness is the first failing (y, z, x).
     """
-    zero, one = emb.system.field.zero, emb.system.field.one
+    field = emb.system.field
+    one = field.one
     s, n, cosets = emb.dim_even, emb.system.dim, emb.coset_indices
     m = s + n
 
@@ -376,27 +377,14 @@ def _certify_leibniz_identity(emb: StandardEmbedding):
             odd = emb._psi({cosets[b]: one}, {a - s: one})
         return {s + l: x for l, x in odd.items()}
 
-    flat = [entry(a, b) for a, b in product(range(m), repeat=2)]
-    table = [flat[a * m : (a + 1) * m] for a in range(m)]
-
-    def add(acc, coef, vec):
-        for t, x in vec.items():
-            acc[t] = acc.get(t, zero) + coef * x
-
-    for y, z, x in product(range(m), repeat=3):
-        emb.leibniz_instances += 1
-        residual = {}
-        for l, c in table[y][z].items():
-            add(residual, c, table[l][x])  # [[y, z], x]
-        for l, c in table[y][x].items():
-            add(residual, -c, table[l][z])  # [[y, x], z]
-        for l, c in table[z][x].items():
-            add(residual, -c, table[y][l])  # [y, [z, x]]
-        if any(residual.values()):
-            raise LeibnizIdentityFailure(
-                "quotient algebra fails the right Leibniz identity",
-                witness={"triple": (y, z, x)},
-            )
+    table = {(a, b): e for a, b in product(range(m), repeat=2) if (e := entry(a, b))}
+    violations = term_violations(field, index_constants(table, m, 2), RIGHT_LEIBNIZ)
+    if violations:
+        raise LeibnizIdentityFailure(
+            "quotient algebra fails the right Leibniz identity",
+            witness={"triple": violations[0].indices},
+        )
+    emb.leibniz_instances = m**3
 
 
 def _sparse(vec) -> dict:

@@ -3,12 +3,14 @@
 A system is a finite-dimensional vector space with an ordered basis, a
 degree map into an abelian group, and a trilinear product {.,.,.} given by
 sparse structure constants.  The two defining five-term identities of a
-Leibniz triple system, the grading condition {E_g, E_h, E_k} in E_{ghk},
-and the derived six-term identity are all verified by exhaustive sweeps
-over basis tuples, which suffices because each identity is multilinear.
-The products of a vector with every basis pair, which the ideal predicate,
-ideal closures, the defect-ideal certificate and the annihilator need, come
-from `slot_products`: one pass over the stored constants.
+Leibniz triple system and the derived six-term identity hold on all basis
+tuples (enough, as each is multilinear) exactly when a term-driven join of
+the stored constants finds no nonzero residual: each term nests one stored
+constant in another, so a tuple the join never reaches has residual zero.
+The grading condition {E_g, E_h, E_k} in E_{ghk} is checked constant by
+constant.  The products of a vector with every basis pair, which the ideal
+predicate, ideal closures and the defect-ideal certificate need, come from
+`slot_products`, which reads only the constants its vector meets.
 
 Systems are immutable after construction; verification sweeps are pure and
 may be run concurrently on the same instance.
@@ -17,7 +19,8 @@ may be run concurrently on the same instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import CertificateFailure, InputError, OracleDisagreement
@@ -41,6 +44,119 @@ class Violation:
         }
 
 
+# An identity is (name, terms).  A term (sign, fed, inner, outer) stands, at
+# a basis tuple q, for sign times the product with the inner product of
+# b_q[p], p in `inner`, in slot `fed` and b_q[p], p in `outer`, in its other
+# slots in order.  inner + outer lists every position once, so an inner
+# constant and an outer constant fed by one of its outputs meet at one tuple.
+AXIOM_TERMS = (
+    # {a,{b,c,d},e} = {{a,b,c},d,e} - {{a,c,b},d,e} - {{a,d,b},c,e} + {{a,d,c},b,e}
+    ("middle_slot", ((1, 1, (1, 2, 3), (0, 4)), (-1, 0, (0, 1, 2), (3, 4)),
+                     (1, 0, (0, 2, 1), (3, 4)), (1, 0, (0, 3, 1), (2, 4)),
+                     (-1, 0, (0, 3, 2), (1, 4)))),
+    # {a,b,{c,d,e}} = {{a,b,c},d,e} - {{a,b,d},c,e} - {{a,b,e},c,d} + {{a,b,e},d,c}
+    ("right_slot", ((1, 2, (2, 3, 4), (0, 1)), (-1, 0, (0, 1, 2), (3, 4)),
+                    (1, 0, (0, 1, 3), (2, 4)), (1, 0, (0, 1, 4), (2, 3)),
+                    (-1, 0, (0, 1, 4), (3, 2)))),
+)
+# {{c,d,e},b,a} - {{c,d,e},a,b} - {{c,b,a},d,e} + {{c,a,b},d,e}
+#   - {c,{a,b,d},e} - {c,d,{a,b,e}} = 0
+SIX_TERM = (
+    ("six_term", ((1, 0, (2, 3, 4), (1, 0)), (-1, 0, (2, 3, 4), (0, 1)),
+                  (-1, 0, (2, 1, 0), (3, 4)), (1, 0, (2, 0, 1), (3, 4)),
+                  (-1, 1, (0, 1, 3), (2, 4)), (-1, 2, (0, 1, 4), (2, 3)))),
+)
+# [[y,z],x] - [[y,x],z] - [y,[z,x]] = 0 in a right Leibniz algebra, at (y, z, x)
+RIGHT_LEIBNIZ = (
+    ("right_leibniz", ((1, 0, (0, 1), (2,)), (-1, 0, (0, 2), (1,)), (-1, 1, (1, 2), (0,)))),
+)
+
+
+def index_constants(table, n: int, arity: int):
+    """Index stored constants by slot and by output coordinate.
+
+    `table` maps keys of `arity` basis indices to sparse entries {l: x}.
+    Returns (table, by_slot, by_output): by_slot[s][i] lists the keys with
+    key[s] == i and by_output[l] the keys whose entry has an l coordinate,
+    in increasing order.  Only lists are added, as the index lives as long
+    as its system.
+    """
+    by_slot = tuple([[] for _ in range(n)] for _ in range(arity))
+    by_output = [[] for _ in range(n)]
+    for key in sorted(table):
+        for s, i in enumerate(key):
+            by_slot[s][i].append(key)
+        for l in table[key]:
+            by_output[l].append(key)
+    return table, by_slot, by_output
+
+
+def join_residuals(field, index, identities):
+    """Residuals of the identities at every basis tuple that some term reaches.
+
+    A term at a tuple sums, over the outputs b_l of its inner constant, x_l
+    times the outer constant with b_l in slot `fed`, so it is nonzero only
+    if both are stored.  Joining every stored inner constant with every
+    stored outer constant fed by one of its outputs thus reaches every tuple
+    with a nonzero term and sums each term there in full; a tuple no term
+    reaches has every term zero, so its residual is zero: the join is exact.
+
+    One leading index a = q[0] at a time: a term starts from the stored
+    constants with a in the slot that carries position 0, inner (then outer
+    through `by_slot`) or outer (then inner through `by_output`).  Yields
+    ((q, identity index), residual) for every reached pair, cancelled
+    residuals included, in increasing order, holding one bucket at a time.
+    """
+    table, by_slot, by_output = index
+    arity = len(by_slot)
+    zero = field.zero
+    plan = []
+    for ident, (_, terms) in enumerate(identities):
+        for sign, fed, inner, outer in terms:
+            # where each position sits in the inner key followed by the outer key
+            slots = [t for t in range(arity) if t != fed]
+            source = [inner.index(p) if p in inner else arity + slots[outer.index(p)]
+                      for p in range(2 * arity - 1)]
+            start = (True, source[0]) if source[0] < arity else (False, source[0] - arity)
+            plan.append((ident, sign < 0, fed, itemgetter(*source), start))
+    for a in range(len(by_output)):
+        acc: dict[tuple, object] = {}  # (q, identity index, output m) -> scalar
+        for ident, negate, fed, place, (from_inner, slot) in plan:
+            if from_inner:
+                pairs = (
+                    (key, x, outer)
+                    for key in by_slot[slot][a]
+                    for l, x in table[key].items()
+                    for outer in by_slot[fed][l]
+                )
+            else:
+                pairs = (
+                    (key, table[key][outer[fed]], outer)
+                    for outer in by_slot[slot][a]
+                    for key in by_output[outer[fed]]
+                )
+            for inner, x, outer in pairs:
+                q = place(inner + outer)
+                for m, y in table[outer].items():
+                    key = (q, ident, m)
+                    if negate:
+                        acc[key] = acc.get(key, zero) - x * y
+                    else:
+                        acc[key] = acc.get(key, zero) + x * y
+        for target, group in groupby(sorted(acc), key=lambda key: key[:2]):
+            yield target, {key[2]: acc[key] for key in group}
+
+
+def term_violations(field, index, identities) -> list[Violation]:
+    """The nonzero residuals of `join_residuals` as violations, in its order."""
+    violations = []
+    for (indices, ident), residual in join_residuals(field, index, identities):
+        if any(residual.values()):
+            vector = tuple(residual.get(m, field.zero) for m in range(len(index[2])))
+            violations.append(Violation(identities[ident][0], indices, vector))
+    return violations
+
+
 class GradedTripleSystem:
     """A graded Leibniz triple system described by structure constants.
 
@@ -50,7 +166,7 @@ class GradedTripleSystem:
     product of a Leibniz triple system is not antisymmetric in general.
     """
 
-    __slots__ = ("field", "group", "dim", "degrees", "_table")
+    __slots__ = ("field", "group", "dim", "degrees", "_table", "_index")
 
     def __init__(
         self,
@@ -83,6 +199,7 @@ class GradedTripleSystem:
         self.dim = n
         self.degrees = degrees
         self._table = table
+        self._index = index_constants(table, n, 3)
 
     # -- product evaluation -------------------------------------------------
 
@@ -113,7 +230,7 @@ class GradedTripleSystem:
         return out
 
     def slot_products(self, v) -> dict[tuple[int, int, int], dict[int, object]]:
-        """Products of `v` with every basis pair, in one pass over the constants.
+        """Products of `v` with every basis pair, from the constants v meets.
 
         `v` is a dense sequence or a sparse mapping l -> scalar.  Key
         (j, k, 0) is {v, b_j, b_k}, (j, k, 1) is {b_j, v, b_k} and
@@ -125,14 +242,16 @@ class GradedTripleSystem:
             if len(v) != self.dim:
                 raise InputError("vector length does not match system dimension")
             v = dict(enumerate(v))
-        zero, get = self.field.zero, v.get
+        zero = self.field.zero
         acc: dict[tuple[int, int, int], dict[int, object]] = {}
-        for (a, b, c), entry in self._table.items():
-            for key, coef in (((b, c, 0), get(a)), ((a, c, 1), get(b)), ((a, b, 2), get(c))):
+        for slot, by_index in enumerate(self._index[1]):
+            others = itemgetter(*[t for t in range(3) if t != slot])
+            for i, coef in v.items():
                 if coef:
-                    out = acc.setdefault(key, {})
-                    for l, x in entry.items():
-                        out[l] = out.get(l, zero) + coef * x
+                    for key in by_index[i]:
+                        out = acc.setdefault((*others(key), slot), {})
+                        for l, x in self._table[key].items():
+                            out[l] = out.get(l, zero) + coef * x
         products = {}
         for key in sorted(acc):
             out = {l: x for l, x in acc[key].items() if x}
@@ -142,119 +261,24 @@ class GradedTripleSystem:
 
     # -- identity sweeps ----------------------------------------------------
 
-    def _sweep(self, identities) -> list[Violation]:
-        """Evaluate residual expansions on all n^5 basis quintuples.
-
-        `identities` is a sequence of (name, accumulate) pairs, where
-        accumulate(a, b, c, d, e, acc) adds the identity's residual at that
-        quintuple into the sparse mapping `acc`.  Nonzero residuals become
-        violations, in tuple order and then in the given identity order.
-        """
-        violations = []
-        for indices in product(range(self.dim), repeat=5):
-            for name, accumulate in identities:
-                acc: dict[int, object] = {}
-                accumulate(*indices, acc)
-                if any(acc.values()):
-                    violations.append(Violation(name, indices, tuple(self.vector(acc))))
-        return violations
-
-    def _nested_terms(self):
-        """The dense table P and accumulators for nested products.
-
-        left(F, d, e, acc, sign), middle(a, F, e, acc, sign) and
-        right(a, b, F, acc, sign) add sign times {F, b_d, b_e},
-        {b_a, F, b_e} and {b_a, b_b, F} into `acc`, where F is a stored
-        entry of P (a sparse first-level product) or None.
-        """
-        n = self.dim
-        rows = [[None] * n for _ in range(n * n)]
-        P = [rows[i * n : (i + 1) * n] for i in range(n)]
-        for (i, j, k), entry in self._table.items():
-            P[i][j][k] = entry
-        zero = self.field.zero
-
-        def left(first, d, e, acc, sign):
-            if first:
-                for l, coef in first.items():
-                    entry = P[l][d][e]
-                    if entry:
-                        coef = sign * coef
-                        for m, c in entry.items():
-                            acc[m] = acc.get(m, zero) + coef * c
-
-        def middle(a, inner, e, acc, sign):
-            if inner:
-                for l, coef in inner.items():
-                    entry = P[a][l][e]
-                    if entry:
-                        coef = sign * coef
-                        for m, c in entry.items():
-                            acc[m] = acc.get(m, zero) + coef * c
-
-        def right(a, b, inner, acc, sign):
-            if inner:
-                for l, coef in inner.items():
-                    entry = P[a][b][l]
-                    if entry:
-                        coef = sign * coef
-                        for m, c in entry.items():
-                            acc[m] = acc.get(m, zero) + coef * c
-
-        return P, left, middle, right
-
     def verify_axioms(self) -> list[Violation]:
-        """Check both defining five-term identities on all n^5 basis tuples.
+        """Check both defining five-term identities on every basis quintuple.
 
-        Returns the list of violations; a valid system yields the empty
-        list.  Each violation names the quintuple and its nonzero residual.
+        Exact by the term-driven join (`join_residuals`): a quintuple that no
+        term reaches has every term zero.  Violations name the quintuple and
+        its nonzero residual, in quintuple order, then middle_slot before
+        right_slot; a valid system yields the empty list.
         """
-        P, left, middle, right = self._nested_terms()
-        one = self.field.one
-        minus = -one
-
-        def middle_slot(a, b, c, d, e, acc):
-            # {a,{b,c,d},e} = {{a,b,c},d,e} - {{a,c,b},d,e}
-            #                 - {{a,d,b},c,e} + {{a,d,c},b,e}
-            middle(a, P[b][c][d], e, acc, one)
-            left(P[a][b][c], d, e, acc, minus)
-            left(P[a][c][b], d, e, acc, one)
-            left(P[a][d][b], c, e, acc, one)
-            left(P[a][d][c], b, e, acc, minus)
-
-        def right_slot(a, b, c, d, e, acc):
-            # {a,b,{c,d,e}} = {{a,b,c},d,e} - {{a,b,d},c,e}
-            #                 - {{a,b,e},c,d} + {{a,b,e},d,c}
-            right(a, b, P[c][d][e], acc, one)
-            left(P[a][b][c], d, e, acc, minus)
-            left(P[a][b][d], c, e, acc, one)
-            left(P[a][b][e], c, d, acc, one)
-            left(P[a][b][e], d, c, acc, minus)
-
-        return self._sweep((("middle_slot", middle_slot), ("right_slot", right_slot)))
+        return term_violations(self.field, self._index, AXIOM_TERMS)
 
     def verify_fundamental_identity(self) -> list[Violation]:
-        """Check the derived six-term identity on all basis quintuples.
+        """Check the derived six-term identity on every basis quintuple.
 
-        The identity is a consequence of the two defining identities, so it
-        must come back empty for any system that passes `verify_axioms`; it
-        is checked independently as a cross-validation sweep.
+        The same exact join as `verify_axioms`.  The identity follows from
+        the two defining ones, so it must come back empty whenever those
+        pass; it is checked independently as a cross-validation.
         """
-        P, left, middle, right = self._nested_terms()
-        one = self.field.one
-        minus = -one
-
-        def six_term(a, b, c, d, e, acc):
-            # {{c,d,e},b,a} - {{c,d,e},a,b} - {{c,b,a},d,e} + {{c,a,b},d,e}
-            #   - {c,{a,b,d},e} - {c,d,{a,b,e}} = 0
-            left(P[c][d][e], b, a, acc, one)
-            left(P[c][d][e], a, b, acc, minus)
-            left(P[c][b][a], d, e, acc, minus)
-            left(P[c][a][b], d, e, acc, one)
-            middle(c, P[a][b][d], e, acc, minus)
-            right(c, d, P[a][b][e], acc, minus)
-
-        return self._sweep((("six_term", six_term),))
+        return term_violations(self.field, self._index, SIX_TERM)
 
     def verify_grading(self) -> list[Violation]:
         """Check degree compatibility of every stored structure constant."""
@@ -352,20 +376,17 @@ class GradedTripleSystem:
         is corrupt.  The witness is the first failing pair (j, k), with
         {E,E,I} tested before {E,I,E} on each pair.
         """
-        zero = self.field.zero
-        generators = []
-        n = self.dim
-        for i, j, k in product(range(n), repeat=3):
-            acc: dict[int, object] = {}
-            for l, c in self._table.get((i, j, k), {}).items():
-                acc[l] = acc.get(l, zero) + c
-            for l, c in self._table.get((i, k, j), {}).items():
-                acc[l] = acc.get(l, zero) - c
-            for l, c in self._table.get((j, k, i), {}).items():
-                acc[l] = acc.get(l, zero) + c
-            if any(acc.values()):
-                generators.append(acc)
-        ideal = self.ideal_closure(Subspace(self.field, n, generators))
+        # the combination at (i, j, k) is zero unless (i, j, k), (i, k, j) or
+        # (j, k, i) is stored: the stored (a, b, c) is each of them in turn
+        # at (a, b, c), (a, c, b) and (c, a, b)
+        reached = set()
+        for a, b, c in self._table:
+            reached.update(((a, b, c), (a, c, b), (c, a, b)))
+        generators = [
+            self._combination((i, j, k), (j, k, i), minus=(i, k, j))
+            for i, j, k in sorted(reached)
+        ]
+        ideal = self.ideal_closure(Subspace(self.field, self.dim, generators))
         for row in ideal.basis.rows:
             # keyed (j, k, -slot) so that on each pair {E,E,I} (slot 2)
             # comes before {E,I,E} (slot 1)
@@ -397,30 +418,29 @@ class GradedTripleSystem:
         return via_defect
 
     def _lie_axiom_oracle(self) -> bool:
-        zero = self.field.zero
-        n = self.dim
-        for i in range(n):
-            for k in range(n):
-                if self._table.get((i, i, k)):
-                    return False
-        for i, j, k in product(range(n), repeat=3):
-            acc: dict[int, object] = {}
-            for l, c in self._table.get((i, j, k), {}).items():
-                acc[l] = acc.get(l, zero) + c
-            for l, c in self._table.get((j, i, k), {}).items():
-                acc[l] = acc.get(l, zero) + c
-            if any(acc.values()):
+        # {x,x,z} = 0 fails exactly at a stored (i, i, k); the sum
+        # {i,j,k} + {j,i,k} is zero unless it has a stored term, and swapping
+        # i and j leaves it unchanged, so it suffices to test it at stored
+        # keys; the same holds for the cyclic Jacobi sum under rotation
+        if any(i == j for i, j, _ in self._table):
+            return False
+        for i, j, k in self._table:
+            if any(self._combination((i, j, k), (j, i, k)).values()):
                 return False
-            acc = {}
-            for l, c in self._table.get((i, j, k), {}).items():
-                acc[l] = acc.get(l, zero) + c
-            for l, c in self._table.get((j, k, i), {}).items():
-                acc[l] = acc.get(l, zero) + c
-            for l, c in self._table.get((k, i, j), {}).items():
-                acc[l] = acc.get(l, zero) + c
-            if any(acc.values()):
+            if any(self._combination((i, j, k), (j, k, i), (k, i, j)).values()):
                 return False
         return True
+
+    def _combination(self, *keys, minus=None) -> dict[int, object]:
+        """{b_i, b_j, b_k} summed over `keys`, less the constant at `minus`."""
+        zero = self.field.zero
+        acc: dict[int, object] = {}
+        for key in keys:
+            for l, c in self._table.get(key, {}).items():
+                acc[l] = acc.get(l, zero) + c
+        for l, c in self._table.get(minus, {}).items():
+            acc[l] = acc.get(l, zero) - c
+        return acc
 
     def annihilator(self) -> Subspace:
         """Elements x with {x,E,E} + {E,x,E} + {E,E,x} = 0.

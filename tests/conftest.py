@@ -286,6 +286,192 @@ def oracle_rref(m):
     return [tuple(row) for row in rows[: len(pivots)]], tuple(pivots)
 
 
+def oracle_nested_terms(system):
+    """The dense table P and accumulators for nested products.
+
+    left(F, d, e, acc, sign), middle(a, F, e, acc, sign) and
+    right(a, b, F, acc, sign) add sign times {F, b_d, b_e},
+    {b_a, F, b_e} and {b_a, b_b, F} into `acc`, where F is a stored
+    entry of P (a sparse first-level product) or None.
+    """
+    n = system.dim
+    rows = [[None] * n for _ in range(n * n)]
+    P = [rows[i * n : (i + 1) * n] for i in range(n)]
+    for (i, j, k), entry in system.nonzero_triples():
+        P[i][j][k] = entry
+    zero = system.field.zero
+
+    def left(first, d, e, acc, sign):
+        if first:
+            for l, coef in first.items():
+                entry = P[l][d][e]
+                if entry:
+                    coef = sign * coef
+                    for m, c in entry.items():
+                        acc[m] = acc.get(m, zero) + coef * c
+
+    def middle(a, inner, e, acc, sign):
+        if inner:
+            for l, coef in inner.items():
+                entry = P[a][l][e]
+                if entry:
+                    coef = sign * coef
+                    for m, c in entry.items():
+                        acc[m] = acc.get(m, zero) + coef * c
+
+    def right(a, b, inner, acc, sign):
+        if inner:
+            for l, coef in inner.items():
+                entry = P[a][b][l]
+                if entry:
+                    coef = sign * coef
+                    for m, c in entry.items():
+                        acc[m] = acc.get(m, zero) + coef * c
+
+    return P, left, middle, right
+
+
+def oracle_identities(system, which):
+    """The identities of `verify_axioms` ("axioms") or of
+    `verify_fundamental_identity` ("six_term") as (name, terms) pairs, where
+    each term(a, b, c, d, e, acc) adds one signed nested product into `acc`.
+    """
+    P, left, middle, right = oracle_nested_terms(system)
+    one = system.field.one
+    minus = -one
+    if which == "axioms":
+        return (
+            # {a,{b,c,d},e} = {{a,b,c},d,e} - {{a,c,b},d,e}
+            #                 - {{a,d,b},c,e} + {{a,d,c},b,e}
+            ("middle_slot", (
+                lambda a, b, c, d, e, acc: middle(a, P[b][c][d], e, acc, one),
+                lambda a, b, c, d, e, acc: left(P[a][b][c], d, e, acc, minus),
+                lambda a, b, c, d, e, acc: left(P[a][c][b], d, e, acc, one),
+                lambda a, b, c, d, e, acc: left(P[a][d][b], c, e, acc, one),
+                lambda a, b, c, d, e, acc: left(P[a][d][c], b, e, acc, minus),
+            )),
+            # {a,b,{c,d,e}} = {{a,b,c},d,e} - {{a,b,d},c,e}
+            #                 - {{a,b,e},c,d} + {{a,b,e},d,c}
+            ("right_slot", (
+                lambda a, b, c, d, e, acc: right(a, b, P[c][d][e], acc, one),
+                lambda a, b, c, d, e, acc: left(P[a][b][c], d, e, acc, minus),
+                lambda a, b, c, d, e, acc: left(P[a][b][d], c, e, acc, one),
+                lambda a, b, c, d, e, acc: left(P[a][b][e], c, d, acc, one),
+                lambda a, b, c, d, e, acc: left(P[a][b][e], d, c, acc, minus),
+            )),
+        )
+    assert which == "six_term"
+    # {{c,d,e},b,a} - {{c,d,e},a,b} - {{c,b,a},d,e} + {{c,a,b},d,e}
+    #   - {c,{a,b,d},e} - {c,d,{a,b,e}} = 0
+    return (
+        ("six_term", (
+            lambda a, b, c, d, e, acc: left(P[c][d][e], b, a, acc, one),
+            lambda a, b, c, d, e, acc: left(P[c][d][e], a, b, acc, minus),
+            lambda a, b, c, d, e, acc: left(P[c][b][a], d, e, acc, minus),
+            lambda a, b, c, d, e, acc: left(P[c][a][b], d, e, acc, one),
+            lambda a, b, c, d, e, acc: middle(c, P[a][b][d], e, acc, minus),
+            lambda a, b, c, d, e, acc: right(c, d, P[a][b][e], acc, minus),
+        )),
+    )
+
+
+def oracle_sweep(system, which):
+    """Evaluate the residuals of `oracle_identities` on all n^5 basis quintuples.
+
+    The dense sweep the library ran before its term-driven join: nonzero
+    residuals become violations, in tuple order and then in identity order.
+    """
+    identities = oracle_identities(system, which)
+    violations = []
+    for indices in product(range(system.dim), repeat=5):
+        for name, terms in identities:
+            acc = {}
+            for term in terms:
+                term(*indices, acc)
+            if any(acc.values()):
+                violations.append(g.Violation(name, indices, tuple(system.vector(acc))))
+    return violations
+
+
+def oracle_nonzero_terms(system, which):
+    """Every (quintuple, identity index) at which some single term is nonzero."""
+    identities = oracle_identities(system, which)
+    found = set()
+    for indices in product(range(system.dim), repeat=5):
+        for ident, (_, terms) in enumerate(identities):
+            for term in terms:
+                acc = {}
+                term(*indices, acc)
+                if any(acc.values()):
+                    found.add((indices, ident))
+    return found
+
+
+def oracle_slot_products(system, v):
+    """`slot_products` without the slot index: one pass over every constant.
+
+    Key (j, k, 0) is {v, b_j, b_k}, (j, k, 1) is {b_j, v, b_k} and
+    (j, k, 2) is {b_j, b_k, v}; only nonzero products, keys in order.
+    """
+    if not isinstance(v, dict):
+        v = dict(enumerate(v))
+    zero, get = system.field.zero, v.get
+    acc = {}
+    for (a, b, c), entry in system.nonzero_triples():
+        for key, coef in (((b, c, 0), get(a)), ((a, c, 1), get(b)), ((a, b, 2), get(c))):
+            if coef:
+                out = acc.setdefault(key, {})
+                for l, x in entry.items():
+                    out[l] = out.get(l, zero) + coef * x
+    products = {}
+    for key in sorted(acc):
+        out = {l: x for l, x in acc[key].items() if x}
+        if out:
+            products[key] = out
+    return products
+
+
+def oracle_bracket(algebra, x, y):
+    """[x, y] of two dense vectors, from the algebra's bracket constants."""
+    zero = algebra.field.zero
+    out = [zero] * algebra.dim
+    for (i, j), entry in algebra.brackets:
+        coef = x[i] * y[j]
+        if coef:
+            for l, c in entry:
+                out[l] = out[l] + coef * c
+    return out
+
+
+def oracle_algebra_verify(algebra):
+    """`GradedLeibnizAlgebra.verify` as a dense loop: grading violations in
+    bracket order, then the right Leibniz identity on all n^3 basis triples
+    from `bracket` on unit vectors, in (y, z, x) order."""
+    violations = []
+    zero = algebra.field.zero
+    n = algebra.dim
+    for (i, j), entry in algebra.bracket_table().items():
+        expected = algebra.degrees[i].compose(algebra.degrees[j])
+        for l in entry:
+            if algebra.degrees[l] != expected:
+                vec = [zero] * n
+                vec[l] = entry[l]
+                violations.append(g.Violation("grading", (i, j, l), tuple(vec)))
+    units = [[algebra.field.one if t == i else zero for t in range(n)] for i in range(n)]
+
+    def bracket(x, y):
+        return oracle_bracket(algebra, x, y)
+
+    for y, z, x in product(range(n), repeat=3):
+        lhs = bracket(bracket(units[y], units[z]), units[x])
+        rhs_a = bracket(bracket(units[y], units[x]), units[z])
+        rhs_b = bracket(units[y], bracket(units[z], units[x]))
+        residual = [a - b - c for a, b, c in zip(lhs, rhs_a, rhs_b)]
+        if any(residual):
+            violations.append(g.Violation("right_leibniz", (y, z, x), tuple(residual)))
+    return violations
+
+
 def oracle_grading_ok(system) -> bool:
     for (i, j, k), entry in system.nonzero_triples():
         expect = (
@@ -395,6 +581,57 @@ def sl2_power(k, field) -> g.GradedTripleSystem:
 def sl2_square(field) -> g.GradedTripleSystem:
     """sl2 + sl2 graded by Z^2, n = 6."""
     return sl2_power(2, field)
+
+
+def sl3_root_algebra(field) -> g.GradedLeibnizAlgebra:
+    """sl3 graded by its root lattice Z^2: dense brackets with multi-term outputs.
+
+    Basis E_ij (i != j, in row-major order) then H1 = E11 - E22 and
+    H2 = E22 - E33.  E_ij has degree w(i) - w(j) with w = ((1,1), (0,1), (0,0)),
+    so the simple roots are (1,0) and (0,1); brackets are matrix commutators.
+    """
+    offdiag = [(i, j) for i in range(3) for j in range(3) if i != j]
+    basis = []
+    for i, j in offdiag:
+        basis.append({(i, j): 1})
+    basis += [{(0, 0): 1, (1, 1): -1}, {(1, 1): 1, (2, 2): -1}]
+
+    def coordinates(mat):
+        # a diagonal (d1, d2, -d1 - d2) is d1 H1 - d3 H2
+        out = {t: mat.get(ij, 0) for t, ij in enumerate(offdiag)}
+        out[6], out[7] = mat.get((0, 0), 0), -mat.get((2, 2), 0)
+        return {t: c for t, c in out.items() if c}
+
+    def matmul(x, y):
+        out = {}
+        for (i, k), a in x.items():
+            for (k2, j), b in y.items():
+                if k == k2:
+                    out[(i, j)] = out.get((i, j), 0) + a * b
+        return out
+
+    def commutator(x, y):
+        out = matmul(x, y)
+        for ij, c in matmul(y, x).items():
+            out[ij] = out.get(ij, 0) - c
+        return out
+
+    brackets = {}
+    for p, x in enumerate(basis):
+        for q, y in enumerate(basis):
+            out = coordinates(commutator(x, y))
+            if out:
+                brackets[(p, q)] = out
+    group = g.AbelianGroup((0, 0))
+    w = ((1, 1), (0, 1), (0, 0))
+    degrees = [group.element([w[i][0] - w[j][0], w[i][1] - w[j][1]]) for i, j in offdiag]
+    degrees += [group.identity()] * 2
+    return g.GradedLeibnizAlgebra.build(field, group, degrees, brackets)
+
+
+def sl3_root(field) -> g.GradedTripleSystem:
+    """The double-bracket system of `sl3_root_algebra`: n = 8, 216 stored constants."""
+    return g.from_leibniz_algebra(sl3_root_algebra(field))
 
 
 def coordinate_sum(system, modulus) -> g.GradedTripleSystem:

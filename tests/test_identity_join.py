@@ -1,0 +1,223 @@
+"""The term-driven identity join against the dense n^5 sweep it replaced.
+
+`verify_axioms`, `verify_fundamental_identity` and
+`GradedLeibnizAlgebra.verify` join stored constants instead of visiting
+every basis tuple.  Here their full violation lists (identity names,
+tuples, residual vectors and order) are compared with the dense sweeps in
+conftest (`oracle_sweep`, `oracle_algebra_verify`) on valid systems and on
+seeded one-constant mutants that violate the identities, and the exactness
+argument is tested directly: every tuple where a single term is nonzero is
+reached by the join.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import product
+
+import pytest
+
+import gradedlts as g
+from gradedlts.triples import (
+    AXIOM_TERMS,
+    RIGHT_LEIBNIZ,
+    SIX_TERM,
+    index_constants,
+    join_residuals,
+)
+from conftest import (
+    coordinate_sum,
+    mutate_constant,
+    oracle_algebra_verify,
+    oracle_axioms_ok,
+    oracle_bracket,
+    oracle_nonzero_terms,
+    oracle_sweep,
+    random_variant,
+    sl2_power,
+    sl3_root,
+    sl3_root_algebra,
+)
+
+Q, F7 = g.RationalField(), g.PrimeField(7)
+SWEEPS = {"axioms": AXIOM_TERMS, "six_term": SIX_TERM}
+
+
+def valid_systems():
+    out = {name: g.builtin(name) for name in g.BUILTIN_NAMES}
+    for k, (label, field) in product((2, 3), (("Q", Q), ("F7", F7))):
+        power = sl2_power(k, field)
+        out[f"sl2x{k}_{label}"] = power
+        out[f"sl2x{k}_{label}_Z2"] = coordinate_sum(power, 2)
+    for seed in range(10):
+        out[f"variant{seed}"] = random_variant(seed)
+    out["sl3_root_Q"] = sl3_root(Q)
+    return out
+
+
+def violating_mutants(system, seed, count):
+    """`count` seeded one-constant mutants that fail the dense axiom oracle."""
+    rng = random.Random(seed)
+    n = system.dim
+    out = []
+    while len(out) < count:
+        cell = [rng.randrange(n) for _ in range(4)]
+        delta = system.field.element(rng.choice([1, -1, 2]))
+        mutant = mutate_constant(system, *cell, delta)
+        if not oracle_axioms_ok(mutant):
+            out.append(mutant)
+    return out
+
+
+def mutant_systems():
+    out = {}
+    for name in ("sl2_Z", "disjoint_sum", "nonlie_J", "trivial_grading_sl2"):
+        for t, mutant in enumerate(violating_mutants(g.builtin(name), name, 3)):
+            out[f"{name}_m{t}"] = mutant
+    for label, system in (("sl2x2_Q", sl2_power(2, Q)), ("sl2x2_F7", sl2_power(2, F7))):
+        for t, mutant in enumerate(violating_mutants(system, label, 3)):
+            out[f"{label}_m{t}"] = mutant
+    for seed in (3, 4):
+        for t, mutant in enumerate(violating_mutants(random_variant(seed), seed, 2)):
+            out[f"variant{seed}_m{t}"] = mutant
+    # dense, with multi-output constants: one added term in {b_i, b_j, b_k}
+    sl3 = sl3_root(F7)
+    for t, cell in enumerate([(0, 2, 2, 5), (5, 4, 5, 7), (4, 0, 7, 1)]):
+        out[f"sl3_root_F7_m{t}"] = mutate_constant(sl3, *cell, F7.one)
+    return out
+
+
+VALID = valid_systems()
+MUTANTS = mutant_systems()
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
+def test_sweeps_match_dense_oracle_on_valid_systems(name):
+    system = VALID[name]
+    assert system.verify_axioms() == oracle_sweep(system, "axioms") == []
+    assert system.verify_fundamental_identity() == oracle_sweep(system, "six_term") == []
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_sweeps_match_dense_oracle_on_mutants(name):
+    system = MUTANTS[name]
+    expected = oracle_sweep(system, "axioms")
+    assert expected
+    assert system.verify_axioms() == expected
+    assert system.verify_fundamental_identity() == oracle_sweep(system, "six_term")
+
+
+@pytest.mark.parametrize("which", sorted(SWEEPS))
+@pytest.mark.parametrize(
+    "name", [name for name in sorted(MUTANTS) if not name.startswith("sl3")] + ["sl3_root_F7_m0"]
+)
+def test_join_reaches_every_tuple_with_a_nonzero_term(name, which):
+    # a tuple the join does not reach must have every single term zero;
+    # the join keeps cancelled residuals, so these are all the reached keys
+    system = MUTANTS[name]
+    reached = [key for key, _ in join_residuals(system.field, system._index, SWEEPS[which])]
+    assert reached == sorted(set(reached))
+    needed = oracle_nonzero_terms(system, which)
+    assert needed and needed <= set(reached)
+
+
+def test_join_keeps_residuals_that_cancel():
+    # sl2: many tuples are reached by nonzero terms that sum to zero
+    sl2 = g.builtin("sl2_Z")
+    residuals = [r for _, r in join_residuals(sl2.field, sl2._index, AXIOM_TERMS)]
+    assert residuals and not any(any(r.values()) for r in residuals)
+
+
+def test_index_lists_each_constant_under_every_slot_and_output():
+    system = VALID["sl3_root_Q"]
+    table, by_slot, by_output = system._index
+    stored = dict(system.nonzero_triples())
+    assert table == stored
+    for s, i in product(range(3), range(system.dim)):
+        assert by_slot[s][i] == sorted(k for k in stored if k[s] == i)
+    for l in range(system.dim):
+        assert by_output[l] == sorted(k for k, e in stored.items() if l in e)
+
+
+# -- GradedLeibnizAlgebra.verify -------------------------------------------------
+
+
+def nonlie_candidates():
+    """All 27 algebras `search_nonlie_example` scans, in its order."""
+    group = g.AbelianGroup((0,))
+    degrees = [group.element([1]), group.element([2]), group.element([3])]
+    out = []
+    for alpha, beta, gamma in product((0, 1, -1), repeat=3):
+        brackets = {(0, 0): {1: alpha}, (0, 1): {2: beta}, (1, 0): {2: gamma}}
+        out.append(g.GradedLeibnizAlgebra.build(Q, group, degrees, brackets))
+    return out
+
+
+def bracket_mutants(algebra, seed, count):
+    """Seeded copies with one bracket cell changed."""
+    rng = random.Random(seed)
+    n = algebra.dim
+    out = []
+    for _ in range(count):
+        table = algebra.bracket_table()
+        i, j, l = (rng.randrange(n) for _ in range(3))
+        entry = table.setdefault((i, j), {})
+        entry[l] = entry.get(l, algebra.field.zero) + algebra.field.element(rng.choice([1, -1, 3]))
+        out.append(g.GradedLeibnizAlgebra.build(algebra.field, algebra.group, algebra.degrees, table))
+    return out
+
+
+def algebras():
+    out = {
+        "sl2_Q": g.sl2_algebra(Q),
+        "sl2_F7": g.sl2_algebra(F7),
+        "nonlie": g.nonlie_algebra(),
+        "sl3_root": sl3_root_algebra(Q),
+    }
+    for t, algebra in enumerate(nonlie_candidates()):
+        out[f"candidate{t:02d}"] = algebra
+    for name in ("sl2_Q", "sl2_F7", "nonlie"):
+        for t, mutant in enumerate(bracket_mutants(out[name], name, 6)):
+            out[f"{name}_m{t}"] = mutant
+    for t, mutant in enumerate(bracket_mutants(out["sl3_root"], "sl3", 3)):
+        out[f"sl3_root_m{t}"] = mutant
+    return out
+
+
+ALGEBRAS = algebras()
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_algebra_verify_matches_dense_loop(name):
+    algebra = ALGEBRAS[name]
+    assert algebra.verify() == oracle_algebra_verify(algebra)
+
+
+def test_algebra_cases_cover_both_outcomes_and_both_kinds():
+    results = [oracle_algebra_verify(a) for a in ALGEBRAS.values()]
+    kinds = {v.identity for violations in results for v in violations}
+    assert kinds == {"grading", "right_leibniz"}
+    assert sum(1 for r in results if not r) >= 10
+    assert sum(1 for r in results if r) >= 20
+
+
+def test_algebra_join_reaches_every_triple_with_a_nonzero_term():
+    for name in ("sl2_Q_m0", "nonlie_m1", "sl3_root_m2"):
+        algebra = ALGEBRAS[name]
+        n = algebra.dim
+        index = index_constants(algebra.bracket_table(), n, 2)
+        reached = {q for (q, _), _ in join_residuals(algebra.field, index, RIGHT_LEIBNIZ)}
+        zero, one = algebra.field.zero, algebra.field.one
+        units = [[one if t == i else zero for t in range(n)] for i in range(n)]
+
+        def bracket(x, y):
+            return oracle_bracket(algebra, x, y)
+
+        for y, z, x in product(range(n), repeat=3):
+            terms = (
+                bracket(bracket(units[y], units[z]), units[x]),
+                bracket(bracket(units[y], units[x]), units[z]),
+                bracket(units[y], bracket(units[z], units[x])),
+            )
+            if any(any(term) for term in terms):
+                assert (y, z, x) in reached, name

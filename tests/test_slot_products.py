@@ -1,10 +1,12 @@
 """The sparse slot-product enumerator and its callers against dense oracles.
 
-`slot_products`, `ideal_closure` and `annihilator` all read the stored
-constants in one pass; here each is compared with a computation built from
-`oracle_triple` (the dense table in conftest) on every builtin, on sl2^2
-over Q and over GF(7) and on a one-constant system, with seeded random
-vectors.
+`slot_products` reads only the stored constants whose slots meet the
+support of its vector, through the per-slot index; `ideal_closure` and
+`annihilator` run on the stored constants too.  Here each is compared with
+a computation built from `oracle_triple` (the dense table in conftest) on
+every builtin, on sl2^2 over Q and over GF(7) and on a one-constant system,
+with seeded random vectors, and `slot_products` also with the unindexed
+pass `oracle_slot_products` on sparse and dense probes, sl3 included.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import product
 import pytest
 
 import gradedlts as g
-from conftest import mutate_constant, oracle_triple, sl2_square
+from conftest import mutate_constant, oracle_slot_products, oracle_triple, sl2_square, sl3_root
 
 
 def systems():
@@ -67,6 +69,33 @@ def test_slot_products_match_oracle(name):
             else:
                 assert (j, k, slot) not in products
         assert all(all(x for x in w.values()) for w in products.values())
+
+
+def sparse_probes(system, seed, count=12):
+    rng = random.Random(seed)
+    field = system.field
+    probes = []
+    for _ in range(count):
+        support = rng.sample(range(system.dim), rng.randint(1, 2))
+        probes.append({i: field.element(rng.choice([1, -1, 2, -3])) for i in support})
+    # an explicit zero coordinate is skipped, and the empty mapping has no products
+    probes.append({0: field.zero, system.dim - 1: field.one})
+    probes.append({})
+    return probes
+
+
+INDEXED = dict(SYSTEMS, sl3_root_Q=sl3_root(g.RationalField()), sl3_root_F7=sl3_root(g.PrimeField(7)))
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_indexed_slot_products_match_unindexed_pass(name):
+    system = INDEXED[name]
+    probes = sparse_probes(system, seed=name) + random_vectors(system, seed=name, count=4)
+    for v in probes:
+        products = system.slot_products(v)
+        expected = oracle_slot_products(system, v)
+        assert list(products) == list(expected)
+        assert products == expected
 
 
 def naive_closure(system, vectors):

@@ -1,6 +1,7 @@
 """Core triple system operations against frozen hand-computed values."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,9 +217,64 @@ def test_defect_ideal_vanishing_certificates(builtins):
                     ), name
 
 
+def lie_mutants():
+    """Seeded one-constant mutants of the builtins, and skew pairs
+    {b_i, b_j, b_k} = -{b_j, b_i, b_k} = b_l added to zero_3 and sl2_Z."""
+    import random
+
+    rng = random.Random(11)
+    out = []
+    for name in g.BUILTIN_NAMES:
+        system = g.builtin(name)
+        n = system.dim
+        for _ in range(4):
+            cell = [rng.randrange(n) for _ in range(4)]
+            out.append(mutate_constant(system, *cell, system.field.element(rng.choice([1, -1]))))
+    for name in ("zero_3", "sl2_Z"):
+        for i, j, k, l in ((0, 1, 0, 2), (1, 2, 2, 0), (0, 2, 1, 1)):
+            system = mutate_constant(g.builtin(name), i, j, k, l, Q.one)
+            out.append(mutate_constant(system, j, i, k, l, -Q.one))
+    return out
+
+
 def test_is_lie_triple_agrees_with_direct_oracle(builtins):
     for name, system in builtins.items():
         assert system.is_lie_triple() == oracle_is_lie(system), name
+    # the defect-ideal certificate may reject a corrupt mutant; the two
+    # tests must agree wherever it does not
+    decided = []
+    for mutant in lie_mutants():
+        expected = oracle_is_lie(mutant)
+        assert mutant._lie_axiom_oracle() == expected
+        try:
+            assert mutant.is_lie_triple() == expected
+        except CertificateFailure:
+            continue
+        decided.append(expected)
+    assert decided.count(True) >= 2 and decided.count(False) >= 2
+
+
+def test_defect_ideal_matches_closure_of_dense_generators(builtins):
+    # generators {a,b,c} - {a,c,b} + {b,c,a} at all n^3 basis triples
+    for system in list(builtins.values()) + lie_mutants():
+        n = system.dim
+        table = dense_table(system)
+        generators = []
+        for i, j, k in product(range(n), repeat=3):
+            u, v, w = table[i][j][k], table[i][k][j], table[j][k][i]
+            generators.append([a - b + c for a, b, c in zip(u, v, w)])
+        expected = system.ideal_closure(g.span(system.field, n, generators))
+        try:
+            assert system.lie_defect_ideal() == expected
+        except CertificateFailure:
+            # then some {E,E,I} or {E,I,E} product of the oracle ideal is nonzero
+            units = [unit(n, t) for t in range(n)]
+            assert any(
+                any(oracle_triple(system, units[j], units[k], row, table))
+                or any(oracle_triple(system, units[j], row, units[k], table))
+                for row in expected.basis.rows
+                for j, k in product(range(n), repeat=2)
+            )
 
 
 def test_nonlie_fixture_is_not_lie(nonlie):
