@@ -54,10 +54,10 @@ from .fixtures import (
     zero_system,
 )
 from .groups import AbelianGroup, GroupElement
+from .identities import Violation
 from .linalg import (
     Matrix,
     PrimeField,
-    PrimeFieldElement,
     RationalField,
     Subspace,
     complete_complement,
@@ -66,7 +66,7 @@ from .linalg import (
     span,
 )
 from .systemfile import dump_system, dumps_system, load_system, loads_system
-from .triples import GradedTripleSystem, Violation
+from .triples import GradedTripleSystem
 
 __all__ = [
     "AbelianGroup",
@@ -89,7 +89,6 @@ __all__ = [
     "Obstruction",
     "OracleDisagreement",
     "PrimeField",
-    "PrimeFieldElement",
     "RationalField",
     "StandardEmbedding",
     "Subspace",

@@ -21,7 +21,9 @@ Every product family of a fixed degree pattern (the class cores, the span
 of all support products, the core sources of the lemmas) comes from one
 enumerator, `_degree_products`, which walks the stored constants once and
 keeps the products {b_p, b_q, b_r} whose slot degrees lie in three given
-sets and multiply to the identity.
+sets and multiply to the identity.  These families are only spanned or
+tested for zero, so they are read off the integer image of the constants,
+as are the rows that the vanishing laws multiply.
 
 A separate report evaluates the structural vanishing and degree-confinement
 laws that drive those facts, instance by instance, and a last pass emits
@@ -90,12 +92,12 @@ class DecompositionReport:
 def _degree_products(system: GradedTripleSystem, first, second, third):
     """Stored products {b_p, b_q, b_r} of a degree pattern, with product degree 1.
 
-    Yields ((p, q, r), dense vector) in increasing (p, q, r) order for the
-    stored constants whose slot degrees lie in the sets `first`, `second`
-    and `third` and multiply to the identity.
+    Yields ((p, q, r), sparse integer image) in increasing (p, q, r) order
+    for the stored constants whose slot degrees lie in the sets `first`,
+    `second` and `third` and multiply to the identity.
     """
     degrees = system.degrees
-    for (p, q, r), entry in system.nonzero_triples():
+    for (p, q, r), entry in system.integer_triples():
         dp, dq, dr = degrees[p], degrees[q], degrees[r]
         if (
             dp in first
@@ -103,7 +105,7 @@ def _degree_products(system: GradedTripleSystem, first, second, third):
             and dr in third
             and dp.compose(dq).compose(dr).is_identity()
         ):
-            yield (p, q, r), system.vector(entry)
+            yield (p, q, r), entry
 
 
 def class_core_span(system: GradedTripleSystem, cls: ConnectionClass) -> Subspace:
@@ -174,27 +176,28 @@ def _cross_products_vanish(system, left: Subspace, right: Subspace):
     combination of the slot products of va with the coordinates of vb:
     {I_a, E, I_b} is sum_k vb[k] {va, b_m, b_k}, {I_a, I_b, E} is
     sum_j vb[j] {va, b_j, b_m} and {E, I_a, I_b} is sum_k vb[k] {b_m, va, b_k}.
+    The sums are zero-tested on the integer images of va, vb and the constants.
     """
-    zero = system.field.zero
     checks = {"left_middle": True, "left_right": True, "middle_right": True}
-    for va in left.basis.rows:
-        products = system.slot_products(va)
-        for vb in right.basis.rows:
-            sums = {}  # (family, m) -> {l: scalar}
+    rights = right.integral_rows()
+    for va in left.integral_rows():
+        products = system.int_slot_products(va)
+        for vb in rights:
+            sums = {}  # (family, m) -> {l: int}
             for (j, k, slot), w in products.items():
                 if slot == 0:
-                    terms = (("left_right", j, vb[k]), ("left_middle", k, vb[j]))
+                    terms = (("left_right", j, vb.get(k)), ("left_middle", k, vb.get(j)))
                 elif slot == 1:
-                    terms = (("middle_right", j, vb[k]),)
+                    terms = (("middle_right", j, vb.get(k)),)
                 else:
                     continue
                 for family, m, coef in terms:
                     if coef:
                         out = sums.setdefault((family, m), {})
                         for l, x in w.items():
-                            out[l] = out.get(l, zero) + coef * x
+                            out[l] = out.get(l, 0) + coef * x
             for (family, _), out in sums.items():
-                if any(out.values()):
+                if system.field.clean(out):
                     checks[family] = False
     return checks
 
@@ -500,15 +503,15 @@ def _lemma_disconnected_inverse_triple_vanishes(system, sup) -> LemmaCheck:
             if are_connected(sup, g, hbar):
                 continue
             check.instances += 1
-            eg = system.homogeneous_component(g)
-            eginv = system.homogeneous_component(g.inverse())
-            eh = system.homogeneous_component(hbar)
-            if not eginv.is_zero():
+            eg, eginv, eh = (
+                system.homogeneous_component(d).integral_rows() for d in (g, g.inverse(), hbar)
+            )
+            if eginv:
                 check.nonvacuous += 1
-            for x in eg.basis.rows:
-                for y in eginv.basis.rows:
-                    for z in eh.basis.rows:
-                        if any(system.triple_product(x, y, z)):
+            for x in eg:
+                for y in eginv:
+                    for z in eh:
+                        if system.int_triple_product(x, y, z):
                             check.failures.append(
                                 {"pair": (g.format(), hbar.format())}
                             )
@@ -520,7 +523,7 @@ def _lemma_products_confined_to_class(system, classes) -> LemmaCheck:
     # other degrees (and the product degree) into the class or the identity.
     check = LemmaCheck("nonzero_products_confined_to_class")
     degree_sets = [(set(cls.members), cls) for cls in classes]
-    for (p, q, r), entry in system.nonzero_triples():
+    for (p, q, r), entry in system.integer_triples():
         if not entry:
             continue
         dp, dq, dr = system.degrees[p], system.degrees[q], system.degrees[r]
@@ -549,9 +552,7 @@ def _lemma_products_confined_to_class(system, classes) -> LemmaCheck:
 def _core_product_sources(system, cls):
     """Basis products {b_p, b_q, b_r} whose degrees qualify as core products."""
     members = set(cls.members)
-    return list(
-        _degree_products(system, members, members | {system.group.identity()}, members)
-    )
+    return list(_degree_products(system, members, members | {system.group.identity()}, members))
 
 
 def _lemma_core_products_confined(system, classes) -> LemmaCheck:
@@ -560,7 +561,7 @@ def _lemma_core_products_confined(system, classes) -> LemmaCheck:
         members = set(cls.members)
         for (p, q, r), u in _core_product_sources(system, cls):
             # each nonzero slot product of the core vector is one instance
-            for jq, jr, slot in system.slot_products(u):
+            for jq, jr, slot in system.int_slot_products(u):
                 check.instances += 1
                 check.nonvacuous += 1
                 dl, dm = system.degrees[jq], system.degrees[jr]
@@ -583,18 +584,18 @@ def _lemma_core_disconnected_vanish(system, emb, classes, sup) -> LemmaCheck:
     # right action of the outside even component kills them, and triple
     # products through the identity component vanish.
     check = LemmaCheck("core_disconnected_products_vanish")
-    identity_comp = system.identity_component()
+    identity_comp = system.identity_component().integral_rows()
     for cls in classes:
         members = set(cls.members)
         outside = [h for h in sup.odd if h not in members]
         sources = _core_product_sources(system, cls)
         for hbar in outside:
-            eh = system.homogeneous_component(hbar)
+            eh = system.homogeneous_component(hbar).integral_rows()
             ch = emb.component(hbar)
             for (p, q, r), u in sources:
                 check.instances += 1
                 check.nonvacuous += 1
-                for y in eh.basis.rows:
+                for y in eh:
                     if any(emb.bracket_odd_odd(u, y)):
                         check.failures.append(
                             {
@@ -612,9 +613,9 @@ def _lemma_core_disconnected_vanish(system, emb, classes, sup) -> LemmaCheck:
                                 "level": "even_action",
                             }
                         )
-                for e1 in identity_comp.basis.rows:
-                    for y in eh.basis.rows:
-                        if any(system.triple_product(u, e1, y)):
+                for e1 in identity_comp:
+                    for y in eh:
+                        if system.int_triple_product(u, e1, y):
                             check.failures.append(
                                 {
                                     "core_triple": (p, q, r),

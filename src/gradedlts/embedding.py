@@ -36,8 +36,9 @@ from itertools import product
 
 from .errors import DecompositionFailure, LeibnizIdentityFailure, NotWellDefined
 from .groups import GroupElement
-from .linalg import Echelon, Subspace
-from .triples import RIGHT_LEIBNIZ, GradedTripleSystem, index_constants, term_violations
+from .identities import RIGHT_LEIBNIZ, index_constants, term_violations
+from .linalg import Echelon, Subspace, sparse
+from .triples import GradedTripleSystem
 
 
 class StandardEmbedding:
@@ -45,8 +46,9 @@ class StandardEmbedding:
 
     One set of sparse kernels carries every bracket: tensors, quotient
     coordinates and system vectors are mappings {index: nonzero scalar},
-    and products are read straight off the stored structure constants.
-    The public methods take and return dense tuples and wrap the kernels.
+    and products are read straight off the integer image of the constants,
+    so `_bracket`, `_phi` and `_psi` return D = `system.scale` times the
+    value.  The public methods take and return dense exact tuples.
     """
 
     __slots__ = (
@@ -76,9 +78,9 @@ class StandardEmbedding:
         for r, row in enumerate(reduction):
             for c, x in row.items():
                 self._columns[c][r] = x
-        # _by_pair[i*n + j][k] holds the items of {b_i, b_j, b_k}
+        # _by_pair[i*n + j][k] holds the items of D {b_i, b_j, b_k}
         self._by_pair = [{} for _ in range(tensor_dim)]
-        for (i, j, k), entry in system.nonzero_triples():
+        for (i, j, k), entry in system.integer_triples():
             self._by_pair[i * n + j][k] = tuple(entry.items())
         self._components = None
         self._support = None
@@ -87,15 +89,15 @@ class StandardEmbedding:
 
     def _reduce(self, tensor) -> dict:
         """Quotient coordinates of a sparse tensor, along N."""
-        zero, acc = self.system.field.zero, {}
+        acc = {}
         for c, x in tensor.items():
             for r, y in self._columns[c].items():
-                acc[r] = acc.get(r, zero) + x * y
-        return {r: x for r, x in acc.items() if x}
+                acc[r] = acc.get(r, 0) + x * y
+        return self.system.field.clean(acc)
 
     def _bracket(self, a, b) -> dict:
-        """[a, b] of sparse tensors: [b_i(x)b_j, b_k(x)b_l] = {i,j,k}(x)b_l - {i,j,l}(x)b_k."""
-        n, zero, acc = self.system.dim, self.system.field.zero, {}
+        """D [a, b] of sparse tensors: [b_i(x)b_j, b_k(x)b_l] = {i,j,k}(x)b_l - {i,j,l}(x)b_k."""
+        n, acc = self.system.dim, {}
         for ca, x in a.items():
             third = self._by_pair[ca]
             if third:
@@ -103,41 +105,45 @@ class StandardEmbedding:
                     k, l = divmod(cb, n)
                     coef = x * y
                     for m, c in third.get(k, ()):
-                        acc[m * n + l] = acc.get(m * n + l, zero) + coef * c
+                        acc[m * n + l] = acc.get(m * n + l, 0) + coef * c
                     for m, c in third.get(l, ()):
-                        acc[m * n + k] = acc.get(m * n + k, zero) - coef * c
-        return {t: x for t, x in acc.items() if x}
+                        acc[m * n + k] = acc.get(m * n + k, 0) - coef * c
+        return self.system.field.clean(acc)
 
     def _phi(self, tensor, w) -> dict:
-        """Left multiplication of a sparse vector w by a sparse tensor: sum {x_i, y_i, w}."""
-        zero, acc = self.system.field.zero, {}
+        """D sum {x_i, y_i, w}: a sparse tensor's left multiplication of a sparse w."""
+        acc = {}
         for c, x in tensor.items():
             third = self._by_pair[c]
             if third:
                 for k, y in w.items():
                     for l, v in third.get(k, ()):
-                        acc[l] = acc.get(l, zero) + x * y * v
-        return {l: x for l, x in acc.items() if x}
+                        acc[l] = acc.get(l, 0) + x * y * v
+        return self.system.field.clean(acc)
 
     def _psi(self, tensor, z) -> dict:
-        """Twisted right action of a sparse tensor on z: sum {z, x_i, y_i} - {z, y_i, x_i}."""
-        n, zero, acc = self.system.dim, self.system.field.zero, {}
+        """D sum {z, x_i, y_i} - {z, y_i, x_i}: a sparse tensor's twisted right action on z."""
+        n, acc = self.system.dim, {}
         for c, x in tensor.items():
             i, j = divmod(c, n)
             for k, y in z.items():
                 coef = x * y
                 for l, v in self._by_pair[k * n + i].get(j, ()):
-                    acc[l] = acc.get(l, zero) + coef * v
+                    acc[l] = acc.get(l, 0) + coef * v
                 for l, v in self._by_pair[k * n + j].get(i, ()):
-                    acc[l] = acc.get(l, zero) - coef * v
-        return {l: x for l, x in acc.items() if x}
+                    acc[l] = acc.get(l, 0) - coef * v
+        return self.system.field.clean(acc)
 
     def _lift(self, coords) -> dict:
-        return {self.coset_indices[r]: x for r, x in _sparse(coords).items()}
+        return {self.coset_indices[r]: x for r, x in sparse(coords).items()}
 
-    def _dense(self, sparse, size) -> tuple:
+    def _exact(self, kernel_result, size) -> tuple:
+        """Dense exact vector of a `_bracket`, `_phi` or `_psi` result: divided by D."""
+        return self._dense(self.system.field.unscale(kernel_result, self.system.scale), size)
+
+    def _dense(self, vec, size) -> tuple:
         out = [self.system.field.zero] * size
-        for t, x in sparse.items():
+        for t, x in vec.items():
             out[t] = x
         return tuple(out)
 
@@ -145,7 +151,7 @@ class StandardEmbedding:
 
     def reduce_tensor(self, tensor_vec) -> tuple:
         """Project a tensor-square vector to quotient coordinates along N."""
-        return self._dense(self._reduce(_sparse(tensor_vec)), self.dim_even)
+        return self._dense(self._reduce(sparse(tensor_vec)), self.dim_even)
 
     def lift(self, coords) -> tuple:
         """Canonical tensor representative of a quotient coordinate vector."""
@@ -153,31 +159,31 @@ class StandardEmbedding:
 
     def tensor_of_pair(self, x, y) -> tuple:
         """The tensor x (x) y of two system vectors, as a flat vector."""
-        return self._dense(_pair(self.system.dim, x, y), self.tensor_dim)
+        return self._dense(self.system.field.clean(_pair(self.system.dim, x, y)), self.tensor_dim)
 
     def phi_apply(self, tensor_vec, w) -> tuple:
         """Left multiplication by a tensor: sum {x_i, y_i, w}."""
-        return self._dense(self._phi(_sparse(tensor_vec), _sparse(w)), self.system.dim)
+        return self._exact(self._phi(sparse(tensor_vec), sparse(w)), self.system.dim)
 
     def psi_apply(self, tensor_vec, z) -> tuple:
         """Twisted right action of a tensor: sum {z, x_i, y_i} - {z, y_i, x_i}."""
-        return self._dense(self._psi(_sparse(tensor_vec), _sparse(z)), self.system.dim)
+        return self._exact(self._psi(sparse(tensor_vec), sparse(z)), self.system.dim)
 
     def tensor_bracket(self, tensor_a, tensor_b) -> tuple:
         """Tensor part of the bracket of two even elements (before reduction)."""
-        return self._dense(self._bracket(_sparse(tensor_a), _sparse(tensor_b)), self.tensor_dim)
+        return self._exact(self._bracket(sparse(tensor_a), sparse(tensor_b)), self.tensor_dim)
 
     # -- quotient brackets ------------------------------------------------------
 
     def bracket_even_even(self, u_coords, v_coords) -> tuple:
         bracket = self._bracket(self._lift(u_coords), self._lift(v_coords))
-        return self._dense(self._reduce(bracket), self.dim_even)
+        return self._exact(self._reduce(bracket), self.dim_even)
 
     def bracket_even_odd(self, u_coords, w) -> tuple:
-        return self._dense(self._phi(self._lift(u_coords), _sparse(w)), self.system.dim)
+        return self._exact(self._phi(self._lift(u_coords), sparse(w)), self.system.dim)
 
     def bracket_odd_even(self, z, v_coords) -> tuple:
-        return self._dense(self._psi(self._lift(v_coords), _sparse(z)), self.system.dim)
+        return self._exact(self._psi(self._lift(v_coords), sparse(z)), self.system.dim)
 
     def bracket_odd_odd(self, z, w) -> tuple:
         return self._dense(self._reduce(_pair(self.system.dim, z, w)), self.dim_even)
@@ -255,25 +261,25 @@ class _ActionMatrix:
     The phi row (w, out) holds the out-coordinate of {b_i, b_j, b_w} in
     column i*n + j, and the psi row (z, out) that of
     {b_z, b_i, b_j} - {b_z, b_j, b_i}.  All phi rows come first, then all
-    psi rows, each in (w, out) order; zero rows are left out.
+    psi rows, each in (w, out) order; zero rows are left out.  The rows hold
+    D A, read off the integer image, which has the kernel and RREF of A.
     """
 
     def __init__(self, system: GradedTripleSystem):
         n = system.dim
-        zero = system.field.zero
         blocks = {"phi": {}, "psi": {}}
-        for (i, j, k), entry in system.nonzero_triples():
+        for (i, j, k), entry in system.integer_triples():
             for l, c in entry.items():
                 blocks["phi"].setdefault((k, l), {})[i * n + j] = c
                 row = blocks["psi"].setdefault((i, l), {})
-                row[j * n + k] = row.get(j * n + k, zero) + c
-                row[k * n + j] = row.get(k * n + j, zero) - c
+                row[j * n + k] = row.get(j * n + k, 0) + c
+                row[k * n + j] = row.get(k * n + j, 0) - c
+        self.field = system.field
         self.ncols = n * n
-        self.rows = []  # (tag, {column: scalar})
+        self.rows = []  # (tag, {column: int})
         for tag, block in blocks.items():
             for key in sorted(block):
-                row = {c: v for c, v in block[key].items() if v}
-                if row:
+                if row := system.field.clean(block[key]):
                     self.rows.append((tag, row))
         self._columns = [[] for _ in range(self.ncols)]
         for r, (_, row) in enumerate(self.rows):
@@ -286,7 +292,7 @@ class _ActionMatrix:
         for c, x in vec.items():
             for r, v in self._columns[c]:
                 acc[r] = acc.get(r, 0) + v * x
-        failing = [r for r, total in acc.items() if total]
+        failing = self.field.clean(acc)
         return self.rows[min(failing)][0] if failing else None
 
 
@@ -320,35 +326,41 @@ def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix):
     every null-space basis vector nu, A nu = 0 (both actions of nu vanish;
     the tag of the first nonzero row names the action that does not), and
     for every coordinate tensor t, A [t, nu] = 0 and A [nu, t] = 0.  All
-    tensors are sparse; the dense witness lists are built only on failure.
+    tensors are sparse, and the tests run on integer images: A and the
+    bracket scale by D and nu by the lcm of its denominators, none of which
+    moves a zero.  Every term of [b_i(x)b_j, b_k(x)b_l] carries {b_i, b_j, b_k}
+    or {b_i, b_j, b_l}, so a bracket that meets no stored constant is zero
+    and passes without being formed.  Exact witnesses are built on failure.
     """
-    fmt, one = emb.system.field.format, emb.system.field.one
+    field, n, by_pair = emb.system.field, emb.system.dim, emb._by_pair
     action_messages = {
         "phi": "left action of a null tensor does not vanish",
         "psi": "twisted right action of a null tensor does not vanish",
     }
 
-    def dense(tensor):
-        return [fmt(x) for x in emb._dense(tensor, emb.tensor_dim)]
+    def dense(vec):
+        return [field.format(x) for x in vec]
 
     for row in emb.null_space.basis.rows:
-        nu = _sparse(row)
+        nu = field.integral(row)[0]
         emb.descent_instances += 1
         failing = action.failing_action(nu)
         if failing:
-            raise NotWellDefined(action_messages[failing], witness={"tensor": dense(nu)})
+            raise NotWellDefined(action_messages[failing], witness={"tensor": dense(row)})
+        thirds = {k for c in nu for k in by_pair[c]}  # [nu, b_k(x)b_l] needs k or l here
         for c in range(emb.tensor_dim):
             emb.descent_instances += 2
-            outward = emb._bracket({c: one}, nu)
-            if action.failing_action(outward):
+            if by_pair[c] and action.failing_action(emb._bracket({c: 1}, nu)):
+                outward = emb._exact(emb._bracket({c: 1}, sparse(row)), emb.tensor_dim)
                 raise NotWellDefined(
                     "bracket of the tensor square into the null space escapes it",
-                    witness={"coordinate": c, "null_vector": dense(nu), "bracket": dense(outward)},
+                    witness={"coordinate": c, "null_vector": dense(row), "bracket": dense(outward)},
                 )
-            if action.failing_action(emb._bracket(nu, {c: one})):
+            inward = not thirds.isdisjoint(divmod(c, n))
+            if inward and action.failing_action(emb._bracket(nu, {c: 1})):
                 raise NotWellDefined(
                     "bracket of the null space into the tensor square escapes it",
-                    witness={"coordinate": c, "null_vector": dense(nu)},
+                    witness={"coordinate": c, "null_vector": dense(row)},
                 )
 
 
@@ -357,25 +369,25 @@ def _certify_leibniz_identity(emb: StandardEmbedding):
 
     Basis element a < dim_even of L is the even coordinate a, and a >= dim_even
     the system basis vector a - dim_even.  The bracket table on basis elements
-    holds sparse vectors over L, read off the stored constants and the
-    reduction; the identity runs through the exact term-driven join over its
-    nonzero entries, and the witness is the first failing (y, z, x).
+    holds exact sparse vectors over L, read off the stored constants and
+    the reduction; the identity runs through the exact term-driven join
+    over its nonzero entries, and the witness is the first failing (y, z, x).
     """
-    field = emb.system.field
-    one = field.one
+    field, scale = emb.system.field, emb.system.scale
     s, n, cosets = emb.dim_even, emb.system.dim, emb.coset_indices
     m = s + n
 
     def entry(a, b):
         if a < s and b < s:
-            return emb._reduce(emb._bracket({cosets[a]: one}, {cosets[b]: one}))
+            bracket = emb._reduce(emb._bracket({cosets[a]: 1}, {cosets[b]: 1}))
+            return field.unscale(bracket, scale)
         if a >= s and b >= s:
             return emb._columns[(a - s) * n + b - s]
         if a < s:
-            odd = emb._phi({cosets[a]: one}, {b - s: one})
+            odd = emb._phi({cosets[a]: 1}, {b - s: 1})
         else:
-            odd = emb._psi({cosets[b]: one}, {a - s: one})
-        return {s + l: x for l, x in odd.items()}
+            odd = emb._psi({cosets[b]: 1}, {a - s: 1})
+        return {s + l: x for l, x in field.unscale(odd, scale).items()}
 
     table = {(a, b): e for a, b in product(range(m), repeat=2) if (e := entry(a, b))}
     violations = term_violations(field, index_constants(table, m, 2), RIGHT_LEIBNIZ)
@@ -387,12 +399,7 @@ def _certify_leibniz_identity(emb: StandardEmbedding):
     emb.leibniz_instances = m**3
 
 
-def _sparse(vec) -> dict:
-    """{index: scalar} of the nonzero entries of a dense vector."""
-    return {t: x for t, x in enumerate(vec) if x}
-
-
 def _pair(n, x, y) -> dict:
-    """The sparse tensor x (x) y of two dense system vectors."""
-    y = _sparse(y)
-    return {i * n + j: xi * yj for i, xi in _sparse(x).items() for j, yj in y.items()}
+    """The sparse tensor x (x) y of two dense system vectors, unreduced."""
+    y = sparse(y)
+    return {i * n + j: xi * yj for i, xi in sparse(x).items() for j, yj in y.items()}

@@ -21,8 +21,9 @@ from typing import Mapping
 
 from .errors import InputError
 from .groups import AbelianGroup, GroupElement
+from .identities import RIGHT_LEIBNIZ, Violation, index_constants, term_violations
 from .linalg import RationalField
-from .triples import RIGHT_LEIBNIZ, GradedTripleSystem, Violation, index_constants, term_violations
+from .triples import GradedTripleSystem
 
 BUILTIN_NAMES = ("zero_3", "sl2_Z", "disjoint_sum", "nonlie_J", "trivial_grading_sl2")
 
@@ -66,9 +67,9 @@ class GradedLeibnizAlgebra:
         """Grading compatibility, then the right Leibniz identity on basis triples.
 
         Grading violations come first, in bracket order.  The identity is
-        checked by the term-driven join over the stored brackets, exact
-        because a triple that no term reaches has every term zero; its
-        violations follow in (y, z, x) order.
+        checked by the term-driven join over the integer image of the
+        brackets, exact because a triple that no term reaches has every term
+        zero; its violations follow in (y, z, x) order.
         """
         violations = []
         zero = self.field.zero
@@ -81,8 +82,9 @@ class GradedLeibnizAlgebra:
                     vec = [zero] * n
                     vec[l] = entry[l]
                     violations.append(Violation("grading", (i, j, l), tuple(vec)))
-        index = index_constants(table, n, 2)
-        return violations + term_violations(self.field, index, RIGHT_LEIBNIZ)
+        ints, scale = self.field.integer_image(table)
+        index = index_constants(ints, n, 2)
+        return violations + term_violations(self.field, index, RIGHT_LEIBNIZ, scale**2)
 
 
 def from_leibniz_algebra(algebra: GradedLeibnizAlgebra) -> GradedTripleSystem:
@@ -99,7 +101,6 @@ def from_leibniz_algebra(algebra: GradedLeibnizAlgebra) -> GradedTripleSystem:
             "refusing to build the triple system"
         )
     n = algebra.dim
-    zero = algebra.field.zero
     table = algebra.bracket_table()
     products: dict[tuple[int, int, int], dict[int, object]] = {}
     for (i, j), inner in table.items():
@@ -107,9 +108,8 @@ def from_leibniz_algebra(algebra: GradedLeibnizAlgebra) -> GradedTripleSystem:
             acc: dict[int, object] = {}
             for m, c in inner.items():
                 for l, c2 in table.get((m, k), {}).items():
-                    acc[l] = acc.get(l, zero) + c * c2
-            acc = {l: v for l, v in acc.items() if v}
-            if acc:
+                    acc[l] = acc.get(l, 0) + c * c2
+            if acc := algebra.field.clean(acc):
                 products[(i, j, k)] = acc
     return GradedTripleSystem(algebra.field, algebra.group, algebra.degrees, products)
 

@@ -1,0 +1,146 @@
+"""Identities as tables of signed terms, checked by an exact join of stored constants.
+
+The two five-term identities of a Leibniz triple system, the derived
+six-term identity and the right Leibniz identity of an algebra each nest
+one stored constant in another, so they hold on all basis tuples (enough,
+as each is multilinear) exactly when the join finds no nonzero residual: a
+tuple the join never reaches has residual zero.  On an integer image (D
+times the constants) a residual scales by D^2 and is divided back.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One failed identity instance: which identity, where, and the residual."""
+
+    identity: str
+    indices: tuple[int, ...]
+    residual: tuple
+
+    def describe(self, field) -> dict:
+        return {
+            "identity": self.identity,
+            "indices": list(self.indices),
+            "residual": [field.format(x) for x in self.residual],
+        }
+
+
+# An identity is (name, terms).  A term (sign, fed, inner, outer) stands, at
+# a basis tuple q, for sign times the product with the inner product of
+# b_q[p], p in `inner`, in slot `fed` and b_q[p], p in `outer`, in its other
+# slots in order.  inner + outer lists every position once, so an inner
+# constant and an outer constant fed by one of its outputs meet at one tuple.
+AXIOM_TERMS = (
+    # {a,{b,c,d},e} = {{a,b,c},d,e} - {{a,c,b},d,e} - {{a,d,b},c,e} + {{a,d,c},b,e}
+    ("middle_slot", ((1, 1, (1, 2, 3), (0, 4)), (-1, 0, (0, 1, 2), (3, 4)),
+                     (1, 0, (0, 2, 1), (3, 4)), (1, 0, (0, 3, 1), (2, 4)),
+                     (-1, 0, (0, 3, 2), (1, 4)))),
+    # {a,b,{c,d,e}} = {{a,b,c},d,e} - {{a,b,d},c,e} - {{a,b,e},c,d} + {{a,b,e},d,c}
+    ("right_slot", ((1, 2, (2, 3, 4), (0, 1)), (-1, 0, (0, 1, 2), (3, 4)),
+                    (1, 0, (0, 1, 3), (2, 4)), (1, 0, (0, 1, 4), (2, 3)),
+                    (-1, 0, (0, 1, 4), (3, 2)))),
+)
+# {{c,d,e},b,a} - {{c,d,e},a,b} - {{c,b,a},d,e} + {{c,a,b},d,e}
+#   - {c,{a,b,d},e} - {c,d,{a,b,e}} = 0
+SIX_TERM = (
+    ("six_term", ((1, 0, (2, 3, 4), (1, 0)), (-1, 0, (2, 3, 4), (0, 1)),
+                  (-1, 0, (2, 1, 0), (3, 4)), (1, 0, (2, 0, 1), (3, 4)),
+                  (-1, 1, (0, 1, 3), (2, 4)), (-1, 2, (0, 1, 4), (2, 3)))),
+)
+# [[y,z],x] - [[y,x],z] - [y,[z,x]] = 0 in a right Leibniz algebra, at (y, z, x)
+RIGHT_LEIBNIZ = (
+    ("right_leibniz", ((1, 0, (0, 1), (2,)), (-1, 0, (0, 2), (1,)), (-1, 1, (1, 2), (0,)))),
+)
+
+
+def index_constants(table, n: int, arity: int):
+    """Index stored constants by slot and by output coordinate.
+
+    `table` maps keys of `arity` basis indices to sparse entries {l: x}.
+    Returns (table, by_slot, by_output): by_slot[s][i] lists the keys with
+    key[s] == i and by_output[l] the keys whose entry has an l coordinate,
+    in increasing order.  Only lists are added, as the index lives as long
+    as its system.
+    """
+    by_slot = tuple([[] for _ in range(n)] for _ in range(arity))
+    by_output = [[] for _ in range(n)]
+    for key in sorted(table):
+        for s, i in enumerate(key):
+            by_slot[s][i].append(key)
+        for l in table[key]:
+            by_output[l].append(key)
+    return table, by_slot, by_output
+
+
+def join_residuals(index, identities):
+    """Residuals of the identities at every basis tuple that some term reaches.
+
+    A term at a tuple sums, over the outputs b_l of its inner constant, x_l
+    times the outer constant with b_l in slot `fed`, so it is nonzero only
+    if both are stored.  Joining every stored inner constant with every
+    stored outer constant fed by one of its outputs thus reaches every tuple
+    with a nonzero term and sums each term there in full; a tuple no term
+    reaches has every term zero, so its residual is zero: the join is exact.
+
+    One leading index a = q[0] at a time: a term starts from the stored
+    constants with a in the slot that carries position 0, inner (then outer
+    through `by_slot`) or outer (then inner through `by_output`).  Yields
+    ((q, identity index), residual) for every reached pair, cancelled
+    residuals included, in increasing order, holding one bucket at a time;
+    residuals are left unreduced.
+    """
+    table, by_slot, by_output = index
+    arity = len(by_slot)
+    plan = []
+    for ident, (_, terms) in enumerate(identities):
+        for sign, fed, inner, outer in terms:
+            # where each position sits in the inner key followed by the outer key
+            slots = [t for t in range(arity) if t != fed]
+            source = [inner.index(p) if p in inner else arity + slots[outer.index(p)]
+                      for p in range(2 * arity - 1)]
+            start = (True, source[0]) if source[0] < arity else (False, source[0] - arity)
+            plan.append((ident, sign < 0, fed, itemgetter(*source), start))
+    for a in range(len(by_output)):
+        acc: dict[tuple, object] = {}  # (q, identity index, output m) -> scalar
+        for ident, negate, fed, place, (from_inner, slot) in plan:
+            if from_inner:
+                pairs = (
+                    (key, x, outer)
+                    for key in by_slot[slot][a]
+                    for l, x in table[key].items()
+                    for outer in by_slot[fed][l]
+                )
+            else:
+                pairs = (
+                    (key, table[key][outer[fed]], outer)
+                    for outer in by_slot[slot][a]
+                    for key in by_output[outer[fed]]
+                )
+            for inner, x, outer in pairs:
+                q = place(inner + outer)
+                for m, y in table[outer].items():
+                    key = (q, ident, m)
+                    if negate:
+                        acc[key] = acc.get(key, 0) - x * y
+                    else:
+                        acc[key] = acc.get(key, 0) + x * y
+        for target, group in groupby(sorted(acc), key=lambda key: key[:2]):
+            yield target, {key[2]: acc[key] for key in group}
+
+
+def term_violations(field, index, identities, scale=1) -> list[Violation]:
+    """The nonzero residuals of `join_residuals` as violations, in its order,
+    divided back by `scale`, the factor by which the indexed table scales them."""
+    violations = []
+    for (indices, ident), residual in join_residuals(index, identities):
+        if residual := field.clean(residual):
+            residual = field.unscale(residual, scale)
+            vector = tuple(residual.get(m, field.zero) for m in range(len(index[2])))
+            violations.append(Violation(identities[ident][0], indices, vector))
+    return violations

@@ -1,10 +1,16 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Scalars are either arbitrary-precision rationals (``fractions.Fraction``,
-always in lowest terms with positive denominator) or residues modulo a
-prime.  Arithmetic is exact; rank and zero tests are never approximate, so
-intermediate entry growth during elimination is unbounded by design.
-Scalar strings "a" and "a/b" of any length parse and format exactly.
+Scalars are arbitrary-precision rationals (``fractions.Fraction``, in lowest
+terms with positive denominator) or, over GF(p), plain ints in [0, p).  The
+field supplies what ``+ - *`` lacks: `inverse`, and `clean`, which reduces
+an accumulated sparse vector once and drops its zeros, so hot loops work on
+unreduced ints.  Scaling moves no zero, so over Q the zero and membership
+tests run on integer images: `integral` clears a vector to a primitive
+integer vector, `integer_image` a table to D times it (D the lcm of its
+denominators), and `unscale` divides a reported result back.  Residues are
+their own integer image.  Arithmetic is exact: no rank or zero test is
+approximate, and entry growth is unbounded by design.  Scalar strings "a"
+and "a/b" of any length parse and format exactly.
 
 All elimination goes through one sparse eliminator, `Echelon`; `rref`,
 kernels, complements, subspace membership, sums and intersections (by
@@ -21,8 +27,10 @@ concurrent read-only use.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 from .errors import InputError
 
@@ -104,101 +112,12 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class PrimeFieldElement:
-    """A residue modulo a prime, normalized to the range [0, p)."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.p != self.p:
-                raise ValueError("mixed prime field moduli")
-            return other
-        if isinstance(other, int):
-            return PrimeFieldElement(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.value + o.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.value - o.value, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(o.value - self.value, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.value == 0:
-            raise ZeroDivisionError("division by zero residue")
-        return PrimeFieldElement(self.value * pow(o.value, self.p - 2, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.value, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, PrimeFieldElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.p})"
-
-    def __str__(self):
-        return str(self.value)
-
-
 class RationalField:
-    """The field of rationals with arbitrary-precision exact arithmetic."""
+    """The field of rationals; kernels may hold ints, stored rows are Fractions."""
 
     kind = "rational"
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def element(self, x) -> Fraction:
         """Coerce an int, Fraction, or "a"/"a/b" string into a scalar."""
@@ -215,6 +134,38 @@ class RationalField:
             return _decimal(x.numerator)
         return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
+    def inverse(self, x) -> Fraction:
+        return self.one / x
+
+    def clean(self, vec: dict) -> dict:
+        """The nonzero entries of an accumulated sparse vector."""
+        return {t: x for t, x in vec.items() if x}
+
+    def integral(self, vec) -> tuple[dict, object]:
+        """(w, c): the primitive integer vector w = c * vec of a dense or sparse
+        vector, as {index: int}; zero and membership tests may run on w."""
+        v = sparse(vec)
+        d = lcm(*(x.denominator for x in v.values()))
+        w = {t: x.numerator * (d // x.denominator) for t, x in v.items()}
+        g = gcd(*w.values())
+        if g > 1:
+            return {t: x // g for t, x in w.items()}, Fraction(d, g)
+        return w, d
+
+    def integer_image(self, table: dict) -> tuple[dict, int]:
+        """(ints, D) for a table {key: {index: scalar}}: D is the lcm of its
+        denominators and ints holds D times each entry as an int."""
+        d = lcm(*(x.denominator for entry in table.values() for x in entry.values()))
+        ints = {
+            key: {l: x.numerator * (d // x.denominator) for l, x in entry.items()}
+            for key, entry in table.items()
+        }
+        return ints, d
+
+    def unscale(self, vec: dict, c) -> dict:
+        """{t: x / c}: the exact vector of which `vec` is c times."""
+        return {t: Fraction(x, c) for t, x in vec.items()}
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -226,40 +177,49 @@ class RationalField:
 
 
 class PrimeField:
-    """The finite field with p elements, p prime."""
+    """The finite field with p elements, p prime; its scalars are ints in [0, p),
+    their own integer image, so `integral` only drops zeros and D is 1."""
 
     kind = "prime"
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):
             raise InputError(f"modulus {p!r} is not a prime")
         self.p = p
 
-    @property
-    def zero(self):
-        return PrimeFieldElement(0, self.p)
-
-    @property
-    def one(self):
-        return PrimeFieldElement(1, self.p)
-
-    def element(self, x) -> PrimeFieldElement:
-        """Coerce an int, residue, or "a"/"a/b" string into a scalar."""
-        if isinstance(x, PrimeFieldElement):
-            if x.p != self.p:
-                raise InputError("residue from a different prime field")
-            return x
+    def element(self, x) -> int:
+        """Coerce an int or "a"/"a/b" string into a residue."""
         if isinstance(x, int):
-            return PrimeFieldElement(x, self.p)
+            return x % self.p
         if isinstance(x, str):
             numerator, denominator = _parse_scalar(x)
             if denominator % self.p == 0:
                 raise InputError(f"scalar {_quote(x)} has denominator divisible by {self.p}")
-            return PrimeFieldElement(numerator, self.p) / PrimeFieldElement(denominator, self.p)
+            return numerator * pow(denominator, -1, self.p) % self.p
         raise InputError(f"cannot interpret {x!r} as a mod-{self.p} scalar")
 
     def format(self, x) -> str:
         return str(x)
+
+    def inverse(self, x) -> int:
+        return pow(x, -1, self.p)
+
+    def clean(self, vec: dict) -> dict:
+        """The entries of an accumulated sparse vector reduced mod p, zeros dropped."""
+        p = self.p
+        return {t: r for t, x in vec.items() if (r := x % p)}
+
+    def integral(self, vec) -> tuple[dict, int]:
+        return sparse(vec), 1
+
+    def integer_image(self, table: dict) -> tuple[dict, int]:
+        return table, 1
+
+    def unscale(self, vec: dict, c) -> dict:
+        inv, p = pow(c, -1, self.p), self.p
+        return {t: x * inv % p for t, x in vec.items()}
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -269,6 +229,12 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
+
+
+def sparse(vec) -> dict:
+    """{index: scalar} of the nonzero entries of a dense sequence or sparse mapping."""
+    items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+    return {t: x for t, x in items if x}
 
 
 def field_from_descriptor(descriptor: dict):
@@ -331,17 +297,11 @@ class Matrix:
 
 
 def _eliminate(v: dict, p: int, row: dict) -> None:
-    """v -= v[p] * row in place, for a stored row with row[p] = 1; zeros are dropped."""
+    """v -= v[p] * row in place, for a stored row with row[p] = 1; entries stay unreduced."""
     coef = v.pop(p)
     for c, x in row.items():
-        if c in v:
-            y = v[c] - coef * x
-            if y:
-                v[c] = y
-            else:
-                del v[c]
-        elif c != p:
-            v[c] = -coef * x
+        if c != p:
+            v[c] = v.get(c, 0) - coef * x
 
 
 class Echelon:
@@ -375,7 +335,7 @@ class Echelon:
         rows = self.rows
         for p in [c for c in v if c in rows]:
             _eliminate(v, p, rows[p])
-        return v
+        return self.field.clean(v)
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
@@ -383,12 +343,14 @@ class Echelon:
         if not v:
             return False
         p = min(v)
-        inv = self.field.one / v[p]
-        row = {c: v[c] * inv for c in sorted(v)}
-        for other in self.rows.values():
+        field, rows = self.field, self.rows
+        inv = field.inverse(v[p])
+        row = field.clean({c: v[c] * inv for c in sorted(v)})
+        for q, other in rows.items():
             if p in other:
                 _eliminate(other, p, row)
-        self.rows[p] = row
+                rows[q] = field.clean(other)
+        rows[p] = row
         return True
 
     @property
@@ -468,6 +430,10 @@ class Subspace:
 
     def contains(self, vec) -> bool:
         return not self._echelon.reduce(vec)
+
+    def integral_rows(self) -> list[dict]:
+        """The basis rows as sparse primitive integer vectors (see `integral`)."""
+        return [self.field.integral(self._echelon.rows[p])[0] for p in self.pivots]
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)

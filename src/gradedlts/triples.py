@@ -2,15 +2,12 @@
 
 A system is a finite-dimensional vector space with an ordered basis, a
 degree map into an abelian group, and a trilinear product {.,.,.} given by
-sparse structure constants.  The two defining five-term identities of a
-Leibniz triple system and the derived six-term identity hold on all basis
-tuples (enough, as each is multilinear) exactly when a term-driven join of
-the stored constants finds no nonzero residual: each term nests one stored
-constant in another, so a tuple the join never reaches has residual zero.
-The grading condition {E_g, E_h, E_k} in E_{ghk} is checked constant by
-constant.  The products of a vector with every basis pair, which the ideal
-predicate, ideal closures and the defect-ideal certificate need, come from
-`slot_products`, which reads only the constants its vector meets.
+sparse structure constants.  The identities are checked by the join of
+`identities`, the grading {E_g, E_h, E_k} in E_{ghk} constant by constant.
+Products of a vector with every basis pair come from `int_slot_products`,
+which reads only the constants the vector meets.  Zero and span tests run
+on the integer image of the constants (`scale` = D times them; over GF(p)
+the residues) and on primitive integer vectors: scaling moves no zero.
 
 Systems are immutable after construction; verification sweeps are pure and
 may be run concurrently on the same instance.
@@ -18,143 +15,14 @@ may be run concurrently on the same instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import groupby
+from collections.abc import Mapping
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import CertificateFailure, InputError, OracleDisagreement
 from .groups import AbelianGroup, GroupElement
+from .identities import AXIOM_TERMS, SIX_TERM, Violation, index_constants, term_violations
 from .linalg import Echelon, Subspace
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One failed identity instance: which identity, where, and the residual."""
-
-    identity: str
-    indices: tuple[int, ...]
-    residual: tuple
-
-    def describe(self, field) -> dict:
-        return {
-            "identity": self.identity,
-            "indices": list(self.indices),
-            "residual": [field.format(x) for x in self.residual],
-        }
-
-
-# An identity is (name, terms).  A term (sign, fed, inner, outer) stands, at
-# a basis tuple q, for sign times the product with the inner product of
-# b_q[p], p in `inner`, in slot `fed` and b_q[p], p in `outer`, in its other
-# slots in order.  inner + outer lists every position once, so an inner
-# constant and an outer constant fed by one of its outputs meet at one tuple.
-AXIOM_TERMS = (
-    # {a,{b,c,d},e} = {{a,b,c},d,e} - {{a,c,b},d,e} - {{a,d,b},c,e} + {{a,d,c},b,e}
-    ("middle_slot", ((1, 1, (1, 2, 3), (0, 4)), (-1, 0, (0, 1, 2), (3, 4)),
-                     (1, 0, (0, 2, 1), (3, 4)), (1, 0, (0, 3, 1), (2, 4)),
-                     (-1, 0, (0, 3, 2), (1, 4)))),
-    # {a,b,{c,d,e}} = {{a,b,c},d,e} - {{a,b,d},c,e} - {{a,b,e},c,d} + {{a,b,e},d,c}
-    ("right_slot", ((1, 2, (2, 3, 4), (0, 1)), (-1, 0, (0, 1, 2), (3, 4)),
-                    (1, 0, (0, 1, 3), (2, 4)), (1, 0, (0, 1, 4), (2, 3)),
-                    (-1, 0, (0, 1, 4), (3, 2)))),
-)
-# {{c,d,e},b,a} - {{c,d,e},a,b} - {{c,b,a},d,e} + {{c,a,b},d,e}
-#   - {c,{a,b,d},e} - {c,d,{a,b,e}} = 0
-SIX_TERM = (
-    ("six_term", ((1, 0, (2, 3, 4), (1, 0)), (-1, 0, (2, 3, 4), (0, 1)),
-                  (-1, 0, (2, 1, 0), (3, 4)), (1, 0, (2, 0, 1), (3, 4)),
-                  (-1, 1, (0, 1, 3), (2, 4)), (-1, 2, (0, 1, 4), (2, 3)))),
-)
-# [[y,z],x] - [[y,x],z] - [y,[z,x]] = 0 in a right Leibniz algebra, at (y, z, x)
-RIGHT_LEIBNIZ = (
-    ("right_leibniz", ((1, 0, (0, 1), (2,)), (-1, 0, (0, 2), (1,)), (-1, 1, (1, 2), (0,)))),
-)
-
-
-def index_constants(table, n: int, arity: int):
-    """Index stored constants by slot and by output coordinate.
-
-    `table` maps keys of `arity` basis indices to sparse entries {l: x}.
-    Returns (table, by_slot, by_output): by_slot[s][i] lists the keys with
-    key[s] == i and by_output[l] the keys whose entry has an l coordinate,
-    in increasing order.  Only lists are added, as the index lives as long
-    as its system.
-    """
-    by_slot = tuple([[] for _ in range(n)] for _ in range(arity))
-    by_output = [[] for _ in range(n)]
-    for key in sorted(table):
-        for s, i in enumerate(key):
-            by_slot[s][i].append(key)
-        for l in table[key]:
-            by_output[l].append(key)
-    return table, by_slot, by_output
-
-
-def join_residuals(field, index, identities):
-    """Residuals of the identities at every basis tuple that some term reaches.
-
-    A term at a tuple sums, over the outputs b_l of its inner constant, x_l
-    times the outer constant with b_l in slot `fed`, so it is nonzero only
-    if both are stored.  Joining every stored inner constant with every
-    stored outer constant fed by one of its outputs thus reaches every tuple
-    with a nonzero term and sums each term there in full; a tuple no term
-    reaches has every term zero, so its residual is zero: the join is exact.
-
-    One leading index a = q[0] at a time: a term starts from the stored
-    constants with a in the slot that carries position 0, inner (then outer
-    through `by_slot`) or outer (then inner through `by_output`).  Yields
-    ((q, identity index), residual) for every reached pair, cancelled
-    residuals included, in increasing order, holding one bucket at a time.
-    """
-    table, by_slot, by_output = index
-    arity = len(by_slot)
-    zero = field.zero
-    plan = []
-    for ident, (_, terms) in enumerate(identities):
-        for sign, fed, inner, outer in terms:
-            # where each position sits in the inner key followed by the outer key
-            slots = [t for t in range(arity) if t != fed]
-            source = [inner.index(p) if p in inner else arity + slots[outer.index(p)]
-                      for p in range(2 * arity - 1)]
-            start = (True, source[0]) if source[0] < arity else (False, source[0] - arity)
-            plan.append((ident, sign < 0, fed, itemgetter(*source), start))
-    for a in range(len(by_output)):
-        acc: dict[tuple, object] = {}  # (q, identity index, output m) -> scalar
-        for ident, negate, fed, place, (from_inner, slot) in plan:
-            if from_inner:
-                pairs = (
-                    (key, x, outer)
-                    for key in by_slot[slot][a]
-                    for l, x in table[key].items()
-                    for outer in by_slot[fed][l]
-                )
-            else:
-                pairs = (
-                    (key, table[key][outer[fed]], outer)
-                    for outer in by_slot[slot][a]
-                    for key in by_output[outer[fed]]
-                )
-            for inner, x, outer in pairs:
-                q = place(inner + outer)
-                for m, y in table[outer].items():
-                    key = (q, ident, m)
-                    if negate:
-                        acc[key] = acc.get(key, zero) - x * y
-                    else:
-                        acc[key] = acc.get(key, zero) + x * y
-        for target, group in groupby(sorted(acc), key=lambda key: key[:2]):
-            yield target, {key[2]: acc[key] for key in group}
-
-
-def term_violations(field, index, identities) -> list[Violation]:
-    """The nonzero residuals of `join_residuals` as violations, in its order."""
-    violations = []
-    for (indices, ident), residual in join_residuals(field, index, identities):
-        if any(residual.values()):
-            vector = tuple(residual.get(m, field.zero) for m in range(len(index[2])))
-            violations.append(Violation(identities[ident][0], indices, vector))
-    return violations
 
 
 class GradedTripleSystem:
@@ -164,9 +32,11 @@ class GradedTripleSystem:
     {b_i, b_j, b_k} as a mapping from output index l to a nonzero scalar.
     Unspecified triples are zero.  No symmetry of any kind is assumed; the
     product of a Leibniz triple system is not antisymmetric in general.
+    One table is stored: the integer image of the constants, `scale` (D)
+    times them (over GF(p) the residues, D = 1); exact values divide by D.
     """
 
-    __slots__ = ("field", "group", "dim", "degrees", "_table", "_index")
+    __slots__ = ("field", "group", "dim", "degrees", "scale", "_table", "_index")
 
     def __init__(
         self,
@@ -198,29 +68,41 @@ class GradedTripleSystem:
         self.group = group
         self.dim = n
         self.degrees = degrees
-        self._table = table
-        self._index = index_constants(table, n, 3)
+        self._table, self.scale = field.integer_image(table)
+        self._index = index_constants(self._table, n, 3)
 
     # -- product evaluation -------------------------------------------------
 
     def nonzero_triples(self):
-        """Iterate ((i, j, k), {l: scalar}) over the stored constants."""
+        """Iterate ((i, j, k), {l: scalar}) over the structure constants."""
+        unscale, scale = self.field.unscale, self.scale
         for key in sorted(self._table):
-            yield key, dict(self._table[key])
+            yield key, unscale(self._table[key], scale)
+
+    def integer_triples(self):
+        """Sorted ((i, j, k), {l: int}) of the stored integer image; do not change the mappings."""
+        return sorted(self._table.items())
 
     def triple_product(self, x: Sequence, y: Sequence, z: Sequence) -> tuple:
         """Trilinear extension of the structure constants to vectors."""
         n = self.dim
         if len(x) != n or len(y) != n or len(z) != n:
             raise InputError("vector length does not match system dimension")
-        zero = self.field.zero
-        out = [zero] * n
-        for (i, j, k), entry in self._table.items():
-            coef = x[i] * y[j] * z[k]
-            if coef:
-                for l, c in entry.items():
-                    out[l] = out[l] + coef * c
-        return tuple(out)
+        (x, a), (y, b), (z, c) = map(self.field.integral, (x, y, z))
+        product = self.int_triple_product(x, y, z)
+        return tuple(self.vector(self.field.unscale(product, a * b * c * self.scale)))
+
+    def int_triple_product(self, x: Mapping, y: Mapping, z: Mapping) -> dict:
+        """`scale` {x, y, z} of sparse integer vectors, reduced, zeros dropped."""
+        table, (by_first, _, _), _ = self._index
+        acc: dict[int, object] = {}
+        for i, a in x.items():
+            for key in by_first[i]:
+                coef = a * y.get(key[1], 0) * z.get(key[2], 0)
+                if coef:
+                    for l, c in table[key].items():
+                        acc[l] = acc.get(l, 0) + coef * c
+        return self.field.clean(acc)
 
     def vector(self, sparse: Mapping[int, object]) -> list:
         """Dense coordinate list of a sparse mapping l -> scalar."""
@@ -238,26 +120,25 @@ class GradedTripleSystem:
         as sparse mappings l -> scalar, with keys in increasing order; a
         missing key means the product is zero.
         """
-        if not isinstance(v, Mapping):
-            if len(v) != self.dim:
-                raise InputError("vector length does not match system dimension")
-            v = dict(enumerate(v))
-        zero = self.field.zero
+        if not isinstance(v, Mapping) and len(v) != self.dim:
+            raise InputError("vector length does not match system dimension")
+        w, c = self.field.integral(v)
+        unscale, scale = self.field.unscale, c * self.scale
+        return {key: unscale(out, scale) for key, out in self.int_slot_products(w).items()}
+
+    def int_slot_products(self, w: Mapping) -> dict[tuple[int, int, int], dict[int, object]]:
+        """`slot_products` of a sparse integer vector, each `scale` times, reduced."""
+        table, by_slot, _ = self._index
         acc: dict[tuple[int, int, int], dict[int, object]] = {}
-        for slot, by_index in enumerate(self._index[1]):
+        for slot, by_index in enumerate(by_slot):
             others = itemgetter(*[t for t in range(3) if t != slot])
-            for i, coef in v.items():
-                if coef:
-                    for key in by_index[i]:
-                        out = acc.setdefault((*others(key), slot), {})
-                        for l, x in self._table[key].items():
-                            out[l] = out.get(l, zero) + coef * x
-        products = {}
-        for key in sorted(acc):
-            out = {l: x for l, x in acc[key].items() if x}
-            if out:
-                products[key] = out
-        return products
+            for i, coef in w.items():
+                for key in by_index[i]:
+                    out = acc.setdefault((*others(key), slot), {})
+                    for l, x in table[key].items():
+                        out[l] = out.get(l, 0) + coef * x
+        clean = self.field.clean
+        return {key: out for key in sorted(acc) if (out := clean(acc[key]))}
 
     # -- identity sweeps ----------------------------------------------------
 
@@ -269,7 +150,7 @@ class GradedTripleSystem:
         its nonzero residual, in quintuple order, then middle_slot before
         right_slot; a valid system yields the empty list.
         """
-        return term_violations(self.field, self._index, AXIOM_TERMS)
+        return term_violations(self.field, self._index, AXIOM_TERMS, self.scale**2)
 
     def verify_fundamental_identity(self) -> list[Violation]:
         """Check the derived six-term identity on every basis quintuple.
@@ -278,12 +159,12 @@ class GradedTripleSystem:
         the two defining ones, so it must come back empty whenever those
         pass; it is checked independently as a cross-validation.
         """
-        return term_violations(self.field, self._index, SIX_TERM)
+        return term_violations(self.field, self._index, SIX_TERM, self.scale**2)
 
     def verify_grading(self) -> list[Violation]:
         """Check degree compatibility of every stored structure constant."""
         violations = []
-        for (i, j, k), entry in sorted(self._table.items()):
+        for (i, j, k), entry in self.nonzero_triples():
             expected = self.degrees[i].compose(self.degrees[j]).compose(self.degrees[k])
             for l in sorted(entry):
                 if self.degrees[l] != expected:
@@ -319,20 +200,18 @@ class GradedTripleSystem:
         """Least ideal containing `sub`.
 
         Fixed-point iteration adding the nonzero slot products {v, E, E},
-        {E, v, E} and {E, E, v} of every new spanning vector v; terminates
-        because the dimension grows strictly until stable (at most `dim`
-        steps).  The result is the canonical basis, whatever the order in
-        which products were added.
+        {E, v, E} and {E, E, v} of every new spanning vector v, on integer
+        images; terminates because the dimension grows strictly until
+        stable (at most `dim` steps).  The result is the canonical basis,
+        whatever the order in which products (or multiples) were added.
         """
         if sub.ambient != self.dim:
             raise InputError("subspace ambient dimension mismatch")
         acc = Echelon(self.field, self.dim)
-        queue = []
-        for row in sub.basis.rows:
-            if acc.add(row):
-                queue.append(row)
+        integral = self.field.integral
+        queue = [row for row in sub.basis.rows if acc.add(row)]
         while queue:
-            for w in self.slot_products(queue.pop()).values():
+            for w in self.int_slot_products(integral(queue.pop())[0]).values():
                 if acc.add(w):
                     queue.append(w)
         return Subspace(self.field, self.dim, acc.rows.values())
@@ -346,25 +225,23 @@ class GradedTripleSystem:
         """First product escaping the subspace, or None when it is an ideal.
 
         Every nonzero slot product of every basis row is tested, in
-        (row, j, k, slot) order; zero products always lie in the subspace.
+        (row, j, k, slot) order, on integer images; zero products always
+        lie in the subspace.
         """
         if sub.ambient != self.dim:
             raise InputError("subspace ambient dimension mismatch")
         for row in sub.basis.rows:
-            for (j, k, slot), w in self.slot_products(row).items():
+            for (j, k, slot), w in self.int_slot_products(self.field.integral(row)[0]).items():
                 if not sub.contains(w):
                     return {"vector": row, "slot": slot, "j": j, "k": k}
         return None
 
     def is_subsystem(self, sub: Subspace) -> bool:
-        """Whether {S,S,S} is contained in S."""
-        rows = sub.basis.rows
-        for x in rows:
-            for y in rows:
-                for z in rows:
-                    if not sub.contains(self.triple_product(x, y, z)):
-                        return False
-        return True
+        """Whether {S,S,S} is contained in S, tested on integer images."""
+        rows = sub.integral_rows()
+        return all(
+            sub.contains(self.int_triple_product(x, y, z)) for x in rows for y in rows for z in rows
+        )
 
     def lie_defect_ideal(self) -> Subspace:
         """Ideal generated by all {a,b,c} - {a,c,b} + {b,c,a}.
@@ -390,7 +267,8 @@ class GradedTripleSystem:
         for row in ideal.basis.rows:
             # keyed (j, k, -slot) so that on each pair {E,E,I} (slot 2)
             # comes before {E,I,E} (slot 1)
-            failing = [(j, k, -slot) for j, k, slot in self.slot_products(row) if slot]
+            products = self.int_slot_products(self.field.integral(row)[0])
+            failing = [(j, k, -slot) for j, k, slot in products if slot]
             if failing:
                 j, k, slot = min(failing)
                 family = "{E,E,I}" if slot == -2 else "{E,I,E}"
@@ -425,22 +303,22 @@ class GradedTripleSystem:
         if any(i == j for i, j, _ in self._table):
             return False
         for i, j, k in self._table:
-            if any(self._combination((i, j, k), (j, i, k)).values()):
+            if self._combination((i, j, k), (j, i, k)):
                 return False
-            if any(self._combination((i, j, k), (j, k, i), (k, i, j)).values()):
+            if self._combination((i, j, k), (j, k, i), (k, i, j)):
                 return False
         return True
 
     def _combination(self, *keys, minus=None) -> dict[int, object]:
-        """{b_i, b_j, b_k} summed over `keys`, less the constant at `minus`."""
-        zero = self.field.zero
+        """{b_i, b_j, b_k} summed over `keys`, less the constant at `minus`,
+        on the integer image, zeros dropped."""
         acc: dict[int, object] = {}
         for key in keys:
             for l, c in self._table.get(key, {}).items():
-                acc[l] = acc.get(l, zero) + c
+                acc[l] = acc.get(l, 0) + c
         for l, c in self._table.get(minus, {}).items():
-            acc[l] = acc.get(l, zero) - c
-        return acc
+            acc[l] = acc.get(l, 0) - c
+        return self.field.clean(acc)
 
     def annihilator(self) -> Subspace:
         """Elements x with {x,E,E} + {E,x,E} + {E,E,x} = 0.
@@ -450,7 +328,8 @@ class GradedTripleSystem:
         (slot, j, k, l), are read straight off the stored constants: the
         constant {b_a, b_b, b_c} = sum_l x_l b_l puts x_l in column a of row
         (0, b, c, l), in column b of (1, a, c, l) and in column c of
-        (2, a, b, l).  The kernel is canonical, so row order is immaterial.
+        (2, a, b, l).  The kernel is canonical, so row order and the scale
+        of the integer image are immaterial.
         """
         rows: dict[tuple[int, int, int, int], dict[int, object]] = {}
         for (a, b, c), entry in self._table.items():
@@ -462,12 +341,8 @@ class GradedTripleSystem:
     # -- misc -----------------------------------------------------------------
 
     def structure_constants(self) -> list[tuple[tuple[int, int, int], list[tuple[int, object]]]]:
-        """Canonical serializable view of the stored constants."""
-        out = []
-        for key in sorted(self._table):
-            entry = self._table[key]
-            out.append((key, [(l, entry[l]) for l in sorted(entry)]))
-        return out
+        """Canonical serializable view of the structure constants."""
+        return [(key, sorted(entry.items())) for key, entry in self.nonzero_triples()]
 
     def __repr__(self):
         return (

@@ -3,7 +3,9 @@
 The oracles reimplement the checked mathematics directly (dense tables,
 straight-line identity evaluation) so that library results are confirmed by
 a second, structurally different computation.  They intentionally do not
-reuse the library's sweep code.
+reuse the library's sweep code.  Over GF(p) they compute with
+`PrimeFieldElement`, a residue object that reduces on every operation,
+where the library holds plain ints and its kernels reduce once.
 """
 
 from __future__ import annotations
@@ -16,13 +18,112 @@ import pytest
 import gradedlts as g
 
 
+# -- the oracles' scalars ------------------------------------------------------
+
+
+class PrimeFieldElement:
+    """A residue modulo a prime, normalized to the range [0, p) after every operation."""
+
+    __slots__ = ("value", "p")
+
+    def __init__(self, value: int, p: int):
+        self.value = value % p
+        self.p = p
+
+    def _coerce(self, other):
+        if isinstance(other, PrimeFieldElement):
+            if other.p != self.p:
+                raise ValueError("mixed prime field moduli")
+            return other
+        if isinstance(other, int):
+            return PrimeFieldElement(other, self.p)
+        return NotImplemented
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return PrimeFieldElement(self.value + o.value, self.p)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return PrimeFieldElement(self.value - o.value, self.p)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return PrimeFieldElement(o.value - self.value, self.p)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return PrimeFieldElement(self.value * o.value, self.p)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if o.value == 0:
+            raise ZeroDivisionError("division by zero residue")
+        return PrimeFieldElement(self.value * pow(o.value, self.p - 2, self.p), self.p)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o / self
+
+    def __neg__(self):
+        return PrimeFieldElement(-self.value, self.p)
+
+    def __eq__(self, other):
+        if isinstance(other, PrimeFieldElement):
+            return self.p == other.p and self.value == other.value
+        if isinstance(other, int):
+            return self.value == other % self.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value, self.p))
+
+    def __bool__(self):
+        return self.value != 0
+
+    def __repr__(self):
+        return f"{self.value} (mod {self.p})"
+
+
+def oracle_scalar(field, x):
+    """x as a scalar of the oracles: a `PrimeFieldElement` over GF(p), x itself over Q."""
+    if field.kind == "prime" and not isinstance(x, PrimeFieldElement):
+        return PrimeFieldElement(x, field.p)
+    return x
+
+
+def oracle_zero_one(field):
+    return oracle_scalar(field, field.zero), oracle_scalar(field, field.one)
+
+
+def library_vector(vec):
+    """Oracle scalars as library scalars (residues as plain ints), to pass to the library."""
+    return [x.value if isinstance(x, PrimeFieldElement) else x for x in vec]
+
+
 # -- independent oracles -----------------------------------------------------
 
 
 def dense_table(system):
     """Dense n^3 table of product vectors, built from the public constants."""
     n = system.dim
-    zero = system.field.zero
+    zero = oracle_scalar(system.field, system.field.zero)
     table = [[[None] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -30,14 +131,14 @@ def dense_table(system):
                 table[i][j][k] = [zero] * n
     for (i, j, k), entry in system.nonzero_triples():
         for l, c in entry.items():
-            table[i][j][k][l] = c
+            table[i][j][k][l] = oracle_scalar(system.field, c)
     return table
 
 
 def oracle_triple(system, x, y, z, table=None):
     """Direct trilinear evaluation from the dense table (built here unless given)."""
     n = system.dim
-    zero = system.field.zero
+    zero = oracle_scalar(system.field, system.field.zero)
     table = table or dense_table(system)
     out = [zero] * n
     for i in range(n):
@@ -55,7 +156,7 @@ def oracle_triple(system, x, y, z, table=None):
 
 
 def _units(system):
-    zero, one = system.field.zero, system.field.one
+    zero, one = oracle_zero_one(system.field)
     return [[one if t == i else zero for t in range(system.dim)] for i in range(system.dim)]
 
 
@@ -67,7 +168,7 @@ def oracle_tensor_bracket(system, a, b, table=None):
     column j of a, B^l column l of b and B_k row k of b (as n x n matrices).
     """
     n = system.dim
-    zero = system.field.zero
+    zero = oracle_scalar(system.field, system.field.zero)
     table = table or dense_table(system)
     units = _units(system)
     out = [zero] * (n * n)
@@ -94,7 +195,7 @@ def oracle_actions(system, x, table=None):
     phi[w] = sum x_ij {b_i, b_j, b_w} and psi[z] = sum x_ij ({b_z, b_i, b_j} - {b_z, b_j, b_i}).
     """
     n = system.dim
-    zero = system.field.zero
+    zero = oracle_scalar(system.field, system.field.zero)
     table = table or dense_table(system)
     units = _units(system)
     terms = [(divmod(c, n), coef) for c, coef in enumerate(x) if coef != zero]
@@ -123,7 +224,7 @@ def oracle_reduction(null_space, coset_indices):
     first dim N, read off the Gauss-Jordan form of [M^T | I].
     """
     field = null_space.field
-    zero, one = field.zero, field.one
+    zero, one = oracle_zero_one(field)
     nn = null_space.ambient
     basis = [list(row) for row in null_space.basis.rows]
     basis += [[one if t == p else zero for t in range(nn)] for p in coset_indices]
@@ -139,7 +240,8 @@ def oracle_reduction(null_space, coset_indices):
 
 def oracle_reduce(field, reduction, tensor):
     """Apply `oracle_reduction` to a dense tensor."""
-    return [sum((x * y for x, y in zip(row, tensor)), field.zero) for row in reduction]
+    zero = oracle_scalar(field, field.zero)
+    return [sum((x * y for x, y in zip(row, tensor)), zero) for row in reduction]
 
 
 def oracle_certify(system, null_space, coset_indices):
@@ -152,8 +254,11 @@ def oracle_certify(system, null_space, coset_indices):
     [[y,z],x] = [[y,x],z] + [y,[z,x]] over all basis triples of L0 + L1.
     """
     field = system.field
-    fmt = field.format
-    zero, one = field.zero, field.one
+
+    def fmt(x):
+        return field.format(x.value if isinstance(x, PrimeFieldElement) else x)
+
+    zero, one = oracle_zero_one(field)
     n = system.dim
     nn = n * n
     table = dense_table(system)
@@ -258,8 +363,8 @@ def oracle_rref(m):
     reference the eliminator is compared against.
     """
     field = m.field
-    zero, one = field.zero, field.one
-    rows = [list(r) for r in m.rows]
+    zero, one = oracle_zero_one(field)
+    rows = [[oracle_scalar(field, x) for x in r] for r in m.rows]
     nrows, ncols = m.nrows, m.ncols
     pivots = []
     r = 0
@@ -298,8 +403,8 @@ def oracle_nested_terms(system):
     rows = [[None] * n for _ in range(n * n)]
     P = [rows[i * n : (i + 1) * n] for i in range(n)]
     for (i, j, k), entry in system.nonzero_triples():
-        P[i][j][k] = entry
-    zero = system.field.zero
+        P[i][j][k] = {l: oracle_scalar(system.field, c) for l, c in entry.items()}
+    zero = oracle_scalar(system.field, system.field.zero)
 
     def left(first, d, e, acc, sign):
         if first:
@@ -337,7 +442,7 @@ def oracle_identities(system, which):
     each term(a, b, c, d, e, acc) adds one signed nested product into `acc`.
     """
     P, left, middle, right = oracle_nested_terms(system)
-    one = system.field.one
+    _, one = oracle_zero_one(system.field)
     minus = -one
     if which == "axioms":
         return (
@@ -415,14 +520,15 @@ def oracle_slot_products(system, v):
     """
     if not isinstance(v, dict):
         v = dict(enumerate(v))
-    zero, get = system.field.zero, v.get
+    field, get = system.field, v.get
+    zero = oracle_scalar(field, field.zero)
     acc = {}
     for (a, b, c), entry in system.nonzero_triples():
         for key, coef in (((b, c, 0), get(a)), ((a, c, 1), get(b)), ((a, b, 2), get(c))):
             if coef:
                 out = acc.setdefault(key, {})
                 for l, x in entry.items():
-                    out[l] = out.get(l, zero) + coef * x
+                    out[l] = out.get(l, zero) + coef * oracle_scalar(field, x)
     products = {}
     for key in sorted(acc):
         out = {l: x for l, x in acc[key].items() if x}
@@ -433,13 +539,13 @@ def oracle_slot_products(system, v):
 
 def oracle_bracket(algebra, x, y):
     """[x, y] of two dense vectors, from the algebra's bracket constants."""
-    zero = algebra.field.zero
+    zero = oracle_scalar(algebra.field, algebra.field.zero)
     out = [zero] * algebra.dim
     for (i, j), entry in algebra.brackets:
         coef = x[i] * y[j]
         if coef:
             for l, c in entry:
-                out[l] = out[l] + coef * c
+                out[l] = out[l] + coef * oracle_scalar(algebra.field, c)
     return out
 
 
@@ -448,7 +554,7 @@ def oracle_algebra_verify(algebra):
     bracket order, then the right Leibniz identity on all n^3 basis triples
     from `bracket` on unit vectors, in (y, z, x) order."""
     violations = []
-    zero = algebra.field.zero
+    zero, one = oracle_zero_one(algebra.field)
     n = algebra.dim
     for (i, j), entry in algebra.bracket_table().items():
         expected = algebra.degrees[i].compose(algebra.degrees[j])
@@ -457,7 +563,7 @@ def oracle_algebra_verify(algebra):
                 vec = [zero] * n
                 vec[l] = entry[l]
                 violations.append(g.Violation("grading", (i, j, l), tuple(vec)))
-    units = [[algebra.field.one if t == i else zero for t in range(n)] for i in range(n)]
+    units = [[one if t == i else zero for t in range(n)] for i in range(n)]
 
     def bracket(x, y):
         return oracle_bracket(algebra, x, y)
@@ -486,7 +592,7 @@ def oracle_grading_ok(system) -> bool:
 def oracle_axioms_ok(system) -> bool:
     """Direct evaluation of the two defining identities on basis quintuples."""
     n = system.dim
-    zero = system.field.zero
+    zero = oracle_scalar(system.field, system.field.zero)
     T = dense_table(system)
 
     def tv(vec, d, e):
@@ -543,7 +649,7 @@ def oracle_is_valid(system) -> bool:
 def oracle_is_lie(system) -> bool:
     """Direct Lie-triple axiom test: {x,x,z} = 0 and the ternary Jacobi sum."""
     n = system.dim
-    zero = system.field.zero
+    zero = oracle_scalar(system.field, system.field.zero)
     T = dense_table(system)
     for i in range(n):
         for k in range(n):

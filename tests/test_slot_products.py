@@ -17,7 +17,14 @@ from itertools import product
 import pytest
 
 import gradedlts as g
-from conftest import mutate_constant, oracle_slot_products, oracle_triple, sl2_square, sl3_root
+from conftest import (
+    library_vector,
+    mutate_constant,
+    oracle_slot_products,
+    oracle_triple,
+    sl2_square,
+    sl3_root,
+)
 
 
 def systems():
@@ -52,7 +59,7 @@ def random_vectors(system, seed, count=3):
 def oracle_slot_product(system, v, j, k, slot):
     args = [unit(system, j), unit(system, k)]
     args.insert(slot, v)
-    return oracle_triple(system, *args)
+    return library_vector(oracle_triple(system, *args))
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
