@@ -6,7 +6,9 @@ relative path `<case>.json` and the whole report compares byte for byte,
 header included.  The frozen reports live in `tests/golden/`:
 `<case>.decompose.json` for valid systems (exit 0) and `<case>.verify.json`
 for systems with one corrupted structure constant (exit 1), which freeze
-the violation lists of the identity sweeps.
+the violation lists of the identity sweeps.  `<case>.analyze.json` and
+`<case>.embed.json` exist for both sets: exit 0 on the valid systems, and
+exit 1 on the corrupted ones, which freezes the shared fail-out report.
 
 Regenerate them only for a deliberate change of the report format, with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -88,6 +90,23 @@ def test_verify_report_matches_golden(name, tmp_path):
     assert verify_report(name, corrupted_inputs()[name], tmp_path) == expected
 
 
+def analyze_embed_cases() -> dict[tuple[str, str], tuple[str, int]]:
+    """(command, case) -> (system file text, exit code) for `analyze` and `embed`."""
+    cases = {}
+    for inputs, code in ((golden_inputs(), 0), (corrupted_inputs(), 1)):
+        for name, text in inputs.items():
+            for command in ("analyze", "embed"):
+                cases[(command, name)] = (text, code)
+    return cases
+
+
+@pytest.mark.parametrize("command,name", sorted(analyze_embed_cases()))
+def test_analyze_and_embed_reports_match_golden(command, name, tmp_path):
+    text, code = analyze_embed_cases()[(command, name)]
+    expected = (GOLDEN_DIR / f"{name}.{command}.json").read_bytes()
+    assert cli_report(command, name, text, tmp_path, code) == expected
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -101,3 +120,8 @@ if __name__ == "__main__":
                 report = run(case, source, Path(scratch))
             (GOLDEN_DIR / f"{case}.{command}.json").write_bytes(report)
             print(f"wrote {case}.{command}.json", file=sys.stderr)
+    for (command, case), (source, code) in sorted(analyze_embed_cases().items()):
+        with tempfile.TemporaryDirectory() as scratch:
+            report = cli_report(command, case, source, Path(scratch), code)
+        (GOLDEN_DIR / f"{case}.{command}.json").write_bytes(report)
+        print(f"wrote {case}.{command}.json", file=sys.stderr)
