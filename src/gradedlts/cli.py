@@ -247,18 +247,33 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_analyze(args) -> int:
+def _verified(args):
+    """Load, verify and embed the system of an analyze, embed or decompose run.
+
+    Returns (system, emb, report) with the header (and `seed` for decompose),
+    verification and supports in the report.  When verification fails, the
+    report is written and the verdict printed, and emb is None.
+    """
     system = load_system(args.path)
-    report = _header("analyze", args.path, system)
+    report = _header(args.command, args.path, system)
+    if args.command == "decompose":
+        report["seed"] = args.seed
     verification, ok = _verification_section(system)
     report["verification"] = verification
     if not ok:
         _emit(report, args.json_out)
         _print_verification(verification)
         print("verdict: fail (verification)")
-        return 1
+        return system, None, report
     emb = build_embedding(system)
     report["supports"] = _supports_section(system, emb)
+    return system, emb, report
+
+
+def _cmd_analyze(args) -> int:
+    system, emb, report = _verified(args)
+    if emb is None:
+        return 1
     sup = SupportData.from_system(system, emb)
     report["classes"] = _classes_section(sup, connection_classes(sup))
     _emit(report, args.json_out)
@@ -271,17 +286,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    system = load_system(args.path)
-    report = _header("embed", args.path, system)
-    verification, ok = _verification_section(system)
-    report["verification"] = verification
-    if not ok:
-        _emit(report, args.json_out)
-        _print_verification(verification)
-        print("verdict: fail (verification)")
+    system, emb, report = _verified(args)
+    if emb is None:
         return 1
-    emb = build_embedding(system)
-    report["supports"] = _supports_section(system, emb)
     section = _embedding_section(system, emb)
     report["embedding"] = section
     _emit(report, args.json_out)
@@ -294,21 +301,12 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    system = load_system(args.path)
-    report = _header("decompose", args.path, system)
-    report["seed"] = args.seed
-    verification, ok = _verification_section(system)
-    report["verification"] = verification
-    if not ok:
-        _emit(report, args.json_out)
-        _print_verification(verification)
-        print("verdict: fail (verification)")
+    system, emb, report = _verified(args)
+    if emb is None:
         return 1
-    emb = build_embedding(system)
     deco = decompose(system, emb, seed=args.seed)
     sup = deco.supports
     classes = [ideal.cls for ideal in deco.ideals]
-    report["supports"] = _supports_section(system, emb)
     report["classes"] = _classes_section(sup, classes)
     report["embedding"] = _embedding_section(system, emb)
     report["decomposition"] = _decomposition_section(system, deco)

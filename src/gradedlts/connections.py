@@ -10,14 +10,14 @@ Even partial products are required to lie in the even support strictly (the
 identity is not permitted there); the degenerate case g h = 1 is reachable
 through the length-one sequence and the {h, h^-1} clause instead.
 
-The closure is computed by breadth-first search over group elements; parent
-pointers are retained so a human-readable witness sequence can be
-reconstructed for every reachable element.
+Each support element's closure is computed once, by breadth-first search
+over group elements, when its `SupportData` is built; every connectivity
+question reads it.  Parent pointers yield a witness sequence per element.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import EquivalenceFailure, InputError
 from .groups import GroupElement
@@ -25,12 +25,15 @@ from .groups import GroupElement
 
 @dataclass(frozen=True)
 class SupportData:
-    """Odd and even supports of a graded system with their inverse closures."""
+    """Odd and even supports of a graded system with their inverse closures,
+    and the closure of each odd element g as parent pointers: reached
+    element -> (previous element, a, b), and g -> None."""
 
     odd: tuple[GroupElement, ...]
     even: tuple[GroupElement, ...]
     pm_odd: frozenset[GroupElement]
     pm_even: frozenset[GroupElement]
+    closures: dict = field(compare=False, repr=False)
 
     @classmethod
     def from_parts(cls, odd, even) -> "SupportData":
@@ -38,7 +41,9 @@ class SupportData:
         even = tuple(sorted(even))
         pm_odd = frozenset(odd) | frozenset(g.inverse() for g in odd)
         pm_even = frozenset(even) | frozenset(g.inverse() for g in even)
-        return cls(odd, even, pm_odd, pm_even)
+        steps = sorted(pm_odd) + [odd[0].group.identity()] if odd else []
+        closures = {g: _closure_with_parents(steps, pm_odd, pm_even, g) for g in odd}
+        return cls(odd, even, pm_odd, pm_even, closures)
 
     @classmethod
     def from_system(cls, system, emb) -> "SupportData":
@@ -61,38 +66,41 @@ class ConnectionClass:
         return g in self.members
 
 
-def _closure_with_parents(sup: SupportData, g: GroupElement):
-    if g not in sup.odd:
-        raise InputError(f"{g.format()} is not in the odd support")
-    identity = g.group.identity()
-    steps = sorted(sup.pm_odd) + [identity]
+def _closure_with_parents(steps, pm_odd, pm_even, g: GroupElement):
     parents: dict[GroupElement, tuple] = {g: None}
     frontier = [g]
     while frontier:
         q = frontier.pop()
         for a in steps:
             qa = q.compose(a)
-            if qa not in sup.pm_even:
+            if qa not in pm_even:
                 continue
             for b in steps:
                 qab = qa.compose(b)
-                if qab in sup.pm_odd and qab not in parents:
+                if qab in pm_odd and qab not in parents:
                     parents[qab] = (q, a, b)
                     frontier.append(qab)
     return parents
 
 
+def _parents(sup: SupportData, g: GroupElement) -> dict:
+    try:
+        return sup.closures[g]
+    except KeyError:
+        raise InputError(f"{g.format()} is not in the odd support") from None
+
+
 def connection_closure(sup: SupportData, g: GroupElement) -> frozenset[GroupElement]:
     """All partial-product endpoints reachable from g (a subset of the
     inverse-closed odd support)."""
-    return frozenset(_closure_with_parents(sup, g))
+    return frozenset(_parents(sup, g))
 
 
 def are_connected(sup: SupportData, g: GroupElement, h: GroupElement) -> bool:
     """Whether h is connected to g (final product allowed to hit h or h^-1)."""
     if h not in sup.odd:
         raise InputError(f"{h.format()} is not in the odd support")
-    reach = connection_closure(sup, g)
+    reach = _parents(sup, g)
     return h in reach or h.inverse() in reach
 
 
@@ -102,7 +110,7 @@ def witness_sequence(sup: SupportData, g: GroupElement, h: GroupElement) -> tupl
     The sequence starts at g and appends the length-two extensions found by
     the closure search; its final partial product lies in {h, h^-1}.
     """
-    parents = _closure_with_parents(sup, g)
+    parents = _parents(sup, g)
     if h in parents:
         target = h
     elif h.inverse() in parents:
@@ -112,13 +120,9 @@ def witness_sequence(sup: SupportData, g: GroupElement, h: GroupElement) -> tupl
     extensions = []
     node = target
     while parents[node] is not None:
-        prev, a, b = parents[node]
-        extensions.append((a, b))
-        node = prev
-    seq = [g]
-    for a, b in reversed(extensions):
-        seq.extend((a, b))
-    return tuple(seq)
+        node, a, b = parents[node]
+        extensions[:0] = (a, b)
+    return (g, *extensions)
 
 
 def validate_sequence(sup: SupportData, seq, g: GroupElement, h: GroupElement) -> bool:
@@ -147,18 +151,21 @@ def connection_classes(sup: SupportData) -> list[ConnectionClass]:
     """Partition of the odd support into connection classes.
 
     The computed relation is rechecked to be reflexive, symmetric, and
-    transitive on the support, and inverse-closed in the sense that a class
-    containing h also contains h^-1 whenever h^-1 lies in the support.  Any
-    defect raises EquivalenceFailure with a witness pair: it would
-    contradict the equivalence property of the connection relation and
-    therefore signals a bug rather than a property of the input.
+    transitive on the support, each pair against the members' own closures,
+    and inverse-closed: a class containing h also contains h^-1 whenever
+    h^-1 lies in the support, and the closure of h^-1 is the inverse image
+    of the closure of h (the search from h^-1 mirrors the one from h, step
+    for inverted step).  Any defect raises EquivalenceFailure with a
+    witness pair: it would contradict the equivalence property of the
+    connection relation and therefore signals a bug rather than a property
+    of the input.
     """
     classes: list[ConnectionClass] = []
     assigned: dict[GroupElement, GroupElement] = {}
     for g in sup.odd:
         if g in assigned:
             continue
-        reach = connection_closure(sup, g)
+        reach = _parents(sup, g)
         members = tuple(h for h in sup.odd if h in reach or h.inverse() in reach)
         for h in members:
             if h in assigned:
@@ -182,7 +189,10 @@ def connection_classes(sup: SupportData) -> list[ConnectionClass]:
                         witness={"pair": (h.format(), k.format())},
                     )
             hinv = h.inverse()
-            if hinv in sup.odd and hinv not in cls.members:
+            if hinv in sup.odd and (
+                hinv not in cls.members
+                or set(_parents(sup, hinv)) != {x.inverse() for x in _parents(sup, h)}
+            ):
                 raise EquivalenceFailure(
                     "class is not inverse-closed",
                     witness={"element": h.format()},

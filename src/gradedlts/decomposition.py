@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
+from itertools import combinations
 
 from .connections import ConnectionClass, SupportData, are_connected, connection_classes
 from .embedding import StandardEmbedding
@@ -235,31 +236,24 @@ def decompose(
 
     orthogonality = []
     all_orthogonal = True
-    for a in range(len(ideals)):
-        for b in range(a + 1, len(ideals)):
-            checks = _cross_products_vanish(system, ideals[a].total, ideals[b].total)
-            ok = all(checks.values())
-            all_orthogonal = all_orthogonal and ok
-            orthogonality.append(
-                {
-                    "classes": (
-                        ideals[a].cls.representative.format(),
-                        ideals[b].cls.representative.format(),
-                    ),
-                    "vanish": ok,
-                    "families": checks,
-                }
-            )
+    for a, b in combinations(ideals, 2):
+        checks = _cross_products_vanish(system, a.total, b.total)
+        ok = all(checks.values())
+        all_orthogonal = all_orthogonal and ok
+        orthogonality.append(
+            {
+                "classes": (a.cls.representative.format(), b.cls.representative.format()),
+                "vanish": ok,
+                "families": checks,
+            }
+        )
 
     ann = system.annihilator()
 
     pairwise_disjoint: bool | None = None
     if len(ideals) >= 2:
-        pairwise_disjoint = True
-        for a in range(len(ideals)):
-            for b in range(a + 1, len(ideals)):
-                if not ideals[a].total.intersect(ideals[b].total).is_zero():
-                    pairwise_disjoint = False
+        pairwise = combinations(ideals, 2)
+        pairwise_disjoint = all(a.total.intersect(b.total).is_zero() for a, b in pairwise)
 
     direct_sum: bool | None = None
     if tight and ann.is_zero():
@@ -403,65 +397,54 @@ def verify_structure_lemmas(
     """
     if sup is None:
         sup = SupportData.from_system(system, emb)
-    checks = [
-        _lemma_pair_product_even(sup),
-        _lemma_first_in_even(sup),
-        _lemma_both_in_even(sup),
-        _lemma_disconnected_brackets_vanish(system, emb, sup),
-        _lemma_disconnected_inverse_triple_vanishes(system, sup),
+    # each homogeneous component is built once; a degree without basis
+    # vectors reads as the zero component
+    empty = Subspace.zero(system.field, system.dim)
+    components = system.homogeneous_decomposition()
+
+    def component(d):
+        return components.get(d, empty)
+
+    return [
+        *_pair_laws(sup),
+        _lemma_disconnected_brackets_vanish(emb, sup, component),
+        _lemma_disconnected_inverse_triple_vanishes(system, sup, component),
         _lemma_products_confined_to_class(system, classes),
         _lemma_core_products_confined(system, classes),
-        _lemma_core_disconnected_vanish(system, emb, classes, sup),
+        _lemma_core_disconnected_vanish(system, emb, classes, sup, component),
     ]
+
+
+# (name, law): g, h in the odd support must be connected whenever the law
+# holds.  The laws read g h in the inverse-closed even support or 1; g in the
+# even support and g h in the odd support or 1; g, h and g h in the even
+# support (g h = 1 allowed).
+_PAIR_LAWS = (
+    ("connected_when_pair_product_in_even_support",
+     lambda sup, g, h, gh: gh in sup.pm_even or gh.is_identity()),
+    ("connected_when_first_in_even_support",
+     lambda sup, g, h, gh: g in sup.pm_even and (gh in sup.pm_odd or gh.is_identity())),
+    ("connected_when_both_in_even_support",
+     lambda sup, g, h, gh: g in sup.pm_even and h in sup.pm_even
+     and (gh in sup.pm_even or gh.is_identity())),
+)
+
+
+def _pair_laws(sup: SupportData) -> list[LemmaCheck]:
+    checks = [LemmaCheck(name) for name, _ in _PAIR_LAWS]
+    for g in sup.odd:
+        for h in sup.odd:
+            gh = g.compose(h)
+            for check, (_, law) in zip(checks, _PAIR_LAWS):
+                check.instances += 1
+                if law(sup, g, h, gh):
+                    check.nonvacuous += 1
+                    if not are_connected(sup, g, h):
+                        check.failures.append({"pair": (g.format(), h.format())})
     return checks
 
 
-def _lemma_pair_product_even(sup: SupportData) -> LemmaCheck:
-    # g, h in the support with g h in the inverse-closed even support or 1
-    # forces h connected to g.
-    check = LemmaCheck("connected_when_pair_product_in_even_support")
-    for g in sup.odd:
-        for h in sup.odd:
-            gh = g.compose(h)
-            check.instances += 1
-            if gh in sup.pm_even or gh.is_identity():
-                check.nonvacuous += 1
-                if not are_connected(sup, g, h):
-                    check.failures.append({"pair": (g.format(), h.format())})
-    return check
-
-
-def _lemma_first_in_even(sup: SupportData) -> LemmaCheck:
-    check = LemmaCheck("connected_when_first_in_even_support")
-    for g in sup.odd:
-        for h in sup.odd:
-            check.instances += 1
-            gh = g.compose(h)
-            if g in sup.pm_even and (gh in sup.pm_odd or gh.is_identity()):
-                check.nonvacuous += 1
-                if not are_connected(sup, g, h):
-                    check.failures.append({"pair": (g.format(), h.format())})
-    return check
-
-
-def _lemma_both_in_even(sup: SupportData) -> LemmaCheck:
-    check = LemmaCheck("connected_when_both_in_even_support")
-    for g in sup.odd:
-        for h in sup.odd:
-            check.instances += 1
-            gh = g.compose(h)
-            if (
-                g in sup.pm_even
-                and h in sup.pm_even
-                and (gh in sup.pm_even or gh.is_identity())
-            ):
-                check.nonvacuous += 1
-                if not are_connected(sup, g, h):
-                    check.failures.append({"pair": (g.format(), h.format())})
-    return check
-
-
-def _lemma_disconnected_brackets_vanish(system, emb, sup) -> LemmaCheck:
+def _lemma_disconnected_brackets_vanish(emb, sup, component) -> LemmaCheck:
     # Disconnected support degrees bracket to zero in the embedding, at all
     # three levels: odd with odd, even with odd, even with even.
     check = LemmaCheck("disconnected_brackets_vanish")
@@ -471,8 +454,7 @@ def _lemma_disconnected_brackets_vanish(system, emb, sup) -> LemmaCheck:
                 continue
             check.instances += 1
             check.nonvacuous += 1
-            eg = system.homogeneous_component(g)
-            eh = system.homogeneous_component(hbar)
+            eg, eh = component(g), component(hbar)
             cg = emb.component(g)
             ch = emb.component(hbar)
             for x in eg.basis.rows:
@@ -496,7 +478,7 @@ def _lemma_disconnected_brackets_vanish(system, emb, sup) -> LemmaCheck:
     return check
 
 
-def _lemma_disconnected_inverse_triple_vanishes(system, sup) -> LemmaCheck:
+def _lemma_disconnected_inverse_triple_vanishes(system, sup, component) -> LemmaCheck:
     check = LemmaCheck("disconnected_inverse_triple_vanishes")
     for g in sup.odd:
         for hbar in sup.odd:
@@ -504,7 +486,7 @@ def _lemma_disconnected_inverse_triple_vanishes(system, sup) -> LemmaCheck:
                 continue
             check.instances += 1
             eg, eginv, eh = (
-                system.homogeneous_component(d).integral_rows() for d in (g, g.inverse(), hbar)
+                component(d).integral_rows() for d in (g, g.inverse(), hbar)
             )
             if eginv:
                 check.nonvacuous += 1
@@ -578,19 +560,19 @@ def _lemma_core_products_confined(system, classes) -> LemmaCheck:
     return check
 
 
-def _lemma_core_disconnected_vanish(system, emb, classes, sup) -> LemmaCheck:
+def _lemma_core_disconnected_vanish(system, emb, classes, sup, component) -> LemmaCheck:
     # Core products of one class annihilate everything carried by degrees
     # outside the class: their tensors fall into the null space, the twisted
     # right action of the outside even component kills them, and triple
     # products through the identity component vanish.
     check = LemmaCheck("core_disconnected_products_vanish")
-    identity_comp = system.identity_component().integral_rows()
+    identity_comp = component(system.group.identity()).integral_rows()
     for cls in classes:
         members = set(cls.members)
         outside = [h for h in sup.odd if h not in members]
         sources = _core_product_sources(system, cls)
         for hbar in outside:
-            eh = system.homogeneous_component(hbar).integral_rows()
+            eh = component(hbar).integral_rows()
             ch = emb.component(hbar)
             for (p, q, r), u in sources:
                 check.instances += 1

@@ -53,6 +53,9 @@ def loads_system(text: str) -> GradedTripleSystem:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+    except ValueError as exc:
+        # e.g. an integer literal past the interpreter's int/str digit limit
+        raise InputError(f"invalid JSON: {exc}") from None
     return system_from_data(data)
 
 

@@ -665,6 +665,49 @@ def oracle_is_lie(system) -> bool:
     return True
 
 
+# -- connection relation ---------------------------------------------------------
+
+
+def oracle_closures(sup) -> dict:
+    """g -> closure of g, by Warshall's transitive closure of one steps.
+
+    One step goes from q in the inverse-closed odd support to q a b, for a
+    and b in it or the identity, when q a lies in the inverse-closed even
+    support and q a b in the inverse-closed odd one.  The closure of g is g
+    with everything its steps reach.
+    """
+    nodes = sorted(sup.pm_odd)
+    letters = nodes + [nodes[0].group.identity()] if nodes else []
+    reach = {
+        q: {
+            q.compose(a).compose(b)
+            for a in letters
+            for b in letters
+            if q.compose(a) in sup.pm_even and q.compose(a).compose(b) in sup.pm_odd
+        }
+        for q in nodes
+    }
+    for k in nodes:
+        for i in nodes:
+            if k in reach[i]:
+                reach[i] |= reach[k]
+    return {x: frozenset(reach[x] | {x}) for x in sup.odd}
+
+
+def oracle_classes(sup) -> list[tuple]:
+    """Connection classes as sorted member tuples: the components of the
+    relation "h or h^-1 lies in the closure of g", merged pair by pair."""
+    closures = oracle_closures(sup)
+    component = {x: frozenset([x]) for x in sup.odd}
+    for x in sup.odd:
+        for y in sup.odd:
+            if y in closures[x] or y.inverse() in closures[x]:
+                merged = component[x] | component[y]
+                for z in merged:
+                    component[z] = merged
+    return sorted(tuple(sorted(c)) for c in set(component.values()))
+
+
 def mutate_constant(system, i, j, k, l, delta):
     """Return a copy of the system with delta added to one structure cell."""
     prods = {key: dict(entry) for key, entry in system.nonzero_triples()}

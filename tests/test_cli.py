@@ -123,6 +123,15 @@ def test_long_bad_scalar_exits_2_with_one_short_line(text, message, tmp_path, ca
     assert message in err and f"({len(text)} characters)" in err
 
 
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    text = fixture_text("sl2_Z").replace('"dimension": 3', '"dimension": ' + "9" * 5000)
+    bad = tmp_path / "huge_dimension.json"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err[:300]
+
+
 def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
     def broken(path):
         raise RuntimeError("loader exploded\nsecond line")

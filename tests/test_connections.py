@@ -1,10 +1,17 @@
 """Connection relation: closures, classes, witnesses, partition certificates."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gradedlts as g
+from gradedlts import connections
+from gradedlts.cli import main
 from gradedlts.connections import validate_sequence
-from gradedlts.errors import InputError
+from gradedlts.errors import EquivalenceFailure, InputError
+
+from conftest import coordinate_sum, oracle_classes, oracle_closures, random_variant, sl2_power
 
 
 def supports_for(name):
@@ -139,3 +146,111 @@ def test_pair_product_in_even_support_implies_connected():
                 ab = a.compose(b)
                 if ab in sup.pm_even or ab.is_identity():
                     assert g.are_connected(sup, a, b), (name, a.format(), b.format())
+
+
+# -- the relation against a Warshall oracle ----------------------------------------
+
+
+def assert_relation_matches_oracle(sup):
+    closures = oracle_closures(sup)
+    assert {x: g.connection_closure(sup, x) for x in sup.odd} == closures
+    for x in sup.odd:
+        for y in sup.odd:
+            expected = y in closures[x] or y.inverse() in closures[x]
+            assert g.are_connected(sup, x, y) == expected, (x.format(), y.format())
+            if expected:
+                seq = g.witness_sequence(sup, x, y)
+                assert validate_sequence(sup, seq, x, y), (x.format(), y.format())
+            else:
+                with pytest.raises(InputError):
+                    g.witness_sequence(sup, x, y)
+    classes = g.connection_classes(sup)
+    assert [c.members for c in classes] == oracle_classes(sup)
+    assert all(c.representative == min(c.members) for c in classes)
+
+
+def oracle_systems():
+    systems = {name: g.builtin(name) for name in g.BUILTIN_NAMES}
+    for k in (2, 3):
+        for tag, field in (("Q", g.RationalField()), ("F7", g.PrimeField(7))):
+            power = sl2_power(k, field)
+            systems[f"sl2x{k}_{tag}"] = power
+            systems[f"sl2x{k}_{tag}_Z2"] = coordinate_sum(power, 2)
+    for seed in range(12):
+        systems[f"variant_{seed}"] = random_variant(seed)
+    return systems
+
+
+@pytest.mark.parametrize("name", sorted(oracle_systems()))
+def test_relation_matches_warshall_oracle(name):
+    system = oracle_systems()[name]
+    assert_relation_matches_oracle(g.SupportData.from_system(system, g.build_embedding(system)))
+
+
+@st.composite
+def small_supports(draw):
+    moduli = draw(st.sampled_from([(2,), (3,), (4,), (5,), (6,), (0, 0)]))
+    group = g.AbelianGroup(moduli)
+    if moduli == (0, 0):
+        elements = [group.element([a, b]) for a in range(-2, 3) for b in range(-2, 3)]
+    else:
+        elements = [group.element([a]) for a in range(moduli[0])]
+    nonidentity = [x for x in elements if not x.is_identity()]
+    odd = draw(st.lists(st.sampled_from(nonidentity), unique=True, max_size=7))
+    even = draw(st.lists(st.sampled_from(nonidentity), unique=True, max_size=7))
+    return g.SupportData.from_parts(odd, even)
+
+
+@given(small_supports())
+@settings(max_examples=150, deadline=None)
+def test_drawn_supports_match_warshall_oracle(sup):
+    assert_relation_matches_oracle(sup)
+
+
+@pytest.mark.parametrize("command", ["analyze", "decompose"])
+def test_closure_search_runs_once_per_support_element(command, monkeypatch, tmp_path):
+    system = sl2_power(3, g.RationalField())
+    path = tmp_path / "sl2x3.json"
+    path.write_text(g.dumps_system(system), encoding="utf-8")
+    starts = []
+    search = connections._closure_with_parents
+
+    def counted(*args):
+        starts.append(args[-1])
+        return search(*args)
+
+    monkeypatch.setattr(connections, "_closure_with_parents", counted)
+    assert main([command, str(path)]) == 0
+    assert len(system.support()) == 6
+    assert sorted(starts) == list(system.support())
+
+
+# -- the class recheck on tampered closures ---------------------------------------
+
+
+def tampered(odd, reach):
+    """Supports on Z with the given odd degrees, whose closures are replaced
+    by the given reach sets (the parent pointers are left empty)."""
+    group = g.AbelianGroup((0,))
+    sup = g.SupportData.from_parts([group.element([c]) for c in odd], [])
+    closures = {
+        group.element([c]): {group.element([x]): None for x in reached}
+        for c, reached in reach.items()
+    }
+    return dataclasses.replace(sup, closures=closures)
+
+
+@pytest.mark.parametrize(
+    "odd, reach, message",
+    [
+        ((1, 2), {1: {1}, 2: {1, 2}}, "already assigned to another class"),
+        ((1, 2), {1: {2}, 2: {2}}, "do not cover the support"),
+        ((1, 2), {1: {1, 2}, 2: {2}}, "pairwise connectivity recheck failed"),
+        ((-1, 1), {-1: {-1}, 1: {-1, 1}}, "not inverse-closed"),
+        ((1, 2, 3), {1: {1}, 2: {2, 3}, 3: {1, 2, 3}}, "distinct classes are connected"),
+    ],
+    ids=["assigned_twice", "uncovered", "asymmetric", "inverse_closure", "cross_class"],
+)
+def test_tampered_closures_fail_the_class_recheck(odd, reach, message):
+    with pytest.raises(EquivalenceFailure, match=message):
+        g.connection_classes(tampered(odd, reach))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import gradedlts as g
-from conftest import oracle_triple, random_variant, sl2_square
+from conftest import oracle_triple, random_variant, sl2_power, sl2_square
 from gradedlts.decomposition import _cross_products_vanish
 
 Q = g.RationalField()
@@ -250,6 +250,24 @@ def test_lemma_suite_on_disjoint_sum(disjoint_pipe):
     assert all(c.holds for c in checks)
     for check in checks:
         assert check.nonvacuous >= 1, check.name
+
+
+def test_lemma_suite_builds_each_component_once(monkeypatch):
+    system = sl2_power(3, g.RationalField())
+    emb = g.build_embedding(system)
+    sup = g.SupportData.from_system(system, emb)
+    classes = g.connection_classes(sup)
+    built = []
+    build = g.GradedTripleSystem.homogeneous_component
+
+    def counted(self, d):
+        built.append(d)
+        return build(self, d)
+
+    monkeypatch.setattr(g.GradedTripleSystem, "homogeneous_component", counted)
+    checks = g.verify_structure_lemmas(system, emb, classes, sup)
+    assert all(c.holds for c in checks)
+    assert sorted(built) == sorted(set(system.degrees))
 
 
 def test_randomized_variants_have_certified_ideals():

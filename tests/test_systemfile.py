@@ -103,6 +103,14 @@ def test_json_errors_carry_position():
     assert exc_info.value.column is not None
 
 
+def test_integer_past_the_digit_limit_is_an_input_error():
+    # the JSON parser raises a plain ValueError for an integer literal past
+    # the interpreter's 4,300-digit int/str limit
+    text = '{"group": {"moduli": [0]}, "field": {"kind": "rational"}, "dimension": '
+    with pytest.raises(InputError):
+        loads_system(text + "9" * 5000 + ', "degrees": [], "triple": []}')
+
+
 def test_explicit_zero_values_are_dropped():
     doc = minimal(triple=[{"args": [0, 0, 0], "out": [{"idx": 0, "val": "0"}]}])
     system = loads_data(doc)
