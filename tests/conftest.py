@@ -732,23 +732,25 @@ def sl2_square(field) -> g.GradedTripleSystem:
     return sl2_power(2, field)
 
 
-def sl3_root_algebra(field) -> g.GradedLeibnizAlgebra:
-    """sl3 graded by its root lattice Z^2: dense brackets with multi-term outputs.
+def sl_root_algebra(N, field) -> g.GradedLeibnizAlgebra:
+    """sl_N graded by its root lattice Z^(N-1): dense brackets with multi-term outputs.
 
-    Basis E_ij (i != j, in row-major order) then H1 = E11 - E22 and
-    H2 = E22 - E33.  E_ij has degree w(i) - w(j) with w = ((1,1), (0,1), (0,0)),
-    so the simple roots are (1,0) and (0,1); brackets are matrix commutators.
+    Basis E_ij (i != j, in row-major order) then H_t = E_tt - E_(t+1)(t+1)
+    for t < N - 1.  E_ij has degree w(i) - w(j), where w(i) has 1 in the
+    coordinates t >= i, so the simple roots are the unit vectors; brackets
+    are matrix commutators.  N = 3 gives n = 8 and N = 4 gives n = 15.
     """
-    offdiag = [(i, j) for i in range(3) for j in range(3) if i != j]
-    basis = []
-    for i, j in offdiag:
-        basis.append({(i, j): 1})
-    basis += [{(0, 0): 1, (1, 1): -1}, {(1, 1): 1, (2, 2): -1}]
+    offdiag = [(i, j) for i in range(N) for j in range(N) if i != j]
+    basis = [{ij: 1} for ij in offdiag]
+    basis += [{(t, t): 1, (t + 1, t + 1): -1} for t in range(N - 1)]
 
     def coordinates(mat):
-        # a diagonal (d1, d2, -d1 - d2) is d1 H1 - d3 H2
+        # a traceless diagonal d is the sum over t of (d_0 + ... + d_t) H_t
         out = {t: mat.get(ij, 0) for t, ij in enumerate(offdiag)}
-        out[6], out[7] = mat.get((0, 0), 0), -mat.get((2, 2), 0)
+        partial = 0
+        for t in range(N - 1):
+            partial += mat.get((t, t), 0)
+            out[len(offdiag) + t] = partial
         return {t: c for t, c in out.items() if c}
 
     def matmul(x, y):
@@ -771,16 +773,17 @@ def sl3_root_algebra(field) -> g.GradedLeibnizAlgebra:
             out = coordinates(commutator(x, y))
             if out:
                 brackets[(p, q)] = out
-    group = g.AbelianGroup((0, 0))
-    w = ((1, 1), (0, 1), (0, 0))
-    degrees = [group.element([w[i][0] - w[j][0], w[i][1] - w[j][1]]) for i, j in offdiag]
-    degrees += [group.identity()] * 2
+    group = g.AbelianGroup((0,) * (N - 1))
+    w = [[1 if t >= i else 0 for t in range(N - 1)] for i in range(N)]
+    degrees = [group.element([a - b for a, b in zip(w[i], w[j])]) for i, j in offdiag]
+    degrees += [group.identity()] * (N - 1)
     return g.GradedLeibnizAlgebra.build(field, group, degrees, brackets)
 
 
-def sl3_root(field) -> g.GradedTripleSystem:
-    """The double-bracket system of `sl3_root_algebra`: n = 8, 216 stored constants."""
-    return g.from_leibniz_algebra(sl3_root_algebra(field))
+def sl_root(N, field) -> g.GradedTripleSystem:
+    """The double-bracket system of `sl_root_algebra`: n = 8 with 216 stored
+    constants for N = 3, n = 15 with 936 for N = 4."""
+    return g.from_leibniz_algebra(sl_root_algebra(N, field))
 
 
 def coordinate_sum(system, modulus) -> g.GradedTripleSystem:

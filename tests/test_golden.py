@@ -26,7 +26,7 @@ import gradedlts as g
 from gradedlts.cli import main
 from gradedlts.fixtures import fixture_text
 
-from conftest import coordinate_sum, mutate_constant, sl2_power, sl2_square
+from conftest import coordinate_sum, mutate_constant, sl2_power, sl2_square, sl_root
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -39,6 +39,9 @@ def golden_inputs() -> dict[str, str]:
     # n = 9: the fine Z^3 grading over Q, and GF(7) pushed to Z_2 (one class)
     inputs["sl2x3_Q"] = g.dumps_system(sl2_power(3, g.RationalField()))
     inputs["sl2x3_F7_Z2"] = g.dumps_system(coordinate_sum(sl2_power(3, g.PrimeField(7)), 2))
+    # dense, one class: sl3 (n = 8) and sl4 (n = 15) graded by their root lattices
+    inputs["sl3_root_Q"] = g.dumps_system(sl_root(3, g.RationalField()))
+    inputs["sl4_root_Q"] = g.dumps_system(sl_root(4, g.RationalField()))
     return inputs
 
 

@@ -35,8 +35,8 @@ from conftest import (
     oracle_sweep,
     random_variant,
     sl2_power,
-    sl3_root,
-    sl3_root_algebra,
+    sl_root,
+    sl_root_algebra,
 )
 
 Q, F7 = g.RationalField(), g.PrimeField(7)
@@ -51,7 +51,7 @@ def valid_systems():
         out[f"sl2x{k}_{label}_Z2"] = coordinate_sum(power, 2)
     for seed in range(10):
         out[f"variant{seed}"] = random_variant(seed)
-    out["sl3_root_Q"] = sl3_root(Q)
+    out["sl3_root_Q"] = sl_root(3, Q)
     return out
 
 
@@ -81,7 +81,7 @@ def mutant_systems():
         for t, mutant in enumerate(violating_mutants(random_variant(seed), seed, 2)):
             out[f"variant{seed}_m{t}"] = mutant
     # dense, with multi-output constants: one added term in {b_i, b_j, b_k}
-    sl3 = sl3_root(F7)
+    sl3 = sl_root(3, F7)
     for t, cell in enumerate([(0, 2, 2, 5), (5, 4, 5, 7), (4, 0, 7, 1)]):
         out[f"sl3_root_F7_m{t}"] = mutate_constant(sl3, *cell, F7.one)
     return out
@@ -172,7 +172,7 @@ def algebras():
         "sl2_Q": g.sl2_algebra(Q),
         "sl2_F7": g.sl2_algebra(F7),
         "nonlie": g.nonlie_algebra(),
-        "sl3_root": sl3_root_algebra(Q),
+        "sl3_root": sl_root_algebra(3, Q),
     }
     for t, algebra in enumerate(nonlie_candidates()):
         out[f"candidate{t:02d}"] = algebra

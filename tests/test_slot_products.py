@@ -23,7 +23,7 @@ from conftest import (
     oracle_slot_products,
     oracle_triple,
     sl2_square,
-    sl3_root,
+    sl_root,
 )
 
 
@@ -91,7 +91,7 @@ def sparse_probes(system, seed, count=12):
     return probes
 
 
-INDEXED = dict(SYSTEMS, sl3_root_Q=sl3_root(g.RationalField()), sl3_root_F7=sl3_root(g.PrimeField(7)))
+INDEXED = dict(SYSTEMS, sl3_root_Q=sl_root(3, g.RationalField()), sl3_root_F7=sl_root(3, g.PrimeField(7)))
 
 
 @pytest.mark.parametrize("name", sorted(INDEXED))
