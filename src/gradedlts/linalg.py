@@ -414,6 +414,14 @@ class Subspace:
         self._echelon = echelon
 
     @classmethod
+    def of(cls, echelon: Echelon) -> "Subspace":
+        """The span of `echelon`, kept as the canonical basis; grow it no further."""
+        sub = cls(echelon.field, echelon.ambient, ())
+        sub.basis = Matrix(echelon.field, echelon.dense(), ncols=echelon.ambient)
+        sub.pivots, sub._echelon = echelon.pivots, echelon
+        return sub
+
+    @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":
         return cls(field, ambient, [])
 

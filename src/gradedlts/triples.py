@@ -201,25 +201,23 @@ class GradedTripleSystem:
 
         Fixed-point iteration adding the nonzero slot products {v, E, E},
         {E, v, E} and {E, E, v} of every new spanning vector v, on integer
-        images; terminates because the dimension grows strictly until
-        stable (at most `dim` steps).  The result is the canonical basis,
-        whatever the order in which products (or multiples) were added.
+        images, until stable or, even part-way through one vector's
+        products, until the span has rank `dim`: each added row lies in the
+        least ideal and E is an ideal, so rank `dim` means the closure is E.
+        The result is the canonical basis, whatever the order in which
+        products (or multiples) were added.
         """
-        if sub.ambient != self.dim:
-            raise InputError("subspace ambient dimension mismatch")
-        acc = Echelon(self.field, self.dim)
-        integral = self.field.integral
+        self._check_subspace(sub)
+        n, acc = self.dim, Echelon(self.field, self.dim)
         queue = [row for row in sub.basis.rows if acc.add(row)]
-        while queue:
-            for w in self.int_slot_products(integral(queue.pop())[0]).values():
-                if acc.add(w):
-                    queue.append(w)
-        return Subspace(self.field, self.dim, acc.rows.values())
+        while queue and len(acc.rows) < n:
+            products = self.int_slot_products(self.field.integral(queue.pop())[0]).values()
+            queue.extend(w for w in products if len(acc.rows) < n and acc.add(w))
+        return Subspace.of(acc)
 
     def is_ideal(self, sub: Subspace) -> bool:
         """Whether {I,E,E} + {E,I,E} + {E,E,I} is contained in I."""
-        witness = self.ideal_witness(sub)
-        return witness is None
+        return self.ideal_witness(sub) is None
 
     def ideal_witness(self, sub: Subspace):
         """First product escaping the subspace, or None when it is an ideal.
@@ -228,8 +226,7 @@ class GradedTripleSystem:
         (row, j, k, slot) order, on integer images; zero products always
         lie in the subspace.
         """
-        if sub.ambient != self.dim:
-            raise InputError("subspace ambient dimension mismatch")
+        self._check_subspace(sub)
         for row in sub.basis.rows:
             for (j, k, slot), w in self.int_slot_products(self.field.integral(row)[0]).items():
                 if not sub.contains(w):
@@ -238,10 +235,15 @@ class GradedTripleSystem:
 
     def is_subsystem(self, sub: Subspace) -> bool:
         """Whether {S,S,S} is contained in S, tested on integer images."""
+        self._check_subspace(sub)
         rows = sub.integral_rows()
         return all(
             sub.contains(self.int_triple_product(x, y, z)) for x in rows for y in rows for z in rows
         )
+
+    def _check_subspace(self, sub: Subspace) -> None:
+        if sub.ambient != self.dim or sub.field != self.field:
+            raise InputError("subspace is not in the system's space (ambient dimension or field)")
 
     def lie_defect_ideal(self) -> Subspace:
         """Ideal generated by all {a,b,c} - {a,c,b} + {b,c,a}.

@@ -148,6 +148,8 @@ def oracle_triple(system, x, y, z, table=None):
             if y[j] == zero:
                 continue
             for k in range(n):
+                if z[k] == zero:
+                    continue
                 c = x[i] * y[j] * z[k]
                 if c != zero:
                     for l in range(n):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 import gradedlts as g
-from conftest import oracle_triple, random_variant, sl2_power, sl2_square
+from conftest import coordinate_sum, oracle_triple, random_variant, sl2_power, sl2_square
+from gradedlts.cli import main
 from gradedlts.decomposition import _cross_products_vanish
 
 Q = g.RationalField()
@@ -279,3 +280,28 @@ def test_randomized_variants_have_certified_ideals():
         for cls in g.connection_classes(sup):
             ideal = g.class_ideal(system, cls)
             assert system.is_ideal(ideal.total), seed
+
+
+@pytest.mark.parametrize(
+    "field,push,evaluations",
+    [(g.RationalField(), None, 67), (g.PrimeField(7), 2, 58)],
+    ids=["sl2x3_Q", "sl2x3_F7_Z2"],
+)
+def test_slot_product_evaluations_per_decompose_run(field, push, evaluations, monkeypatch, tmp_path):
+    # the probe closures stop at full rank; run to their fixed points they
+    # made these counts 195 and 186
+    system = sl2_power(3, field)
+    if push:
+        system = coordinate_sum(system, push)
+    path = tmp_path / "sl2x3.json"
+    path.write_text(g.dumps_system(system), encoding="utf-8")
+    calls = []
+    products = g.GradedTripleSystem.int_slot_products
+
+    def counted(self, w):
+        calls.append(w)
+        return products(self, w)
+
+    monkeypatch.setattr(g.GradedTripleSystem, "int_slot_products", counted)
+    assert main(["decompose", str(path)]) == 0
+    assert len(calls) == evaluations

@@ -17,7 +17,9 @@ from itertools import product
 import pytest
 
 import gradedlts as g
+from gradedlts.decomposition import _random_vector, _unit
 from conftest import (
+    dense_table,
     library_vector,
     mutate_constant,
     oracle_slot_products,
@@ -56,10 +58,10 @@ def random_vectors(system, seed, count=3):
     ]
 
 
-def oracle_slot_product(system, v, j, k, slot):
+def oracle_slot_product(system, v, j, k, slot, table=None):
     args = [unit(system, j), unit(system, k)]
     args.insert(slot, v)
-    return library_vector(oracle_triple(system, *args))
+    return library_vector(oracle_triple(system, *args, table=table))
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -106,18 +108,19 @@ def test_indexed_slot_products_match_unindexed_pass(name):
 
 
 def naive_closure(system, vectors):
-    """Least ideal by brute force: add escaping oracle products until stable."""
+    """Least ideal by brute force: add the escaping oracle products of every
+    basis row, pass after pass, until a pass adds none."""
     n = system.dim
+    table = dense_table(system)
     current = g.Subspace(system.field, n, vectors)
     changed = True
     while changed:
         changed = False
         for v, j, k, slot in product(current.basis.rows, range(n), range(n), range(3)):
-            w = oracle_slot_product(system, list(v), j, k, slot)
+            w = oracle_slot_product(system, list(v), j, k, slot, table)
             if not current.contains(w):
                 current = current.sum(g.Subspace(system.field, n, [w]))
                 changed = True
-                break
     return current
 
 
@@ -127,6 +130,76 @@ def test_ideal_closure_matches_naive_fixed_point(name):
     for v in random_vectors(system, seed=100 + system.dim) + [unit(system, 0)]:
         line = g.Subspace(system.field, system.dim, [v])
         assert system.ideal_closure(line) == naive_closure(system, [v])
+
+
+def probe_lines(system, seed, probes=16):
+    """The lines whose closures `simplicity_obstructions` takes: the n unit
+    vectors, then the `probes` seeded random ones."""
+    rng = random.Random(seed)
+    drawn = [_random_vector(system, rng) for _ in range(probes)]
+    return [list(_unit(system, i)) for i in range(system.dim)] + [v for v in drawn if v]
+
+
+def closure_work(system, line, monkeypatch):
+    """(closure, slot-product evaluations, `Echelon.add` calls) of one closure."""
+    counts = {"products": 0, "adds": 0}
+    products, add = g.GradedTripleSystem.int_slot_products, g.linalg.Echelon.add
+
+    def counted_products(self, w):
+        counts["products"] += 1
+        return products(self, w)
+
+    def counted_add(self, vec):
+        counts["adds"] += 1
+        return add(self, vec)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(g.GradedTripleSystem, "int_slot_products", counted_products)
+        patch.setattr(g.linalg.Echelon, "add", counted_add)
+        closure = system.ideal_closure(line)
+    return closure, counts["products"], counts["adds"]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_every_probe_closure_matches_naive_fixed_point(name, seed):
+    # a closure that stops at full rank returns E; one that stops a step
+    # early (rank n - 1) differs from the oracle on every full closure
+    system = SYSTEMS[name]
+    for v in probe_lines(system, seed):
+        line = g.Subspace(system.field, system.dim, [v])
+        assert system.ideal_closure(line) == naive_closure(system, [v]), v
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_probe_lines_reach_full_and_proper_closures(seed):
+    # on sl2 + sl2 the comparison above covers both ways out of a closure:
+    # the unit lines close to one copy of sl2, the random ones to E
+    system = SYSTEMS["sl2x2_Q"]
+    lines = [g.Subspace(system.field, system.dim, [v]) for v in probe_lines(system, seed)]
+    assert {system.ideal_closure(line).dim for line in lines} == {3, 6}
+
+
+def test_closure_stops_part_way_through_the_first_products(monkeypatch):
+    # the first seeded probe line of sl2 over Q spans E with the first few of
+    # its 27 slot products: one evaluation, and the rest are never added
+    system = SYSTEMS["sl2_Z"]
+    v = probe_lines(system, seed=0)[system.dim]
+    line = g.Subspace(system.field, system.dim, [v])
+    closure, evaluations, adds = closure_work(system, line, monkeypatch)
+    assert closure == g.Subspace.full(system.field, system.dim) == naive_closure(system, [v])
+    assert evaluations == 1
+    assert adds < len(system.slot_products(v))
+
+
+def test_proper_closure_runs_to_its_fixed_point(monkeypatch):
+    # b0 of sl2 + sl2 closes to its own copy of sl2: every spanning vector's
+    # products are evaluated, and the closure is proper
+    system = SYSTEMS["sl2x2_Q"]
+    line = g.Subspace(system.field, system.dim, [unit(system, 0)])
+    closure, evaluations, _ = closure_work(system, line, monkeypatch)
+    assert closure == naive_closure(system, [unit(system, 0)])
+    assert closure.dim == 3 and evaluations == 3
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradedlts as g
-from gradedlts.errors import CertificateFailure
+from gradedlts.errors import CertificateFailure, InputError
 from conftest import dense_table, mutate_constant, oracle_is_lie, oracle_triple
 
 Q = g.RationalField()
@@ -168,6 +168,22 @@ def test_cartan_line_is_not_an_ideal(sl2):
                     escaped = True
     assert escaped
     assert not sl2.is_ideal(h_line)
+
+
+# span(e, h) given in K^2 and in K^5, and the GF(7) line of e + 6f, which
+# must not be read as the rational e + 6f: none lies in the space of sl2 / Q
+FOREIGN = {
+    "K2": g.span(Q, 2, [unit(2, 0), unit(2, 1)]),
+    "K5": g.span(Q, 5, [unit(5, 0), unit(5, 1)]),
+    "GF7": g.span(g.PrimeField(7), 3, [[1, 0, 6]]),
+}
+
+
+@pytest.mark.parametrize("predicate", ["ideal_closure", "ideal_witness", "is_ideal", "is_subsystem"])
+def test_subspace_of_another_space_is_rejected(sl2, predicate):
+    for sub in FOREIGN.values():
+        with pytest.raises(InputError, match="not in the system's space"):
+            getattr(sl2, predicate)(sub)
 
 
 def test_every_subspace_is_ideal_in_zero_system():
