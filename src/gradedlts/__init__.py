@@ -5,121 +5,53 @@ system, builds its standard embedding as a certified tensor-square
 quotient, decides the connection relation on the support, and produces the
 ideal decomposition along connection classes with machine-checkable
 certificates for every claim.
+
+`import gradedlts` loads no submodule: each public name is imported from its
+submodule on first use (PEP 562), so a command or script compiles only the
+modules it needs.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .connections import (
-    ConnectionClass,
-    SupportData,
-    are_connected,
-    connection_classes,
-    connection_closure,
-    validate_sequence,
-    witness_sequence,
-)
-from .decomposition import (
-    ClassIdeal,
-    DecompositionReport,
-    LemmaCheck,
-    Obstruction,
-    class_core_span,
-    class_ideal,
-    decompose,
-    simplicity_obstructions,
-    support_product_span,
-    verify_structure_lemmas,
-)
-from .embedding import StandardEmbedding, build_embedding
-from .errors import (
-    CertificateFailure,
-    DecompositionFailure,
-    EquivalenceFailure,
-    IdealCertificateFailure,
-    InputError,
-    LeibnizIdentityFailure,
-    NotWellDefined,
-    OracleDisagreement,
-)
-from .fixtures import (
-    BUILTIN_NAMES,
-    GradedLeibnizAlgebra,
-    builtin,
-    direct_sum,
-    from_leibniz_algebra,
-    nonlie_algebra,
-    relabel_degrees,
-    search_nonlie_example,
-    sl2_algebra,
-    zero_system,
-)
-from .groups import AbelianGroup, GroupElement
-from .identities import Violation
-from .linalg import (
-    Matrix,
-    PrimeField,
-    RationalField,
-    Subspace,
-    complete_complement,
-    kernel,
-    rref,
-    span,
-)
-from .systemfile import dump_system, dumps_system, load_system, loads_system
-from .triples import GradedTripleSystem
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("connections", "ConnectionClass SupportData are_connected connection_classes "
+         "connection_closure validate_sequence witness_sequence"),
+        ("decomposition", "ClassIdeal DecompositionReport LemmaCheck Obstruction class_core_span "
+         "class_ideal decompose simplicity_obstructions support_product_span "
+         "verify_structure_lemmas"),
+        ("embedding", "StandardEmbedding build_embedding"),
+        ("errors", "CertificateFailure DecompositionFailure EquivalenceFailure "
+         "IdealCertificateFailure InputError LeibnizIdentityFailure NotWellDefined "
+         "OracleDisagreement"),
+        ("fixtures", "BUILTIN_NAMES GradedLeibnizAlgebra builtin direct_sum from_leibniz_algebra "
+         "nonlie_algebra relabel_degrees search_nonlie_example sl2_algebra zero_system"),
+        ("groups", "AbelianGroup GroupElement"),
+        ("identities", "Violation"),
+        ("linalg", "Matrix PrimeField RationalField Subspace complete_complement kernel rref span"),
+        ("systemfile", "dump_system dumps_system load_system loads_system"),
+        ("triples", "GradedTripleSystem"),
+    )
+    for name in names.split()
+}
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli"}
 
-__all__ = [
-    "AbelianGroup",
-    "BUILTIN_NAMES",
-    "CertificateFailure",
-    "ClassIdeal",
-    "ConnectionClass",
-    "DecompositionFailure",
-    "DecompositionReport",
-    "EquivalenceFailure",
-    "GradedLeibnizAlgebra",
-    "GradedTripleSystem",
-    "GroupElement",
-    "IdealCertificateFailure",
-    "InputError",
-    "LeibnizIdentityFailure",
-    "LemmaCheck",
-    "Matrix",
-    "NotWellDefined",
-    "Obstruction",
-    "OracleDisagreement",
-    "PrimeField",
-    "RationalField",
-    "StandardEmbedding",
-    "Subspace",
-    "SupportData",
-    "Violation",
-    "are_connected",
-    "build_embedding",
-    "builtin",
-    "class_core_span",
-    "class_ideal",
-    "complete_complement",
-    "connection_classes",
-    "connection_closure",
-    "decompose",
-    "direct_sum",
-    "dump_system",
-    "dumps_system",
-    "from_leibniz_algebra",
-    "kernel",
-    "load_system",
-    "loads_system",
-    "nonlie_algebra",
-    "relabel_degrees",
-    "rref",
-    "search_nonlie_example",
-    "simplicity_obstructions",
-    "sl2_algebra",
-    "span",
-    "support_product_span",
-    "validate_sequence",
-    "verify_structure_lemmas",
-    "witness_sequence",
-    "zero_system",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

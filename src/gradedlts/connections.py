@@ -17,23 +17,36 @@ question reads it.  Parent pointers yield a witness sequence per element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .errors import EquivalenceFailure, InputError
+from .errors import EquivalenceFailure, InputError, read_only
 from .groups import GroupElement
 
 
-@dataclass(frozen=True)
 class SupportData:
     """Odd and even supports of a graded system with their inverse closures,
     and the closure of each odd element g as parent pointers: reached
-    element -> (previous element, a, b), and g -> None."""
+    element -> (previous element, a, b), and g -> None.  Equality and hash
+    ignore the closures, which the supports determine."""
 
-    odd: tuple[GroupElement, ...]
-    even: tuple[GroupElement, ...]
-    pm_odd: frozenset[GroupElement]
-    pm_even: frozenset[GroupElement]
-    closures: dict = field(compare=False, repr=False)
+    __slots__ = ("odd", "even", "pm_odd", "pm_even", "closures")
+
+    def __init__(self, odd, even, pm_odd, pm_even, closures: dict):
+        for name, value in zip(self.__slots__, (odd, even, pm_odd, pm_even, closures)):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = __delattr__ = read_only
+
+    def _key(self) -> tuple:
+        return (self.odd, self.even, self.pm_odd, self.pm_even)
+
+    def __eq__(self, other):
+        if other.__class__ is not SupportData:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def from_parts(cls, odd, even) -> "SupportData":
@@ -50,8 +63,7 @@ class SupportData:
         return cls.from_parts(system.support(), emb.support())
 
 
-@dataclass(frozen=True)
-class ConnectionClass:
+class ConnectionClass(NamedTuple):
     """An equivalence class of connected support elements.
 
     The representative is the minimal member in the canonical element

@@ -35,8 +35,8 @@ was found.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
+from typing import NamedTuple
 
 from .connections import ConnectionClass, SupportData, are_connected, connection_classes
 from .embedding import StandardEmbedding
@@ -46,48 +46,51 @@ from .linalg import Subspace, complete_complement
 from .triples import GradedTripleSystem
 
 
-@dataclass(frozen=True)
-class ClassIdeal:
+class ClassIdeal(NamedTuple):
     cls: ConnectionClass
     core: Subspace       # inside the identity component
     vertex: Subspace     # sum of the class components
     total: Subspace      # core + vertex, certified ideal
 
 
-@dataclass
-class Obstruction:
+class Obstruction(NamedTuple):
     kind: str
     detail: str
     witness: dict | None = None
 
 
-@dataclass
 class LemmaCheck:
-    name: str
-    instances: int = 0
-    nonvacuous: int = 0
-    failures: list = dataclass_field(default_factory=list)
+    """One structural law: its instances, the nonvacuous ones, and its failures."""
+
+    __slots__ = ("name", "instances", "nonvacuous", "failures")
+
+    def __init__(self, name: str, instances: int = 0, nonvacuous: int = 0, failures=None):
+        self.name, self.instances, self.nonvacuous = name, instances, nonvacuous
+        self.failures: list = [] if failures is None else failures
 
     @property
     def holds(self) -> bool:
         return not self.failures
 
 
-@dataclass
 class DecompositionReport:
-    supports: SupportData
-    u: Subspace
-    span_products: Subspace
-    ideals: list[ClassIdeal]
-    orthogonality: list[dict]
-    all_orthogonal: bool
-    spans: bool
-    tight: bool
-    annihilator_dim: int
-    pairwise_disjoint: bool | None
-    direct_sum: bool | None
-    obstructions: list[Obstruction]
-    seed: int
+    """The decomposition E = U + sum of the class ideals, with its certificates."""
+
+    __slots__ = (
+        "supports", "u", "span_products", "ideals", "orthogonality", "all_orthogonal", "spans",
+        "tight", "annihilator_dim", "pairwise_disjoint", "direct_sum", "obstructions", "seed",
+    )
+
+    def __init__(
+        self, supports: SupportData, u: Subspace, span_products: Subspace,
+        ideals: list[ClassIdeal], orthogonality: list[dict], all_orthogonal: bool, spans: bool,
+        tight: bool, annihilator_dim: int, pairwise_disjoint: bool | None,
+        direct_sum: bool | None, obstructions: list[Obstruction], seed: int,
+    ):
+        values = (supports, u, span_products, ideals, orthogonality, all_orthogonal, spans,
+                  tight, annihilator_dim, pairwise_disjoint, direct_sum, obstructions, seed)
+        for name, value in zip(self.__slots__, values):
+            setattr(self, name, value)
 
 
 def _degree_products(system: GradedTripleSystem, first, second, third):

@@ -54,3 +54,8 @@ class EquivalenceFailure(CertificateFailure):
 
 class IdealCertificateFailure(CertificateFailure):
     """A subspace claimed to be an ideal fails the ideal predicate."""
+
+
+def read_only(self, name, *value):
+    """`__setattr__` and `__delattr__` of the immutable value classes."""
+    raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")

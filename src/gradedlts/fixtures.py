@@ -14,10 +14,9 @@ the search ships here so the frozen fixture can be reproduced.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
 from itertools import product
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InputError
 from .groups import AbelianGroup, GroupElement
@@ -30,8 +29,7 @@ BUILTIN_NAMES = ("zero_3", "sl2_Z", "disjoint_sum", "nonlie_J", "trivial_grading
 _ZERO_PATTERN = re.compile(r"^zero_(\d+)$")
 
 
-@dataclass(frozen=True)
-class GradedLeibnizAlgebra:
+class GradedLeibnizAlgebra(NamedTuple):
     """A graded right Leibniz algebra given by binary structure constants."""
 
     field: object

@@ -9,20 +9,28 @@ equality, hashing, and the lexicographic total order are all structural.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, read_only
 
 
-@dataclass(frozen=True)
 class AbelianGroup:
-    moduli: tuple[int, ...]
+    __slots__ = ("moduli",)
 
-    def __post_init__(self):
-        moduli = tuple(int(m) for m in self.moduli)
+    def __init__(self, moduli: tuple[int, ...]):
+        moduli = tuple(int(m) for m in moduli)
         if any(m < 0 or m == 1 for m in moduli):
             raise InputError(f"moduli must be 0 or >= 2, got {list(moduli)}")
         object.__setattr__(self, "moduli", moduli)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other):
+        if other.__class__ is not AbelianGroup:
+            return NotImplemented
+        return self.moduli == other.moduli
+
+    def __hash__(self):
+        return hash((self.moduli,))
 
     @property
     def rank(self) -> int:
@@ -57,17 +65,24 @@ class AbelianGroup:
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
 class GroupElement:
-    group: AbelianGroup
-    coords: tuple[int, ...]
+    __slots__ = ("group", "coords")
 
-    def __post_init__(self):
+    def __init__(self, group: AbelianGroup, coords: tuple[int, ...]):
         # Canonical form: finite coordinates reduced to [0, m).
-        reduced = tuple(
-            c % m if m else c for c, m in zip(self.coords, self.group.moduli)
-        )
+        reduced = tuple(c % m if m else c for c, m in zip(coords, group.moduli))
+        object.__setattr__(self, "group", group)
         object.__setattr__(self, "coords", reduced)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other):
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return (self.group, self.coords) == (other.group, other.coords)
+
+    def __hash__(self):
+        return hash((self.group, self.coords))
 
     def compose(self, other: "GroupElement") -> "GroupElement":
         self._check(other)

@@ -10,13 +10,12 @@ times the constants) a residual scales by D^2 and is divided back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed identity instance: which identity, where, and the residual."""
 
     identity: str

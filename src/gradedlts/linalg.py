@@ -313,7 +313,8 @@ class Echelon:
     canonical RREF of their span in whatever order the vectors arrived, and
     a vector is reduced in one pass over its entries in pivot columns.
     Vectors are dense sequences of length `ambient` or sparse mappings
-    {column: scalar}; stored entries are field scalars.
+    {column: scalar} with columns in [0, ambient); stored entries are field
+    scalars.
     """
 
     __slots__ = ("field", "ambient", "rows")
@@ -331,6 +332,8 @@ class Echelon:
             if len(vec) != self.ambient:
                 raise ValueError("ambient dimension mismatch")
             vec = dict(enumerate(vec))
+        elif vec and (min(vec) < 0 or max(vec) >= self.ambient):
+            raise ValueError("ambient dimension mismatch")
         v = {c: x for c, x in vec.items() if x}
         rows = self.rows
         for p in [c for c in v if c in rows]:

@@ -114,14 +114,17 @@ class GradedTripleSystem:
     def slot_products(self, v) -> dict[tuple[int, int, int], dict[int, object]]:
         """Products of `v` with every basis pair, from the constants v meets.
 
-        `v` is a dense sequence or a sparse mapping l -> scalar.  Key
+        `v` is a dense sequence or a sparse mapping l -> scalar, 0 <= l < n.  Key
         (j, k, 0) is {v, b_j, b_k}, (j, k, 1) is {b_j, v, b_k} and
         (j, k, 2) is {b_j, b_k, v}.  Only the nonzero products are returned,
         as sparse mappings l -> scalar, with keys in increasing order; a
         missing key means the product is zero.
         """
-        if not isinstance(v, Mapping) and len(v) != self.dim:
-            raise InputError("vector length does not match system dimension")
+        if not isinstance(v, Mapping):
+            if len(v) != self.dim:
+                raise InputError("vector length does not match system dimension")
+        elif v and (min(v) < 0 or max(v) >= self.dim):
+            raise InputError("vector index outside the system dimension")
         w, c = self.field.integral(v)
         unscale, scale = self.field.unscale, c * self.scale
         return {key: unscale(out, scale) for key, out in self.int_slot_products(w).items()}

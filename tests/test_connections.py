@@ -1,7 +1,5 @@
 """Connection relation: closures, classes, witnesses, partition certificates."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -237,7 +235,7 @@ def tampered(odd, reach):
         group.element([c]): {group.element([x]): None for x in reached}
         for c, reached in reach.items()
     }
-    return dataclasses.replace(sup, closures=closures)
+    return g.SupportData(sup.odd, sup.even, sup.pm_odd, sup.pm_even, closures)
 
 
 @pytest.mark.parametrize(

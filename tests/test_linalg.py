@@ -94,6 +94,25 @@ def test_dimension_mismatch_rejected():
         span(Q, 2, [[1, 0]]).sum(span(Q, 3, [[1, 0, 0]]))
 
 
+# A sparse vector with a column outside [0, ambient) gets the error of a
+# dense vector of the wrong length.
+@pytest.mark.parametrize("column", [3, 5, -1])
+def test_subspace_rejects_sparse_column_outside_ambient(column):
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        Subspace(Q, 3, [[1, 0]])
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        Subspace(Q, 3, [{0: 1}, {column: 1}])
+
+
+@pytest.mark.parametrize("column", [3, 7, -1])
+def test_contains_rejects_sparse_column_outside_ambient(column):
+    sub = span(Q, 3, [[1, 0, 0]])
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        sub.contains([1, 0])
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        sub.contains({column: 1})
+
+
 def test_zero_dimensional_ambient():
     z = Subspace.zero(Q, 0)
     assert z.dim == 0

@@ -188,6 +188,16 @@ def test_closure_stops_part_way_through_the_first_products(monkeypatch):
     assert counts["adds"] < len(system.slot_products(v))
 
 
+@pytest.mark.parametrize("index", [3, 7, -1])
+def test_slot_products_reject_sparse_index_outside_dimension(index):
+    # the error of a dense vector of the wrong length; -1 used to read b_2
+    system = g.builtin("sl2_Z")
+    with pytest.raises(g.InputError):
+        system.slot_products([1, 0])
+    with pytest.raises(g.InputError):
+        system.slot_products({0: 1, index: 1})
+
+
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_annihilator_is_kernel_of_oracle_action_matrix(name):
     system = SYSTEMS[name]
