@@ -135,8 +135,7 @@ def class_ideal(system: GradedTripleSystem, cls: ConnectionClass) -> ClassIdeal:
     """
     core = class_core_span(system, cls)
     members = set(cls.members)
-    one = system.field.one
-    units = [{i: one} for i, d in enumerate(system.degrees) if d in members]
+    units = [{i: 1} for i, d in enumerate(system.degrees) if d in members]
     vertex = Subspace(system.field, system.dim, units)
     if not core.intersect(vertex).is_zero():
         raise IdealCertificateFailure(
@@ -230,7 +229,7 @@ def decompose(
     total = u
     for ideal in ideals:
         total = total.sum(ideal.total)
-    spans = total == Subspace.full(system.field, system.dim)
+    spans = total.dim == system.dim
     if not spans:
         raise DecompositionFailure(
             "complement plus class ideals do not span the system",
@@ -301,8 +300,6 @@ def simplicity_obstructions(
     The search never asserts simplicity.
     """
     obstructions: list[Obstruction] = []
-    zero_space = Subspace.zero(system.field, system.dim)
-    full_space = Subspace.full(system.field, system.dim)
     defect = system.lie_defect_ideal()
 
     if not any(True for _ in system.nonzero_triples()):
@@ -311,7 +308,7 @@ def simplicity_obstructions(
         )
 
     for ideal in report.ideals:
-        if ideal.total not in (zero_space, full_space) and ideal.total != defect:
+        if 0 < ideal.total.dim < system.dim and ideal.total != defect:
             obstructions.append(
                 Obstruction(
                     kind="ideal_outside_allowed_set",
@@ -354,7 +351,7 @@ def simplicity_obstructions(
         if line.is_zero():
             continue
         closure = system.ideal_closure(line)
-        if closure not in (zero_space, full_space) and closure != defect:
+        if 0 < closure.dim < system.dim and closure != defect:
             obstructions.append(
                 Obstruction(
                     kind="proper_ideal_found",
@@ -449,7 +446,7 @@ def _pair_laws(sup: SupportData) -> list[LemmaCheck]:
 
 def _lemma_disconnected_brackets_vanish(emb, sup, component) -> LemmaCheck:
     # Disconnected support degrees bracket to zero in the embedding, at all
-    # three levels: odd with odd, even with odd, even with even.
+    # three levels: odd with odd, even with odd, even with even (integer rows).
     check = LemmaCheck("disconnected_brackets_vanish")
     for g in sup.odd:
         for hbar in sup.odd:
@@ -457,24 +454,24 @@ def _lemma_disconnected_brackets_vanish(emb, sup, component) -> LemmaCheck:
                 continue
             check.instances += 1
             check.nonvacuous += 1
-            eg, eh = component(g), component(hbar)
-            cg = emb.component(g)
-            ch = emb.component(hbar)
-            for x in eg.basis.rows:
-                for y in eh.basis.rows:
-                    if any(emb.bracket_odd_odd(x, y)):
+            eg, eh = component(g).integral_rows(), component(hbar).integral_rows()
+            cg = emb.component(g).integral_rows()
+            ch = emb.component(hbar).integral_rows()
+            for x in eg:
+                for y in eh:
+                    if emb.int_bracket_odd_odd(x, y):
                         check.failures.append(
                             {"pair": (g.format(), hbar.format()), "level": "odd_odd"}
                         )
-            for t in cg.basis.rows:
-                for y in eh.basis.rows:
-                    if any(emb.bracket_even_odd(t, y)):
+            for t in cg:
+                for y in eh:
+                    if emb.int_bracket_even_odd(t, y):
                         check.failures.append(
                             {"pair": (g.format(), hbar.format()), "level": "even_odd"}
                         )
-            for t in cg.basis.rows:
-                for s in ch.basis.rows:
-                    if any(emb.bracket_even_even(t, s)):
+            for t in cg:
+                for s in ch:
+                    if emb.int_bracket_even_even(t, s):
                         check.failures.append(
                             {"pair": (g.format(), hbar.format()), "level": "even_even"}
                         )
@@ -576,12 +573,12 @@ def _lemma_core_disconnected_vanish(system, emb, classes, sup, component) -> Lem
         sources = _core_product_sources(system, cls)
         for hbar in outside:
             eh = component(hbar).integral_rows()
-            ch = emb.component(hbar)
+            ch = emb.component(hbar).integral_rows()
             for (p, q, r), u in sources:
                 check.instances += 1
                 check.nonvacuous += 1
                 for y in eh:
-                    if any(emb.bracket_odd_odd(u, y)):
+                    if emb.int_bracket_odd_odd(u, y):
                         check.failures.append(
                             {
                                 "core_triple": (p, q, r),
@@ -589,8 +586,8 @@ def _lemma_core_disconnected_vanish(system, emb, classes, sup, component) -> Lem
                                 "level": "tensor",
                             }
                         )
-                for t in ch.basis.rows:
-                    if any(emb.bracket_odd_even(u, t)):
+                for t in ch:
+                    if emb.int_bracket_odd_even(u, t):
                         check.failures.append(
                             {
                                 "core_triple": (p, q, r),

@@ -24,15 +24,17 @@ N is read off the sparse reduced row echelon form R of the stacked action
 matrix A (the phi rows, then the psi rows, built sparse from the structure
 constants): N is the kernel of R, the quotient coordinates are the pivot
 columns of R, and R's sparse rows are the reduction, since R kills N and
-sends the pivot tensor of each row to that row's coordinate.  The pivot tensors are
-exactly the greedy standard-tensor complement of N, so the choice is
-deterministic, and they are homogeneous, so the even part inherits the
-grading.  Everything is immutable after build.
+sends the pivot tensor of each row to that row's coordinate; R is kept as
+D_R R, D_R the lcm of its denominators.  The pivot tensors are exactly the
+greedy standard-tensor complement of N, so the choice is deterministic, and
+they are homogeneous, so the even part inherits the grading.  Everything but
+the even components, built on first use, is fixed after build.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import lcm
 
 from .errors import DecompositionFailure, LeibnizIdentityFailure, NotWellDefined
 from .groups import GroupElement
@@ -46,9 +48,10 @@ class StandardEmbedding:
 
     One set of sparse kernels carries every bracket: tensors, quotient
     coordinates and system vectors are mappings {index: nonzero scalar},
-    and products are read straight off the integer image of the constants,
-    so `_bracket`, `_phi` and `_psi` return D = `system.scale` times the
-    value.  The public methods take and return dense exact tuples.
+    and products are read straight off the integer images of the constants
+    and of the reduction, so `_bracket`, `_phi` and `_psi` return
+    D = `system.scale` times the value and `_reduce` D_R times it.  The
+    public methods take and return dense exact tuples.
     """
 
     __slots__ = (
@@ -60,6 +63,7 @@ class StandardEmbedding:
         "descent_instances",
         "leibniz_instances",
         "_columns",
+        "_reduction_scale",
         "_by_pair",
         "_components",
         "_support",
@@ -73,11 +77,15 @@ class StandardEmbedding:
         self.dim_even = len(coset_indices)
         self.descent_instances = self.leibniz_instances = 0
         n = system.dim
-        # column c of the reduction, {row: scalar}: the image of b_i (x) b_j, c = i*n + j
+        # `reduction` row r is a positive int multiple of the row of R with pivot
+        # coset_indices[r]; column c = i*n + j of D_R R, {row: int}, is D_R times
+        # the image of b_i (x) b_j
+        pivots = [row[p] for p, row in zip(coset_indices, reduction)]
+        self._reduction_scale = lcm(*pivots)
         self._columns = [{} for _ in range(tensor_dim)]
-        for r, row in enumerate(reduction):
+        for r, (row, a) in enumerate(zip(reduction, pivots)):
             for c, x in row.items():
-                self._columns[c][r] = x
+                self._columns[c][r] = x * (self._reduction_scale // a)
         # _by_pair[i*n + j][k] holds the items of D {b_i, b_j, b_k}
         self._by_pair = [{} for _ in range(tensor_dim)]
         for (i, j, k), entry in system.integer_triples():
@@ -88,7 +96,7 @@ class StandardEmbedding:
     # -- sparse kernels ---------------------------------------------------------
 
     def _reduce(self, tensor) -> dict:
-        """Quotient coordinates of a sparse tensor, along N."""
+        """D_R times the quotient coordinates of a sparse tensor, along N."""
         acc = {}
         for c, x in tensor.items():
             for r, y in self._columns[c].items():
@@ -137,9 +145,10 @@ class StandardEmbedding:
     def _lift(self, coords) -> dict:
         return {self.coset_indices[r]: x for r, x in sparse(coords).items()}
 
-    def _exact(self, kernel_result, size) -> tuple:
-        """Dense exact vector of a `_bracket`, `_phi` or `_psi` result: divided by D."""
-        return self._dense(self.system.field.unscale(kernel_result, self.system.scale), size)
+    def _exact(self, kernel_result, size, scale=None) -> tuple:
+        """Dense exact vector of a kernel result: divided by `scale`, by default D."""
+        exact = self.system.field.unscale(kernel_result, scale or self.system.scale)
+        return self._dense(exact, size)
 
     def _dense(self, vec, size) -> tuple:
         out = [self.system.field.zero] * size
@@ -151,7 +160,7 @@ class StandardEmbedding:
 
     def reduce_tensor(self, tensor_vec) -> tuple:
         """Project a tensor-square vector to quotient coordinates along N."""
-        return self._dense(self._reduce(sparse(tensor_vec)), self.dim_even)
+        return self._exact(self._reduce(sparse(tensor_vec)), self.dim_even, self._reduction_scale)
 
     def lift(self, coords) -> tuple:
         """Canonical tensor representative of a quotient coordinate vector."""
@@ -174,19 +183,30 @@ class StandardEmbedding:
         return self._exact(self._bracket(sparse(tensor_a), sparse(tensor_b)), self.tensor_dim)
 
     # -- quotient brackets ------------------------------------------------------
+    # The int_ forms return sparse kernel results, D D_R, D, D and D_R times the
+    # bracket, for zero and membership tests on integer images; the plain
+    # forms return dense exact tuples (even with odd and odd with even are
+    # `phi_apply` and `psi_apply` of a `lift`).
+
+    def int_bracket_even_even(self, u_coords, v_coords) -> dict:
+        return self._reduce(self._bracket(self._lift(u_coords), self._lift(v_coords)))
+
+    def int_bracket_even_odd(self, u_coords, w) -> dict:
+        return self._phi(self._lift(u_coords), sparse(w))
+
+    def int_bracket_odd_even(self, z, v_coords) -> dict:
+        return self._psi(self._lift(v_coords), sparse(z))
+
+    def int_bracket_odd_odd(self, z, w) -> dict:
+        return self._reduce(_pair(self.system.dim, z, w))
 
     def bracket_even_even(self, u_coords, v_coords) -> tuple:
-        bracket = self._bracket(self._lift(u_coords), self._lift(v_coords))
-        return self._exact(self._reduce(bracket), self.dim_even)
-
-    def bracket_even_odd(self, u_coords, w) -> tuple:
-        return self._exact(self._phi(self._lift(u_coords), sparse(w)), self.system.dim)
-
-    def bracket_odd_even(self, z, v_coords) -> tuple:
-        return self._exact(self._psi(self._lift(v_coords), sparse(z)), self.system.dim)
+        scale = self.system.scale * self._reduction_scale
+        return self._exact(self.int_bracket_even_even(u_coords, v_coords), self.dim_even, scale)
 
     def bracket_odd_odd(self, z, w) -> tuple:
-        return self._dense(self._reduce(_pair(self.system.dim, z, w)), self.dim_even)
+        bracket = self.int_bracket_odd_odd(z, w)
+        return self._exact(bracket, self.dim_even, self._reduction_scale)
 
     # -- grading of the even part ------------------------------------------------
 
@@ -198,7 +218,7 @@ class StandardEmbedding:
         bracket images of E_h with E_{h^-1 g}.
         """
         if self._components is None:
-            # the image of b_i (x) b_j is column i*n + j of the reduction
+            # the image of b_i (x) b_j is column i*n + j of the (scaled) reduction
             n, degrees = self.system.dim, self.system.degrees
             buckets: dict[GroupElement, list] = {}
             for c, image in enumerate(self._columns):
@@ -213,7 +233,8 @@ class StandardEmbedding:
         return self._components
 
     def component(self, g: GroupElement) -> Subspace:
-        return self.components().get(g, Subspace.zero(self.system.field, self.dim_even))
+        comps = self.components()
+        return comps[g] if g in comps else Subspace.zero(self.system.field, self.dim_even)
 
     def support(self) -> tuple[GroupElement, ...]:
         """Nonidentity degrees with a nonzero even component, sorted."""
@@ -223,7 +244,7 @@ class StandardEmbedding:
 
     def _certify_direct_sum(self):
         comps = self._components
-        rows = (r for sub in comps.values() for r in sub.basis.rows)
+        rows = (r for sub in comps.values() for r in sub.integral_rows())
         total = Subspace(self.system.field, self.dim_even, rows)
         dims = {g.format(): sub.dim for g, sub in comps.items()}
         if sum(dims.values()) != self.dim_even or total.dim != self.dim_even:
@@ -233,17 +254,19 @@ class StandardEmbedding:
             )
 
     def verify_even_grading(self) -> list[dict]:
-        """Check [L0_g, L0_h] lands in L0_{gh} for all component pairs."""
+        """Check [L0_g, L0_h] lands in L0_{gh} for all component pairs, on
+        integer rows; a violation reports the bracket of the exact basis rows."""
         violations = []
         comps = self.components()
         for g, cg in comps.items():
             for h, ch in comps.items():
                 target = self.component(g.compose(h))
-                for u in cg.basis.rows:
-                    for v in ch.basis.rows:
-                        w = self.bracket_even_even(u, v)
-                        if any(w) and not target.contains(w):
-                            bracket = [self.system.field.format(x) for x in w]
+                for i, u in enumerate(cg.integral_rows()):
+                    for j, v in enumerate(ch.integral_rows()):
+                        w = self.int_bracket_even_even(u, v)
+                        if w and not target.contains(w):
+                            exact = self.bracket_even_even(cg.basis.rows[i], ch.basis.rows[j])
+                            bracket = [self.system.field.format(x) for x in exact]
                             degrees = (g.format(), h.format())
                             violations.append({"degrees": degrees, "bracket": bracket})
         return violations
@@ -310,7 +333,7 @@ def build_embedding(system: GradedTripleSystem) -> StandardEmbedding:
     # greedy standard-tensor complement of N, and R kills N while sending
     # the pivot tensor of row r to the r-th quotient coordinate.
     reduced = Echelon(system.field, action.ncols, (row for _, row in action.rows))
-    rows = tuple(reduced.rows[p] for p in reduced.pivots)
+    rows = tuple(reduced.int_rows[p] for p in reduced.pivots)
     emb = StandardEmbedding(system, action.ncols, reduced.kernel(), reduced.pivots, rows)
     _certify_descent(emb, action)
     _certify_leibniz_identity(emb)
@@ -327,7 +350,7 @@ def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix):
     the tag of the first nonzero row names the action that does not), and
     for every coordinate tensor t, A [t, nu] = 0 and A [nu, t] = 0.  All
     tensors are sparse, and the tests run on integer images: A and the
-    bracket scale by D and nu by the lcm of its denominators, none of which
+    bracket scale by D and nu is a stored integer row of N, none of which
     moves a zero.  Every term of [b_i(x)b_j, b_k(x)b_l] carries {b_i, b_j, b_k}
     or {b_i, b_j, b_l}, so a bracket that meets no stored constant is zero
     and passes without being formed.  Exact witnesses are built on failure.
@@ -338,29 +361,32 @@ def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix):
         "psi": "twisted right action of a null tensor does not vanish",
     }
 
-    def dense(vec):
-        return [field.format(x) for x in vec]
+    def dense(vec, scale):
+        return [field.format(x) for x in emb._exact(vec, emb.tensor_dim, scale)]
 
-    for row in emb.null_space.basis.rows:
-        nu = field.integral(row)[0]
+    for nu in emb.null_space.integral_rows():
+        a = nu[min(nu)]  # nu is a times the exact basis row
         emb.descent_instances += 1
         failing = action.failing_action(nu)
         if failing:
-            raise NotWellDefined(action_messages[failing], witness={"tensor": dense(row)})
+            raise NotWellDefined(action_messages[failing], witness={"tensor": dense(nu, a)})
         thirds = {k for c in nu for k in by_pair[c]}  # [nu, b_k(x)b_l] needs k or l here
         for c in range(emb.tensor_dim):
             emb.descent_instances += 2
-            if by_pair[c] and action.failing_action(emb._bracket({c: 1}, nu)):
-                outward = emb._exact(emb._bracket({c: 1}, sparse(row)), emb.tensor_dim)
+            if by_pair[c] and action.failing_action(outward := emb._bracket({c: 1}, nu)):
                 raise NotWellDefined(
                     "bracket of the tensor square into the null space escapes it",
-                    witness={"coordinate": c, "null_vector": dense(row), "bracket": dense(outward)},
+                    witness={
+                        "coordinate": c,
+                        "null_vector": dense(nu, a),
+                        "bracket": dense(outward, emb.system.scale * a),
+                    },
                 )
             inward = not thirds.isdisjoint(divmod(c, n))
             if inward and action.failing_action(emb._bracket(nu, {c: 1})):
                 raise NotWellDefined(
                     "bracket of the null space into the tensor square escapes it",
-                    witness={"coordinate": c, "null_vector": dense(row)},
+                    witness={"coordinate": c, "null_vector": dense(nu, a)},
                 )
 
 
@@ -369,28 +395,29 @@ def _certify_leibniz_identity(emb: StandardEmbedding):
 
     Basis element a < dim_even of L is the even coordinate a, and a >= dim_even
     the system basis vector a - dim_even.  The bracket table on basis elements
-    holds exact sparse vectors over L, read off the stored constants and
-    the reduction; the identity runs through the exact term-driven join
-    over its nonzero entries, and the witness is the first failing (y, z, x).
+    holds sparse vectors over L, read off the integer images of the stored
+    constants and of the reduction at the common scale D D_R; the identity
+    runs through the exact term-driven join over its nonzero entries
+    (residuals scale by (D D_R)^2), and the witness is the first failing (y, z, x).
     """
-    field, scale = emb.system.field, emb.system.scale
+    d, d_r = emb.system.scale, emb._reduction_scale
     s, n, cosets = emb.dim_even, emb.system.dim, emb.coset_indices
     m = s + n
 
     def entry(a, b):
         if a < s and b < s:
-            bracket = emb._reduce(emb._bracket({cosets[a]: 1}, {cosets[b]: 1}))
-            return field.unscale(bracket, scale)
+            return emb._reduce(emb._bracket({cosets[a]: 1}, {cosets[b]: 1}))
         if a >= s and b >= s:
-            return emb._columns[(a - s) * n + b - s]
+            return {r: d * x for r, x in emb._columns[(a - s) * n + b - s].items()}
         if a < s:
             odd = emb._phi({cosets[a]: 1}, {b - s: 1})
         else:
             odd = emb._psi({cosets[b]: 1}, {a - s: 1})
-        return {s + l: x for l, x in field.unscale(odd, scale).items()}
+        return {s + l: d_r * x for l, x in odd.items()}
 
     table = {(a, b): e for a, b in product(range(m), repeat=2) if (e := entry(a, b))}
-    violations = term_violations(field, index_constants(table, m, 2), RIGHT_LEIBNIZ)
+    index = index_constants(table, m, 2)
+    violations = term_violations(emb.system.field, index, RIGHT_LEIBNIZ, (d * d_r) ** 2)
     if violations:
         raise LeibnizIdentityFailure(
             "quotient algebra fails the right Leibniz identity",

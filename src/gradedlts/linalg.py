@@ -2,26 +2,24 @@
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``, in lowest
 terms with positive denominator) or, over GF(p), plain ints in [0, p).  The
-field supplies what ``+ - *`` lacks: `inverse`, and `clean`, which reduces
-an accumulated sparse vector once and drops its zeros, so hot loops work on
-unreduced ints.  Scaling moves no zero, so over Q the zero and membership
-tests run on integer images: `integral` clears a vector to a primitive
-integer vector, `integer_image` a table to D times it (D the lcm of its
-denominators), and `unscale` divides a reported result back.  Residues are
-their own integer image.  Arithmetic is exact: no rank or zero test is
-approximate, and entry growth is unbounded by design.  Scalar strings "a"
-and "a/b" of any length parse and format exactly.
+field's `clean` reduces an accumulated sparse vector once and drops its
+zeros, so hot loops work on unreduced ints.  Scaling moves no zero, so over
+Q the zero and membership tests run on integer images: `integral` clears a
+vector to a primitive integer vector, `integer_image` a table to D times it
+(D the lcm of its denominators), and `unscale` divides a result back.
+Residues are their own integer image.  Arithmetic is exact, and entry
+growth is unbounded by design.  Scalar strings "a" and "a/b" of any length
+parse and format exactly.
 
-All elimination goes through one sparse eliminator, `Echelon`; `rref`,
-kernels, complements, subspace membership, sums and intersections (by
-Zassenhaus elimination) are read off it.  Subspaces are stored by their
-canonical reduced-row-echelon basis, so two subspaces are equal exactly when
-their stored bases are equal entry by entry, which makes every cross-module
-equality check deterministic.
+All elimination goes through one sparse eliminator, `Echelon`, whose rows
+are canonical integer rows; `rref`, kernels, complements, membership, sums
+and intersections (by Zassenhaus elimination) are read off it, and two
+subspaces are equal exactly when their stored rows are.  Fractions appear
+only where exact values leave: `Echelon.rows` and `Subspace.basis`.
 
-An `Echelon` grows in place; everything else is immutable after
-construction and all operations are pure functions, so it is safe for
-concurrent read-only use.
+An `Echelon` grows in place and a `Subspace` builds its `basis` on first
+read; all else is immutable after construction.  Concurrent read-only use
+is safe: two threads that both build a `basis` store equal matrices.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # "a" or "a/b" in ASCII decimal digits: no sign on b, no spaces, no "+",
 # no "_" separators and no other Unicode digits, all of which int() accepts.
 _SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INT = frozenset([int])
 
 
 # Decimal digits per piece of an int/str conversion: under 640, the lowest
@@ -113,7 +112,7 @@ def is_prime(p: int) -> bool:
 
 
 class RationalField:
-    """The field of rationals; kernels may hold ints, stored rows are Fractions."""
+    """The field of rationals; kernels and `Echelon` rows hold ints, exact values Fractions."""
 
     kind = "rational"
     zero = Fraction(0)
@@ -133,9 +132,6 @@ class RationalField:
         if x.denominator == 1:
             return _decimal(x.numerator)
         return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
-
-    def inverse(self, x) -> Fraction:
-        return self.one / x
 
     def clean(self, vec: dict) -> dict:
         """The nonzero entries of an accumulated sparse vector."""
@@ -202,9 +198,6 @@ class PrimeField:
 
     def format(self, x) -> str:
         return str(x)
-
-    def inverse(self, x) -> int:
-        return pow(x, -1, self.p)
 
     def clean(self, vec: dict) -> dict:
         """The entries of an accumulated sparse vector reduced mod p, zeros dropped."""
@@ -296,48 +289,49 @@ class Matrix:
         return f"Matrix[{self.nrows}x{self.ncols} | {body}]"
 
 
-def _eliminate(v: dict, p: int, row: dict) -> None:
-    """v -= v[p] * row in place, for a stored row with row[p] = 1; entries stay unreduced."""
-    coef = v.pop(p)
-    for c, x in row.items():
-        if c != p:
-            v[c] = v.get(c, 0) - coef * x
-
-
 class Echelon:
-    """The one eliminator: a span kept in sparse reduced row echelon form.
+    """The one eliminator: a span kept in sparse echelon form on integer rows.
 
-    Each row is a mapping {column: scalar} of its nonzero entries, stored
-    under its pivot (its first column).  Every pivot entry is 1 and every
-    pivot column is zero in all other rows, so the stored rows are the
-    canonical RREF of their span in whatever order the vectors arrived, and
-    a vector is reduced in one pass over its entries in pivot columns.
-    Vectors are dense sequences of length `ambient` or sparse mappings
-    {column: scalar} with columns in [0, ambient); stored entries are field
-    scalars.
+    Each row {column: int} is stored in `int_rows` under its pivot (its
+    first column); every pivot column is zero in all other rows.  Over GF(p)
+    a row holds residues with pivot entry 1, over Q it is the primitive
+    integer multiple of its reduced row with a positive pivot entry, so the
+    rows are fixed by the span and `rows` divides them back to the exact
+    RREF.  Elimination is fraction-free: over Q a vector is scaled once by
+    the lcm of the pivot entries it meets.  Vectors are dense sequences of
+    length `ambient` or sparse mappings {column: scalar}, columns in [0, ambient).
     """
 
-    __slots__ = ("field", "ambient", "rows")
+    __slots__ = ("field", "ambient", "int_rows", "_p")
 
     def __init__(self, field, ambient: int, vectors: Iterable = ()):
         self.field = field
         self.ambient = ambient
-        self.rows: dict[int, dict] = {}
+        self.int_rows: dict[int, dict] = {}
+        self._p = field.p if field.kind == "prime" else 0
         for vec in vectors:
             self.add(vec)
 
     def reduce(self, vec) -> dict:
-        """Nonzero entries of the residual of `vec`; empty exactly on the span."""
-        if not isinstance(vec, Mapping):
+        """A nonzero multiple of the residual of `vec` as {column: int}, zeros
+        dropped (residues over GF(p)); empty exactly on the span."""
+        if type(vec) is not dict and not isinstance(vec, Mapping):
             if len(vec) != self.ambient:
                 raise ValueError("ambient dimension mismatch")
             vec = dict(enumerate(vec))
         elif vec and (min(vec) < 0 or max(vec) >= self.ambient):
             raise ValueError("ambient dimension mismatch")
-        v = {c: x for c, x in vec.items() if x}
-        rows = self.rows
-        for p in [c for c in v if c in rows]:
-            _eliminate(v, p, rows[p])
+        rows, p = self.int_rows, self._p
+        if not p and not _INT.issuperset(map(type, vec.values())):
+            vec = self.field.integral(vec)[0]
+        hits = [c for c, x in vec.items() if x and c in rows]
+        scale = 1 if p else lcm(*(rows[c][c] for c in hits))
+        v = {c: x * scale for c, x in vec.items()} if scale > 1 else dict(vec)
+        for c in hits:
+            row = rows[c]
+            coef = v[c] // row[c]
+            for col, x in row.items():
+                v[col] = v.get(col, 0) - coef * x
         return self.field.clean(v)
 
     def add(self, vec) -> bool:
@@ -345,42 +339,54 @@ class Echelon:
         v = self.reduce(vec)
         if not v:
             return False
-        p = min(v)
-        field, rows = self.field, self.rows
-        inv = field.inverse(v[p])
-        row = field.clean({c: v[c] * inv for c in sorted(v)})
+        pivot, rows = min(v), self.int_rows
+        row = self._canonical(v, pivot)
+        a = row[pivot]
         for q, other in rows.items():
-            if p in other:
-                _eliminate(other, p, row)
-                rows[q] = field.clean(other)
-        rows[p] = row
+            if pivot in other:
+                # other <- (a other - other[pivot] row) / gcd(a, other[pivot])
+                g = gcd(a, other[pivot])
+                m, coef = a // g, other[pivot] // g
+                new = {c: m * x for c, x in other.items()}
+                for c, x in row.items():
+                    new[c] = new.get(c, 0) - coef * x
+                rows[q] = self._canonical(new, q)
+        rows[pivot] = row
         return True
+
+    def _canonical(self, v: dict, pivot: int) -> dict:
+        """The stored row of which the int vector v, first column `pivot`, is a multiple."""
+        if p := self._p:
+            unit = pow(v[pivot], -1, p)
+            return {c: r for c, x in v.items() if (r := x * unit % p)}
+        content = gcd(*v.values()) if v[pivot] > 0 else -gcd(*v.values())
+        return {c: x // content for c, x in v.items() if x}
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(sorted(self.rows))
+        return tuple(sorted(self.int_rows))
+
+    @property
+    def rows(self) -> dict[int, dict]:
+        """The exact reduced rows {pivot: {column: scalar}}, every pivot entry 1."""
+        return {q: self.field.unscale(row, row[q]) for q, row in self.int_rows.items()}
 
     def dense(self) -> list[tuple]:
-        """The rows as dense tuples, in pivot order."""
-        zero = self.field.zero
-        out = []
-        for p in self.pivots:
-            row = [zero] * self.ambient
-            for c, x in self.rows[p].items():
-                row[c] = x
-            out.append(tuple(row))
-        return out
+        """The exact reduced rows as dense tuples, in pivot order."""
+        zero, rows = self.field.zero, self.rows
+        return [tuple(rows[q].get(c, zero) for c in range(self.ambient)) for q in self.pivots]
 
     def kernel(self) -> "Subspace":
         """{x : r . x = 0 for every row r}.  The vector of free column c is
-        e_c minus, at each pivot p, the entry of row p in column c."""
-        one = self.field.one
-        free = {c: {c: one} for c in range(self.ambient) if c not in self.rows}
-        for p, row in self.rows.items():
-            for c, x in row.items():
-                if c != p:
-                    free[c][p] = -x
-        return Subspace(self.field, self.ambient, free.values())
+        d e_c minus, at each pivot q, d / row[q] times the entry of row q in
+        column c, with d the lcm of those pivot entries (1 over GF(p))."""
+        rows, vectors = self.int_rows, []
+        for c in range(self.ambient):
+            if c not in rows:
+                entries = [(q, row[c], row[q]) for q, row in rows.items() if c in row]
+                d = lcm(*(a for _, _, a in entries))
+                vectors.append({c: d, **{q: -x * (d // a) for q, x, a in entries}})
+        return Subspace(self.field, self.ambient, vectors)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -398,62 +404,68 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 class Subspace:
-    """A linear subspace stored by its canonical RREF basis.
+    """A linear subspace stored by the canonical integer rows of its `Echelon`.
 
-    Invariants: the basis matrix has full row rank and is in reduced row
-    echelon form with strictly increasing pivot columns, so subspace
-    equality is plain equality of the stored bases.  Spanning vectors may be
-    dense sequences or sparse mappings {column: scalar}.
+    Equality, hash, dimension and membership are read off those rows, and
+    `integral_rows` hands them out.  `basis`, the exact RREF basis matrix
+    with strictly increasing pivot columns, is built when first read.
+    Spanning vectors may be dense sequences or sparse mappings {column: scalar}.
     """
 
-    __slots__ = ("field", "ambient", "basis", "pivots", "_echelon")
+    __slots__ = ("field", "ambient", "pivots", "_echelon", "_basis")
 
     def __init__(self, field, ambient: int, vectors: Iterable):
         echelon = Echelon(field, ambient, vectors)
         self.field = field
         self.ambient = ambient
-        self.basis = Matrix(field, echelon.dense(), ncols=ambient)
         self.pivots = echelon.pivots
         self._echelon = echelon
+        self._basis = None
 
     @classmethod
     def of(cls, echelon: Echelon) -> "Subspace":
-        """The span of `echelon`, kept as the canonical basis; grow it no further."""
+        """The span of `echelon`, kept as its canonical rows; grow it no further."""
         sub = cls(echelon.field, echelon.ambient, ())
-        sub.basis = Matrix(echelon.field, echelon.dense(), ncols=echelon.ambient)
         sub.pivots, sub._echelon = echelon.pivots, echelon
         return sub
 
     @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":
-        return cls(field, ambient, [])
+        return cls(field, ambient, ())
 
     @classmethod
     def full(cls, field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.identity(field, ambient).rows)
+        return cls(field, ambient, ({i: 1} for i in range(ambient)))
+
+    @property
+    def basis(self) -> Matrix:
+        """The canonical reduced-row-echelon basis as an exact matrix."""
+        if self._basis is None:
+            self._basis = Matrix(self.field, self._echelon.dense(), ncols=self.ambient)
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self.pivots)
 
     def is_zero(self) -> bool:
-        return self.basis.nrows == 0
+        return not self.pivots
 
     def contains(self, vec) -> bool:
         return not self._echelon.reduce(vec)
 
     def integral_rows(self) -> list[dict]:
-        """The basis rows as sparse primitive integer vectors (see `integral`)."""
-        return [self.field.integral(self._echelon.rows[p])[0] for p in self.pivots]
+        """The stored rows in pivot order, {column: int}; do not change them."""
+        rows = self._echelon.int_rows
+        return [rows[q] for q in self.pivots]
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains(row) for row in other._echelon.rows.values())
+        return all(self.contains(row) for row in other.integral_rows())
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        rows = [*self._echelon.rows.values(), *other._echelon.rows.values()]
-        return Subspace(self.field, self.ambient, rows)
+        return Subspace(self.field, self.ambient, [*self.integral_rows(), *other.integral_rows()])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection by Zassenhaus elimination in K^2n.
@@ -465,16 +477,9 @@ class Subspace:
         """
         self._check_compatible(other)
         n = self.ambient
-        rows = []
-        for a in self._echelon.rows.values():
-            row = dict(a)
-            row.update((c + n, x) for c, x in a.items())
-            rows.append(row)
-        rows.extend(other._echelon.rows.values())
-        meet = Echelon(self.field, 2 * n, rows)
-        right = [
-            {c - n: x for c, x in row.items()} for p, row in meet.rows.items() if p >= n
-        ]
+        rows = [{**a, **{c + n: x for c, x in a.items()}} for a in self.integral_rows()]
+        meet = Echelon(self.field, 2 * n, rows + other.integral_rows())
+        right = [{c - n: x for c, x in row.items()} for p, row in meet.int_rows.items() if p >= n]
         return Subspace(self.field, n, right)
 
     def _check_compatible(self, other: "Subspace"):
@@ -487,11 +492,12 @@ class Subspace:
         return (
             self.field == other.field
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self._echelon.int_rows == other._echelon.int_rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.basis))
+        rows = map(frozenset, map(dict.items, self.integral_rows()))
+        return hash((self.field, self.ambient, tuple(rows)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
@@ -518,6 +524,6 @@ def complete_complement(sub: Subspace, within: Subspace) -> Subspace:
         raise ValueError("subspaces live in different ambient spaces")
     if not within.contains_subspace(sub):
         raise ValueError("complement requested for a subspace not contained in the carrier")
-    acc = Echelon(sub.field, sub.ambient, sub._echelon.rows.values())
-    kept = [row for row in within.basis.rows if acc.add(row)]
+    acc = Echelon(sub.field, sub.ambient, sub.integral_rows())
+    kept = [row for row in within.integral_rows() if acc.add(row)]
     return Subspace(sub.field, sub.ambient, kept)

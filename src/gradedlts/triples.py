@@ -85,9 +85,8 @@ class GradedTripleSystem:
 
     def triple_product(self, x: Sequence, y: Sequence, z: Sequence) -> tuple:
         """Trilinear extension of the structure constants to vectors."""
-        n = self.dim
-        if len(x) != n or len(y) != n or len(z) != n:
-            raise InputError("vector length does not match system dimension")
+        for v in (x, y, z):
+            self._check_vector(v)
         (x, a), (y, b), (z, c) = map(self.field.integral, (x, y, z))
         product = self.int_triple_product(x, y, z)
         return tuple(self.vector(self.field.unscale(product, a * b * c * self.scale)))
@@ -105,7 +104,8 @@ class GradedTripleSystem:
         return self.field.clean(acc)
 
     def vector(self, sparse: Mapping[int, object]) -> list:
-        """Dense coordinate list of a sparse mapping l -> scalar."""
+        """Dense coordinate list of a sparse mapping l -> scalar, 0 <= l < n."""
+        self._check_vector(sparse)
         out = [self.field.zero] * self.dim
         for l, c in sparse.items():
             out[l] = c
@@ -120,14 +120,19 @@ class GradedTripleSystem:
         as sparse mappings l -> scalar, with keys in increasing order; a
         missing key means the product is zero.
         """
+        self._check_vector(v)
+        w, c = self.field.integral(v)
+        unscale, scale = self.field.unscale, c * self.scale
+        return {key: unscale(out, scale) for key, out in self.int_slot_products(w).items()}
+
+    def _check_vector(self, v) -> None:
+        """Reject a dense vector of the wrong length, or a sparse one with an
+        index outside [0, n)."""
         if not isinstance(v, Mapping):
             if len(v) != self.dim:
                 raise InputError("vector length does not match system dimension")
         elif v and (min(v) < 0 or max(v) >= self.dim):
             raise InputError("vector index outside the system dimension")
-        w, c = self.field.integral(v)
-        unscale, scale = self.field.unscale, c * self.scale
-        return {key: unscale(out, scale) for key, out in self.int_slot_products(w).items()}
 
     def int_slot_products(self, w: Mapping) -> dict[tuple[int, int, int], dict[int, object]]:
         """`slot_products` of a sparse integer vector, each `scale` times, reduced."""
@@ -179,8 +184,7 @@ class GradedTripleSystem:
 
     def homogeneous_component(self, g: GroupElement) -> Subspace:
         """The span of the basis vectors of degree g."""
-        one = self.field.one
-        units = [{i: one} for i, d in enumerate(self.degrees) if d == g]
+        units = [{i: 1} for i, d in enumerate(self.degrees) if d == g]
         return Subspace(self.field, self.dim, units)
 
     def support(self) -> tuple[GroupElement, ...]:
@@ -212,10 +216,11 @@ class GradedTripleSystem:
         """
         self._check_subspace(sub)
         n, acc = self.dim, Echelon(self.field, self.dim)
-        queue = [row for row in sub.basis.rows if acc.add(row)]
-        while queue and len(acc.rows) < n:
-            products = self.int_slot_products(self.field.integral(queue.pop())[0]).values()
-            queue.extend(w for w in products if len(acc.rows) < n and acc.add(w))
+        rows = acc.int_rows
+        queue = [row for row in sub.integral_rows() if acc.add(row)]
+        while queue and len(rows) < n:
+            products = self.int_slot_products(queue.pop()).values()
+            queue.extend(w for w in products if len(rows) < n and acc.add(w))
         return Subspace.of(acc)
 
     def is_ideal(self, sub: Subspace) -> bool:
@@ -230,10 +235,10 @@ class GradedTripleSystem:
         lie in the subspace.
         """
         self._check_subspace(sub)
-        for row in sub.basis.rows:
-            for (j, k, slot), w in self.int_slot_products(self.field.integral(row)[0]).items():
+        for r, row in enumerate(sub.integral_rows()):
+            for (j, k, slot), w in self.int_slot_products(row).items():
                 if not sub.contains(w):
-                    return {"vector": row, "slot": slot, "j": j, "k": k}
+                    return {"vector": sub.basis.rows[r], "slot": slot, "j": j, "k": k}
         return None
 
     def is_subsystem(self, sub: Subspace) -> bool:
@@ -269,17 +274,17 @@ class GradedTripleSystem:
             for i, j, k in sorted(reached)
         ]
         ideal = self.ideal_closure(Subspace(self.field, self.dim, generators))
-        for row in ideal.basis.rows:
+        for r, row in enumerate(ideal.integral_rows()):
             # keyed (j, k, -slot) so that on each pair {E,E,I} (slot 2)
             # comes before {E,I,E} (slot 1)
-            products = self.int_slot_products(self.field.integral(row)[0])
+            products = self.int_slot_products(row)
             failing = [(j, k, -slot) for j, k, slot in products if slot]
             if failing:
                 j, k, slot = min(failing)
                 family = "{E,E,I}" if slot == -2 else "{E,I,E}"
                 raise CertificateFailure(
                     f"products {family} of the defect ideal do not vanish",
-                    witness={"vector": row, "j": j, "k": k},
+                    witness={"vector": ideal.basis.rows[r], "j": j, "k": k},
                 )
         return ideal
 

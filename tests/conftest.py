@@ -16,6 +16,7 @@ from itertools import product
 import pytest
 
 import gradedlts as g
+from gradedlts.decomposition import _random_vector, _unit
 
 
 # -- the oracles' scalars ------------------------------------------------------
@@ -160,6 +161,39 @@ def oracle_triple(system, x, y, z, table=None):
 def _units(system):
     zero, one = oracle_zero_one(system.field)
     return [[one if t == i else zero for t in range(system.dim)] for i in range(system.dim)]
+
+
+def oracle_slot_product(system, v, j, k, slot, table=None):
+    """{v, b_j, b_k} (slot 0), {b_j, v, b_k} (1) or {b_j, b_k, v} (2) by the dense table."""
+    zero, one = system.field.zero, system.field.one
+    units = [[one if t == i else zero for t in range(system.dim)] for i in (j, k)]
+    units.insert(slot, v)
+    return library_vector(oracle_triple(system, *units, table=table))
+
+
+def naive_closure(system, vectors):
+    """Least ideal by brute force: add the escaping oracle products of every
+    basis row, pass after pass, until a pass adds none."""
+    n = system.dim
+    table = dense_table(system)
+    current = g.Subspace(system.field, n, vectors)
+    changed = True
+    while changed:
+        changed = False
+        for v, j, k, slot in product(current.basis.rows, range(n), range(n), range(3)):
+            w = oracle_slot_product(system, list(v), j, k, slot, table)
+            if not current.contains(w):
+                current = current.sum(g.Subspace(system.field, n, [w]))
+                changed = True
+    return current
+
+
+def probe_lines(system, seed, probes=16):
+    """The lines whose closures `simplicity_obstructions` takes: the n unit
+    vectors, then the `probes` seeded random ones."""
+    rng = random.Random(seed)
+    drawn = [_random_vector(system, rng) for _ in range(probes)]
+    return [list(_unit(system, i)) for i in range(system.dim)] + [v for v in drawn if v]
 
 
 def oracle_tensor_bracket(system, a, b, table=None):

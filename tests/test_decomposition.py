@@ -1,12 +1,23 @@
 """Class ideals, the certified decomposition, lemma suite, and obstructions."""
 
+import cProfile
+import fractions
+import pstats
 import random
 from fractions import Fraction
 
 import pytest
 
 import gradedlts as g
-from conftest import coordinate_sum, oracle_triple, random_variant, sl2_power, sl2_square
+from conftest import (
+    coordinate_sum,
+    naive_closure,
+    oracle_triple,
+    probe_lines,
+    random_variant,
+    sl2_power,
+    sl2_square,
+)
 from gradedlts.cli import main
 from gradedlts.decomposition import _cross_products_vanish
 
@@ -305,3 +316,60 @@ def test_slot_product_evaluations_per_decompose_run(field, push, evaluations, mo
     monkeypatch.setattr(g.GradedTripleSystem, "int_slot_products", counted)
     assert main(["decompose", str(path)]) == 0
     assert len(calls) == evaluations
+
+
+def rescaled(system, scales):
+    """The system in the basis c_i b_i: {b_i', b_j', b_k'} = sum_l c_i c_j c_k x_l / c_l b_l'."""
+    table = {
+        (i, j, k): {l: x * scales[i] * scales[j] * scales[k] / scales[l] for l, x in entry.items()}
+        for (i, j, k), entry in system.nonzero_triples()
+    }
+    return g.GradedTripleSystem(system.field, system.group, system.degrees, table)
+
+
+# distinct rationals of either sign, one per basis vector of sl2^3
+RESCALE = [Fraction(3, 7), Fraction(-5, 2), Fraction(2, 9), Fraction(7, 4), Fraction(-1, 3),
+           Fraction(11, 5), Fraction(4, 13), Fraction(-9, 8), Fraction(6, 11)]
+
+
+def test_rescaled_basis_gives_the_same_decomposition():
+    # the stored constants carry denominators (D > 1) and the integer rows
+    # non-unit pivot entries; the facts of the report are basis-free
+    plain = sl2_power(3, Q)
+    scaled = rescaled(plain, RESCALE)
+    assert scaled.scale > 1
+
+    def facts(system):
+        report = g.decompose(system, g.build_embedding(system))
+        return (
+            [ideal.cls.members for ideal in report.ideals],
+            [(ideal.core.dim, ideal.vertex.dim, ideal.total.dim) for ideal in report.ideals],
+            report.direct_sum,
+            [obstruction.kind for obstruction in report.obstructions],
+        )
+
+    assert facts(scaled) == facts(plain)
+
+
+def test_rescaled_probe_closures_match_naive_fixed_point():
+    system = rescaled(sl2_power(3, Q), RESCALE)
+    vectors = probe_lines(system, seed=0)
+    lines = [g.Subspace(Q, system.dim, [v]) for v in vectors]
+    assert any(row[min(row)] > 1 for line in lines for row in line.integral_rows())
+    for v, line in zip(vectors, lines):
+        assert system.ideal_closure(line) == naive_closure(system, [v]), v
+
+
+def test_fraction_calls_per_decompose_run(tmp_path):
+    # scalar.fraction_calls of the benchmark: the calls into fractions.py
+    # under cProfile.  Fractions enter at parse, in the probe vectors and in
+    # the report; the eliminator, the closures and the certificates run on
+    # ints.  Counted with CPython 3.11's fractions.py; the parent of the
+    # fraction-free eliminator made 49,487.
+    path = tmp_path / "sl2x3.json"
+    path.write_text(g.dumps_system(sl2_power(3, Q)), encoding="utf-8")
+    profile = cProfile.Profile()
+    assert profile.runcall(main, ["decompose", str(path)]) == 0
+    stats = pstats.Stats(profile).stats
+    calls = sum(s[1] for (file, _, _), s in stats.items() if file == fractions.__file__)
+    assert calls == 1344

@@ -42,7 +42,7 @@ def uncertified(system):
     """The embedding as `build_embedding` constructs it, before either certificate."""
     action = _ActionMatrix(system)
     reduced = Echelon(system.field, action.ncols, (row for _, row in action.rows))
-    rows = tuple(reduced.rows[p] for p in reduced.pivots)
+    rows = tuple(reduced.int_rows[p] for p in reduced.pivots)
     emb = StandardEmbedding(system, action.ncols, reduced.kernel(), reduced.pivots, rows)
     return emb, action
 

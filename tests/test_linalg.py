@@ -1,6 +1,7 @@
 """Exact linear algebra: canonical forms, the subspace lattice, complements."""
 
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -233,7 +234,7 @@ def test_echelon_accumulator_matches_subspace():
 @st.composite
 def ragged_matrices(draw, field, elems):
     """Matrices with zero, duplicate and scaled rows, tall or wide, as (rows, ncols)."""
-    nc = draw(st.integers(min_value=1, max_value=6))
+    nc = draw(st.integers(min_value=1, max_value=8))
     fresh = st.lists(elems, min_size=nc, max_size=nc)
     rows = draw(st.lists(fresh, min_size=0, max_size=7))
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
@@ -284,10 +285,30 @@ def canonical(field, nc, rows):
 small_rational = st.builds(
     Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=2)
 )
+# numerators and denominators up to 10^12, either sign, so that integer rows
+# carry large contents and negative leading entries
+wide_rational = st.builds(
+    Fraction, st.integers(min_value=-(10**12), max_value=10**12),
+    st.integers(min_value=1, max_value=10**12),
+)
 FIELDS = [
-    (Q, st.one_of(st.just(Fraction(0)), small_rational)),
+    (Q, st.one_of(st.just(Fraction(0)), small_rational, wide_rational)),
     (F5, st.integers(min_value=0, max_value=4).map(F5.element)),
 ]
+
+
+def assert_canonical_rows(echelon):
+    """The stored row invariant: int entries, none zero, the pivot first;
+    over Q primitive with a positive pivot entry, over GF(p) residues with
+    pivot entry 1; and every pivot column zero in all other rows."""
+    rows = echelon.int_rows
+    for q, row in rows.items():
+        assert q == min(row) and all(type(x) is int and x for x in row.values())
+        if echelon.field.kind == "prime":
+            assert row[q] == 1 and all(0 < x < echelon.field.p for x in row.values())
+        else:
+            assert row[q] > 0 and gcd(*row.values()) == 1
+        assert not any(c in rows for c in row if c != q)
 
 
 @pytest.mark.parametrize("field, elems", FIELDS, ids=["Q", "F5"])
@@ -305,10 +326,19 @@ def test_eliminator_matches_dense_oracle(field, elems, data):
     for row in rows:
         grew = oracle_rank(field, nc, prefix + [row]) > oracle_rank(field, nc, prefix)
         assert acc.add(row) == grew
+        assert_canonical_rows(acc)
         prefix.append(row)
     assert acc.dense() == list(reduced.rows)
+    assert_canonical_rows(kernel(m)._echelon)
 
     sub = span(field, nc, rows)
+    # the same span from the rows in another order, each times a nonzero scalar
+    order = data.draw(st.permutations(range(len(rows))))
+    scales = data.draw(st.lists(elems.filter(bool), min_size=len(rows), max_size=len(rows)))
+    scaled = [[field.element(c * x) for x in rows[i]] for i, c in zip(order, scales)]
+    again = span(field, nc, scaled)
+    assert again == sub and hash(again) == hash(sub)
+    assert again._echelon.int_rows == sub._echelon.int_rows
     probe = data.draw(st.lists(elems, min_size=nc, max_size=nc))
     probe = list(map(field.element, probe))
     inside = oracle_rank(field, nc, rows + [probe]) == oracle_rank(field, nc, rows)
@@ -328,6 +358,7 @@ def test_intersection_and_complement_match_dense_oracle(field, elems, data):
     a, b = span(field, nc, rows_a), span(field, nc, rows_b)
     meet = oracle_intersection(field, nc, a.basis.rows, b.basis.rows)
     assert a.intersect(b).basis.rows == tuple(canonical(field, nc, meet)[0])
+    assert_canonical_rows(a.intersect(b)._echelon)
 
     within = a.sum(b)
     kept = []
@@ -336,6 +367,7 @@ def test_intersection_and_complement_match_dense_oracle(field, elems, data):
             kept.append(row)
     complement = complete_complement(a, within)
     assert complement.basis.rows == tuple(canonical(field, nc, kept)[0])
+    assert_canonical_rows(complement._echelon)
 
 
 def test_no_two_code_objects_share_a_line_and_name():

@@ -19,13 +19,15 @@ from itertools import product
 import pytest
 
 import gradedlts as g
-from gradedlts.decomposition import _random_vector, _unit
 from conftest import (
     dense_table,
     library_vector,
     mutate_constant,
+    naive_closure,
+    oracle_slot_product,
     oracle_slot_products,
     oracle_triple,
+    probe_lines,
     sl2_square,
     sl_root,
 )
@@ -58,12 +60,6 @@ def random_vectors(system, seed, count=3):
         [field.element(rng.choice(coefficients)) for _ in range(system.dim)]
         for _ in range(count)
     ]
-
-
-def oracle_slot_product(system, v, j, k, slot, table=None):
-    args = [unit(system, j), unit(system, k)]
-    args.insert(slot, v)
-    return library_vector(oracle_triple(system, *args, table=table))
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -109,37 +105,12 @@ def test_indexed_slot_products_match_unindexed_pass(name):
         assert products == expected
 
 
-def naive_closure(system, vectors):
-    """Least ideal by brute force: add the escaping oracle products of every
-    basis row, pass after pass, until a pass adds none."""
-    n = system.dim
-    table = dense_table(system)
-    current = g.Subspace(system.field, n, vectors)
-    changed = True
-    while changed:
-        changed = False
-        for v, j, k, slot in product(current.basis.rows, range(n), range(n), range(3)):
-            w = oracle_slot_product(system, list(v), j, k, slot, table)
-            if not current.contains(w):
-                current = current.sum(g.Subspace(system.field, n, [w]))
-                changed = True
-    return current
-
-
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_ideal_closure_matches_naive_fixed_point(name):
     system = SYSTEMS[name]
     for v in random_vectors(system, seed=100 + system.dim) + [unit(system, 0)]:
         line = g.Subspace(system.field, system.dim, [v])
         assert system.ideal_closure(line) == naive_closure(system, [v])
-
-
-def probe_lines(system, seed, probes=16):
-    """The lines whose closures `simplicity_obstructions` takes: the n unit
-    vectors, then the `probes` seeded random ones."""
-    rng = random.Random(seed)
-    drawn = [_random_vector(system, rng) for _ in range(probes)]
-    return [list(_unit(system, i)) for i in range(system.dim)] + [v for v in drawn if v]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -196,6 +167,23 @@ def test_slot_products_reject_sparse_index_outside_dimension(index):
         system.slot_products([1, 0])
     with pytest.raises(g.InputError):
         system.slot_products({0: 1, index: 1})
+
+
+@pytest.mark.parametrize("x", [{-1: 1, 0: 0, 1: 0}, {5: 1, 6: 1, 7: 1}])
+def test_triple_product_rejects_sparse_index_outside_dimension(x):
+    # n entries used to pass a length check whatever their keys: {-1: 1}
+    # returned the product of b_2, and {5: 1} raised a bare IndexError
+    system = g.builtin("sl2_Z")
+    for args in ([x, [1, 0, 0], [1, 0, 0]], [[1, 0, 0], [1, 0, 0], x]):
+        with pytest.raises(g.InputError):
+            system.triple_product(*args)
+
+
+@pytest.mark.parametrize("index", [3, -1])
+def test_vector_rejects_index_outside_dimension(index):
+    # {-1: 5} used to write the last coordinate
+    with pytest.raises(g.InputError):
+        g.builtin("sl2_Z").vector({index: 5})
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
