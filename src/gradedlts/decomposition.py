@@ -206,8 +206,7 @@ def _cross_products_vanish(system, left: Subspace, right: Subspace):
 
 
 def _unit(system, i):
-    zero, one = system.field.zero, system.field.one
-    return tuple(one if t == i else zero for t in range(system.dim))
+    return tuple(int(t == i) for t in range(system.dim))
 
 
 def decompose(
@@ -369,12 +368,13 @@ def simplicity_obstructions(
 def _random_vector(system, rng):
     if system.dim == 0:
         return None
+    # int coordinates are exact scalars of either field, residues over GF(p)
     if system.field.kind == "prime":
-        coords = [system.field.element(rng.randrange(system.field.p)) for _ in range(system.dim)]
+        coords = [rng.randrange(system.field.p) for _ in range(system.dim)]
     else:
-        coords = [system.field.element(rng.randint(-3, 3)) for _ in range(system.dim)]
+        coords = [rng.randint(-3, 3) for _ in range(system.dim)]
     if not any(coords):
-        coords[rng.randrange(system.dim)] = system.field.one
+        coords[rng.randrange(system.dim)] = 1
     return coords
 
 

@@ -362,14 +362,14 @@ def test_rescaled_probe_closures_match_naive_fixed_point():
 
 def test_fraction_calls_per_decompose_run(tmp_path):
     # scalar.fraction_calls of the benchmark: the calls into fractions.py
-    # under cProfile.  Fractions enter at parse, in the probe vectors and in
-    # the report; the eliminator, the closures and the certificates run on
-    # ints.  Counted with CPython 3.11's fractions.py; the parent of the
-    # fraction-free eliminator made 49,487.
+    # under cProfile.  Fractions enter at parse and in the report; the
+    # eliminator, the closures, the probes and the certificates run on ints.
+    # Counted with CPython 3.11's fractions.py; before the fraction-free
+    # eliminator this run made 49,487.
     path = tmp_path / "sl2x3.json"
     path.write_text(g.dumps_system(sl2_power(3, Q)), encoding="utf-8")
     profile = cProfile.Profile()
     assert profile.runcall(main, ["decompose", str(path)]) == 0
     stats = pstats.Stats(profile).stats
     calls = sum(s[1] for (file, _, _), s in stats.items() if file == fractions.__file__)
-    assert calls == 1344
+    assert calls == 388
