@@ -5,24 +5,26 @@ floating point anywhere, so rank decisions and subspace equality are exact.
 Run as: python demos/01_exact_subspaces.py
 """
 
-from fractions import Fraction
-
-from gradedlts import Matrix, PrimeField, RationalField, Subspace, complete_complement, kernel, rref, span
+from gradedlts import PrimeField, RationalField, Subspace, complete_complement, span
+from gradedlts.linalg import Echelon
 
 Q = RationalField()
 
+
+def show(rows):
+    return tuple(tuple(str(x) for x in row) for row in rows)
+
+
 print("== canonical echelon forms ==")
-m = Matrix(Q, [[Fraction(2), Fraction(4), Fraction(0)], [Fraction(1), Fraction(2), Fraction(1)]])
-reduced, pivots = rref(m)
+plane = span(Q, 3, [[2, 4, 0], [1, 2, 1]])
 print("rows (2,4,0),(1,2,1) reduce to:")
-for row in reduced.rows:
-    print("  ", tuple(str(x) for x in row))
-print("pivot columns:", pivots)
+for row in show(plane.basis):
+    print("  ", row)
+print("pivot columns:", plane.pivots)
 
 F5 = PrimeField(5)
-m5 = Matrix(F5, [[F5.element(2), F5.element(4)]])
 print("over the 5-element field, (2,4) normalizes to",
-      tuple(str(x) for x in rref(m5)[0].rows[0]), "(scale by 2^-1 = 3)")
+      show(span(F5, 2, [[2, 4]]).basis)[0], "(scale by 2^-1 = 3)")
 
 print()
 print("== the subspace lattice ==")
@@ -30,16 +32,16 @@ xy = span(Q, 3, [[1, 0, 0], [0, 1, 0]])
 yz = span(Q, 3, [[0, 1, 0], [0, 0, 1]])
 meet = xy.intersect(yz)
 join = xy.sum(yz)
-print("dim(xy-plane & yz-plane) =", meet.dim, " basis:", meet.basis.rows)
+print("dim(xy-plane & yz-plane) =", meet.dim, " basis:", show(meet.basis))
 print("dim(xy-plane + yz-plane) =", join.dim)
 print("dimension identity: ", xy.dim, "+", yz.dim, "=", join.dim, "+", meet.dim)
 
-k = kernel(Matrix(Q, [[Fraction(1), Fraction(-1)]]))
-print("kernel of the row (1,-1):", k.basis.rows)
+k = Echelon(Q, 2, [[1, -1]]).kernel()
+print("kernel of the row (1,-1):", show(k.basis))
 
 print()
 print("== deterministic complements ==")
 sub = span(Q, 2, [[1, 1]])
 w = complete_complement(sub, Subspace.full(Q, 2))
-print("greedy complement of span{(1,1)} in the plane:", w.basis.rows)
+print("greedy complement of span{(1,1)} in the plane:", show(w.basis))
 print("(the first standard vector that enlarges the span wins)")

@@ -32,7 +32,7 @@ _EXPORTS = {
          "nonlie_algebra relabel_degrees search_nonlie_example sl2_algebra zero_system"),
         ("groups", "AbelianGroup GroupElement"),
         ("identities", "Violation"),
-        ("linalg", "Matrix PrimeField RationalField Subspace complete_complement kernel rref span"),
+        ("linalg", "PrimeField RationalField Subspace complete_complement span"),
         ("systemfile", "dump_system dumps_system load_system loads_system"),
         ("triples", "GradedTripleSystem"),
     )

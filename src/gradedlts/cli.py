@@ -161,7 +161,7 @@ def _embedding_section(system, emb) -> dict:
 
 def _basis_strings(system, subspace) -> list[list[str]]:
     fmt = system.field.format
-    return [list(map(fmt, row)) for row in subspace.basis.rows]
+    return [list(map(fmt, row)) for row in subspace.basis]
 
 
 def _decomposition_section(system, report) -> dict:

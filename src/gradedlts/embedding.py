@@ -51,7 +51,8 @@ class StandardEmbedding:
     and products are read straight off the integer images of the constants
     and of the reduction, so `_bracket`, `_phi` and `_psi` return
     D = `system.scale` times the value and `_reduce` D_R times it.  The
-    public methods take and return dense exact tuples.
+    public `int_bracket_*` methods return such scaled results, and `_exact`
+    divides one back to a dense exact tuple.
     """
 
     __slots__ = (
@@ -145,48 +146,16 @@ class StandardEmbedding:
     def _lift(self, coords) -> dict:
         return {self.coset_indices[r]: x for r, x in sparse(coords).items()}
 
-    def _exact(self, kernel_result, size, scale=None) -> tuple:
-        """Dense exact vector of a kernel result: divided by `scale`, by default D."""
-        exact = self.system.field.unscale(kernel_result, scale or self.system.scale)
-        return self._dense(exact, size)
-
-    def _dense(self, vec, size) -> tuple:
+    def _exact(self, kernel_result, size, scale) -> tuple:
+        """Dense exact vector of a kernel result divided by `scale`."""
         out = [self.system.field.zero] * size
-        for t, x in vec.items():
+        for t, x in self.system.field.unscale(kernel_result, scale).items():
             out[t] = x
         return tuple(out)
 
-    # -- dense wrappers -----------------------------------------------------------
-
-    def reduce_tensor(self, tensor_vec) -> tuple:
-        """Project a tensor-square vector to quotient coordinates along N."""
-        return self._exact(self._reduce(sparse(tensor_vec)), self.dim_even, self._reduction_scale)
-
-    def lift(self, coords) -> tuple:
-        """Canonical tensor representative of a quotient coordinate vector."""
-        return self._dense(self._lift(coords), self.tensor_dim)
-
-    def tensor_of_pair(self, x, y) -> tuple:
-        """The tensor x (x) y of two system vectors, as a flat vector."""
-        return self._dense(self.system.field.clean(_pair(self.system.dim, x, y)), self.tensor_dim)
-
-    def phi_apply(self, tensor_vec, w) -> tuple:
-        """Left multiplication by a tensor: sum {x_i, y_i, w}."""
-        return self._exact(self._phi(sparse(tensor_vec), sparse(w)), self.system.dim)
-
-    def psi_apply(self, tensor_vec, z) -> tuple:
-        """Twisted right action of a tensor: sum {z, x_i, y_i} - {z, y_i, x_i}."""
-        return self._exact(self._psi(sparse(tensor_vec), sparse(z)), self.system.dim)
-
-    def tensor_bracket(self, tensor_a, tensor_b) -> tuple:
-        """Tensor part of the bracket of two even elements (before reduction)."""
-        return self._exact(self._bracket(sparse(tensor_a), sparse(tensor_b)), self.tensor_dim)
-
     # -- quotient brackets ------------------------------------------------------
-    # The int_ forms return sparse kernel results, D D_R, D, D and D_R times the
-    # bracket, for zero and membership tests on integer images; the plain
-    # forms return dense exact tuples (even with odd and odd with even are
-    # `phi_apply` and `psi_apply` of a `lift`).
+    # Sparse kernel results, D D_R, D, D and D_R times the bracket, for zero
+    # and membership tests on integer images; `_exact` divides one back.
 
     def int_bracket_even_even(self, u_coords, v_coords) -> dict:
         return self._reduce(self._bracket(self._lift(u_coords), self._lift(v_coords)))
@@ -199,14 +168,6 @@ class StandardEmbedding:
 
     def int_bracket_odd_odd(self, z, w) -> dict:
         return self._reduce(_pair(self.system.dim, z, w))
-
-    def bracket_even_even(self, u_coords, v_coords) -> tuple:
-        scale = self.system.scale * self._reduction_scale
-        return self._exact(self.int_bracket_even_even(u_coords, v_coords), self.dim_even, scale)
-
-    def bracket_odd_odd(self, z, w) -> tuple:
-        bracket = self.int_bracket_odd_odd(z, w)
-        return self._exact(bracket, self.dim_even, self._reduction_scale)
 
     # -- grading of the even part ------------------------------------------------
 
@@ -261,11 +222,13 @@ class StandardEmbedding:
         for g, cg in comps.items():
             for h, ch in comps.items():
                 target = self.component(g.compose(h))
-                for i, u in enumerate(cg.integral_rows()):
-                    for j, v in enumerate(ch.integral_rows()):
+                for u in cg.integral_rows():
+                    for v in ch.integral_rows():
                         w = self.int_bracket_even_even(u, v)
                         if w and not target.contains(w):
-                            exact = self.bracket_even_even(cg.basis.rows[i], ch.basis.rows[j])
+                            # u and v are u[pivot] and v[pivot] times the exact basis rows
+                            scale = self.system.scale * self._reduction_scale
+                            exact = self._exact(w, self.dim_even, scale * u[min(u)] * v[min(v)])
                             bracket = [self.system.field.format(x) for x in exact]
                             degrees = (g.format(), h.format())
                             violations.append({"degrees": degrees, "bracket": bracket})
@@ -427,6 +390,6 @@ def _certify_leibniz_identity(emb: StandardEmbedding):
 
 
 def _pair(n, x, y) -> dict:
-    """The sparse tensor x (x) y of two dense system vectors, unreduced."""
+    """The sparse tensor x (x) y of two system vectors, dense or sparse, unreduced."""
     y = sparse(y)
     return {i * n + j: xi * yj for i, xi in sparse(x).items() for j, yj in y.items()}

@@ -12,14 +12,15 @@ growth is unbounded by design.  Scalar strings "a" and "a/b" of any length
 parse and format exactly.
 
 All elimination goes through one sparse eliminator, `Echelon`, whose rows
-are canonical integer rows; `rref`, kernels, complements, membership, sums
-and intersections (by Zassenhaus elimination) are read off it, and two
-subspaces are equal exactly when their stored rows are.  Fractions appear
-only where exact values leave: `Echelon.rows` and `Subspace.basis`.
+are canonical integer rows; the exact reduced row echelon form, kernels,
+complements, membership, sums and intersections (by Zassenhaus
+elimination) are read off it, and two subspaces are equal exactly when
+their stored rows are.  Fractions appear only where exact values leave:
+`Echelon.rows` and `Subspace.basis`.
 
 An `Echelon` grows in place and a `Subspace` builds its `basis` on first
 read; all else is immutable after construction.  Concurrent read-only use
-is safe: two threads that both build a `basis` store equal matrices.
+is safe: two threads that both build a `basis` store equal tuples.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import re
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InputError
 
@@ -242,53 +243,6 @@ def field_from_descriptor(descriptor: dict):
     raise InputError(f"unknown field kind {kind!r}")
 
 
-class Matrix:
-    """An immutable dense matrix of exact scalars.
-
-    The column count is stored explicitly so that matrices with zero rows
-    keep their shape.
-    """
-
-    __slots__ = ("field", "nrows", "ncols", "rows")
-
-    def __init__(self, field, rows: Iterable[Sequence], ncols: int | None = None):
-        rows = tuple(tuple(r) for r in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != width:
-                raise ValueError("declared column count does not match rows")
-            ncols = width
-        elif ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        self.field = field
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = ncols
-
-    @classmethod
-    def identity(cls, field, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls(field, [[zero] * i + [one] + [zero] * (n - 1 - i) for i in range(n)], ncols=n)
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.ncols, self.rows))
-
-    def __repr__(self):
-        body = "; ".join(f"({', '.join(map(str, r))})" for r in self.rows)
-        return f"Matrix[{self.nrows}x{self.ncols} | {body}]"
-
-
 class Echelon:
     """The one eliminator: a span kept in sparse echelon form on integer rows.
 
@@ -371,10 +325,10 @@ class Echelon:
         """The exact reduced rows {pivot: {column: scalar}}, every pivot entry 1."""
         return {q: self.field.unscale(row, row[q]) for q, row in self.int_rows.items()}
 
-    def dense(self) -> list[tuple]:
+    def dense(self) -> tuple[tuple, ...]:
         """The exact reduced rows as dense tuples, in pivot order."""
-        zero, rows = self.field.zero, self.rows
-        return [tuple(rows[q].get(c, zero) for c in range(self.ambient)) for q in self.pivots]
+        zero, rows, n = self.field.zero, self.rows, self.ambient
+        return tuple(tuple([rows[q].get(c, zero) for c in range(n)]) for q in self.pivots)
 
     def kernel(self) -> "Subspace":
         """{x : r . x = 0 for every row r}.  The vector of free column c is
@@ -389,25 +343,11 @@ class Echelon:
         return Subspace(self.field, self.ambient, vectors)
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form with strictly increasing pivot columns.
-
-    Every pivot is 1 and pivot columns are cleared above and below, so the
-    result is the canonical normal form of the row space.
-
-    Returns:
-        (R, pivots) where R has the same row space as `m` and `pivots` lists
-        the pivot column indices in increasing order.
-    """
-    echelon = Echelon(m.field, m.ncols, m.rows)
-    return Matrix(m.field, echelon.dense(), ncols=m.ncols), echelon.pivots
-
-
 class Subspace:
     """A linear subspace stored by the canonical integer rows of its `Echelon`.
 
     Equality, hash, dimension and membership are read off those rows, and
-    `integral_rows` hands them out.  `basis`, the exact RREF basis matrix
+    `integral_rows` hands them out.  `basis`, the exact RREF basis rows
     with strictly increasing pivot columns, is built when first read.
     Spanning vectors may be dense sequences or sparse mappings {column: scalar}.
     """
@@ -438,10 +378,10 @@ class Subspace:
         return cls(field, ambient, ({i: 1} for i in range(ambient)))
 
     @property
-    def basis(self) -> Matrix:
-        """The canonical reduced-row-echelon basis as an exact matrix."""
+    def basis(self) -> tuple[tuple, ...]:
+        """The canonical reduced-row-echelon basis as exact row tuples."""
         if self._basis is None:
-            self._basis = Matrix(self.field, self._echelon.dense(), ncols=self.ambient)
+            self._basis = self._echelon.dense()
         return self._basis
 
     @property
@@ -508,11 +448,6 @@ def span(field, ambient: int, vectors: Iterable) -> Subspace:
     return Subspace(field, ambient, vectors)
 
 
-def kernel(m: Matrix) -> Subspace:
-    """Right kernel {x : m x = 0} as a canonical subspace of K^ncols."""
-    return Echelon(m.field, m.ncols, m.rows).kernel()
-
-
 def complete_complement(sub: Subspace, within: Subspace) -> Subspace:
     """Deterministic complement W with sub + W = within and sub & W = 0.
 
@@ -520,8 +455,6 @@ def complete_complement(sub: Subspace, within: Subspace) -> Subspace:
     order) that enlarge the span of `sub`, i.e. a greedy pivot completion.
     The greedy choice makes the complement reproducible across runs.
     """
-    if sub.ambient != within.ambient or sub.field != within.field:
-        raise ValueError("subspaces live in different ambient spaces")
     if not within.contains_subspace(sub):
         raise ValueError("complement requested for a subspace not contained in the carrier")
     acc = Echelon(sub.field, sub.ambient, sub.integral_rows())

@@ -83,14 +83,6 @@ class GradedTripleSystem:
         """Sorted ((i, j, k), {l: int}) of the stored integer image; do not change the mappings."""
         return sorted(self._table.items())
 
-    def triple_product(self, x: Sequence, y: Sequence, z: Sequence) -> tuple:
-        """Trilinear extension of the structure constants to vectors."""
-        for v in (x, y, z):
-            self._check_vector(v)
-        (x, a), (y, b), (z, c) = map(self.field.integral, (x, y, z))
-        product = self.int_triple_product(x, y, z)
-        return tuple(self.vector(self.field.unscale(product, a * b * c * self.scale)))
-
     def int_triple_product(self, x: Mapping, y: Mapping, z: Mapping) -> dict:
         """`scale` {x, y, z} of sparse integer vectors, reduced, zeros dropped."""
         table, (by_first, _, _), _ = self._index
@@ -238,7 +230,7 @@ class GradedTripleSystem:
         for r, row in enumerate(sub.integral_rows()):
             for (j, k, slot), w in self.int_slot_products(row).items():
                 if not sub.contains(w):
-                    return {"vector": sub.basis.rows[r], "slot": slot, "j": j, "k": k}
+                    return {"vector": sub.basis[r], "slot": slot, "j": j, "k": k}
         return None
 
     def is_subsystem(self, sub: Subspace) -> bool:
@@ -284,7 +276,7 @@ class GradedTripleSystem:
                 family = "{E,E,I}" if slot == -2 else "{E,I,E}"
                 raise CertificateFailure(
                     f"products {family} of the defect ideal do not vanish",
-                    witness={"vector": ideal.basis.rows[r], "j": j, "k": k},
+                    witness={"vector": ideal.basis[r], "j": j, "k": k},
                 )
         return ideal
 

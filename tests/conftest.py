@@ -16,7 +16,8 @@ from itertools import product
 import pytest
 
 import gradedlts as g
-from gradedlts.decomposition import _random_vector, _unit
+from gradedlts.decomposition import _random_vector
+from gradedlts.linalg import sparse
 
 
 # -- the oracles' scalars ------------------------------------------------------
@@ -118,6 +119,43 @@ def library_vector(vec):
     return [x.value if isinstance(x, PrimeFieldElement) else x for x in vec]
 
 
+# -- library kernels divided back -------------------------------------------
+# The sparse kernels return D (`system.scale`) or D_R times the exact value
+# over Q; these divide a result back to dense exact values.
+
+
+def exact_triple(system, x, y, z):
+    """{x, y, z} of dense vectors by `int_triple_product`, as an exact tuple."""
+    (x, a), (y, b), (z, c) = map(system.field.integral, (x, y, z))
+    product = system.int_triple_product(x, y, z)
+    return tuple(system.vector(system.field.unscale(product, a * b * c * system.scale)))
+
+
+def exact_bracket(emb, a, b):
+    """The tensor part of the bracket of two dense tensors, before reduction."""
+    return emb._exact(emb._bracket(sparse(a), sparse(b)), emb.tensor_dim, emb.system.scale)
+
+
+def exact_phi(emb, tensor, w):
+    """Left multiplication of a dense w by a dense tensor: sum {x_i, y_i, w}."""
+    return emb._exact(emb._phi(sparse(tensor), sparse(w)), emb.system.dim, emb.system.scale)
+
+
+def exact_psi(emb, tensor, z):
+    """Twisted right action of a dense tensor on z: sum {z, x_i, y_i} - {z, y_i, x_i}."""
+    return emb._exact(emb._psi(sparse(tensor), sparse(z)), emb.system.dim, emb.system.scale)
+
+
+def exact_reduce(emb, tensor):
+    """The quotient coordinates of a dense tensor, along N."""
+    return emb._exact(emb._reduce(sparse(tensor)), emb.dim_even, emb._reduction_scale)
+
+
+def exact_lift(emb, coords):
+    """The canonical tensor representative of quotient coordinates."""
+    return emb._exact(emb._lift(coords), emb.tensor_dim, 1)
+
+
 # -- independent oracles -----------------------------------------------------
 
 
@@ -180,7 +218,7 @@ def naive_closure(system, vectors):
     changed = True
     while changed:
         changed = False
-        for v, j, k, slot in product(current.basis.rows, range(n), range(n), range(3)):
+        for v, j, k, slot in product(current.basis, range(n), range(n), range(3)):
             w = oracle_slot_product(system, list(v), j, k, slot, table)
             if not current.contains(w):
                 current = current.sum(g.Subspace(system.field, n, [w]))
@@ -193,7 +231,8 @@ def probe_lines(system, seed, probes=16):
     vectors, then the `probes` seeded random ones."""
     rng = random.Random(seed)
     drawn = [_random_vector(system, rng) for _ in range(probes)]
-    return [list(_unit(system, i)) for i in range(system.dim)] + [v for v in drawn if v]
+    units = [[int(t == i) for t in range(system.dim)] for i in range(system.dim)]
+    return units + [v for v in drawn if v]
 
 
 def oracle_tensor_bracket(system, a, b, table=None):
@@ -262,14 +301,14 @@ def oracle_reduction(null_space, coset_indices):
     field = null_space.field
     zero, one = oracle_zero_one(field)
     nn = null_space.ambient
-    basis = [list(row) for row in null_space.basis.rows]
+    basis = [list(row) for row in null_space.basis]
     basis += [[one if t == p else zero for t in range(nn)] for p in coset_indices]
     assert len(basis) == nn
     augmented = [
         [basis[r][q] for r in range(nn)] + [one if t == q else zero for t in range(nn)]
         for q in range(nn)
     ]
-    rows, pivots = oracle_rref(g.Matrix(field, augmented))
+    rows, pivots = oracle_rref(field, augmented, 2 * nn)
     assert pivots == tuple(range(nn))
     return [list(row[nn:]) for row in rows[null_space.dim :]]
 
@@ -312,7 +351,7 @@ def oracle_certify(system, null_space, coset_indices):
         "phi": "left action of a null tensor does not vanish",
         "psi": "twisted right action of a null tensor does not vanish",
     }
-    for nu in null_space.basis.rows:
+    for nu in null_space.basis:
         failing = failing_action(nu)
         if failing:
             return g.NotWellDefined, messages[failing], {"tensor": [fmt(x) for x in nu]}
@@ -392,16 +431,16 @@ def oracle_certify(system, null_space, coset_indices):
     return None
 
 
-def oracle_rref(m):
-    """Dense Gauss-Jordan elimination, column by column: (rows, pivots).
+def oracle_rref(field, rows, ncols):
+    """Dense Gauss-Jordan elimination of `ncols`-column rows, column by
+    column: (rows, pivots).
 
     The row loop the library ran before its sparse eliminator, kept as the
     reference the eliminator is compared against.
     """
-    field = m.field
     zero, one = oracle_zero_one(field)
-    rows = [[oracle_scalar(field, x) for x in r] for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
+    rows = [[oracle_scalar(field, x) for x in r] for r in rows]
+    nrows = len(rows)
     pivots = []
     r = 0
     for c in range(ncols):

@@ -17,6 +17,7 @@ from conftest import (
     random_variant,
     sl2_power,
     sl2_square,
+    sl_root,
 )
 from gradedlts.cli import main
 from gradedlts.decomposition import _cross_products_vanish
@@ -82,9 +83,20 @@ def test_class_ideals_of_disjoint_sum_equal_the_summands(disjoint_pipe):
     assert ideals[1].total == second_block
 
 
-def test_class_ideals_pass_predicates(disjoint_pipe):
-    system, emb, sup, classes = disjoint_pipe
-    for cls in classes:
+PREDICATE_CASES = {
+    **{name: lambda name=name: g.builtin(name) for name in g.BUILTIN_NAMES},
+    "sl3_root_Q": lambda: sl_root(3, Q),
+    "sl3_root_F7": lambda: sl_root(3, g.PrimeField(7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREDICATE_CASES))
+def test_class_ideals_pass_predicates(name):
+    # `class_ideal` certifies the ideal predicate only: every ideal is a
+    # subsystem, since {I,I,I} lies in {I,E,E}, which lies in I
+    system = PREDICATE_CASES[name]()
+    emb = g.build_embedding(system)
+    for cls in g.connection_classes(g.SupportData.from_system(system, emb)):
         ideal = g.class_ideal(system, cls)
         assert system.is_ideal(ideal.total)
         assert system.is_subsystem(ideal.total)
@@ -131,8 +143,8 @@ def test_cross_class_products_vanish_by_direct_evaluation(disjoint_pipe):
     first, second = (ideal.total for ideal in report.ideals)
     n = system.dim
     units = [tuple(Fraction(1) if t == m else Fraction(0) for t in range(n)) for m in range(n)]
-    for va in first.basis.rows:
-        for vb in second.basis.rows:
+    for va in first.basis:
+        for vb in second.basis:
             for u in units:
                 for args in ((va, u, vb), (va, vb, u), (u, va, vb)):
                     assert all(x == 0 for x in oracle_triple(system, *args))
@@ -144,8 +156,8 @@ def oracle_cross_products_vanish(system, left, right):
     zero, one = system.field.zero, system.field.one
     units = [[one if t == m else zero for t in range(n)] for m in range(n)]
     checks = {"left_middle": True, "left_right": True, "middle_right": True}
-    for va in left.basis.rows:
-        for vb in right.basis.rows:
+    for va in left.basis:
+        for vb in right.basis:
             for u in units:
                 for family, args in (
                     ("left_right", (va, u, vb)),

@@ -1,6 +1,7 @@
 """Standard embedding: null space, quotient brackets, even-part grading."""
 
 import random
+from itertools import product
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,21 @@ import gradedlts as g
 from gradedlts.embedding import _ActionMatrix
 from gradedlts.linalg import complete_complement
 
-from conftest import sl2_square
+from conftest import (
+    dense_table,
+    exact_bracket,
+    exact_lift,
+    exact_phi,
+    exact_psi,
+    exact_reduce,
+    library_vector,
+    oracle_reduce,
+    oracle_reduction,
+    oracle_tensor_bracket,
+    oracle_triple,
+    sl2_square,
+    sl_root,
+)
 
 Q = g.RationalField()
 
@@ -37,17 +52,17 @@ def test_square_of_nilpotent_direction_is_null(sl2_emb):
     # phi(e (x) e)(w) = {e, e, w} = [[e,e], w] = 0 and psi(e (x) e) = 0,
     # so e (x) e falls into the null space
     e = unit(3, 0)
-    assert emb.null_space.contains(emb.tensor_of_pair(e, e))
-    assert all(x == 0 for x in emb.bracket_odd_odd(e, e))
+    assert emb.null_space.contains({0: 1})  # e (x) e is tensor coordinate 0
+    assert emb.int_bracket_odd_odd(e, e) == {}
 
 
 def test_mixed_tensor_survives_the_quotient(sl2_emb):
     system, emb = sl2_emb
     e, f = unit(3, 0), unit(3, 2)
-    # phi(e (x) f)(e) = {e, f, e} = 2e is nonzero, so e (x) f is not null
-    assert list(emb.phi_apply(emb.tensor_of_pair(e, f), e)) == [Fraction(2), 0, 0]
-    image = emb.bracket_odd_odd(e, f)
-    assert any(x != 0 for x in image)
+    # phi(e (x) f)(e) = {e, f, e} = 2e is nonzero, so e (x) f (tensor
+    # coordinate 2) is not null
+    assert exact_phi(emb, {2: 1}, e) == (Fraction(2), 0, 0)
+    assert emb.int_bracket_odd_odd(e, f) != {}
 
 
 def test_sl2_even_part_dimensions(sl2_emb):
@@ -86,14 +101,14 @@ def test_even_grading_violations_empty(builtins):
 def test_reduction_is_representative_independent(sl2_emb):
     system, emb = sl2_emb
     rng = random.Random(11)
-    null_rows = emb.null_space.basis.rows
+    null_rows = emb.null_space.basis
     for _ in range(25):
         t = [Fraction(rng.randint(-3, 3)) for _ in range(emb.tensor_dim)]
         shift = list(t)
         for row in null_rows:
             c = Fraction(rng.randint(-2, 2))
             shift = [a + c * b for a, b in zip(shift, row)]
-        assert emb.reduce_tensor(t) == emb.reduce_tensor(shift)
+        assert exact_reduce(emb, t) == exact_reduce(emb, shift)
 
 
 def test_even_bracket_is_representative_independent(sl2_emb):
@@ -103,14 +118,14 @@ def test_even_bracket_is_representative_independent(sl2_emb):
         t = [Fraction(rng.randint(-2, 2)) for _ in range(emb.tensor_dim)]
         u = [Fraction(rng.randint(-2, 2)) for _ in range(emb.tensor_dim)]
         shift = list(t)
-        for row in emb.null_space.basis.rows:
+        for row in emb.null_space.basis:
             c = Fraction(rng.randint(-1, 1))
             shift = [a + c * b for a, b in zip(shift, row)]
-        raw = emb.reduce_tensor(emb.tensor_bracket(t, u))
-        shifted = emb.reduce_tensor(emb.tensor_bracket(shift, u))
+        raw = exact_reduce(emb, exact_bracket(emb, t, u))
+        shifted = exact_reduce(emb, exact_bracket(emb, shift, u))
         assert raw == shifted
-        raw = emb.reduce_tensor(emb.tensor_bracket(u, t))
-        shifted = emb.reduce_tensor(emb.tensor_bracket(u, shift))
+        raw = exact_reduce(emb, exact_bracket(emb, u, t))
+        shifted = exact_reduce(emb, exact_bracket(emb, u, shift))
         assert raw == shifted
 
 
@@ -118,7 +133,7 @@ def test_lift_then_reduce_is_identity(sl2_emb):
     system, emb = sl2_emb
     for i in range(emb.dim_even):
         coords = unit(emb.dim_even, i)
-        assert emb.reduce_tensor(emb.lift(coords)) == coords
+        assert exact_reduce(emb, exact_lift(emb, coords)) == coords
 
 
 def test_homogeneous_tensor_images_stay_homogeneous(builtins):
@@ -128,8 +143,8 @@ def test_homogeneous_tensor_images_stay_homogeneous(builtins):
         n = system.dim
         for i in range(n):
             for j in range(n):
-                image = emb.bracket_odd_odd(unit(n, i), unit(n, j))
-                if all(x == system.field.zero for x in image):
+                image = emb.int_bracket_odd_odd(unit(n, i), unit(n, j))
+                if not image:
                     continue
                 degree = system.degrees[i].compose(system.degrees[j])
                 assert emb.component(degree).contains(image), name
@@ -190,11 +205,11 @@ def test_one_rref_construction_matches_independent_oracles(name):
     greedy = complete_complement(null, g.Subspace.full(field, nn))
     assert emb.coset_indices == greedy.pivots
     # the reduction kills N and is a projection along N onto the coset tensors
-    for nu in null.basis.rows:
-        assert not any(emb.reduce_tensor(nu))
+    for nu in null.basis:
+        assert not any(exact_reduce(emb, nu))
     for c in range(nn):
         unit_c = [one if t == c else zero for t in range(nn)]
-        lifted = emb.lift(emb.reduce_tensor(unit_c))
+        lifted = exact_lift(emb, exact_reduce(emb, unit_c))
         assert null.contains([a - b for a, b in zip(unit_c, lifted)]), c
     # A x = 0 agrees with membership in the stored N basis and with both
     # actions applied directly to every basis vector
@@ -204,15 +219,128 @@ def test_one_rref_construction_matches_independent_oracles(name):
     outcomes = set()
     for trial in range(40):
         x = [zero] * nn
-        for row in null.basis.rows:
+        for row in null.basis:
             coef = field.element(rng.randint(-2, 2))
             x = [a + coef * b for a, b in zip(x, row)]
         if trial % 2:
             x[rng.randrange(nn)] += field.element(rng.randint(1, 3))
         in_null = action.failing_action(dict(enumerate(x))) is None
         acts_trivially = not any(
-            any(emb.phi_apply(x, w)) or any(emb.psi_apply(x, w)) for w in basis
+            any(exact_phi(emb, x, w)) or any(exact_psi(emb, x, w)) for w in basis
         )
         assert in_null == null.contains(x) == acts_trivially, trial
         outcomes.add(in_null)
     assert outcomes == {True, False} or null.dim == nn
+
+
+# -- the even-grading witness --------------------------------------------------
+
+
+def misgraded(base, degrees, basis=None):
+    """`base` graded by Z with the given `degrees`, optionally in the basis
+    b'_i = sum_t basis[i][t] b_t (lower triangular): a valid system whose even
+    part is usually mis-graded."""
+    field, n = base.field, base.dim
+    products = dict(base.nonzero_triples())
+    if basis is not None:
+        products = {}
+        for i, j, k in product(range(n), repeat=3):
+            y = oracle_triple(base, basis[i], basis[j], basis[k])
+            # solve y = sum_l x_l basis[l] from the last coordinate up
+            x = [field.zero] * n
+            for l in reversed(range(n)):
+                rest = y[l] - sum(x[m] * basis[m][l] for m in range(l + 1, n))
+                x[l] = rest / basis[l][l]
+            products[(i, j, k)] = dict(enumerate(x))
+    group = g.AbelianGroup((0,))
+    return g.GradedTripleSystem(field, group, [group.element([d]) for d in degrees], products)
+
+
+def sl2(field):
+    return g.from_leibniz_algebra(g.sl2_algebra(field))
+
+
+def oracle_even_grading(system, emb):
+    """`verify_even_grading` by the dense oracles: reduce the oracle bracket of
+    the lifted exact basis rows of every pair of components."""
+    field, n = system.field, system.dim
+    table = dense_table(system)
+    reduction = oracle_reduction(emb.null_space, emb.coset_indices)
+
+    def lift(coords):
+        tensor = [field.zero] * (n * n)
+        for p, x in zip(emb.coset_indices, coords):
+            tensor[p] = x
+        return tensor
+
+    violations = []
+    for g_, cg in emb.components().items():
+        for h, ch in emb.components().items():
+            target = emb.component(g_.compose(h))
+            for u in cg.basis:
+                for v in ch.basis:
+                    bracket = oracle_tensor_bracket(system, lift(u), lift(v), table)
+                    w = library_vector(oracle_reduce(field, reduction, bracket))
+                    if any(w) and not target.contains(w):
+                        violations.append(
+                            {"degrees": (g_.format(), h.format()), "bracket": list(map(field.format, w))}
+                        )
+    return violations
+
+
+def reexpress_components(emb):
+    """Span each even component by 2/3 e_r + e_(r+1) in place of e_r; return the
+    new integer rows.
+
+    Each component holds the coordinate vectors of its coset tensors, and the
+    direct-sum certificate leaves room for nothing else, so its integer rows
+    have pivot entry 1.  The new rows, such as (2, 3), have pivot entries > 1.
+    """
+    s = emb.dim_even
+    emb._components = {
+        d: g.Subspace(Q, s, [{r: Fraction(2, 3), r + 1: 1} if r + 1 < s else {r: 1}
+                             for r in sub.pivots])
+        for d, sub in emb.components().items()
+    }
+    return [row for sub in emb._components.values() for row in sub.integral_rows()]
+
+
+@pytest.mark.parametrize("field", [Q, g.PrimeField(7)], ids=["Q", "F7"])
+def test_even_grading_witnesses_match_the_dense_oracle(field):
+    flagged = 0
+    for degrees in product(range(-2, 3), repeat=3):
+        system = misgraded(sl2(field), degrees)
+        emb = g.build_embedding(system)
+        violations = emb.verify_even_grading()
+        assert violations == oracle_even_grading(system, emb), degrees
+        flagged += bool(violations)
+    assert flagged == 120
+
+
+def test_even_grading_witnesses_in_a_rescaled_basis():
+    # a rational triangular basis of sl2: constants with D > 1
+    basis = [[Fraction(2, 3), 0, 0], [1, Fraction(5), 0], [0, Fraction(-1, 2), Fraction(3, 7)]]
+    flagged = reexpressed = 0
+    for degrees in product(range(-2, 3), repeat=3):
+        system = misgraded(sl2(Q), degrees, basis)
+        assert system.scale > 1
+        emb = g.build_embedding(system)
+        violations = emb.verify_even_grading()
+        assert violations == oracle_even_grading(system, emb), degrees
+        flagged += bool(violations)
+        rows = reexpress_components(emb)
+        violations = emb.verify_even_grading()
+        assert violations == oracle_even_grading(system, emb), degrees
+        reexpressed += bool(violations) and any(row[min(row)] > 1 for row in rows)
+    assert flagged == 124 and reexpressed == 120
+
+
+def test_even_grading_witnesses_divide_by_the_reduction_scale():
+    # sl3 graded by its root lattice has D_R = 2 and a graded even part
+    system = sl_root(3, Q)
+    emb = g.build_embedding(system)
+    assert emb._reduction_scale == 2 and emb.verify_even_grading() == []
+    rows = reexpress_components(emb)
+    assert any(row[min(row)] > 1 for row in rows)
+    violations = emb.verify_even_grading()
+    assert violations and violations == oracle_even_grading(system, emb)

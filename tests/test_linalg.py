@@ -11,13 +11,10 @@ from conftest import oracle_rref
 from gradedlts import linalg
 from gradedlts.linalg import (
     Echelon,
-    Matrix,
     PrimeField,
     RationalField,
     Subspace,
     complete_complement,
-    kernel,
-    rref,
     span,
 )
 
@@ -25,29 +22,27 @@ Q = RationalField()
 F5 = PrimeField(5)
 
 
-def qmat(rows):
-    return Matrix(Q, [[Fraction(x) for x in row] for row in rows], ncols=len(rows[0]) if rows else 0)
+# `Subspace.basis` is the reduced row echelon form of the spanning rows.
 
 
 def test_rref_identity_is_fixed():
-    m = Matrix.identity(Q, 3)
-    r, pivots = rref(m)
-    assert r == m
-    assert pivots == (0, 1, 2)
+    identity = tuple(tuple(Fraction(int(t == i)) for t in range(3)) for i in range(3))
+    sub = span(Q, 3, identity)
+    assert sub.basis == identity
+    assert sub.pivots == (0, 1, 2)
 
 
 def test_rref_collapses_proportional_rows():
-    r, pivots = rref(qmat([[2, 4], [1, 2]]))
-    assert r.rows == ((Fraction(1), Fraction(2)),)
-    assert pivots == (0,)
+    sub = span(Q, 2, [[2, 4], [1, 2]])
+    assert sub.basis == ((Fraction(1), Fraction(2)),)
+    assert sub.pivots == (0,)
 
 
 def test_rref_scales_by_field_inverse_mod_5():
     # 2^-1 = 3 in the 5-element field, so the row (2, 4) normalizes to (1, 2)
-    m = Matrix(F5, [[F5.element(2), F5.element(4)]])
-    r, pivots = rref(m)
-    assert r.rows == ((F5.element(1), F5.element(2)),)
-    assert pivots == (0,)
+    sub = span(F5, 2, [[F5.element(2), F5.element(4)]])
+    assert sub.basis == ((F5.element(1), F5.element(2)),)
+    assert sub.pivots == (0,)
 
 
 def test_intersection_of_coordinate_planes():
@@ -62,7 +57,7 @@ def test_sum_with_zero_is_identity():
 
 
 def test_kernel_of_difference_row():
-    k = kernel(qmat([[1, -1]]))
+    k = Echelon(Q, 2, [[1, -1]]).kernel()
     assert k == span(Q, 2, [[1, 1]])
 
 
@@ -93,6 +88,9 @@ def test_complement_requires_containment():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         span(Q, 2, [[1, 0]]).sum(span(Q, 3, [[1, 0, 0]]))
+    for within in (span(Q, 3, []), span(F5, 2, [])):
+        with pytest.raises(ValueError, match="different ambient spaces"):
+            complete_complement(span(Q, 2, []), within)
 
 
 # A sparse vector with a column outside [0, ambient) gets the error of a
@@ -147,16 +145,14 @@ def matrices(field_elems, max_dim=4):
 @settings(max_examples=60, deadline=None)
 def test_rref_idempotent_and_row_space_preserved_rational(data):
     rows, nc = data
-    m = Matrix(Q, rows, ncols=nc)
-    r, _ = rref(m)
-    r2, _ = rref(r)
-    assert r2 == r
+    r = span(Q, nc, rows).basis
+    assert span(Q, nc, r).basis == r
     original = span(Q, nc, rows)
-    reduced = span(Q, nc, r.rows)
+    reduced = span(Q, nc, r)
     assert original == reduced
     for row in rows:
         assert reduced.contains(row)
-    for row in r.rows:
+    for row in r:
         assert original.contains(row)
 
 
@@ -164,11 +160,9 @@ def test_rref_idempotent_and_row_space_preserved_rational(data):
 @settings(max_examples=60, deadline=None)
 def test_rref_idempotent_mod_5(data):
     rows, nc = data
-    m = Matrix(F5, rows, ncols=nc)
-    r, _ = rref(m)
-    r2, _ = rref(r)
-    assert r2 == r
-    assert span(F5, nc, rows) == span(F5, nc, r.rows)
+    r = span(F5, nc, rows).basis
+    assert span(F5, nc, r).basis == r
+    assert span(F5, nc, rows) == span(F5, nc, r)
 
 
 @given(
@@ -211,12 +205,11 @@ def test_complement_properties(data):
 @settings(max_examples=40, deadline=None)
 def test_kernel_annihilates(data):
     rows, nc = data
-    m = Matrix(Q, rows, ncols=nc)
-    k = kernel(m)
-    for v in k.basis.rows:
+    k = Echelon(Q, nc, rows).kernel()
+    for v in k.basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
-    assert len(k.basis.rows) + rref(m)[0].nrows == nc
+    assert len(k.basis) + len(span(Q, nc, rows).basis) == nc
 
 
 def test_echelon_accumulator_matches_subspace():
@@ -225,7 +218,7 @@ def test_echelon_accumulator_matches_subspace():
     added = [acc.add([Fraction(x) for x in v]) for v in vectors]
     assert added == [True, False, True]
     assert span(Q, 3, acc.rows.values()) == span(Q, 3, vectors)
-    assert acc.dense() == list(span(Q, 3, vectors).basis.rows)
+    assert acc.dense() == span(Q, 3, vectors).basis
 
 
 # -- the eliminator against the dense oracle ------------------------------------
@@ -249,12 +242,12 @@ def ragged_matrices(draw, field, elems):
 
 
 def oracle_rank(field, nc, rows):
-    return len(oracle_rref(Matrix(field, rows, ncols=nc))[1])
+    return len(oracle_rref(field, rows, nc)[1])
 
 
 def oracle_kernel(field, nc, rows):
     """Free-column vectors of the dense RREF."""
-    reduced, pivots = oracle_rref(Matrix(field, rows, ncols=nc))
+    reduced, pivots = oracle_rref(field, rows, nc)
     vectors = []
     for c in (c for c in range(nc) if c not in pivots):
         v = [field.zero] * nc
@@ -279,7 +272,7 @@ def oracle_intersection(field, nc, rows_a, rows_b):
 
 
 def canonical(field, nc, rows):
-    return oracle_rref(Matrix(field, rows, ncols=nc))
+    return oracle_rref(field, rows, nc)
 
 
 small_rational = st.builds(
@@ -316,10 +309,10 @@ def assert_canonical_rows(echelon):
 @settings(max_examples=80, deadline=None)
 def test_eliminator_matches_dense_oracle(field, elems, data):
     rows, nc = data.draw(ragged_matrices(field, elems))
-    m = Matrix(field, rows, ncols=nc)
-    reduced, pivots = rref(m)
-    assert (list(reduced.rows), pivots) == canonical(field, nc, rows)
-    assert kernel(m).basis.rows == tuple(canonical(field, nc, oracle_kernel(field, nc, rows))[0])
+    echelon = Echelon(field, nc, rows)
+    assert (list(echelon.dense()), echelon.pivots) == canonical(field, nc, rows)
+    kernel = echelon.kernel()
+    assert kernel.basis == tuple(canonical(field, nc, oracle_kernel(field, nc, rows))[0])
 
     acc = Echelon(field, nc)
     prefix = []
@@ -328,8 +321,8 @@ def test_eliminator_matches_dense_oracle(field, elems, data):
         assert acc.add(row) == grew
         assert_canonical_rows(acc)
         prefix.append(row)
-    assert acc.dense() == list(reduced.rows)
-    assert_canonical_rows(kernel(m)._echelon)
+    assert acc.dense() == echelon.dense()
+    assert_canonical_rows(kernel._echelon)
 
     sub = span(field, nc, rows)
     # the same span from the rows in another order, each times a nonzero scalar
@@ -356,17 +349,17 @@ def test_intersection_and_complement_match_dense_oracle(field, elems, data):
     # share some rows so that the intersection is often nonzero
     rows_b += rows_a[: data.draw(st.integers(0, len(rows_a)))]
     a, b = span(field, nc, rows_a), span(field, nc, rows_b)
-    meet = oracle_intersection(field, nc, a.basis.rows, b.basis.rows)
-    assert a.intersect(b).basis.rows == tuple(canonical(field, nc, meet)[0])
+    meet = oracle_intersection(field, nc, a.basis, b.basis)
+    assert a.intersect(b).basis == tuple(canonical(field, nc, meet)[0])
     assert_canonical_rows(a.intersect(b)._echelon)
 
     within = a.sum(b)
     kept = []
-    for row in within.basis.rows:
-        if oracle_rank(field, nc, list(a.basis.rows) + kept + [row]) > len(kept) + a.dim:
+    for row in within.basis:
+        if oracle_rank(field, nc, list(a.basis) + kept + [row]) > len(kept) + a.dim:
             kept.append(row)
     complement = complete_complement(a, within)
-    assert complement.basis.rows == tuple(canonical(field, nc, kept)[0])
+    assert complement.basis == tuple(canonical(field, nc, kept)[0])
     assert_canonical_rows(complement._echelon)
 
 
