@@ -274,17 +274,16 @@ def oracle_even_grading(system, emb):
         return tensor
 
     violations = []
-    for g_, cg in emb.components().items():
-        for h, ch in emb.components().items():
-            target = emb.component(g_.compose(h))
-            for u in cg.basis:
-                for v in ch.basis:
-                    bracket = oracle_tensor_bracket(system, lift(u), lift(v), table)
-                    w = library_vector(oracle_reduce(field, reduction, bracket))
+    for a, ca in emb.components().items():
+        for b, cb in emb.components().items():
+            target = emb.component(a.compose(b))
+            for u in ca.basis:
+                for v in cb.basis:
+                    tensor = oracle_tensor_bracket(system, lift(u), lift(v), table)
+                    w = library_vector(oracle_reduce(field, reduction, tensor))
                     if any(w) and not target.contains(w):
-                        violations.append(
-                            {"degrees": (g_.format(), h.format()), "bracket": list(map(field.format, w))}
-                        )
+                        bracket = [field.format(x) for x in w]
+                        violations.append({"degrees": (a.format(), b.format()), "bracket": bracket})
     return violations
 
 
