@@ -24,7 +24,7 @@ for name in ("sl2_Z", "disjoint_sum", "nonlie_J"):
           " even part dim:", emb.dim_even)
     print("odd support: ", [x.format() for x in sup.odd])
     print("even support:", [x.format() for x in sup.even])
-    print("even components:", {d.format(): c.dim for d, c in emb.components().items()})
+    print("even components:", {d.format(): len(c) for d, c in emb.components().items()})
     classes = connection_classes(sup)
     print("connection classes:", len(classes))
     for cls in classes:

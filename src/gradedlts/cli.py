@@ -76,17 +76,12 @@ def _input_section(path: str) -> dict:
 
 
 def _header(command: str, path: str, system) -> dict:
-    field_desc = (
-        {"kind": "rational"}
-        if system.field.kind == "rational"
-        else {"kind": "prime", "p": system.field.p}
-    )
     return {
         "tool": {"name": "gradedlts", "version": __version__},
         "command": command,
         "input": _input_section(path),
         "system": {
-            "field": field_desc,
+            "field": system.field.descriptor(),
             "group": list(system.group.moduli),
             "dimension": system.dim,
         },
@@ -149,9 +144,7 @@ def _embedding_section(system, emb) -> dict:
         "null_space_dim": emb.null_space.dim,
         "even_part_dim": emb.dim_even,
         "even_support": [g.format() for g in emb.support()],
-        "component_dims": {
-            g.format(): sub.dim for g, sub in sorted(emb.components().items())
-        },
+        "component_dims": {g.format(): len(block) for g, block in emb.components().items()},
         "well_defined": True,
         "leibniz_identity": True,
         "even_grading_ok": not grading_violations,
@@ -184,14 +177,7 @@ def _decomposition_section(system, report) -> dict:
             }
             for ideal in report.ideals
         ],
-        "orthogonality": [
-            {
-                "classes": list(pair["classes"]),
-                "vanish": pair["vanish"],
-                "families": pair["families"],
-            }
-            for pair in report.orthogonality
-        ],
+        "orthogonality": report.orthogonality,
         "all_orthogonal": report.all_orthogonal,
         "pairwise_disjoint": report.pairwise_disjoint,
         "direct_sum": report.direct_sum,

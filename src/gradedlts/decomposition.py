@@ -135,8 +135,8 @@ def class_ideal(system: GradedTripleSystem, cls: ConnectionClass) -> ClassIdeal:
     {I,I,I} lies in {I,E,E}, which lies in I, so no separate check is run.
     """
     core = class_core_span(system, cls)
-    members = set(cls.members)
-    units = [{i: 1} for i, d in enumerate(system.degrees) if d in members]
+    blocks = system.components()
+    units = [{i: 1} for d in cls.members for i in blocks[d]]
     vertex = Subspace(system.field, system.dim, units)
     if not core.intersect(vertex).is_zero():
         raise IdealCertificateFailure(
@@ -390,21 +390,16 @@ def verify_structure_lemmas(
     """
     if sup is None:
         sup = SupportData.from_system(system, emb)
-    # each homogeneous component is built once; a degree without basis
-    # vectors reads as the zero component
-    empty = Subspace.zero(system.field, system.dim)
-    components = system.homogeneous_decomposition()
-
-    def component(d):
-        return components.get(d, empty)
-
+    # the components are read once, as blocks of basis indices; a degree
+    # without basis vectors has no block
+    blocks = system.components()
     return [
         *_pair_laws(sup),
-        _lemma_disconnected_brackets_vanish(emb, sup, component),
-        _lemma_disconnected_inverse_triple_vanishes(system, sup, component),
+        _lemma_disconnected_brackets_vanish(emb, sup, blocks),
+        _lemma_disconnected_inverse_triple_vanishes(system, sup, blocks),
         _lemma_products_confined_to_class(system, classes),
         _lemma_core_products_confined(system, classes),
-        _lemma_core_disconnected_vanish(system, emb, classes, sup, component),
+        _lemma_core_disconnected_vanish(system, emb, classes, sup, blocks),
     ]
 
 
@@ -437,9 +432,9 @@ def _pair_laws(sup: SupportData) -> list[LemmaCheck]:
     return checks
 
 
-def _lemma_disconnected_brackets_vanish(emb, sup, component) -> LemmaCheck:
+def _lemma_disconnected_brackets_vanish(emb, sup, blocks) -> LemmaCheck:
     # Disconnected support degrees bracket to zero in the embedding, at all
-    # three levels: odd with odd, even with odd, even with even (integer rows).
+    # three levels: odd with odd, even with odd, even with even (unit vectors).
     check = LemmaCheck("disconnected_brackets_vanish")
     for g in sup.odd:
         for hbar in sup.odd:
@@ -447,46 +442,43 @@ def _lemma_disconnected_brackets_vanish(emb, sup, component) -> LemmaCheck:
                 continue
             check.instances += 1
             check.nonvacuous += 1
-            eg, eh = component(g).integral_rows(), component(hbar).integral_rows()
-            cg = emb.component(g).integral_rows()
-            ch = emb.component(hbar).integral_rows()
+            eg, eh = blocks[g], blocks[hbar]
+            cg, ch = emb.component(g), emb.component(hbar)
             for x in eg:
                 for y in eh:
-                    if emb.int_bracket_odd_odd(x, y):
+                    if emb.int_bracket_odd_odd({x: 1}, {y: 1}):
                         check.failures.append(
                             {"pair": (g.format(), hbar.format()), "level": "odd_odd"}
                         )
             for t in cg:
                 for y in eh:
-                    if emb.int_bracket_even_odd(t, y):
+                    if emb.int_bracket_even_odd({t: 1}, {y: 1}):
                         check.failures.append(
                             {"pair": (g.format(), hbar.format()), "level": "even_odd"}
                         )
             for t in cg:
                 for s in ch:
-                    if emb.int_bracket_even_even(t, s):
+                    if emb.int_bracket_even_even({t: 1}, {s: 1}):
                         check.failures.append(
                             {"pair": (g.format(), hbar.format()), "level": "even_even"}
                         )
     return check
 
 
-def _lemma_disconnected_inverse_triple_vanishes(system, sup, component) -> LemmaCheck:
+def _lemma_disconnected_inverse_triple_vanishes(system, sup, blocks) -> LemmaCheck:
     check = LemmaCheck("disconnected_inverse_triple_vanishes")
     for g in sup.odd:
         for hbar in sup.odd:
             if are_connected(sup, g, hbar):
                 continue
             check.instances += 1
-            eg, eginv, eh = (
-                component(d).integral_rows() for d in (g, g.inverse(), hbar)
-            )
+            eg, eginv, eh = (blocks.get(d, ()) for d in (g, g.inverse(), hbar))
             if eginv:
                 check.nonvacuous += 1
             for x in eg:
                 for y in eginv:
                     for z in eh:
-                        if system.int_triple_product(x, y, z):
+                        if system.int_triple_product({x: 1}, {y: 1}, {z: 1}):
                             check.failures.append(
                                 {"pair": (g.format(), hbar.format())}
                             )
@@ -498,9 +490,7 @@ def _lemma_products_confined_to_class(system, classes) -> LemmaCheck:
     # other degrees (and the product degree) into the class or the identity.
     check = LemmaCheck("nonzero_products_confined_to_class")
     degree_sets = [(set(cls.members), cls) for cls in classes]
-    for (p, q, r), entry in system.integer_triples():
-        if not entry:
-            continue
+    for (p, q, r), _ in system.integer_triples():
         dp, dq, dr = system.degrees[p], system.degrees[q], system.degrees[r]
         total = dp.compose(dq).compose(dr)
         for members, cls in degree_sets:
@@ -553,25 +543,24 @@ def _lemma_core_products_confined(system, classes) -> LemmaCheck:
     return check
 
 
-def _lemma_core_disconnected_vanish(system, emb, classes, sup, component) -> LemmaCheck:
+def _lemma_core_disconnected_vanish(system, emb, classes, sup, blocks) -> LemmaCheck:
     # Core products of one class annihilate everything carried by degrees
     # outside the class: their tensors fall into the null space, the twisted
     # right action of the outside even component kills them, and triple
     # products through the identity component vanish.
     check = LemmaCheck("core_disconnected_products_vanish")
-    identity_comp = component(system.group.identity()).integral_rows()
+    identity_comp = blocks.get(system.group.identity(), ())
     for cls in classes:
         members = set(cls.members)
         outside = [h for h in sup.odd if h not in members]
         sources = _core_product_sources(system, cls)
         for hbar in outside:
-            eh = component(hbar).integral_rows()
-            ch = emb.component(hbar).integral_rows()
+            eh, ch = blocks[hbar], emb.component(hbar)
             for (p, q, r), u in sources:
                 check.instances += 1
                 check.nonvacuous += 1
                 for y in eh:
-                    if emb.int_bracket_odd_odd(u, y):
+                    if emb.int_bracket_odd_odd(u, {y: 1}):
                         check.failures.append(
                             {
                                 "core_triple": (p, q, r),
@@ -580,7 +569,7 @@ def _lemma_core_disconnected_vanish(system, emb, classes, sup, component) -> Lem
                             }
                         )
                 for t in ch:
-                    if emb.int_bracket_odd_even(u, t):
+                    if emb.int_bracket_odd_even(u, {t: 1}):
                         check.failures.append(
                             {
                                 "core_triple": (p, q, r),
@@ -590,7 +579,7 @@ def _lemma_core_disconnected_vanish(system, emb, classes, sup, component) -> Lem
                         )
                 for e1 in identity_comp:
                     for y in eh:
-                        if system.int_triple_product(u, e1, y):
+                        if system.int_triple_product(u, {e1: 1}, {y: 1}):
                             check.failures.append(
                                 {
                                     "core_triple": (p, q, r),

@@ -27,8 +27,9 @@ columns of R, and R's sparse rows are the reduction, since R kills N and
 sends the pivot tensor of each row to that row's coordinate; R is kept as
 D_R R, D_R the lcm of its denominators.  The pivot tensors are exactly the
 greedy standard-tensor complement of N, so the choice is deterministic, and
-they are homogeneous, so the even part inherits the grading.  Everything but
-the even components, built on first use, is fixed after build.
+they are homogeneous, so each quotient coordinate has its tensor's degree
+and the certified even components are blocks of coordinates.  Everything but
+the even components, read on first use, is fixed after build.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from math import lcm
 from .errors import DecompositionFailure, LeibnizIdentityFailure, NotWellDefined
 from .groups import GroupElement
 from .identities import RIGHT_LEIBNIZ, index_constants, term_violations
-from .linalg import Echelon, Subspace, sparse
+from .linalg import Echelon, sparse
 from .triples import GradedTripleSystem
 
 
@@ -67,7 +68,6 @@ class StandardEmbedding:
         "_reduction_scale",
         "_by_pair",
         "_components",
-        "_support",
     )
 
     def __init__(self, system, tensor_dim, null_space, coset_indices, reduction):
@@ -92,7 +92,6 @@ class StandardEmbedding:
         for (i, j, k), entry in system.integer_triples():
             self._by_pair[i * n + j][k] = tuple(entry.items())
         self._components = None
-        self._support = None
 
     # -- sparse kernels ---------------------------------------------------------
 
@@ -171,64 +170,60 @@ class StandardEmbedding:
 
     # -- grading of the even part ------------------------------------------------
 
-    def components(self) -> dict[GroupElement, Subspace]:
-        """Nonzero homogeneous components of the even part, keyed by degree.
+    def components(self) -> dict[GroupElement, tuple[int, ...]]:
+        """Nonzero homogeneous components of the even part, keyed by degree,
+        sorted: each is the span of the unit vectors of its block, the sorted
+        coordinates r whose coset tensor coset_indices[r] has that degree.
 
-        The component of degree g is the span of the images of all tensors
-        b_i (x) b_j with deg(i) deg(j) = g, i.e. the sum over h of the
-        bracket images of E_h with E_{h^-1 g}.
+        The component of degree g is the span of the images of the tensors
+        b_i (x) b_j with deg(i) deg(j) = g.  On first read, a homogeneity
+        certificate checks that every column c of the reduction (the image of
+        tensor c) lies in the block of c's degree, else `DecompositionFailure`
+        names the first offending (tensor, coordinate).  It is the direct-sum
+        certificate: column coset_indices[r] is D_R e_r, so the component of
+        degree g holds the k_g unit vectors of its block, and the k_g add up
+        to dim L0.  So the dimensions add up to dim L0 and the components
+        span L0 iff each is its block, iff each column stays in its block.
         """
         if self._components is None:
-            # the image of b_i (x) b_j is column i*n + j of the (scaled) reduction
             n, degrees = self.system.dim, self.system.degrees
-            buckets: dict[GroupElement, list] = {}
+            tensor_degree = [degrees[c // n].compose(degrees[c % n]) for c in range(n * n)]
+            coordinate_degree = [tensor_degree[c] for c in self.coset_indices]
             for c, image in enumerate(self._columns):
-                buckets.setdefault(degrees[c // n].compose(degrees[c % n]), []).append(image)
-            comps = {}
-            for g in sorted(buckets):
-                sub = Subspace(self.system.field, self.dim_even, buckets[g])
-                if not sub.is_zero():
-                    comps[g] = sub
-            self._components = comps
-            self._certify_direct_sum()
+                for r in image:
+                    if coordinate_degree[r] != tensor_degree[c]:
+                        raise DecompositionFailure(
+                            "homogeneous components of the even part do not decompose it directly",
+                            witness={"tensor": c, "coordinate": r},
+                        )
+            blocks: dict[GroupElement, list[int]] = {}
+            for r, degree in enumerate(coordinate_degree):
+                blocks.setdefault(degree, []).append(r)
+            self._components = {g: tuple(blocks[g]) for g in sorted(blocks)}
         return self._components
 
-    def component(self, g: GroupElement) -> Subspace:
-        comps = self.components()
-        return comps[g] if g in comps else Subspace.zero(self.system.field, self.dim_even)
+    def component(self, g: GroupElement) -> tuple[int, ...]:
+        return self.components().get(g, ())
 
     def support(self) -> tuple[GroupElement, ...]:
         """Nonidentity degrees with a nonzero even component, sorted."""
-        if self._support is None:
-            self._support = tuple(g for g in sorted(self.components()) if not g.is_identity())
-        return self._support
-
-    def _certify_direct_sum(self):
-        comps = self._components
-        rows = (r for sub in comps.values() for r in sub.integral_rows())
-        total = Subspace(self.system.field, self.dim_even, rows)
-        dims = {g.format(): sub.dim for g, sub in comps.items()}
-        if sum(dims.values()) != self.dim_even or total.dim != self.dim_even:
-            raise DecompositionFailure(
-                "homogeneous components of the even part do not decompose it directly",
-                witness={"component_dims": dims, "even_dim": self.dim_even},
-            )
+        return tuple(g for g in self.components() if not g.is_identity())
 
     def verify_even_grading(self) -> list[dict]:
-        """Check [L0_g, L0_h] lands in L0_{gh} for all component pairs, on
-        integer rows; a violation reports the bracket of the exact basis rows."""
+        """Check [L0_g, L0_h] lands in L0_{gh} for all component pairs: the
+        bracket of each pair of block coordinates, on integer images, must be
+        supported in the target block; a violation reports the exact bracket."""
         violations = []
         comps = self.components()
-        for g, cg in comps.items():
-            for h, ch in comps.items():
-                target = self.component(g.compose(h))
-                for u in cg.integral_rows():
-                    for v in ch.integral_rows():
-                        w = self.int_bracket_even_even(u, v)
-                        if w and not target.contains(w):
-                            # u and v are u[pivot] and v[pivot] times the exact basis rows
-                            scale = self.system.scale * self._reduction_scale
-                            exact = self._exact(w, self.dim_even, scale * u[min(u)] * v[min(v)])
+        scale = self.system.scale * self._reduction_scale
+        for g, block_g in comps.items():
+            for h, block_h in comps.items():
+                target = set(self.component(g.compose(h)))
+                for r in block_g:
+                    for t in block_h:
+                        w = self.int_bracket_even_even({r: 1}, {t: 1})
+                        if not target.issuperset(w):
+                            exact = self._exact(w, self.dim_even, scale)
                             bracket = [self.system.field.format(x) for x in exact]
                             degrees = (g.format(), h.format())
                             violations.append({"degrees": degrees, "bracket": bracket})

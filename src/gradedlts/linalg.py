@@ -149,6 +149,10 @@ class RationalField:
             return {t: x // g for t, x in w.items()}, Fraction(d, g)
         return w, d
 
+    def descriptor(self) -> dict:
+        """The document form of the field, the inverse of `field_from_descriptor`."""
+        return {"kind": "rational"}
+
     def integer_image(self, table: dict) -> tuple[dict, int]:
         """(ints, D) for a table {key: {index: scalar}}: D is the lcm of its
         denominators and ints holds D times each entry as an int."""
@@ -210,6 +214,9 @@ class PrimeField:
 
     def integer_image(self, table: dict) -> tuple[dict, int]:
         return table, 1
+
+    def descriptor(self) -> dict:
+        return {"kind": "prime", "p": self.p}
 
     def unscale(self, vec: dict, c) -> dict:
         inv, p = pow(c, -1, self.p), self.p

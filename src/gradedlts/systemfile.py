@@ -132,11 +132,6 @@ def system_from_data(data) -> GradedTripleSystem:
 
 def system_to_data(system: GradedTripleSystem) -> dict:
     """Canonical plain-data form of a system."""
-    field_desc = (
-        {"kind": "rational"}
-        if system.field.kind == "rational"
-        else {"kind": "prime", "p": system.field.p}
-    )
     triple = []
     for (i, j, k), entry in system.structure_constants():
         triple.append(
@@ -147,7 +142,7 @@ def system_to_data(system: GradedTripleSystem) -> dict:
         )
     return {
         "group": {"moduli": list(system.group.moduli)},
-        "field": field_desc,
+        "field": system.field.descriptor(),
         "dimension": system.dim,
         "degrees": [list(d.coords) for d in system.degrees],
         "triple": triple,

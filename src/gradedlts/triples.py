@@ -3,7 +3,8 @@
 A system is a finite-dimensional vector space with an ordered basis, a
 degree map into an abelian group, and a trilinear product {.,.,.} given by
 sparse structure constants.  The identities are checked by the join of
-`identities`, the grading {E_g, E_h, E_k} in E_{ghk} constant by constant.
+`identities`, the grading {E_g, E_h, E_k} in E_{ghk} constant by constant;
+the basis is homogeneous, so each component E_g is a block of basis indices.
 Products of a vector with every basis pair come from `int_slot_products`,
 which reads only the constants the vector meets.  Zero and span tests run
 on the integer image of the constants (`scale` = D times them; over GF(p)
@@ -162,33 +163,36 @@ class GradedTripleSystem:
         return term_violations(self.field, self._index, SIX_TERM, self.scale**2)
 
     def verify_grading(self) -> list[Violation]:
-        """Check degree compatibility of every stored structure constant."""
+        """Check degree compatibility of every stored structure constant, on
+        the integer image; only a violating constant is divided back."""
         violations = []
-        for (i, j, k), entry in self.nonzero_triples():
+        for (i, j, k), entry in self.integer_triples():
             expected = self.degrees[i].compose(self.degrees[j]).compose(self.degrees[k])
             for l in sorted(entry):
                 if self.degrees[l] != expected:
-                    vec = self.vector({l: entry[l]})
+                    vec = self.vector(self.field.unscale({l: entry[l]}, self.scale))
                     violations.append(Violation("grading", (i, j, k, l), tuple(vec)))
         return violations
 
     # -- grading data ---------------------------------------------------------
 
+    def components(self) -> dict[GroupElement, tuple[int, ...]]:
+        """Nonzero homogeneous components keyed by degree, sorted: the basis is
+        homogeneous, so each is the sorted tuple of the basis indices of its
+        degree, and their direct sum is the space."""
+        blocks: dict[GroupElement, list[int]] = {}
+        for i, d in enumerate(self.degrees):
+            blocks.setdefault(d, []).append(i)
+        return {d: tuple(blocks[d]) for d in sorted(blocks)}
+
     def homogeneous_component(self, g: GroupElement) -> Subspace:
-        """The span of the basis vectors of degree g."""
-        units = [{i: 1} for i, d in enumerate(self.degrees) if d == g]
+        """The span of the basis vectors of degree g, the unit span of its block."""
+        units = [{i: 1} for i in self.components().get(g, ())]
         return Subspace(self.field, self.dim, units)
 
     def support(self) -> tuple[GroupElement, ...]:
         """Nonidentity degrees with a nonzero component, in canonical order."""
-        seen = {d for d in self.degrees if not d.is_identity()}
-        return tuple(sorted(seen))
-
-    def homogeneous_decomposition(self) -> dict[GroupElement, Subspace]:
-        """All nonzero components keyed by degree; their direct sum is the space."""
-        return {
-            d: self.homogeneous_component(d) for d in sorted(set(self.degrees))
-        }
+        return tuple(d for d in self.components() if not d.is_identity())
 
     def identity_component(self) -> Subspace:
         return self.homogeneous_component(self.group.identity())

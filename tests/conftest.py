@@ -319,6 +319,32 @@ def oracle_reduce(field, reduction, tensor):
     return [sum((x * y for x, y in zip(row, tensor)), zero) for row in reduction]
 
 
+def oracle_components(emb):
+    """The even components by elimination, not as coordinate blocks: one
+    `Subspace` per degree, spanned by the images of all tensors of that
+    degree, the nonzero ones keyed by degree, sorted.
+
+    Raises DecompositionFailure, with the message of the library's
+    certificate, unless their dimensions add up to dim L0 and their sum is
+    the whole even part.
+    """
+    field, n, degrees = emb.system.field, emb.system.dim, emb.system.degrees
+    buckets = {}
+    for c, image in enumerate(emb._columns):
+        buckets.setdefault(degrees[c // n].compose(degrees[c % n]), []).append(image)
+    comps = {}
+    for d in sorted(buckets):
+        sub = g.Subspace(field, emb.dim_even, buckets[d])
+        if not sub.is_zero():
+            comps[d] = sub
+    total = g.Subspace(field, emb.dim_even, [row for sub in comps.values() for row in sub.basis])
+    if sum(sub.dim for sub in comps.values()) != emb.dim_even or total.dim != emb.dim_even:
+        raise g.DecompositionFailure(
+            "homogeneous components of the even part do not decompose it directly"
+        )
+    return comps
+
+
 def oracle_certify(system, null_space, coset_indices):
     """The dense descent and Leibniz certificates, on the oracles above.
 

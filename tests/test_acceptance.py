@@ -110,7 +110,7 @@ def test_criterion_03_standard_embedding(pipelines):
         # Leibniz identity on all quotient basis triples (exact, or raise)
         assert emb.verify_even_grading() == [], name
         comps = emb.components()
-        assert sum(c.dim for c in comps.values()) == emb.dim_even, name
+        assert sorted(r for c in comps.values() for r in c) == list(range(emb.dim_even)), name
     _passed(3, "standard-embedding-certificates")
 
 

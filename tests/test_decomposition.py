@@ -276,22 +276,27 @@ def test_lemma_suite_on_disjoint_sum(disjoint_pipe):
         assert check.nonvacuous >= 1, check.name
 
 
-def test_lemma_suite_builds_each_component_once(monkeypatch):
+def test_lemma_suite_reads_the_blocks_once(monkeypatch):
     system = sl2_power(3, g.RationalField())
     emb = g.build_embedding(system)
     sup = g.SupportData.from_system(system, emb)
     classes = g.connection_classes(sup)
-    built = []
-    build = g.GradedTripleSystem.homogeneous_component
+    calls = []
 
-    def counted(self, d):
-        built.append(d)
-        return build(self, d)
+    def counting(name):
+        method = getattr(g.GradedTripleSystem, name)
 
-    monkeypatch.setattr(g.GradedTripleSystem, "homogeneous_component", counted)
+        def counted(self, *args):
+            calls.append(name)
+            return method(self, *args)
+
+        return counted
+
+    for name in ("components", "homogeneous_component"):
+        monkeypatch.setattr(g.GradedTripleSystem, name, counting(name))
     checks = g.verify_structure_lemmas(system, emb, classes, sup)
     assert all(c.holds for c in checks)
-    assert sorted(built) == sorted(set(system.degrees))
+    assert calls == ["components"]
 
 
 def test_randomized_variants_have_certified_ideals():
@@ -375,7 +380,8 @@ def test_rescaled_probe_closures_match_naive_fixed_point():
 def test_fraction_calls_per_decompose_run(tmp_path):
     # scalar.fraction_calls of the benchmark: the calls into fractions.py
     # under cProfile.  Fractions enter at parse and in the report; the
-    # eliminator, the closures, the probes and the certificates run on ints.
+    # eliminator, the closures, the probes, the grading check and the
+    # certificates run on ints.
     # Counted with CPython 3.11's fractions.py; before the fraction-free
     # eliminator this run made 49,487.
     path = tmp_path / "sl2x3.json"
@@ -384,4 +390,4 @@ def test_fraction_calls_per_decompose_run(tmp_path):
     assert profile.runcall(main, ["decompose", str(path)]) == 0
     stats = pstats.Stats(profile).stats
     calls = sum(s[1] for (file, _, _), s in stats.items() if file == fractions.__file__)
-    assert calls == 388
+    assert calls == 352

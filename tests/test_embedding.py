@@ -1,6 +1,7 @@
 """Standard embedding: null space, quotient brackets, even-part grading."""
 
 import random
+import re
 from itertools import product
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from gradedlts.embedding import _ActionMatrix
 from gradedlts.linalg import complete_complement
 
 from conftest import (
+    coordinate_sum,
     dense_table,
     exact_bracket,
     exact_lift,
@@ -18,15 +20,19 @@ from conftest import (
     exact_psi,
     exact_reduce,
     library_vector,
+    oracle_components,
     oracle_reduce,
     oracle_reduction,
     oracle_tensor_bracket,
     oracle_triple,
+    random_variant,
+    sl2_power,
     sl2_square,
     sl_root,
 )
 
 Q = g.RationalField()
+F7 = g.PrimeField(7)
 
 
 def unit(n, i):
@@ -79,7 +85,7 @@ def test_sl2_even_support(sl2_emb):
     assert [x.format() for x in emb.support()] == ["[-1]", "[1]"]
     comps = emb.components()
     ident = system.group.identity()
-    assert comps[ident].dim == 1
+    assert len(comps[ident]) == 1
     # degree-2 tensors e (x) e all act trivially, so no such component
     assert system.group.element([2]) not in comps
 
@@ -147,7 +153,7 @@ def test_homogeneous_tensor_images_stay_homogeneous(builtins):
                 if not image:
                     continue
                 degree = system.degrees[i].compose(system.degrees[j])
-                assert emb.component(degree).contains(image), name
+                assert set(image) <= set(emb.component(degree)), name
 
 
 def test_build_embedding_accepts_all_builtins(builtins):
@@ -273,10 +279,12 @@ def oracle_even_grading(system, emb):
             tensor[p] = x
         return tensor
 
+    comps = oracle_components(emb)
+    zero = g.Subspace.zero(field, emb.dim_even)
     violations = []
-    for a, ca in emb.components().items():
-        for b, cb in emb.components().items():
-            target = emb.component(a.compose(b))
+    for a, ca in comps.items():
+        for b, cb in comps.items():
+            target = comps.get(a.compose(b), zero)
             for u in ca.basis:
                 for v in cb.basis:
                     tensor = oracle_tensor_bracket(system, lift(u), lift(v), table)
@@ -285,23 +293,6 @@ def oracle_even_grading(system, emb):
                         bracket = [field.format(x) for x in w]
                         violations.append({"degrees": (a.format(), b.format()), "bracket": bracket})
     return violations
-
-
-def reexpress_components(emb):
-    """Span each even component by 2/3 e_r + e_(r+1) in place of e_r; return the
-    new integer rows.
-
-    Each component holds the coordinate vectors of its coset tensors, and the
-    direct-sum certificate leaves room for nothing else, so its integer rows
-    have pivot entry 1.  The new rows, such as (2, 3), have pivot entries > 1.
-    """
-    s = emb.dim_even
-    emb._components = {
-        d: g.Subspace(Q, s, [{r: Fraction(2, 3), r + 1: 1} if r + 1 < s else {r: 1}
-                             for r in sub.pivots])
-        for d, sub in emb.components().items()
-    }
-    return [row for sub in emb._components.values() for row in sub.integral_rows()]
 
 
 @pytest.mark.parametrize("field", [Q, g.PrimeField(7)], ids=["Q", "F7"])
@@ -319,7 +310,7 @@ def test_even_grading_witnesses_match_the_dense_oracle(field):
 def test_even_grading_witnesses_in_a_rescaled_basis():
     # a rational triangular basis of sl2: constants with D > 1
     basis = [[Fraction(2, 3), 0, 0], [1, Fraction(5), 0], [0, Fraction(-1, 2), Fraction(3, 7)]]
-    flagged = reexpressed = 0
+    flagged = 0
     for degrees in product(range(-2, 3), repeat=3):
         system = misgraded(sl2(Q), degrees, basis)
         assert system.scale > 1
@@ -327,11 +318,16 @@ def test_even_grading_witnesses_in_a_rescaled_basis():
         violations = emb.verify_even_grading()
         assert violations == oracle_even_grading(system, emb), degrees
         flagged += bool(violations)
-        rows = reexpress_components(emb)
-        violations = emb.verify_even_grading()
-        assert violations == oracle_even_grading(system, emb), degrees
-        reexpressed += bool(violations) and any(row[min(row)] > 1 for row in rows)
-    assert flagged == 124 and reexpressed == 120
+    assert flagged == 124
+
+
+def shifted(system, shift):
+    """`system` with every degree multiplied by `shift`: for a Lie algebra's
+    system each tensor's image keeps to the block of its degree, but the
+    bracket of degrees g and h lands in degree g h shift^-2, not g h."""
+    shift = system.group.element(shift)
+    degrees = [d.compose(shift) for d in system.degrees]
+    return g.GradedTripleSystem(system.field, system.group, degrees, dict(system.nonzero_triples()))
 
 
 def test_even_grading_witnesses_divide_by_the_reduction_scale():
@@ -339,7 +335,69 @@ def test_even_grading_witnesses_divide_by_the_reduction_scale():
     system = sl_root(3, Q)
     emb = g.build_embedding(system)
     assert emb._reduction_scale == 2 and emb.verify_even_grading() == []
-    rows = reexpress_components(emb)
-    assert any(row[min(row)] > 1 for row in rows)
+    system = shifted(system, [1, 0])
+    emb = g.build_embedding(system)
     violations = emb.verify_even_grading()
-    assert violations and violations == oracle_even_grading(system, emb)
+    assert emb._reduction_scale == 2 and len(violations) == 42
+    assert violations == oracle_even_grading(system, emb)
+
+
+# -- the even components as coordinate blocks ----------------------------------
+
+
+def misgraded_sl3(seed):
+    """sl3 with seeded random degrees in [-2, 2]^2: a valid system whose
+    tensor images mostly leave the blocks of their degrees."""
+    base, rng = sl_root(3, Q), random.Random(seed)
+    group = base.group
+    degrees = [group.element([rng.randint(-2, 2), rng.randint(-2, 2)]) for _ in range(base.dim)]
+    return g.GradedTripleSystem(Q, group, degrees, dict(base.nonzero_triples()))
+
+
+# family -> (systems, how many fail the direct-sum certificate)
+COMPONENT_CASES = {
+    "builtins": (lambda: [g.builtin(name) for name in g.BUILTIN_NAMES], 0),
+    "sl2_powers": (
+        lambda: [sl2_power(k, f) for k in (2, 3, 6) for f in (Q, F7)]
+        + [coordinate_sum(sl2_power(3, F7), 2)],
+        0,
+    ),
+    "sl_root": (lambda: [sl_root(3, Q), sl_root(4, Q), shifted(sl_root(3, Q), [1, 0])], 0),
+    "variants": (lambda: [random_variant(seed) for seed in range(20)], 0),
+    "misgraded_sl2": (
+        lambda: [misgraded(sl2(f), d) for f in (Q, F7) for d in product(range(-2, 3), repeat=3)],
+        0,
+    ),
+    "misgraded_sl3": (lambda: [misgraded_sl3(seed) for seed in range(40)], 40),
+}
+
+
+@pytest.mark.parametrize("family", sorted(COMPONENT_CASES))
+def test_blocks_span_exactly_the_eliminated_components(family):
+    systems, expected_failures = COMPONENT_CASES[family]
+    failures = 0
+    for system in systems():
+        emb = g.build_embedding(system)
+        n, degrees = system.dim, system.degrees
+
+        def degree(c):
+            return degrees[c // n].compose(degrees[c % n])
+
+        try:
+            oracle = oracle_components(emb)
+        except g.DecompositionFailure as exc:
+            failures += 1
+            with pytest.raises(g.DecompositionFailure, match=re.escape(str(exc))) as info:
+                emb.components()
+            # the witness: tensor c has a nonzero coordinate r whose coset
+            # tensor has another degree
+            c, r = info.value.witness["tensor"], info.value.witness["coordinate"]
+            assert exact_reduce(emb, {c: 1})[r]
+            assert degree(c) != degree(emb.coset_indices[r])
+            continue
+        comps = emb.components()
+        assert list(comps) == list(oracle)
+        for d, block in comps.items():
+            assert block == tuple(sorted(block))
+            assert g.Subspace(system.field, emb.dim_even, [{r: 1} for r in block]) == oracle[d]
+    assert failures == expected_failures

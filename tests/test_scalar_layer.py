@@ -95,7 +95,7 @@ def test_every_stored_scalar_is_an_int_residue_or_a_rational(system):
     values = [x for _, entry in system.nonzero_triples() for x in entry.values()]
     values += [x for entry in system._index[0].values() for x in entry.values()]
     emb = g.build_embedding(system)
-    subspaces = [emb.null_space, *emb.components().values()]
+    subspaces = [emb.null_space]
     values += [x for column in emb._columns for x in column.values()]
     try:
         report = g.decompose(system, emb)

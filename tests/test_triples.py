@@ -89,11 +89,14 @@ def test_homogeneous_components_sum_to_whole(sl2):
 
 def test_homogeneous_decomposition_is_direct(builtins):
     for name, system in builtins.items():
-        decomposition = system.homogeneous_decomposition()
+        blocks = system.components()
+        assert list(blocks) == sorted(set(system.degrees)), name
         total = g.Subspace.zero(system.field, system.dim)
         dims = 0
-        for degree, component in decomposition.items():
-            assert not component.is_zero(), name
+        for degree, block in blocks.items():
+            assert block and block == tuple(sorted(block)), name
+            component = system.homogeneous_component(degree)
+            assert component == g.Subspace(system.field, system.dim, [{i: 1} for i in block])
             for row in component.basis:
                 support = [i for i, x in enumerate(row) if x != system.field.zero]
                 assert all(system.degrees[i] == degree for i in support), name
