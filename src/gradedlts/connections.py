@@ -120,7 +120,9 @@ def witness_sequence(sup: SupportData, g: GroupElement, h: GroupElement) -> tupl
     """A concrete connection sequence from g to h, as group elements.
 
     The sequence starts at g and appends the length-two extensions found by
-    the closure search; its final partial product lies in {h, h^-1}.
+    the closure search; its final partial product lies in {h, h^-1}.  It is
+    checked by `validate_sequence` before it is returned, and a sequence
+    that fails raises EquivalenceFailure naming the pair.
     """
     parents = _parents(sup, g)
     if h in parents:
@@ -134,28 +136,27 @@ def witness_sequence(sup: SupportData, g: GroupElement, h: GroupElement) -> tupl
     while parents[node] is not None:
         node, a, b = parents[node]
         extensions[:0] = (a, b)
-    return (g, *extensions)
+    seq = (g, *extensions)
+    if not validate_sequence(sup, seq, g, h):
+        raise EquivalenceFailure(
+            "witness sequence does not connect the pair", witness={"pair": (g.format(), h.format())}
+        )
+    return seq
 
 
 def validate_sequence(sup: SupportData, seq, g: GroupElement, h: GroupElement) -> bool:
     """Independent check that a sequence witnesses a connection from g to h."""
-    if len(seq) % 2 == 0 or not seq:
+    # an empty sequence has even length
+    if len(seq) % 2 == 0 or seq[0] != g:
         return False
-    if seq[0] != g:
-        return False
-    identity = g.group.identity()
-    allowed = sup.pm_odd | {identity}
+    allowed = sup.pm_odd | {g.group.identity()}
     if any(x not in allowed for x in seq):
         return False
-    partial = seq[0]
-    for pos in range(1, len(seq)):
-        partial = partial.compose(seq[pos])
-        if pos % 2 == 1:
-            if partial not in sup.pm_even:
-                return False
-        else:
-            if partial not in sup.pm_odd:
-                return False
+    partial = g
+    for pos, x in enumerate(seq[1:], 1):
+        partial = partial.compose(x)
+        if partial not in (sup.pm_even if pos % 2 else sup.pm_odd):
+            return False
     return partial in (h, h.inverse())
 
 

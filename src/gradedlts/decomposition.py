@@ -35,6 +35,7 @@ was found.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 from typing import NamedTuple
 
@@ -44,6 +45,9 @@ from .errors import DecompositionFailure, IdealCertificateFailure
 from .groups import GroupElement
 from .linalg import Subspace, complete_complement
 from .triples import GradedTripleSystem
+
+# seeded random lines probed by `simplicity_obstructions`, after the unit vectors
+PROBES = 16
 
 
 class ClassIdeal(NamedTuple):
@@ -205,7 +209,6 @@ def decompose(
     system: GradedTripleSystem,
     emb: StandardEmbedding,
     seed: int = 0,
-    probes: int = 16,
 ) -> DecompositionReport:
     """Full certified decomposition report for a verified system."""
     sup = SupportData.from_system(system, emb)
@@ -271,7 +274,7 @@ def decompose(
         obstructions=[],
         seed=seed,
     )
-    report.obstructions = simplicity_obstructions(system, report, seed=seed, probes=probes)
+    report.obstructions = simplicity_obstructions(system, report, seed=seed)
     return report
 
 
@@ -279,7 +282,6 @@ def simplicity_obstructions(
     system: GradedTripleSystem,
     report: DecompositionReport,
     seed: int = 0,
-    probes: int = 16,
 ) -> list[Obstruction]:
     """Contrapositive simplicity certificates.
 
@@ -293,7 +295,7 @@ def simplicity_obstructions(
     obstructions: list[Obstruction] = []
     defect = system.lie_defect_ideal()
 
-    if not any(True for _ in system.nonzero_triples()):
+    if not system.integer_triples():
         obstructions.append(
             Obstruction(kind="zero_product", detail="the triple product is identically zero")
         )
@@ -334,7 +336,7 @@ def simplicity_obstructions(
     rng = random.Random(seed)
     n = system.dim
     probe_vectors = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
-    for _ in range(probes):
+    for _ in range(PROBES):
         v = _random_vector(system, rng)
         if v is not None:
             probe_vectors.append(v)
@@ -391,15 +393,17 @@ def verify_structure_lemmas(
     if sup is None:
         sup = SupportData.from_system(system, emb)
     # the components are read once, as blocks of basis indices; a degree
-    # without basis vectors has no block
+    # without basis vectors has no block; each class's core sources are
+    # enumerated once, for both core laws
     blocks = system.components()
+    cores = [(cls, _core_product_sources(system, cls)) for cls in classes]
     return [
         *_pair_laws(sup),
         _lemma_disconnected_brackets_vanish(emb, sup, blocks),
         _lemma_disconnected_inverse_triple_vanishes(system, sup, blocks),
         _lemma_products_confined_to_class(system, classes),
-        _lemma_core_products_confined(system, classes),
-        _lemma_core_disconnected_vanish(system, emb, classes, sup, blocks),
+        _lemma_core_products_confined(system, cores),
+        _lemma_core_disconnected_vanish(system, emb, cores, sup, blocks),
     ]
 
 
@@ -434,54 +438,52 @@ def _pair_laws(sup: SupportData) -> list[LemmaCheck]:
 
 def _lemma_disconnected_brackets_vanish(emb, sup, blocks) -> LemmaCheck:
     # Disconnected support degrees bracket to zero in the embedding, at all
-    # three levels: odd with odd, even with odd, even with even (unit vectors).
+    # three levels: odd with odd, even with odd, even with even.  A bracket
+    # of basis elements of L is nonzero exactly when the table stores it.
     check = LemmaCheck("disconnected_brackets_vanish")
+    s, table = emb.dim_even, emb.table
     for g in sup.odd:
         for hbar in sup.odd:
             if are_connected(sup, g, hbar):
                 continue
             check.instances += 1
             check.nonvacuous += 1
+            pair = (g.format(), hbar.format())
             eg, eh = blocks[g], blocks[hbar]
             cg, ch = emb.component(g), emb.component(hbar)
             for x in eg:
                 for y in eh:
-                    if emb.int_bracket_odd_odd({x: 1}, {y: 1}):
-                        check.failures.append(
-                            {"pair": (g.format(), hbar.format()), "level": "odd_odd"}
-                        )
+                    if (s + x, s + y) in table:
+                        check.failures.append({"pair": pair, "level": "odd_odd"})
             for t in cg:
                 for y in eh:
-                    if emb.int_bracket_even_odd({t: 1}, {y: 1}):
-                        check.failures.append(
-                            {"pair": (g.format(), hbar.format()), "level": "even_odd"}
-                        )
+                    if (t, s + y) in table:
+                        check.failures.append({"pair": pair, "level": "even_odd"})
             for t in cg:
-                for s in ch:
-                    if emb.int_bracket_even_even({t: 1}, {s: 1}):
-                        check.failures.append(
-                            {"pair": (g.format(), hbar.format()), "level": "even_even"}
-                        )
+                for u in ch:
+                    if (t, u) in table:
+                        check.failures.append({"pair": pair, "level": "even_even"})
     return check
 
 
 def _lemma_disconnected_inverse_triple_vanishes(system, sup, blocks) -> LemmaCheck:
+    # {E_g, E_g^-1, E_hbar} vanishes for disconnected g, hbar: one failure per
+    # nonzero product of basis vectors, that is per stored constant, of that
+    # degree pattern
     check = LemmaCheck("disconnected_inverse_triple_vanishes")
+    degrees = system.degrees
+    stored = Counter(
+        (degrees[p], degrees[q], degrees[r]) for (p, q, r), _ in system.integer_triples()
+    )
     for g in sup.odd:
         for hbar in sup.odd:
             if are_connected(sup, g, hbar):
                 continue
             check.instances += 1
-            eg, eginv, eh = (blocks.get(d, ()) for d in (g, g.inverse(), hbar))
-            if eginv:
+            if g.inverse() in blocks:
                 check.nonvacuous += 1
-            for x in eg:
-                for y in eginv:
-                    for z in eh:
-                        if system.int_triple_product({x: 1}, {y: 1}, {z: 1}):
-                            check.failures.append(
-                                {"pair": (g.format(), hbar.format())}
-                            )
+            pair = (g.format(), hbar.format())
+            check.failures.extend({"pair": pair} for _ in range(stored[g, g.inverse(), hbar]))
     return check
 
 
@@ -520,11 +522,11 @@ def _core_product_sources(system, cls):
     return list(_degree_products(system, members, members | {system.group.identity()}, members))
 
 
-def _lemma_core_products_confined(system, classes) -> LemmaCheck:
+def _lemma_core_products_confined(system, cores) -> LemmaCheck:
     check = LemmaCheck("core_products_confined_to_class")
-    for cls in classes:
+    for cls, sources in cores:
         members = set(cls.members)
-        for (p, q, r), u in _core_product_sources(system, cls):
+        for (p, q, r), u in sources:
             # each nonzero slot product of the core vector is one instance
             for jq, jr, slot in system.int_slot_products(u):
                 check.instances += 1
@@ -543,24 +545,25 @@ def _lemma_core_products_confined(system, classes) -> LemmaCheck:
     return check
 
 
-def _lemma_core_disconnected_vanish(system, emb, classes, sup, blocks) -> LemmaCheck:
+def _lemma_core_disconnected_vanish(system, emb, cores, sup, blocks) -> LemmaCheck:
     # Core products of one class annihilate everything carried by degrees
     # outside the class: their tensors fall into the null space, the twisted
     # right action of the outside even component kills them, and triple
-    # products through the identity component vanish.
+    # products through the identity component vanish.  The brackets are taken
+    # in L, where system vector u is the odd vector {dim_even + l: u_l}.
     check = LemmaCheck("core_disconnected_products_vanish")
+    s = emb.dim_even
     identity_comp = blocks.get(system.group.identity(), ())
-    for cls in classes:
-        members = set(cls.members)
-        outside = [h for h in sup.odd if h not in members]
-        sources = _core_product_sources(system, cls)
+    for cls, sources in cores:
+        outside = [h for h in sup.odd if h not in cls]
         for hbar in outside:
             eh, ch = blocks[hbar], emb.component(hbar)
             for (p, q, r), u in sources:
                 check.instances += 1
                 check.nonvacuous += 1
+                odd = {s + l: x for l, x in u.items()}
                 for y in eh:
-                    if emb.int_bracket_odd_odd(u, {y: 1}):
+                    if emb.int_bracket(odd, {s + y: 1}):
                         check.failures.append(
                             {
                                 "core_triple": (p, q, r),
@@ -569,7 +572,7 @@ def _lemma_core_disconnected_vanish(system, emb, classes, sup, blocks) -> LemmaC
                             }
                         )
                 for t in ch:
-                    if emb.int_bracket_odd_even(u, {t: 1}):
+                    if emb.int_bracket(odd, {t: 1}):
                         check.failures.append(
                             {
                                 "core_triple": (p, q, r),

@@ -29,7 +29,8 @@ D_R R, D_R the lcm of its denominators.  The pivot tensors are exactly the
 greedy standard-tensor complement of N, so the choice is deterministic, and
 they are homogeneous, so each quotient coordinate has its tensor's degree
 and the certified even components are blocks of coordinates.  Everything but
-the even components, read on first use, is fixed after build.
+the even components, read on first use, is fixed after build, the bracket
+table of L on its basis included.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from math import lcm
 from .errors import DecompositionFailure, LeibnizIdentityFailure, NotWellDefined
 from .groups import GroupElement
 from .identities import RIGHT_LEIBNIZ, index_constants, term_violations
-from .linalg import Echelon, sparse
+from .linalg import Echelon
 from .triples import GradedTripleSystem
 
 
@@ -51,9 +52,13 @@ class StandardEmbedding:
     coordinates and system vectors are mappings {index: nonzero scalar},
     and products are read straight off the integer images of the constants
     and of the reduction, so `_bracket`, `_phi` and `_psi` return
-    D = `system.scale` times the value and `_reduce` D_R times it.  The
-    public `int_bracket_*` methods return such scaled results, and `_exact`
-    divides one back to a dense exact tuple.
+    D = `system.scale` times the value and `_reduce` D_R times it.  They
+    run once per pair of basis elements of L, at construction, to fill
+    `table`: basis element a < dim_even of L is the even coordinate a and
+    dim_even + i the system basis vector i, and table[a, b] = {c: int} is
+    D D_R [a, b], stored for the nonzero brackets only.  Every later
+    bracket is read off it by `int_bracket`, and `_exact` divides a scaled
+    result back to a dense exact tuple.
     """
 
     __slots__ = (
@@ -62,6 +67,7 @@ class StandardEmbedding:
         "null_space",
         "coset_indices",
         "dim_even",
+        "table",
         "descent_instances",
         "leibniz_instances",
         "_columns",
@@ -92,6 +98,8 @@ class StandardEmbedding:
         for (i, j, k), entry in system.integer_triples():
             self._by_pair[i * n + j][k] = tuple(entry.items())
         self._components = None
+        m = self.dim_even + n
+        self.table = {(a, b): e for a, b in product(range(m), repeat=2) if (e := self._entry(a, b))}
 
     # -- sparse kernels ---------------------------------------------------------
 
@@ -142,8 +150,19 @@ class StandardEmbedding:
                     acc[l] = acc.get(l, 0) - coef * v
         return self.system.field.clean(acc)
 
-    def _lift(self, coords) -> dict:
-        return {self.coset_indices[r]: x for r, x in sparse(coords).items()}
+    def _entry(self, a, b) -> dict:
+        """D D_R [a, b] of basis elements a, b of L, from the kernels."""
+        s, n, cosets = self.dim_even, self.system.dim, self.coset_indices
+        if a < s and b < s:
+            return self._reduce(self._bracket({cosets[a]: 1}, {cosets[b]: 1}))
+        if a >= s and b >= s:
+            d = self.system.scale
+            return {r: d * x for r, x in self._columns[(a - s) * n + b - s].items()}
+        if a < s:
+            odd = self._phi({cosets[a]: 1}, {b - s: 1})
+        else:
+            odd = self._psi({cosets[b]: 1}, {a - s: 1})
+        return {s + l: self._reduction_scale * x for l, x in odd.items()}
 
     def _exact(self, kernel_result, size, scale) -> tuple:
         """Dense exact vector of a kernel result divided by `scale`."""
@@ -152,21 +171,16 @@ class StandardEmbedding:
             out[t] = x
         return tuple(out)
 
-    # -- quotient brackets ------------------------------------------------------
-    # Sparse kernel results, D D_R, D, D and D_R times the bracket, for zero
-    # and membership tests on integer images; `_exact` divides one back.
+    # -- the bracket of L -------------------------------------------------------
 
-    def int_bracket_even_even(self, u_coords, v_coords) -> dict:
-        return self._reduce(self._bracket(self._lift(u_coords), self._lift(v_coords)))
-
-    def int_bracket_even_odd(self, u_coords, w) -> dict:
-        return self._phi(self._lift(u_coords), sparse(w))
-
-    def int_bracket_odd_even(self, z, v_coords) -> dict:
-        return self._psi(self._lift(v_coords), sparse(z))
-
-    def int_bracket_odd_odd(self, z, w) -> dict:
-        return self._reduce(_pair(self.system.dim, z, w))
+    def int_bracket(self, x, y) -> dict:
+        """D D_R [x, y] of sparse integer vectors x, y of L, bilinear in `table`."""
+        acc = {}
+        for a, u in x.items():
+            for b, v in y.items():
+                for c, w in self.table.get((a, b), {}).items():
+                    acc[c] = acc.get(c, 0) + u * v * w
+        return self.system.field.clean(acc)
 
     # -- grading of the even part ------------------------------------------------
 
@@ -211,8 +225,8 @@ class StandardEmbedding:
 
     def verify_even_grading(self) -> list[dict]:
         """Check [L0_g, L0_h] lands in L0_{gh} for all component pairs: the
-        bracket of each pair of block coordinates, on integer images, must be
-        supported in the target block; a violation reports the exact bracket."""
+        stored bracket of each pair of block coordinates must be supported in
+        the target block; a violation reports the exact bracket."""
         violations = []
         comps = self.components()
         scale = self.system.scale * self._reduction_scale
@@ -221,7 +235,7 @@ class StandardEmbedding:
                 target = set(self.component(g.compose(h)))
                 for r in block_g:
                     for t in block_h:
-                        w = self.int_bracket_even_even({r: 1}, {t: 1})
+                        w = self.table.get((r, t), {})
                         if not target.issuperset(w):
                             exact = self._exact(w, self.dim_even, scale)
                             bracket = [self.system.field.format(x) for x in exact]
@@ -351,40 +365,18 @@ def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix):
 def _certify_leibniz_identity(emb: StandardEmbedding):
     """Check the right Leibniz identity on all basis triples of L0 + L1.
 
-    Basis element a < dim_even of L is the even coordinate a, and a >= dim_even
-    the system basis vector a - dim_even.  The bracket table on basis elements
-    holds sparse vectors over L, read off the integer images of the stored
-    constants and of the reduction at the common scale D D_R; the identity
-    runs through the exact term-driven join over its nonzero entries
-    (residuals scale by (D D_R)^2), and the witness is the first failing (y, z, x).
+    The identity runs through the exact term-driven join over the nonzero
+    entries of the bracket table `emb.table`, at the common scale D D_R
+    (residuals scale by (D D_R)^2), and the witness is the first failing
+    (y, z, x) of basis elements of L.
     """
-    d, d_r = emb.system.scale, emb._reduction_scale
-    s, n, cosets = emb.dim_even, emb.system.dim, emb.coset_indices
-    m = s + n
-
-    def entry(a, b):
-        if a < s and b < s:
-            return emb._reduce(emb._bracket({cosets[a]: 1}, {cosets[b]: 1}))
-        if a >= s and b >= s:
-            return {r: d * x for r, x in emb._columns[(a - s) * n + b - s].items()}
-        if a < s:
-            odd = emb._phi({cosets[a]: 1}, {b - s: 1})
-        else:
-            odd = emb._psi({cosets[b]: 1}, {a - s: 1})
-        return {s + l: d_r * x for l, x in odd.items()}
-
-    table = {(a, b): e for a, b in product(range(m), repeat=2) if (e := entry(a, b))}
-    index = index_constants(table, m, 2)
-    violations = term_violations(emb.system.field, index, RIGHT_LEIBNIZ, (d * d_r) ** 2)
+    m = emb.dim_even + emb.system.dim
+    index = index_constants(emb.table, m, 2)
+    scale = emb.system.scale * emb._reduction_scale
+    violations = term_violations(emb.system.field, index, RIGHT_LEIBNIZ, scale**2)
     if violations:
         raise LeibnizIdentityFailure(
             "quotient algebra fails the right Leibniz identity",
             witness={"triple": violations[0].indices},
         )
     emb.leibniz_instances = m**3
-
-
-def _pair(n, x, y) -> dict:
-    """The sparse tensor x (x) y of two system vectors, dense or sparse, unreduced."""
-    y = sparse(y)
-    return {i * n + j: xi * yj for i, xi in sparse(x).items() for j, yj in y.items()}

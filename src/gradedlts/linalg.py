@@ -33,7 +33,8 @@ from typing import Iterable
 
 from .errors import InputError
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # psi_13: the 13 bases above are exact below it
 
 # "a" or "a/b" in ASCII decimal digits: no sign on b, no spaces, no "+",
 # no "_" separators and no other Unicode digits, all of which int() accepts.
@@ -88,7 +89,9 @@ def _parse_scalar(text: str) -> tuple[int, int]:
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for p < 3.3e24)."""
+    """Deterministic Miller-Rabin primality test; InputError from p = psi_13 on."""
+    if p >= _MR_BOUND:
+        raise InputError(f"modulus too large to test for primality (limit {_MR_BOUND})")
     if p < 2:
         return False
     for q in _MR_WITNESSES:

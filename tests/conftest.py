@@ -16,7 +16,7 @@ from itertools import product
 import pytest
 
 import gradedlts as g
-from gradedlts.decomposition import _random_vector
+from gradedlts.decomposition import PROBES, _random_vector
 from gradedlts.linalg import sparse
 
 
@@ -153,7 +153,8 @@ def exact_reduce(emb, tensor):
 
 def exact_lift(emb, coords):
     """The canonical tensor representative of quotient coordinates."""
-    return emb._exact(emb._lift(coords), emb.tensor_dim, 1)
+    tensor = {emb.coset_indices[r]: x for r, x in sparse(coords).items()}
+    return emb._exact(tensor, emb.tensor_dim, 1)
 
 
 # -- independent oracles -----------------------------------------------------
@@ -226,11 +227,11 @@ def naive_closure(system, vectors):
     return current
 
 
-def probe_lines(system, seed, probes=16):
+def probe_lines(system, seed):
     """The lines whose closures `simplicity_obstructions` takes: the n unit
-    vectors, then the `probes` seeded random ones."""
+    vectors, then the `PROBES` seeded random ones."""
     rng = random.Random(seed)
-    drawn = [_random_vector(system, rng) for _ in range(probes)]
+    drawn = [_random_vector(system, rng) for _ in range(PROBES)]
     units = [[int(t == i) for t in range(system.dim)] for i in range(system.dim)]
     return units + [v for v in drawn if v]
 
@@ -363,7 +364,6 @@ def oracle_certify(system, null_space, coset_indices):
     n = system.dim
     nn = n * n
     table = dense_table(system)
-    units = _units(system)
 
     def failing_action(x):
         phi, psi = oracle_actions(system, x, table)
@@ -401,6 +401,45 @@ def oracle_certify(system, null_space, coset_indices):
                     {"coordinate": c, "null_vector": [fmt(x) for x in nu]},
                 )
 
+    m = len(coset_indices) + n
+    bracket = oracle_bracket_table(system, null_space, coset_indices, table)
+
+    def combine(vec, rows):
+        # sum over l of vec[l] * rows[l]
+        out = [zero] * m
+        for coef, row in zip(vec, rows):
+            if coef != zero:
+                for t, c in enumerate(row):
+                    out[t] = out[t] + coef * c
+        return out
+
+    right = [[bracket[l][x] for l in range(m)] for x in range(m)]
+    for y, z, x in product(range(m), repeat=3):
+        lhs = combine(bracket[y][z], right[x])
+        rhs_a = combine(bracket[y][x], right[z])
+        rhs_b = combine(bracket[z][x], bracket[y])  # [y, [z, x]]
+        if any(lhs[t] != rhs_a[t] + rhs_b[t] for t in range(m)):
+            return (
+                g.LeibnizIdentityFailure,
+                "quotient algebra fails the right Leibniz identity",
+                {"triple": (y, z, x)},
+            )
+    return None
+
+
+def oracle_bracket_table(system, null_space, coset_indices, table=None):
+    """The dense m x m table of brackets [a, b] of basis elements of L0 + L1,
+    m = dim L0 + n, each a dense exact vector of length m: element a < dim L0
+    is the even coordinate a, element dim L0 + i the system basis vector b_i.
+
+    Even with even reduces the `oracle_tensor_bracket` of the coset tensors by
+    `oracle_reduction`, odd with odd reduces b_i (x) b_j, and the mixed
+    brackets are the two actions, by `oracle_triple`.
+    """
+    field, n, nn = system.field, system.dim, null_space.ambient
+    zero, one = oracle_zero_one(field)
+    table = table or dense_table(system)
+    units = _units(system)
     s = len(coset_indices)
     m = s + n
 
@@ -433,28 +472,7 @@ def oracle_certify(system, null_space, coset_indices):
                 pair[(a - s) * n + b - s] = one
                 even, odd = reduce(pair), [zero] * n
             bracket[a][b] = list(even) + list(odd)
-
-    def combine(vec, rows):
-        # sum over l of vec[l] * rows[l]
-        out = [zero] * m
-        for coef, row in zip(vec, rows):
-            if coef != zero:
-                for t, c in enumerate(row):
-                    out[t] = out[t] + coef * c
-        return out
-
-    right = [[bracket[l][x] for l in range(m)] for x in range(m)]
-    for y, z, x in product(range(m), repeat=3):
-        lhs = combine(bracket[y][z], right[x])
-        rhs_a = combine(bracket[y][x], right[z])
-        rhs_b = combine(bracket[z][x], bracket[y])  # [y, [z, x]]
-        if any(lhs[t] != rhs_a[t] + rhs_b[t] for t in range(m)):
-            return (
-                g.LeibnizIdentityFailure,
-                "quotient algebra fails the right Leibniz identity",
-                {"triple": (y, z, x)},
-            )
-    return None
+    return bracket
 
 
 def oracle_rref(field, rows, ncols):

@@ -104,6 +104,18 @@ def test_verify_rejects_scalar_outside_grammar(text, tmp_path, capsys):
     assert "malformed scalar" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_pseudoprime_modulus(tmp_path, capsys):
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes
+    # Miller-Rabin to the bases 2..37; inverting 399165290221 modulo it fails
+    data = json.loads(fixture_text("sl2_Z"))
+    data["field"] = {"kind": "prime", "p": 318665857834031151167461}
+    data["triple"][0]["out"][0]["val"] = "1/399165290221"
+    bad = tmp_path / "pseudoprime.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify", str(bad)]) == 2
+    assert "not a prime" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -113,6 +113,21 @@ def test_witness_sequence_for_unconnected_pair_raises(disjoint_sup):
         g.witness_sequence(disjoint_sup, group.element([1, 0]), group.element([0, 1]))
 
 
+def test_witness_sequence_with_a_step_outside_the_supports_raises(disjoint_sup):
+    # a forged closure: [0, 1] reached from [1, 0] by the step ([-1, 1], 1),
+    # whose first element lies in neither support
+    group = g.AbelianGroup((0, 0))
+    start, end, identity = group.element([1, 0]), group.element([0, 1]), group.identity()
+    closures = dict(disjoint_sup.closures)
+    closures[start] = {start: None, end: (start, group.element([-1, 1]), identity)}
+    sup = g.SupportData(
+        disjoint_sup.odd, disjoint_sup.even, disjoint_sup.pm_odd, disjoint_sup.pm_even, closures
+    )
+    with pytest.raises(EquivalenceFailure) as info:
+        g.witness_sequence(sup, start, end)
+    assert info.value.witness == {"pair": ("[1,0]", "[0,1]")}
+
+
 def test_arguments_must_lie_in_support(sl2_sup):
     group = g.AbelianGroup((0,))
     outside = group.element([7])

@@ -390,4 +390,4 @@ def test_fraction_calls_per_decompose_run(tmp_path):
     assert profile.runcall(main, ["decompose", str(path)]) == 0
     stats = pstats.Stats(profile).stats
     calls = sum(s[1] for (file, _, _), s in stats.items() if file == fractions.__file__)
-    assert calls == 352
+    assert calls == 351

@@ -20,6 +20,7 @@ from conftest import (
     exact_psi,
     exact_reduce,
     library_vector,
+    oracle_bracket_table,
     oracle_components,
     oracle_reduce,
     oracle_reduction,
@@ -57,9 +58,10 @@ def test_square_of_nilpotent_direction_is_null(sl2_emb):
     system, emb = sl2_emb
     # phi(e (x) e)(w) = {e, e, w} = [[e,e], w] = 0 and psi(e (x) e) = 0,
     # so e (x) e falls into the null space
-    e = unit(3, 0)
+    s = emb.dim_even  # e is basis element s of L
     assert emb.null_space.contains({0: 1})  # e (x) e is tensor coordinate 0
-    assert emb.int_bracket_odd_odd(e, e) == {}
+    assert emb.int_bracket({s: 1}, {s: 1}) == {}
+    assert (s, s) not in emb.table
 
 
 def test_mixed_tensor_survives_the_quotient(sl2_emb):
@@ -68,7 +70,8 @@ def test_mixed_tensor_survives_the_quotient(sl2_emb):
     # phi(e (x) f)(e) = {e, f, e} = 2e is nonzero, so e (x) f (tensor
     # coordinate 2) is not null
     assert exact_phi(emb, {2: 1}, e) == (Fraction(2), 0, 0)
-    assert emb.int_bracket_odd_odd(e, f) != {}
+    s = emb.dim_even
+    assert emb.int_bracket({s: 1}, {s + 2: 1}) == emb.table[s, s + 2] != {}
 
 
 def test_sl2_even_part_dimensions(sl2_emb):
@@ -146,10 +149,10 @@ def test_homogeneous_tensor_images_stay_homogeneous(builtins):
     # the image of E_g (x) E_h lands in the even component of degree gh
     for name, system in builtins.items():
         emb = g.build_embedding(system)
-        n = system.dim
+        n, s = system.dim, emb.dim_even
         for i in range(n):
             for j in range(n):
-                image = emb.int_bracket_odd_odd(unit(n, i), unit(n, j))
+                image = emb.int_bracket({s + i: 1}, {s + j: 1})
                 if not image:
                     continue
                 degree = system.degrees[i].compose(system.degrees[j])
@@ -401,3 +404,54 @@ def test_blocks_span_exactly_the_eliminated_components(family):
             assert block == tuple(sorted(block))
             assert g.Subspace(system.field, emb.dim_even, [{r: 1} for r in block]) == oracle[d]
     assert failures == expected_failures
+
+
+# -- the bracket table of L ----------------------------------------------------
+
+
+def rescaled_sl2():
+    """sl2 graded by Z in a rational triangular basis: constants with D > 1."""
+    basis = [[Fraction(2, 3), 0, 0], [1, Fraction(5), 0], [0, Fraction(-1, 2), Fraction(3, 7)]]
+    return misgraded(sl2(Q), (1, 0, -1), basis)
+
+
+TABLE_CASES = {
+    **{name: (lambda name=name: g.builtin(name)) for name in g.BUILTIN_NAMES},
+    **{
+        f"sl2x{k}_{f.kind}": (lambda k=k, f=f: sl2_power(k, f))
+        for k in (2, 3)
+        for f in (Q, F7)
+    },
+    "sl3_root": lambda: sl_root(3, Q),
+    "sl2_rescaled": rescaled_sl2,
+    "sl3_root_shifted": lambda: shifted(sl_root(3, Q), [1, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_bracket_table_matches_the_dense_oracle(name):
+    system = TABLE_CASES[name]()
+    emb = g.build_embedding(system)
+    field, scale = system.field, system.scale * emb._reduction_scale
+    if name == "sl2_rescaled":
+        assert system.scale > 1
+    if name == "sl3_root_shifted":
+        assert emb._reduction_scale == 2
+    m = emb.dim_even + system.dim
+    oracle = oracle_bracket_table(system, emb.null_space, emb.coset_indices)
+    # every stored entry is D D_R times the oracle bracket, in lowest terms
+    # (residues over GF(p)), and every nonzero bracket is stored
+    for a, b in product(range(m), repeat=2):
+        expected = field.clean(dict(enumerate(library_vector([x * scale for x in oracle[a][b]]))))
+        assert emb.table.get((a, b), {}) == expected, (a, b)
+        assert (a, b) not in emb.table or emb.table[a, b]
+    # int_bracket is the bilinear extension of the table
+    rng = random.Random(5)
+    for _ in range(10):
+        x = {a: rng.randint(-3, 3) for a in rng.sample(range(m), min(m, 3))}
+        y = {b: rng.randint(-3, 3) for b in rng.sample(range(m), min(m, 3))}
+        total = [0] * m
+        for (a, u), (b, v) in product(x.items(), y.items()):
+            for c, w in enumerate(library_vector([t * scale for t in oracle[a][b]])):
+                total[c] += u * v * w
+        assert emb.int_bracket(x, y) == field.clean(dict(enumerate(total)))

@@ -126,6 +126,34 @@ def test_prime_field_requires_prime_modulus():
         PrimeField(6)
 
 
+# psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to the 12
+# prime bases 2..37; the 13 bases 2..41 are exact below psi_13
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_prime_field_rejects_the_pseudoprime_psi_12():
+    from gradedlts.errors import InputError
+
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not linalg.is_prime(PSI_12)
+    with pytest.raises(InputError, match="not a prime"):
+        PrimeField(PSI_12)
+
+
+def test_prime_field_accepts_a_large_prime_below_the_bound():
+    assert linalg.is_prime(2**61 - 1)
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+
+
+@pytest.mark.parametrize("p", [PSI_13, PSI_13 + 2, 2**89 - 1])
+def test_moduli_past_the_primality_bound_are_input_errors(p):
+    from gradedlts.errors import InputError
+
+    with pytest.raises(InputError, match="too large"):
+        PrimeField(p)
+
+
 # -- property tests -----------------------------------------------------------
 
 small_fraction = st.builds(

@@ -229,7 +229,7 @@ def embedding_outcome(system):
 
 def decomposition_outcome(system, emb):
     try:
-        report = g.decompose(system, emb, seed=2, probes=4)
+        report = g.decompose(system, emb, seed=2)
     except g.CertificateFailure as exc:
         return type(exc), str(exc)
     classes = g.connection_classes(g.SupportData.from_system(system, emb))
