@@ -310,12 +310,14 @@ def test_even_grading_witnesses_match_the_dense_oracle(field):
     assert flagged == 120
 
 
+# a rational triangular basis of sl2: constants with D > 1
+RESCALED_BASIS = [[Fraction(2, 3), 0, 0], [1, Fraction(5), 0], [0, Fraction(-1, 2), Fraction(3, 7)]]
+
+
 def test_even_grading_witnesses_in_a_rescaled_basis():
-    # a rational triangular basis of sl2: constants with D > 1
-    basis = [[Fraction(2, 3), 0, 0], [1, Fraction(5), 0], [0, Fraction(-1, 2), Fraction(3, 7)]]
     flagged = 0
     for degrees in product(range(-2, 3), repeat=3):
-        system = misgraded(sl2(Q), degrees, basis)
+        system = misgraded(sl2(Q), degrees, RESCALED_BASIS)
         assert system.scale > 1
         emb = g.build_embedding(system)
         violations = emb.verify_even_grading()
@@ -409,12 +411,6 @@ def test_blocks_span_exactly_the_eliminated_components(family):
 # -- the bracket table of L ----------------------------------------------------
 
 
-def rescaled_sl2():
-    """sl2 graded by Z in a rational triangular basis: constants with D > 1."""
-    basis = [[Fraction(2, 3), 0, 0], [1, Fraction(5), 0], [0, Fraction(-1, 2), Fraction(3, 7)]]
-    return misgraded(sl2(Q), (1, 0, -1), basis)
-
-
 TABLE_CASES = {
     **{name: (lambda name=name: g.builtin(name)) for name in g.BUILTIN_NAMES},
     **{
@@ -423,7 +419,7 @@ TABLE_CASES = {
         for f in (Q, F7)
     },
     "sl3_root": lambda: sl_root(3, Q),
-    "sl2_rescaled": rescaled_sl2,
+    "sl2_rescaled": lambda: misgraded(sl2(Q), (1, 0, -1), RESCALED_BASIS),
     "sl3_root_shifted": lambda: shifted(sl_root(3, Q), [1, 0]),
 }
 
@@ -439,8 +435,8 @@ def test_bracket_table_matches_the_dense_oracle(name):
         assert emb._reduction_scale == 2
     m = emb.dim_even + system.dim
     oracle = oracle_bracket_table(system, emb.null_space, emb.coset_indices)
-    # every stored entry is D D_R times the oracle bracket, in lowest terms
-    # (residues over GF(p)), and every nonzero bracket is stored
+    # every stored entry is D D_R times the oracle bracket (residues over
+    # GF(p)) without zero coordinates, and every nonzero bracket is stored
     for a, b in product(range(m), repeat=2):
         expected = field.clean(dict(enumerate(library_vector([x * scale for x in oracle[a][b]]))))
         assert emb.table.get((a, b), {}) == expected, (a, b)
