@@ -32,7 +32,8 @@ _EXPORTS = {
          "nonlie_algebra relabel_degrees search_nonlie_example sl2_algebra zero_system"),
         ("groups", "AbelianGroup GroupElement"),
         ("identities", "Violation"),
-        ("linalg", "PrimeField RationalField Subspace complete_complement span"),
+        ("linalg", "PrimeField Subspace complete_complement span"),
+        ("rational", "RationalField"),
         ("systemfile", "dump_system dumps_system load_system loads_system"),
         ("triples", "GradedTripleSystem"),
     )

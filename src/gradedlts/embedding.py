@@ -18,7 +18,7 @@ has a chance to descend.  Descent is not assumed: `build_embedding`
 certifies that bracketing the tensor square into N stays inside N and that
 the quotient algebra satisfies the right Leibniz identity on every basis
 triple, raising `NotWellDefined` or `LeibnizIdentityFailure` with a witness
-otherwise.
+otherwise; descent needs the brackets of N with the pivot tensors only.
 
 N is read off the sparse reduced row echelon form R of the stacked action
 matrix A (the phi rows, then the psi rows, built sparse from the structure
@@ -35,13 +35,13 @@ table of L on its basis included.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, zip_longest
 from math import lcm
 
 from .errors import DecompositionFailure, LeibnizIdentityFailure, NotWellDefined
 from .groups import GroupElement
 from .identities import RIGHT_LEIBNIZ, index_constants, term_violations
-from .linalg import Echelon
+from .linalg import Echelon, Subspace
 from .triples import GradedTripleSystem
 
 
@@ -306,28 +306,33 @@ def build_embedding(system: GradedTripleSystem) -> StandardEmbedding:
     # the pivot tensor of row r to the r-th quotient coordinate.
     reduced = Echelon(system.field, action.ncols, (row for _, row in action.rows))
     rows = tuple(reduced.int_rows[p] for p in reduced.pivots)
-    emb = StandardEmbedding(system, action.ncols, reduced.kernel(), reduced.pivots, rows)
-    _certify_descent(emb, action)
+    free = reduced.free_vectors()
+    null_space = Subspace(system.field, action.ncols, free)
+    emb = StandardEmbedding(system, action.ncols, null_space, reduced.pivots, rows)
+    _certify_descent(emb, action, free)
     _certify_leibniz_identity(emb)
     return emb
 
 
-def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix):
-    """Certify the bracket descends to the tensor-square quotient.
+def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix, free: list[dict]):
+    """Certify the bracket descends to the tensor-square quotient by N = span(free).
 
-    Membership in N is tested by its definition, A x = 0, against the
-    sparse rows of the action matrix rather than against the basis read off
-    its RREF, so a fault in the elimination cannot certify itself.  For
-    every null-space basis vector nu, A nu = 0 (both actions of nu vanish;
-    the tag of the first nonzero row names the action that does not), and
-    for every coordinate tensor t, A [t, nu] = 0 and A [nu, t] = 0.  All
-    tensors are sparse, and the tests run on integer images: A and the
-    bracket scale by D and nu is a stored integer row of N, none of which
-    moves a zero.  Every term of [b_i(x)b_j, b_k(x)b_l] carries {b_i, b_j, b_k}
-    or {b_i, b_j, b_l}, so a bracket that meets no stored constant is zero
-    and passes without being formed.  Exact witnesses are built on failure.
+    Membership in N is tested by its definition, A x = 0, against the sparse
+    rows of A, so a fault in the elimination cannot certify itself; the tag
+    of the first nonzero row names the action that does not vanish.
+    Bracketing N with the pivot tensors p (`emb.coset_indices`) suffices:
+    * `free` has one vector nu per non-pivot column c, in column order, with
+      no other non-pivot coordinate, so A nu = 0 puts column c of A, which
+      holds L(c) = {b_i, b_j, -} for c = b_i(x)b_j, in the span of the pivots;
+    * [c, y] depends on c only through L(c), so A [p, nu] = 0 at every pivot
+      p gives A [c, nu] = 0 at every coordinate tensor c;
+    * [nu, b_k(x)b_l] = L(nu)b_k (x) b_l - L(nu)b_l (x) b_k = 0, as the phi
+      rows of A nu = 0 say L(nu) = 0.
+    Tests run on sparse integer images, which move no zero; a pivot with
+    L(p) = 0 passes unformed; exact witnesses are built on failure.
     """
-    field, n, by_pair = emb.system.field, emb.system.dim, emb._by_pair
+    field, by_pair = emb.system.field, emb._by_pair
+    pivots = set(emb.coset_indices)
     action_messages = {
         "phi": "left action of a null tensor does not vanish",
         "psi": "twisted right action of a null tensor does not vanish",
@@ -336,29 +341,23 @@ def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix):
     def dense(vec, scale):
         return [field.format(x) for x in emb._exact(vec, emb.tensor_dim, scale)]
 
-    for nu in emb.null_space.integral_rows():
-        a = nu[min(nu)]  # nu is a times the exact basis row
-        emb.descent_instances += 1
-        failing = action.failing_action(nu)
-        if failing:
-            raise NotWellDefined(action_messages[failing], witness={"tensor": dense(nu, a)})
-        thirds = {k for c in nu for k in by_pair[c]}  # [nu, b_k(x)b_l] needs k or l here
-        for c in range(emb.tensor_dim):
-            emb.descent_instances += 2
-            if by_pair[c] and action.failing_action(outward := emb._bracket({c: 1}, nu)):
+    columns = (c for c in range(emb.tensor_dim) if c not in pivots)
+    for c, nu in zip_longest(columns, free):
+        emb.descent_instances += 1 + len(pivots)
+        if nu is None or set(nu) - pivots != {c}:
+            message = "null vectors do not match the free columns of the action matrix"
+            raise NotWellDefined(message, witness={"column": c})
+        if failing := action.failing_action(nu):
+            raise NotWellDefined(action_messages[failing], witness={"tensor": dense(nu, nu[c])})
+        for p in emb.coset_indices:
+            if by_pair[p] and action.failing_action(outward := emb._bracket({p: 1}, nu)):
                 raise NotWellDefined(
                     "bracket of the tensor square into the null space escapes it",
                     witness={
-                        "coordinate": c,
-                        "null_vector": dense(nu, a),
-                        "bracket": dense(outward, emb.system.scale * a),
+                        "coordinate": p,
+                        "null_vector": dense(nu, nu[c]),
+                        "bracket": dense(outward, emb.system.scale * nu[c]),
                     },
-                )
-            inward = not thirds.isdisjoint(divmod(c, n))
-            if inward and action.failing_action(emb._bracket(nu, {c: 1})):
-                raise NotWellDefined(
-                    "bracket of the null space into the tensor square escapes it",
-                    witness={"coordinate": c, "null_vector": dense(nu, a)},
                 )
 
 

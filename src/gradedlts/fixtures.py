@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple
 from .errors import InputError
 from .groups import AbelianGroup, GroupElement
 from .identities import RIGHT_LEIBNIZ, Violation, index_constants, term_violations
-from .linalg import RationalField
+from .rational import RationalField
 from .triples import GradedTripleSystem
 
 BUILTIN_NAMES = ("zero_3", "sl2_Z", "disjoint_sum", "nonlie_J", "trivial_grading_sl2")

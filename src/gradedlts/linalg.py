@@ -2,14 +2,15 @@
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``, in lowest
 terms with positive denominator) or, over GF(p), plain ints in [0, p).  The
-field's `clean` reduces an accumulated sparse vector once and drops its
-zeros, so hot loops work on unreduced ints.  Scaling moves no zero, so over
-Q the zero and membership tests run on integer images: `integral` clears a
-vector to a primitive integer vector, `integer_image` a table to D times it
-(D the lcm of its denominators), and `unscale` divides a result back.
-Residues are their own integer image.  Arithmetic is exact, and entry
-growth is unbounded by design.  Scalar strings "a" and "a/b" of any length
-parse and format exactly.
+rational field lives in `rational`, so the prime-field path never imports
+``fractions``.  The field's `clean` reduces an accumulated sparse vector
+once and drops its zeros, so hot loops work on unreduced ints.  Scaling
+moves no zero, so over Q the zero and membership tests run on integer
+images: `integral` clears a vector to a primitive integer vector,
+`integer_image` a table to D times it (D the lcm of its denominators), and
+`unscale` divides a result back.  Residues are their own integer image.
+Arithmetic is exact, and entry growth is unbounded by design.  Scalar
+strings "a" and "a/b" of any length parse and format exactly.
 
 All elimination goes through one sparse eliminator, `Echelon`, whose rows
 are canonical integer rows; the exact reduced row echelon form, kernels,
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
@@ -115,71 +115,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class RationalField:
-    """The field of rationals; kernels and `Echelon` rows hold ints, exact values Fractions."""
-
-    kind = "rational"
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def element(self, x) -> Fraction:
-        """Coerce an int, Fraction, or "a"/"a/b" string into a scalar."""
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(*_parse_scalar(x))
-        raise InputError(f"cannot interpret {x!r} as a rational scalar")
-
-    def format(self, x) -> str:
-        if x.denominator == 1:
-            return _decimal(x.numerator)
-        return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
-
-    def clean(self, vec: dict) -> dict:
-        """The nonzero entries of an accumulated sparse vector."""
-        return {t: x for t, x in vec.items() if x}
-
-    def integral(self, vec) -> tuple[dict, object]:
-        """(w, c): the primitive integer vector w = c * vec of a dense or sparse
-        vector, as {index: int}; zero and membership tests may run on w."""
-        v = sparse(vec)
-        d = lcm(*(x.denominator for x in v.values()))
-        w = {t: x.numerator * (d // x.denominator) for t, x in v.items()}
-        g = gcd(*w.values())
-        if g > 1:
-            return {t: x // g for t, x in w.items()}, Fraction(d, g)
-        return w, d
-
-    def descriptor(self) -> dict:
-        """The document form of the field, the inverse of `field_from_descriptor`."""
-        return {"kind": "rational"}
-
-    def integer_image(self, table: dict) -> tuple[dict, int]:
-        """(ints, D) for a table {key: {index: scalar}}: D is the lcm of its
-        denominators and ints holds D times each entry as an int."""
-        d = lcm(*(x.denominator for entry in table.values() for x in entry.values()))
-        ints = {
-            key: {l: x.numerator * (d // x.denominator) for l, x in entry.items()}
-            for key, entry in table.items()
-        }
-        return ints, d
-
-    def unscale(self, vec: dict, c) -> dict:
-        """{t: x / c}: the exact vector of which `vec` is c times."""
-        return {t: Fraction(x, c) for t, x in vec.items()}
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("rational")
-
-    def __repr__(self):
-        return "RationalField()"
-
-
 class PrimeField:
     """The finite field with p elements, p prime; its scalars are ints in [0, p),
     their own integer image, so `integral` only drops zeros and D is 1."""
@@ -245,6 +180,8 @@ def field_from_descriptor(descriptor: dict):
     """Build a field from {"kind": "rational"} or {"kind": "prime", "p": p}."""
     kind = descriptor.get("kind")
     if kind == "rational":
+        from .rational import RationalField
+
         return RationalField()
     if kind == "prime":
         if "p" not in descriptor:
@@ -340,8 +277,8 @@ class Echelon:
         zero, rows, n = self.field.zero, self.rows, self.ambient
         return tuple(tuple([rows[q].get(c, zero) for c in range(n)]) for q in self.pivots)
 
-    def kernel(self) -> "Subspace":
-        """{x : r . x = 0 for every row r}.  The vector of free column c is
+    def free_vectors(self) -> list[dict]:
+        """One kernel vector per free (non-pivot) column c, in column order:
         d e_c minus, at each pivot q, d / row[q] times the entry of row q in
         column c, with d the lcm of those pivot entries (1 over GF(p))."""
         rows, vectors = self.int_rows, []
@@ -350,7 +287,11 @@ class Echelon:
                 entries = [(q, row[c], row[q]) for q, row in rows.items() if c in row]
                 d = lcm(*(a for _, _, a in entries))
                 vectors.append({c: d, **{q: -x * (d // a) for q, x, a in entries}})
-        return Subspace(self.field, self.ambient, vectors)
+        return vectors
+
+    def kernel(self) -> "Subspace":
+        """{x : r . x = 0 for every row r}, spanned by the `free_vectors`."""
+        return Subspace(self.field, self.ambient, self.free_vectors())
 
 
 class Subspace:

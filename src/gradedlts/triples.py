@@ -208,15 +208,25 @@ class GradedTripleSystem:
         products, until the span has rank `dim`: each added row lies in the
         least ideal and E is an ideal, so rank `dim` means the closure is E.
         The result is the canonical basis, whatever the order in which
-        products (or multiples) were added.
+        products (or multiples) were added.  A one-entry product at a
+        column whose one-entry vector was offered before is in the span
+        already and is skipped without being reduced.
         """
         self._check_subspace(sub)
         n, acc = self.dim, Echelon(self.field, self.dim)
-        rows = acc.int_rows
-        queue = [row for row in sub.integral_rows() if acc.add(row)]
+        rows, units = acc.int_rows, set()
+
+        def offer(w):
+            if len(w) == 1:
+                if (c := next(iter(w))) in units:
+                    return False
+                units.add(c)
+            return acc.add(w)
+
+        queue = [row for row in sub.integral_rows() if offer(row)]
         while queue and len(rows) < n:
             products = self.int_slot_products(queue.pop()).values()
-            queue.extend(w for w in products if len(rows) < n and acc.add(w))
+            queue.extend(w for w in products if len(rows) < n and offer(w))
         return Subspace.of(acc)
 
     def is_ideal(self, sub: Subspace) -> bool:

@@ -346,14 +346,17 @@ def oracle_components(emb):
     return comps
 
 
-def oracle_certify(system, null_space, coset_indices):
+def oracle_certify(system, null_space, coset_indices, coordinates=None, vectors=None):
     """The dense descent and Leibniz certificates, on the oracles above.
 
     Returns None when both pass, else (exception type, message, witness) of
-    the first failure, checked in the order the library checks them: for
-    each N basis vector nu, both actions of nu, then for every coordinate
-    tensor t, [t, nu] and [nu, t] in N; then the right Leibniz identity
+    the first failure, checked in this order: for each vector nu of
+    `vectors` (default the basis of N), both actions of nu, then for every
+    coordinate tensor t in `coordinates` (default all n^2), [t, nu] and
+    [nu, t] in N; then the right Leibniz identity
     [[y,z],x] = [[y,x],z] + [y,[z,x]] over all basis triples of L0 + L1.
+    No argument of the library's certificate is assumed: every bracket in
+    both orders is formed and tested densely.
     """
     field = system.field
 
@@ -377,11 +380,11 @@ def oracle_certify(system, null_space, coset_indices):
         "phi": "left action of a null tensor does not vanish",
         "psi": "twisted right action of a null tensor does not vanish",
     }
-    for nu in null_space.basis:
+    for nu in null_space.basis if vectors is None else vectors:
         failing = failing_action(nu)
         if failing:
             return g.NotWellDefined, messages[failing], {"tensor": [fmt(x) for x in nu]}
-        for c in range(nn):
+        for c in range(nn) if coordinates is None else coordinates:
             coord = [one if t == c else zero for t in range(nn)]
             outward = oracle_tensor_bracket(system, coord, nu, table)
             if failing_action(outward):

@@ -5,8 +5,8 @@ stored constants, and `build_embedding` runs the descent and Leibniz
 certificates on them.  Here both are compared with `oracle_tensor_bracket`,
 `oracle_triple`, `oracle_reduce` and `oracle_certify` in conftest, which
 work on dense vectors and share no code with the kernels: on the builtins,
-on sl2^2 over Q and GF(7), and on seeded one-constant mutants, which reach
-the failure paths.
+on sl2^2 over Q and GF(7), on sl3 graded by its root lattice over GF(7),
+and on seeded one-constant mutants, which reach the failure paths.
 """
 
 from __future__ import annotations
@@ -38,16 +38,20 @@ from conftest import (
     oracle_tensor_bracket,
     oracle_triple,
     sl2_square,
+    sl_root,
 )
 
 
 def uncertified(system):
-    """The embedding as `build_embedding` constructs it, before either certificate."""
+    """The embedding as `build_embedding` constructs it, before either
+    certificate, with the action matrix and the kernel's free-column vectors."""
     action = _ActionMatrix(system)
     reduced = Echelon(system.field, action.ncols, (row for _, row in action.rows))
     rows = tuple(reduced.int_rows[p] for p in reduced.pivots)
-    emb = StandardEmbedding(system, action.ncols, reduced.kernel(), reduced.pivots, rows)
-    return emb, action
+    free = reduced.free_vectors()
+    null_space = g.Subspace(system.field, action.ncols, free)
+    emb = StandardEmbedding(system, action.ncols, null_space, reduced.pivots, rows)
+    return emb, action, free
 
 
 def outcome(run):
@@ -60,21 +64,49 @@ def outcome(run):
 
 
 def library_outcome(system):
-    emb, action = uncertified(system)
+    emb, action, free = uncertified(system)
 
     def certify():
-        _certify_descent(emb, action)
+        _certify_descent(emb, action, free)
         _certify_leibniz_identity(emb)
 
-    return emb, outcome(certify)
+    return emb, free, outcome(certify)
+
+
+def exact_rows(emb, free):
+    """The free-column vectors as exact dense rows, 1 at their free column."""
+    pivots = set(emb.coset_indices)
+    return [emb._exact(nu, emb.tensor_dim, nu[min(set(nu) - pivots)]) for nu in free]
+
+
+def verdict(result):
+    """An outcome's exception type and message, without the witness."""
+    return result and result[:2]
+
+
+def assert_oracle_agrees(system, emb, free, got):
+    """`got` has the verdict of the dense oracle over all (coordinate tensor,
+    basis vector of N) pairs, and equals its outcome over the pivot
+    coordinates and the free-column vectors, witness included; returns the
+    outcome over all pairs."""
+    every_pair = oracle_certify(system, emb.null_space, emb.coset_indices)
+    assert verdict(got) == verdict(every_pair)
+    # the second run checks a subset of the brackets of the same span: only
+    # a descent failure can differ
+    if every_pair is None or every_pair[0] is not g.NotWellDefined:
+        assert got == every_pair
+    else:
+        cosets = emb.coset_indices
+        vectors = exact_rows(emb, free)
+        assert got == oracle_certify(system, emb.null_space, cosets, cosets, vectors)
+    return every_pair
 
 
 def assert_matches_oracle(system):
-    emb, got = library_outcome(system)
-    expected = oracle_certify(system, emb.null_space, emb.coset_indices)
-    assert got == expected
+    emb, free, got = library_outcome(system)
+    assert_oracle_agrees(system, emb, free, got)
     # build_embedding reaches the same outcome through its own construction
-    assert outcome(lambda: g.build_embedding(system)) == expected
+    assert outcome(lambda: g.build_embedding(system)) == got
     return got
 
 
@@ -82,6 +114,7 @@ def certificate_cases():
     cases = {name: g.builtin(name) for name in g.BUILTIN_NAMES}
     cases["sl2x2_Q"] = sl2_square(g.RationalField())
     cases["sl2x2_F7"] = sl2_square(g.PrimeField(7))
+    cases["sl3_root_F7"] = sl_root(3, g.PrimeField(7))
     return cases
 
 
@@ -112,9 +145,10 @@ def failure_path(result):
 
 def test_mutant_certificates_match_dense_oracle():
     paths = Counter(failure_path(assert_matches_oracle(m)) for m in random_mutants(60, 5))
-    # Two paths are unreachable once N = ker A is exact: the action check on
-    # the N basis, and the inward bracket, since
-    # [nu, b_k (x) b_l] = phi(nu)(b_k) (x) b_l - phi(nu)(b_l) (x) b_k = 0.
+    # Two paths are unreachable once the elimination is right: the shape and
+    # the action check of the free-column vectors.  The inward bracket is not
+    # formed at all: [nu, b_k (x) b_l] = L(nu) b_k (x) b_l - L(nu) b_l (x) b_k,
+    # and the action check says L(nu) = 0.
     assert paths == {
         "pass": 5,
         "NotWellDefined: bracket of the tensor square into the null space escapes it": 4,
@@ -127,10 +161,86 @@ def test_certificate_instance_counters():
     emb = g.build_embedding(system)
     n, null_dim = system.dim, emb.null_space.dim
     assert (n, null_dim, emb.dim_even) == (6, 30, 6)
-    # every null vector: its actions, then [t, nu] and [nu, t] for all n^2 coordinates
-    assert emb.descent_instances == null_dim * (1 + 2 * n * n) == 2190
+    # one free-column vector per null dimension: its shape and actions, then
+    # [p, nu] for the dim_even pivot coordinates p
+    assert emb.descent_instances == null_dim * (1 + emb.dim_even) == 210
     # every basis triple of L0 + L1
     assert emb.leibniz_instances == (emb.dim_even + n) ** 3 == 1728
+
+
+def forged_free_vectors(free, columns):
+    """The free-column vectors forged four ways, each with the column the
+    shape check names: two free coordinates, one missing, one extra, and
+    a free coordinate moved to the wrong vector's column."""
+    merged = [{**free[0], **{c: x for c, x in free[1].items() if c not in free[0]}}, *free[1:]]
+    swapped = [free[1], free[0], *free[2:]]
+    return {
+        "two_free_coordinates": (merged, columns[0]),
+        "missing": (free[:-1], columns[-1]),
+        "extra": ([*free, free[0]], None),
+        "out_of_order": (swapped, columns[0]),
+    }
+
+
+@pytest.mark.parametrize("forgery", ["two_free_coordinates", "missing", "extra", "out_of_order"])
+def test_shape_check_rejects_forged_free_vectors(forgery):
+    system = sl2_square(g.RationalField())
+    emb, action, free = uncertified(system)
+    columns = [c for c in range(emb.tensor_dim) if c not in emb.coset_indices]
+    vectors, column = forged_free_vectors(free, columns)[forgery]
+    # every forged vector lies in ker A: only the shape check can reject them
+    assert all(action.failing_action(nu) is None for nu in vectors)
+    with pytest.raises(g.NotWellDefined) as info:
+        _certify_descent(emb, action, vectors)
+    assert str(info.value) == "null vectors do not match the free columns of the action matrix"
+    assert info.value.witness == {"column": column}
+
+
+def test_free_vector_outside_the_kernel_is_rejected():
+    # the right shape, but column c of A is not the combination it claims
+    system = sl2_square(g.RationalField())
+    emb, action, free = uncertified(system)
+    t, nu = next((t, nu) for t, nu in enumerate(free) if len(nu) > 1)
+    c = min(set(nu) - set(emb.coset_indices))
+    forged = [*free[:t], {**nu, c: 2 * nu[c]}, *free[t + 1:]]
+    with pytest.raises(g.NotWellDefined) as info:
+        _certify_descent(emb, action, forged)
+    assert str(info.value) == "left action of a null tensor does not vanish"
+    assert info.value.witness["tensor"][c] == "1"
+
+
+def embedding_eliminating_last(system, last):
+    """The embedding on another complement of N, before its certificates: the
+    greedy one when column `last` of A is eliminated after all the others.
+    Its free-column vectors may use later pivots, which those of
+    `build_embedding` never do: there a free column is a combination of
+    earlier pivot columns, so the first escaping coordinate is a pivot."""
+    action = _ActionMatrix(system)
+    nn = action.ncols
+    order = [c for c in range(nn) if c != last] + [last]
+    position = {c: t for t, c in enumerate(order)}
+
+    def back(vec):
+        return {order[t]: x for t, x in vec.items()}
+
+    moved = ({position[c]: x for c, x in row.items()} for _, row in action.rows)
+    reduced = Echelon(system.field, nn, moved)
+    pivots = tuple(sorted(order[q] for q in reduced.pivots))
+    rows = tuple(back(reduced.int_rows[position[p]]) for p in pivots)
+    free = sorted(map(back, reduced.free_vectors()), key=lambda v: min(set(v) - set(pivots)))
+    emb = StandardEmbedding(system, nn, g.Subspace(system.field, nn, free), pivots, rows)
+    return emb, action, free
+
+
+def test_escape_at_a_free_column_is_witnessed_at_a_pivot():
+    # {b_0, b_3, b_3} gains b_4: in the order of all coordinates the first
+    # escape is [b_0 (x) b_1, nu], at column 1, free on this complement
+    system = mutate_constant(sl2_square(g.RationalField()), 0, 3, 3, 4, g.RationalField().one)
+    emb, action, free = embedding_eliminating_last(system, 1)
+    assert 1 not in emb.coset_indices and 6 in emb.coset_indices
+    got = outcome(lambda: _certify_descent(emb, action, free))
+    every_pair = assert_oracle_agrees(system, emb, free, got)
+    assert (every_pair[2]["coordinate"], got[2]["coordinate"]) == (1, 6)
 
 
 # -- the sparse kernels ----------------------------------------------------------

@@ -1,17 +1,23 @@
 """The lemma suite's failure lists, frozen: refactors must not change them.
 
 The structural laws are theorems, so on a true support every failure list
-is empty.  Forged supports reach the failure branches: with each odd
-element's closure cut down to itself, every class is {h, h^-1}, and
-disconnected degrees that do multiply fail the vanishing and confinement
-laws.  The systems are sl3 graded by its root lattice over Q and GF(7),
-sl2^3 and the non-Lie builtin `nonlie_J`.  Three supports per system:
+is empty.  Forged supports and forged classes reach the failure branches:
+with each odd element's closure cut down to itself, every class is
+{h, h^-1}, and disconnected degrees that do multiply fail the vanishing
+and confinement laws.  The systems are sl3 graded by its root lattice over
+Q and GF(7), sl2^3, the non-Lie builtin `nonlie_J` and the non-Lie right
+Leibniz algebra sl2 + V4 (`sl2_module`).  Four supports and class lists
+per system:
 
   * "forged": the true supports, each closure replaced by {h: None};
   * "singleton": `SupportData.from_parts` with an empty even support,
     whose closures are singletons too, but whose pair laws read no even
     support;
-  * "true": `SupportData.from_system`.
+  * "true": `SupportData.from_system`;
+  * "split": the true support, with the first class of two or more members
+    split in two, its members at even and at odd positions.  On sl2 + V4
+    this fails `core_disconnected_products_vanish` through [u, t] of an odd
+    core product u and an even t, which differs from [t, u] there.
 
 For each law the golden `tests/golden/lemma_failures.json` holds
 (name, instances, nonvacuous, number of failures, sha256 of the ordered
@@ -35,6 +41,28 @@ from conftest import sl2_power, sl_root
 GOLDEN = Path(__file__).parent / "golden" / "lemma_failures.json"
 
 
+def sl2_module(k: int, field) -> g.GradedTripleSystem:
+    """The right Leibniz algebra sl2 + V_k, graded by weight, as a triple system.
+
+    V_k is the irreducible module of dimension k + 1 with basis v_0..v_k of
+    weights k, k - 2, ..., -k, acting from the right, v.x = -x v, and
+    [x, v] = [v, w] = 0: a hemisemidirect product, so not a Lie algebra.
+    """
+    group = g.AbelianGroup((0,))
+    degrees = [group.element([w]) for w in (2, 0, -2, *range(k, -k - 1, -2))]
+    e, h, f = 0, 1, 2
+    brackets = {(h, e): {e: 2}, (e, h): {e: -2}, (h, f): {f: -2}, (f, h): {f: 2},
+                (e, f): {h: 1}, (f, e): {h: -1}}
+    for i in range(k + 1):
+        v = 3 + i
+        brackets[v, h] = {v: 2 * i - k}
+        if i < k:
+            brackets[v, f] = {v + 1: -(i + 1)}
+        if i:
+            brackets[v, e] = {v - 1: i - k - 1}
+    return g.from_leibniz_algebra(g.GradedLeibnizAlgebra.build(field, group, degrees, brackets))
+
+
 def systems() -> dict:
     return {
         "sl3_root_Q": lambda: sl_root(3, g.RationalField()),
@@ -42,19 +70,28 @@ def systems() -> dict:
         "sl2x3_Q": lambda: sl2_power(3, g.RationalField()),
         # not a Lie system: [x, y] and [y, x] of L need not vanish together
         "nonlie_J": lambda: g.builtin("nonlie_J"),
+        "sl2_V4_Q": lambda: sl2_module(4, g.RationalField()),
     }
 
 
 def supports(system, emb) -> dict:
+    """Support kind -> (support, classes)."""
     sup = g.SupportData.from_system(system, emb)
     forged = g.SupportData(
         sup.odd, sup.even, sup.pm_odd, sup.pm_even, {h: {h: None} for h in sup.odd}
     )
-    return {
+    kinds = {
         "forged": forged,
         "singleton": g.SupportData.from_parts(system.support(), ()),
         "true": sup,
     }
+    out = {kind: (s, g.connection_classes(s)) for kind, s in kinds.items()}
+    classes = out["true"][1]
+    t = next(t for t, cls in enumerate(classes) if len(cls.members) > 1)
+    members = classes[t].members
+    halves = [g.ConnectionClass(half[0], half) for half in (members[::2], members[1::2])]
+    out["split"] = (sup, [*classes[:t], *halves, *classes[t + 1:]])
+    return out
 
 
 def digest(system_name: str) -> dict:
@@ -62,8 +99,7 @@ def digest(system_name: str) -> dict:
     system = systems()[system_name]()
     emb = g.build_embedding(system)
     out = {}
-    for kind, sup in supports(system, emb).items():
-        classes = g.connection_classes(sup)
+    for kind, (sup, classes) in supports(system, emb).items():
         rows = []
         for check in g.verify_structure_lemmas(system, emb, classes, sup):
             canonical = json.dumps(check.failures, sort_keys=True, separators=(",", ":"))
@@ -82,6 +118,12 @@ def test_lemma_failures_match_golden(name):
 def test_forged_closures_fail_every_law_on_sl3():
     rows = json.loads(GOLDEN.read_text(encoding="utf-8"))["sl3_root_Q"]["forged"]
     assert [row[3] for row in rows] == [12, 12, 12, 36, 24, 648, 1824, 96]
+
+
+def test_split_class_fails_the_core_disconnected_law_on_sl2_module():
+    # 4 failures, 2 of them at level "even_action", where [t, u] gives none
+    rows = json.loads(GOLDEN.read_text(encoding="utf-8"))["sl2_V4_Q"]["split"]
+    assert {row[0]: row[3] for row in rows}["core_disconnected_products_vanish"] == 4
 
 
 def test_true_supports_fail_no_law():

@@ -12,11 +12,11 @@ from gradedlts import linalg
 from gradedlts.linalg import (
     Echelon,
     PrimeField,
-    RationalField,
     Subspace,
     complete_complement,
     span,
 )
+from gradedlts.rational import RationalField
 
 Q = RationalField()
 F5 = PrimeField(5)

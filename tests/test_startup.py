@@ -73,3 +73,21 @@ def test_every_public_name_resolves_lazily():
     assert found["unlisted"] == [] and found["bound"] == []
     assert found["starred"] == sorted(found["all"])
     assert found["echelon"] == "Echelon"
+
+
+def test_prime_field_decompose_does_not_load_fractions(tmp_path):
+    # the rational field lives in its own module; GF(p) never uses a Fraction
+    from conftest import sl2_square
+    from gradedlts import PrimeField, dumps_system
+
+    path = tmp_path / "sl2x2_F7.json"
+    path.write_text(dumps_system(sl2_square(PrimeField(7))), encoding="utf-8")
+    code, loaded = fresh(
+        "import contextlib, io, json, sys\n"
+        "from gradedlts.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['decompose', {str(path)!r}])\n"
+        "loaded = {'fractions', 'decimal', 'numbers'} & set(sys.modules)\n"
+        "print(json.dumps([code, sorted(loaded)]))\n"
+    )
+    assert (code, loaded) == (0, [])
