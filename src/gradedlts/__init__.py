@@ -29,7 +29,7 @@ _EXPORTS = {
          "IdealCertificateFailure InputError LeibnizIdentityFailure NotWellDefined "
          "OracleDisagreement"),
         ("fixtures", "BUILTIN_NAMES GradedLeibnizAlgebra builtin direct_sum from_leibniz_algebra "
-         "nonlie_algebra relabel_degrees search_nonlie_example sl2_algebra zero_system"),
+         "nonlie_algebra relabel_degrees sl2_algebra zero_system"),
         ("groups", "AbelianGroup GroupElement"),
         ("identities", "Violation"),
         ("linalg", "PrimeField Subspace complete_complement span"),

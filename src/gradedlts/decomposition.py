@@ -341,10 +341,7 @@ def simplicity_obstructions(
         if v is not None:
             probe_vectors.append(v)
     for idx, v in enumerate(probe_vectors):
-        line = Subspace(system.field, system.dim, [v])
-        if line.is_zero():
-            continue
-        closure = system.ideal_closure(line)
+        closure = system.ideal_closure(Subspace(system.field, system.dim, [v]))
         if 0 < closure.dim < system.dim and closure != defect:
             obstructions.append(
                 Obstruction(
@@ -393,8 +390,8 @@ def verify_structure_lemmas(
     if sup is None:
         sup = SupportData.from_system(system, emb)
     # the components are read once, as blocks of basis indices; a degree
-    # without basis vectors has no block; each class's core sources are
-    # enumerated once, for both core laws
+    # without basis vectors has no block; each class's core sources and
+    # their slot products are enumerated once, for both core laws
     blocks = system.components()
     cores = [(cls, _core_product_sources(system, cls)) for cls in classes]
     return [
@@ -517,18 +514,20 @@ def _lemma_products_confined_to_class(system, classes) -> LemmaCheck:
 
 
 def _core_product_sources(system, cls):
-    """Basis products {b_p, b_q, b_r} whose degrees qualify as core products."""
+    """Basis products {b_p, b_q, b_r} whose degrees qualify as core products,
+    as ((p, q, r), u, the nonzero slot products of u)."""
     members = set(cls.members)
-    return list(_degree_products(system, members, members | {system.group.identity()}, members))
+    pattern = _degree_products(system, members, members | {system.group.identity()}, members)
+    return [(key, u, system.int_slot_products(u)) for key, u in pattern]
 
 
 def _lemma_core_products_confined(system, cores) -> LemmaCheck:
     check = LemmaCheck("core_products_confined_to_class")
     for cls, sources in cores:
         members = set(cls.members)
-        for (p, q, r), u in sources:
+        for (p, q, r), _, products in sources:
             # each nonzero slot product of the core vector is one instance
-            for jq, jr, slot in system.int_slot_products(u):
+            for jq, jr, slot in products:
                 check.instances += 1
                 check.nonvacuous += 1
                 dl, dm = system.degrees[jq], system.degrees[jr]
@@ -558,7 +557,7 @@ def _lemma_core_disconnected_vanish(system, emb, cores, sup, blocks) -> LemmaChe
         outside = [h for h in sup.odd if h not in cls]
         for hbar in outside:
             eh, ch = blocks[hbar], emb.component(hbar)
-            for (p, q, r), u in sources:
+            for (p, q, r), u, products in sources:
                 check.instances += 1
                 check.nonvacuous += 1
                 odd = {s + l: x for l, x in u.items()}
@@ -582,7 +581,7 @@ def _lemma_core_disconnected_vanish(system, emb, cores, sup, blocks) -> LemmaChe
                         )
                 for e1 in identity_comp:
                     for y in eh:
-                        if system.int_triple_product(u, {e1: 1}, {y: 1}):
+                        if (e1, y, 0) in products:
                             check.failures.append(
                                 {
                                     "core_triple": (p, q, r),

@@ -30,7 +30,9 @@ greedy standard-tensor complement of N, so the choice is deterministic, and
 they are homogeneous, so each quotient coordinate has its tensor's degree
 and the certified even components are blocks of coordinates.  Everything but
 the even components, read on first use, is fixed after build, the bracket
-table of L on its basis included.
+table of L on its basis included: its even entries are reduced brackets of
+coset tensors, and its mixed entries, the actions phi and psi of a coset
+tensor on a basis vector, are read off the stored constants.
 """
 
 from __future__ import annotations
@@ -48,17 +50,17 @@ from .triples import GradedTripleSystem
 class StandardEmbedding:
     """The computed standard embedding; construct via `build_embedding`.
 
-    One set of sparse kernels carries every bracket: tensors, quotient
-    coordinates and system vectors are mappings {index: nonzero scalar},
-    and products are read straight off the integer images of the constants
-    and of the reduction, so `_bracket`, `_phi` and `_psi` return
+    Tensors, quotient coordinates and system vectors are mappings
+    {index: nonzero scalar}, and products are read straight off the integer
+    images of the constants and of the reduction, so `_bracket` returns
     D = `system.scale` times the value and `_reduce` D_R times it.  They
-    run once per pair of basis elements of L, at construction, to fill
-    `table`: basis element a < dim_even of L is the even coordinate a and
-    dim_even + i the system basis vector i, and table[a, b] = {c: int} is
-    D D_R [a, b], stored for the nonzero brackets only.  Every later
-    bracket is read off it by `int_bracket`, and `_exact` divides a scaled
-    result back to a dense exact tuple.
+    run once per pair of even basis elements of L, at construction, to fill
+    `table`; its mixed entries are stored constants of the system.  Basis
+    element a < dim_even of L is the even coordinate a and dim_even + i the
+    system basis vector i, and table[a, b] = {c: int} is D D_R [a, b],
+    stored for the nonzero brackets only.  Every later bracket is read off
+    it by `int_bracket`, and `_exact` divides a scaled result back to a
+    dense exact tuple.
     """
 
     __slots__ = (
@@ -72,7 +74,6 @@ class StandardEmbedding:
         "leibniz_instances",
         "_columns",
         "_reduction_scale",
-        "_by_pair",
         "_components",
     )
 
@@ -93,10 +94,6 @@ class StandardEmbedding:
         for r, (row, a) in enumerate(zip(reduction, pivots)):
             for c, x in row.items():
                 self._columns[c][r] = x * (self._reduction_scale // a)
-        # _by_pair[i*n + j][k] holds the items of D {b_i, b_j, b_k}
-        self._by_pair = [{} for _ in range(tensor_dim)]
-        for (i, j, k), entry in system.integer_triples():
-            self._by_pair[i * n + j][k] = tuple(entry.items())
         self._components = None
         m = self.dim_even + n
         self.table = {(a, b): e for a, b in product(range(m), repeat=2) if (e := self._entry(a, b))}
@@ -111,57 +108,37 @@ class StandardEmbedding:
                 acc[r] = acc.get(r, 0) + x * y
         return self.system.field.clean(acc)
 
-    def _bracket(self, a, b) -> dict:
-        """D [a, b] of sparse tensors: [b_i(x)b_j, b_k(x)b_l] = {i,j,k}(x)b_l - {i,j,l}(x)b_k."""
-        n, acc = self.system.dim, {}
-        for ca, x in a.items():
-            third = self._by_pair[ca]
-            if third:
-                for cb, y in b.items():
-                    k, l = divmod(cb, n)
-                    coef = x * y
-                    for m, c in third.get(k, ()):
-                        acc[m * n + l] = acc.get(m * n + l, 0) + coef * c
-                    for m, c in third.get(l, ()):
-                        acc[m * n + k] = acc.get(m * n + k, 0) - coef * c
-        return self.system.field.clean(acc)
-
-    def _phi(self, tensor, w) -> dict:
-        """D sum {x_i, y_i, w}: a sparse tensor's left multiplication of a sparse w."""
-        acc = {}
-        for c, x in tensor.items():
-            third = self._by_pair[c]
-            if third:
-                for k, y in w.items():
-                    for l, v in third.get(k, ()):
-                        acc[l] = acc.get(l, 0) + x * y * v
-        return self.system.field.clean(acc)
-
-    def _psi(self, tensor, z) -> dict:
-        """D sum {z, x_i, y_i} - {z, y_i, x_i}: a sparse tensor's twisted right action on z."""
-        n, acc = self.system.dim, {}
-        for c, x in tensor.items():
-            i, j = divmod(c, n)
-            for k, y in z.items():
-                coef = x * y
-                for l, v in self._by_pair[k * n + i].get(j, ()):
-                    acc[l] = acc.get(l, 0) + coef * v
-                for l, v in self._by_pair[k * n + j].get(i, ()):
-                    acc[l] = acc.get(l, 0) - coef * v
+    def _bracket(self, p, tensor) -> dict:
+        """D [b_i(x)b_j, tensor] of coordinate p = i*n + j and a sparse tensor:
+        [b_i(x)b_j, b_k(x)b_l] = {i,j,k}(x)b_l - {i,j,l}(x)b_k."""
+        n, constant, acc = self.system.dim, self.system._table.get, {}
+        i, j = divmod(p, n)
+        for c, y in tensor.items():
+            k, l = divmod(c, n)
+            if plus := constant((i, j, k)):
+                for m, x in plus.items():
+                    acc[m * n + l] = acc.get(m * n + l, 0) + y * x
+            if minus := constant((i, j, l)):
+                for m, x in minus.items():
+                    acc[m * n + k] = acc.get(m * n + k, 0) - y * x
         return self.system.field.clean(acc)
 
     def _entry(self, a, b) -> dict:
-        """D D_R [a, b] of basis elements a, b of L, from the kernels."""
-        s, n, cosets = self.dim_even, self.system.dim, self.coset_indices
+        """D D_R [a, b] of basis elements a, b of L.  With b_i(x)b_j the coset
+        tensor of the even coordinate, the mixed entries are stored constants:
+        [e_a, b_w] = D {b_i, b_j, b_w}, [b_z, e_b] = D ({b_z, b_i, b_j} - {b_z, b_j, b_i})."""
+        system, s, cosets = self.system, self.dim_even, self.coset_indices
+        n = system.dim
         if a < s and b < s:
-            return self._reduce(self._bracket({cosets[a]: 1}, {cosets[b]: 1}))
+            return self._reduce(self._bracket(cosets[a], {cosets[b]: 1}))
         if a >= s and b >= s:
-            d = self.system.scale
-            return {r: d * x for r, x in self._columns[(a - s) * n + b - s].items()}
+            return {r: system.scale * x for r, x in self._columns[(a - s) * n + b - s].items()}
         if a < s:
-            odd = self._phi({cosets[a]: 1}, {b - s: 1})
+            i, j = divmod(cosets[a], n)
+            odd = system._combination((i, j, b - s))
         else:
-            odd = self._psi({cosets[b]: 1}, {a - s: 1})
+            i, j = divmod(cosets[b], n)
+            odd = system._combination((a - s, i, j), minus=(a - s, j, i))
         return {s + l: self._reduction_scale * x for l, x in odd.items()}
 
     def _exact(self, kernel_result, size, scale) -> tuple:
@@ -328,10 +305,10 @@ def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix, free: list[d
       p gives A [c, nu] = 0 at every coordinate tensor c;
     * [nu, b_k(x)b_l] = L(nu)b_k (x) b_l - L(nu)b_l (x) b_k = 0, as the phi
       rows of A nu = 0 say L(nu) = 0.
-    Tests run on sparse integer images, which move no zero; a pivot with
-    L(p) = 0 passes unformed; exact witnesses are built on failure.
+    Tests run on sparse integer images, which move no zero; exact witnesses
+    are built on failure.
     """
-    field, by_pair = emb.system.field, emb._by_pair
+    field = emb.system.field
     pivots = set(emb.coset_indices)
     action_messages = {
         "phi": "left action of a null tensor does not vanish",
@@ -350,7 +327,7 @@ def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix, free: list[d
         if failing := action.failing_action(nu):
             raise NotWellDefined(action_messages[failing], witness={"tensor": dense(nu, nu[c])})
         for p in emb.coset_indices:
-            if by_pair[p] and action.failing_action(outward := emb._bracket({p: 1}, nu)):
+            if action.failing_action(outward := emb._bracket(p, nu)):
                 raise NotWellDefined(
                     "bracket of the tensor square into the null space escapes it",
                     witness={

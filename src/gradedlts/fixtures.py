@@ -6,16 +6,15 @@ direct sums, degree relabeling along group homomorphisms, and a set of
 named built-in fixtures stored as data files in the command-line input
 format (so loading them doubles as a format conformance check).
 
-The built-in with a nonzero Lie-defect ideal was found by the exhaustive
-search `search_nonlie_example` over small graded right Leibniz algebras;
-the search ships here so the frozen fixture can be reproduced.
+The built-in with a nonzero Lie-defect ideal, `nonlie_algebra`, was found
+by an exhaustive search over small graded right Leibniz algebras; the test
+suite keeps the search and checks that it still finds the frozen fixture.
 """
 
 from __future__ import annotations
 
 import re
 from importlib import resources
-from itertools import product
 from typing import Mapping, NamedTuple
 
 from .errors import InputError
@@ -184,7 +183,7 @@ def sl2_algebra(field=None, degree_scale: int = 1) -> GradedLeibnizAlgebra:
 
 
 def nonlie_algebra(field=None) -> GradedLeibnizAlgebra:
-    """The frozen non-Lie right Leibniz algebra found by `search_nonlie_example`.
+    """The frozen non-Lie right Leibniz algebra found by an exhaustive search.
 
     Basis (a, b, c) with [a, a] = b and [b, a] = c, degrees (1, 2, 3); its
     double-bracket triple system has the single product {a, a, a} = c, so
@@ -196,36 +195,6 @@ def nonlie_algebra(field=None) -> GradedLeibnizAlgebra:
     degrees = [group.element([1]), group.element([2]), group.element([3])]
     brackets = {(0, 0): {1: 1}, (1, 0): {2: 1}}
     return GradedLeibnizAlgebra.build(field, group, degrees, brackets)
-
-
-def search_nonlie_example(coefficients=(0, 1, -1)):
-    """Exhaustive search for a graded right Leibniz algebra with nonzero defect.
-
-    Scans three-dimensional algebras with degrees (1, 2, 3) over the
-    rationals.  The grading leaves three free structure cells:
-    [a,a] -> b, [a,b] -> c, and [b,a] -> c.  Returns the first coefficient
-    assignment (in the given deterministic order) whose algebra satisfies
-    the right Leibniz identity and whose double-bracket triple system has a
-    nonzero Lie-defect ideal.
-    """
-    field = RationalField()
-    group = AbelianGroup((0,))
-    degrees = [group.element([1]), group.element([2]), group.element([3])]
-    for alpha, beta, gamma in product(coefficients, repeat=3):
-        brackets = {}
-        if alpha:
-            brackets[(0, 0)] = {1: alpha}
-        if beta:
-            brackets[(0, 1)] = {2: beta}
-        if gamma:
-            brackets[(1, 0)] = {2: gamma}
-        algebra = GradedLeibnizAlgebra.build(field, group, degrees, brackets)
-        if algebra.verify():
-            continue
-        system = from_leibniz_algebra(algebra)
-        if not system.lie_defect_ideal().is_zero():
-            return algebra, system
-    raise RuntimeError("search space exhausted without a non-Lie example")
 
 
 def zero_system(n: int, field=None) -> GradedTripleSystem:

@@ -133,7 +133,7 @@ def join_residuals(index, identities):
             yield target, {key[2]: acc[key] for key in group}
 
 
-def term_violations(field, index, identities, scale=1) -> list[Violation]:
+def term_violations(field, index, identities, scale) -> list[Violation]:
     """The nonzero residuals of `join_residuals` as violations, in its order,
     divided back by `scale`, the factor by which the indexed table scales them."""
     violations = []

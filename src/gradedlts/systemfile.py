@@ -42,7 +42,7 @@ def load_system(path) -> GradedTripleSystem:
     """Parse a system from a file path."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     return loads_system(text)
 
@@ -53,8 +53,9 @@ def loads_system(text: str) -> GradedTripleSystem:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
-    except ValueError as exc:
-        # e.g. an integer literal past the interpreter's int/str digit limit
+    except (ValueError, RecursionError) as exc:
+        # e.g. an integer literal past the interpreter's int/str digit limit,
+        # or arrays nested deeper than the decoder's recursion limit
         raise InputError(f"invalid JSON: {exc}") from None
     return system_from_data(data)
 

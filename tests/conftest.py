@@ -132,18 +132,13 @@ def exact_triple(system, x, y, z):
 
 
 def exact_bracket(emb, a, b):
-    """The tensor part of the bracket of two dense tensors, before reduction."""
-    return emb._exact(emb._bracket(sparse(a), sparse(b)), emb.tensor_dim, emb.system.scale)
-
-
-def exact_phi(emb, tensor, w):
-    """Left multiplication of a dense w by a dense tensor: sum {x_i, y_i, w}."""
-    return emb._exact(emb._phi(sparse(tensor), sparse(w)), emb.system.dim, emb.system.scale)
-
-
-def exact_psi(emb, tensor, z):
-    """Twisted right action of a dense tensor on z: sum {z, x_i, y_i} - {z, y_i, x_i}."""
-    return emb._exact(emb._psi(sparse(tensor), sparse(z)), emb.system.dim, emb.system.scale)
+    """The tensor part of the bracket of two dense tensors, before reduction,
+    summed over the coordinate brackets of a's nonzero entries."""
+    acc, b = {}, sparse(b)
+    for p, x in sparse(a).items():
+        for c, y in emb._bracket(p, b).items():
+            acc[c] = acc.get(c, 0) + x * y
+    return emb._exact(emb.system.field.clean(acc), emb.tensor_dim, emb.system.scale)
 
 
 def exact_reduce(emb, tensor):
@@ -912,6 +907,37 @@ def coordinate_sum(system, modulus) -> g.GradedTripleSystem:
     """Push a Z^k grading to Z_m by summing coordinates (merges degrees and classes)."""
     target = g.AbelianGroup((modulus,))
     return g.relabel_degrees(system, target, [[1]] * system.group.rank)
+
+
+def search_nonlie_example(coefficients=(0, 1, -1)):
+    """Exhaustive search for a graded right Leibniz algebra with nonzero defect,
+    which found `gradedlts.nonlie_algebra`.
+
+    Scans three-dimensional algebras with degrees (1, 2, 3) over the
+    rationals.  The grading leaves three free structure cells:
+    [a,a] -> b, [a,b] -> c, and [b,a] -> c.  Returns the first coefficient
+    assignment (in the given deterministic order) whose algebra satisfies
+    the right Leibniz identity and whose double-bracket triple system has a
+    nonzero Lie-defect ideal.
+    """
+    field = g.RationalField()
+    group = g.AbelianGroup((0,))
+    degrees = [group.element([1]), group.element([2]), group.element([3])]
+    for alpha, beta, gamma in product(coefficients, repeat=3):
+        brackets = {}
+        if alpha:
+            brackets[(0, 0)] = {1: alpha}
+        if beta:
+            brackets[(0, 1)] = {2: beta}
+        if gamma:
+            brackets[(1, 0)] = {2: gamma}
+        algebra = g.GradedLeibnizAlgebra.build(field, group, degrees, brackets)
+        if algebra.verify():
+            continue
+        system = g.from_leibniz_algebra(algebra)
+        if not system.lie_defect_ideal().is_zero():
+            return algebra, system
+    raise RuntimeError("search space exhausted without a non-Lie example")
 
 
 # -- randomized graded variants ------------------------------------------------

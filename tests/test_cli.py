@@ -144,6 +144,24 @@ def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
     assert err.startswith("input error: ") and err.count("\n") == 1, err[:300]
 
 
+def test_file_that_is_not_utf8_exits_2(tmp_path):
+    # 0xff never occurs in UTF-8
+    bad = tmp_path / "not_utf8.json"
+    bad.write_bytes(b"\xff" + fixture_text("sl2_Z").encode("utf-8"))
+    result = run_cli("verify", str(bad))
+    assert result.returncode == 2
+    assert result.stderr.startswith("input error: cannot read ") and "utf-8" in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nested.json"
+    bad.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: invalid JSON: ") and err.count("\n") == 1, err[:300]
+
+
 def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
     def broken(path):
         raise RuntimeError("loader exploded\nsecond line")

@@ -16,10 +16,9 @@ from conftest import (
     dense_table,
     exact_bracket,
     exact_lift,
-    exact_phi,
-    exact_psi,
     exact_reduce,
     library_vector,
+    oracle_actions,
     oracle_bracket_table,
     oracle_components,
     oracle_reduce,
@@ -66,11 +65,14 @@ def test_square_of_nilpotent_direction_is_null(sl2_emb):
 
 def test_mixed_tensor_survives_the_quotient(sl2_emb):
     system, emb = sl2_emb
-    e, f = unit(3, 0), unit(3, 2)
     # phi(e (x) f)(e) = {e, f, e} = 2e is nonzero, so e (x) f (tensor
-    # coordinate 2) is not null
-    assert exact_phi(emb, {2: 1}, e) == (Fraction(2), 0, 0)
-    s = emb.dim_even
+    # coordinate 2) is not null; it is a coset tensor, and the table's
+    # [e (x) f, e] is the stored constant (here D = D_R = 1)
+    phi, _ = oracle_actions(system, unit(9, 2))
+    assert phi[0] == [2, 0, 0]
+    assert not emb.null_space.contains({2: 1})
+    s, r = emb.dim_even, emb.coset_indices.index(2)
+    assert emb.table[r, s] == {s: 2}
     assert emb.int_bracket({s: 1}, {s + 2: 1}) == emb.table[s, s + 2] != {}
 
 
@@ -223,7 +225,6 @@ def test_one_rref_construction_matches_independent_oracles(name):
     # A x = 0 agrees with membership in the stored N basis and with both
     # actions applied directly to every basis vector
     action = _ActionMatrix(system)
-    basis = [[one if t == w else zero for t in range(system.dim)] for w in range(system.dim)]
     rng = random.Random(17)
     outcomes = set()
     for trial in range(40):
@@ -234,9 +235,8 @@ def test_one_rref_construction_matches_independent_oracles(name):
         if trial % 2:
             x[rng.randrange(nn)] += field.element(rng.randint(1, 3))
         in_null = action.failing_action(dict(enumerate(x))) is None
-        acts_trivially = not any(
-            any(exact_phi(emb, x, w)) or any(exact_psi(emb, x, w)) for w in basis
-        )
+        phi, psi = oracle_actions(system, x)
+        acts_trivially = not any(map(any, phi + psi))
         assert in_null == null.contains(x) == acts_trivially, trial
         outcomes.add(in_null)
     assert outcomes == {True, False} or null.dim == nn

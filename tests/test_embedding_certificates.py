@@ -28,10 +28,7 @@ from gradedlts.linalg import Echelon
 from conftest import (
     dense_table,
     exact_bracket,
-    exact_phi,
-    exact_psi,
     mutate_constant,
-    oracle_actions,
     oracle_certify,
     oracle_reduce,
     oracle_reduction,
@@ -268,37 +265,31 @@ def test_sparse_kernels_match_oracles(field):
     n, nn = system.dim, emb.tensor_dim
     rng = random.Random(23)
     units = [[field.one if t == i else field.zero for t in range(n)] for i in range(n)]
+    # every coordinate tensor against the zero tensor and two random ones
+    for p in range(nn):
+        dp = dense(emb, {p: field.one}, nn)
+        for size in (0, rng.randint(1, 6), rng.randint(1, 6)):
+            b = random_sparse(rng, field, nn, size)
+            bracket = emb._bracket(p, b)
+            assert all(bracket.values())
+            expected = oracle_tensor_bracket(system, dp, dense(emb, b, nn), table)
+            assert dense(emb, bracket, nn) == expected, p
     for trial in range(40):
         # zero tensors on either side, then growing random supports
         a = random_sparse(rng, field, nn, 0 if trial < 3 else rng.randint(1, 6))
         b = random_sparse(rng, field, nn, 0 if trial % 20 == 1 else rng.randint(1, 6))
-        w = random_sparse(rng, field, n, 0 if trial == 2 else rng.randint(1, n))
         da, db = dense(emb, a, nn), dense(emb, b, nn)
-        bracket = emb._bracket(a, b)
-        assert all(bracket.values())
-        assert dense(emb, bracket, nn) == oracle_tensor_bracket(system, da, db, table)
         assert list(exact_bracket(emb, da, db)) == oracle_tensor_bracket(system, da, db, table)
         reduced = emb._reduce(a)
         assert all(reduced.values())
         assert dense(emb, reduced, emb.dim_even) == oracle_reduce(field, reduction, da)
-        phi, psi = oracle_actions(system, da, table)
-        dw = dense(emb, w, n)
-        expect_phi, expect_psi = [field.zero] * n, [field.zero] * n
-        for k, coef in w.items():
-            expect_phi = [x + coef * y for x, y in zip(expect_phi, phi[k])]
-            expect_psi = [x + coef * y for x, y in zip(expect_psi, psi[k])]
-        assert dense(emb, emb._phi(a, w), n) == expect_phi
-        assert dense(emb, emb._psi(a, w), n) == expect_psi
-        assert list(exact_phi(emb, da, dw)) == expect_phi
-        assert list(exact_psi(emb, da, dw)) == expect_psi
     # [b_i (x) b_j, b_k (x) b_k] cancels term by term even where {b_i, b_j, b_k} != 0
     cancelling = 0
     for (i, j, k), _ in system.nonzero_triples():
         assert any(oracle_triple(system, units[i], units[j], units[k], table))
-        assert emb._bracket({i * n + j: field.one}, {k * n + k: field.element(3)}) == {}
+        assert emb._bracket(i * n + j, {k * n + k: field.element(3)}) == {}
         cancelling += 1
     assert cancelling == 24
     # null vectors reduce to the empty mapping: their columns cancel in every row
     for nu in emb.null_space.basis:
         assert emb._reduce({c: x for c, x in enumerate(nu) if x}) == {}
-    assert emb._bracket(a, {}) == emb._bracket({}, a) == {}

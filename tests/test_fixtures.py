@@ -1,9 +1,11 @@
-"""Fixture constructors: double-bracket systems, direct sums, the search tool."""
+"""Fixture constructors: double-bracket systems, direct sums, the search that found nonlie_J."""
 
 import pytest
 
 import gradedlts as g
 from gradedlts.errors import InputError
+
+from conftest import search_nonlie_example
 
 Q = g.RationalField()
 
@@ -78,7 +80,7 @@ def test_double_bracket_grading_compatible(builtins):
 
 
 def test_search_finds_the_frozen_nonlie_fixture(builtins):
-    algebra, system = g.search_nonlie_example()
+    algebra, system = search_nonlie_example()
     assert algebra.brackets == g.nonlie_algebra().brackets
     assert system.structure_constants() == builtins["nonlie_J"].structure_constants()
     assert not system.lie_defect_ideal().is_zero()

@@ -143,7 +143,7 @@ def test_index_lists_each_constant_under_every_slot_and_output():
 
 
 def nonlie_candidates():
-    """All 27 algebras `search_nonlie_example` scans, in its order."""
+    """All 27 algebras `conftest.search_nonlie_example` scans, in its order."""
     group = g.AbelianGroup((0,))
     degrees = [group.element([1]), group.element([2]), group.element([3])]
     out = []

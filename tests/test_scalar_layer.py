@@ -24,8 +24,6 @@ from hypothesis import given, settings, strategies as st
 import gradedlts as g
 from conftest import (
     exact_bracket,
-    exact_phi,
-    exact_psi,
     exact_triple,
     library_vector,
     mutate_constant,
@@ -157,11 +155,14 @@ def test_embedding_brackets_divide_the_integer_image_back():
 
     for _ in range(6):
         a, b = vector(nn, [0, 0, 1, -2], [1, 3]), vector(nn, [0, 0, 1, -2], [1, 3])
-        w = vector(n, [0, 1, -1], [1, 5])
         assert list(exact_bracket(emb, a, b)) == oracle_tensor_bracket(system, a, b)
-        phi, psi = oracle_actions(system, a)
-        for got, rows in ((exact_phi(emb, a, w), phi), (exact_psi(emb, a, w), psi)):
-            assert list(got) == [sum(c * row[t] for c, row in zip(w, rows)) for t in range(n)]
+    # the table's mixed entries, D D_R times both actions of a coset tensor
+    s, scale = emb.dim_even, system.scale * emb._reduction_scale
+    for r, p in enumerate(emb.coset_indices):
+        phi, psi = oracle_actions(system, [int(c == p) for c in range(nn)])
+        for w in range(n):
+            assert list(emb._exact(emb.table.get((r, s + w), {}), s + n, scale)[s:]) == phi[w]
+            assert list(emb._exact(emb.table.get((s + w, r), {}), s + n, scale)[s:]) == psi[w]
 
 
 @pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])

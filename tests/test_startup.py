@@ -69,7 +69,7 @@ def test_every_public_name_resolves_lazily():
         "    'echelon': gradedlts.linalg.Echelon.__qualname__,\n"
         "}))\n"
     )
-    assert len(found["all"]) == 50
+    assert len(found["all"]) == 49
     assert found["unlisted"] == [] and found["bound"] == []
     assert found["starred"] == sorted(found["all"])
     assert found["echelon"] == "Echelon"
