@@ -29,10 +29,11 @@ D_R R, D_R the lcm of its denominators.  The pivot tensors are exactly the
 greedy standard-tensor complement of N, so the choice is deterministic, and
 they are homogeneous, so each quotient coordinate has its tensor's degree
 and the certified even components are blocks of coordinates.  Everything but
-the even components, read on first use, is fixed after build, the bracket
-table of L on its basis included: its even entries are reduced brackets of
-coset tensors, and its mixed entries, the actions phi and psi of a coset
-tensor on a basis vector, are read off the stored constants.
+the even components and N as a `Subspace`, built on first read, is fixed
+after build, the bracket table of L on its basis included: its even entries
+are reduced brackets of coset tensors, and its mixed entries, the actions
+phi and psi of a coset tensor on a basis vector, are read off the stored
+constants.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ class StandardEmbedding:
     __slots__ = (
         "system",
         "tensor_dim",
-        "null_space",
         "coset_indices",
         "dim_even",
         "table",
@@ -75,12 +75,15 @@ class StandardEmbedding:
         "_columns",
         "_reduction_scale",
         "_components",
+        "_free",
+        "_null_space",
     )
 
-    def __init__(self, system, tensor_dim, null_space, coset_indices, reduction):
+    def __init__(self, system, tensor_dim, free, coset_indices, reduction):
         self.system = system
         self.tensor_dim = tensor_dim
-        self.null_space = null_space
+        self._free = free
+        self._null_space = None
         self.coset_indices = coset_indices
         self.dim_even = len(coset_indices)
         self.descent_instances = self.leibniz_instances = 0
@@ -97,6 +100,14 @@ class StandardEmbedding:
         self._components = None
         m = self.dim_even + n
         self.table = {(a, b): e for a, b in product(range(m), repeat=2) if (e := self._entry(a, b))}
+
+    @property
+    def null_space(self) -> Subspace:
+        """N, spanned by the kernel's free-column vectors, built on first read;
+        its dimension is tensor_dim - dim_even (rank-nullity)."""
+        if self._null_space is None:
+            self._null_space = Subspace(self.system.field, self.tensor_dim, self._free)
+        return self._null_space
 
     # -- sparse kernels ---------------------------------------------------------
 
@@ -223,7 +234,7 @@ class StandardEmbedding:
     def __repr__(self):
         return (
             f"StandardEmbedding(dim_even={self.dim_even}, "
-            f"null_dim={self.null_space.dim}, system_dim={self.system.dim})"
+            f"null_dim={self.tensor_dim - self.dim_even}, system_dim={self.system.dim})"
         )
 
 
@@ -284,8 +295,7 @@ def build_embedding(system: GradedTripleSystem) -> StandardEmbedding:
     reduced = Echelon(system.field, action.ncols, (row for _, row in action.rows))
     rows = tuple(reduced.int_rows[p] for p in reduced.pivots)
     free = reduced.free_vectors()
-    null_space = Subspace(system.field, action.ncols, free)
-    emb = StandardEmbedding(system, action.ncols, null_space, reduced.pivots, rows)
+    emb = StandardEmbedding(system, action.ncols, free, reduced.pivots, rows)
     _certify_descent(emb, action, free)
     _certify_leibniz_identity(emb)
     return emb

@@ -285,6 +285,46 @@ def test_reports_are_deterministic(fixture_files, tmp_path):
         assert digests[0] == digests[1]
 
 
+# argv -> exit code, the stream written and a message in it, and the seed
+# of the --json report written (None: no report).  Every row but the last
+# three is what the argparse parser of earlier versions did too; it also
+# accepted unique-prefix abbreviations such as --js and ended help with
+# SystemExit.
+PARSER_CASES = [
+    ([], 2, "err", "the following arguments are required: command", None),
+    (["frob", "{path}"], 2, "err", "argument command: invalid choice: 'frob'", None),
+    (["verify"], 2, "err", "the following arguments are required: path", None),
+    (["verify", "{path}", "extra"], 2, "err", "unrecognized arguments: extra", None),
+    (["verify", "{path}", "--json"], 2, "err", "argument --json: expected one argument", None),
+    (["verify", "{path}", "--seed", "1"], 2, "err", "unrecognized arguments: --seed", None),
+    (["decompose", "{path}", "--seed", "x"], 2, "err", "--seed: invalid int value: 'x'", None),
+    (["verify", "{path}", "--bogus"], 2, "err", "unrecognized arguments: --bogus", None),
+    (["decompose", "{path}", "--seed", "-2", "--json", "{out}"], 0, "out", "verdict: pass", -2),
+    (["decompose", "--seed=3", "--json={out}", "{path}"], 0, "out", "verdict: pass", 3),
+    (["verify", "--", "{path}"], 0, "out", "verdict: pass", None),
+    (["--help"], 0, "out", "usage: gradedlts {verify,analyze,embed,decompose} PATH", None),
+    (["decompose", "--help"], 0, "out", "usage: gradedlts decompose PATH [--json", None),
+    (["verify", "{path}", "--js", "{out}"], 2, "err", "unrecognized arguments: --js", None),
+]
+
+
+@pytest.mark.parametrize("argv, code, stream, message, seed", PARSER_CASES)
+def test_command_line_grammar(argv, code, stream, message, seed, fixture_files, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = [a.format(path=fixture_files["sl2_Z"], out=out) for a in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert message in getattr(captured, stream)
+    assert (captured.out if stream == "err" else captured.err) == ""
+    if code == 2:
+        usage, error = captured.err.splitlines()
+        assert usage.startswith("usage: gradedlts ") and error.startswith("gradedlts: error: ")
+    if seed is not None:
+        assert json.loads(out.read_text(encoding="utf-8"))["seed"] == seed
+    else:
+        assert not out.exists()
+
+
 def test_cli_module_entry_point_exists():
     result = run_cli("--help")
     assert result.returncode == 0

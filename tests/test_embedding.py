@@ -85,6 +85,15 @@ def test_sl2_even_part_dimensions(sl2_emb):
     assert emb.dim_even == 3
 
 
+@pytest.mark.parametrize("name", g.BUILTIN_NAMES)
+def test_null_space_is_built_on_first_read_with_the_rank_nullity_dimension(name):
+    emb = g.build_embedding(g.builtin(name))
+    assert emb._null_space is None
+    assert f"null_dim={emb.tensor_dim - emb.dim_even}," in repr(emb)
+    assert emb.null_space.dim == emb.tensor_dim - emb.dim_even
+    assert emb.null_space is emb.null_space
+
+
 def test_sl2_even_support(sl2_emb):
     system, emb = sl2_emb
     assert [x.format() for x in emb.support()] == ["[-1]", "[1]"]

@@ -46,8 +46,7 @@ def uncertified(system):
     reduced = Echelon(system.field, action.ncols, (row for _, row in action.rows))
     rows = tuple(reduced.int_rows[p] for p in reduced.pivots)
     free = reduced.free_vectors()
-    null_space = g.Subspace(system.field, action.ncols, free)
-    emb = StandardEmbedding(system, action.ncols, null_space, reduced.pivots, rows)
+    emb = StandardEmbedding(system, action.ncols, free, reduced.pivots, rows)
     return emb, action, free
 
 
@@ -225,7 +224,7 @@ def embedding_eliminating_last(system, last):
     pivots = tuple(sorted(order[q] for q in reduced.pivots))
     rows = tuple(back(reduced.int_rows[position[p]]) for p in pivots)
     free = sorted(map(back, reduced.free_vectors()), key=lambda v: min(set(v) - set(pivots)))
-    emb = StandardEmbedding(system, nn, g.Subspace(system.field, nn, free), pivots, rows)
+    emb = StandardEmbedding(system, nn, free, pivots, rows)
     return emb, action, free
 
 

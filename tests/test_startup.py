@@ -7,11 +7,14 @@ before the package (such as those `site` pulls in) are not counted.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -75,19 +78,51 @@ def test_every_public_name_resolves_lazily():
     assert found["echelon"] == "Echelon"
 
 
-def test_prime_field_decompose_does_not_load_fractions(tmp_path):
-    # the rational field lives in its own module; GF(p) never uses a Fraction
-    from conftest import sl2_square
-    from gradedlts import PrimeField, dumps_system
+def decompose_loads(system, names, tmp_path):
+    """Exit code of a fresh `decompose` of `system` and which of `names` it loaded."""
+    from gradedlts import dumps_system
 
-    path = tmp_path / "sl2x2_F7.json"
-    path.write_text(dumps_system(sl2_square(PrimeField(7))), encoding="utf-8")
-    code, loaded = fresh(
+    path = tmp_path / "input.json"
+    path.write_text(dumps_system(system), encoding="utf-8")
+    return fresh(
         "import contextlib, io, json, sys\n"
         "from gradedlts.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = main(['decompose', {str(path)!r}])\n"
-        "loaded = {'fractions', 'decimal', 'numbers'} & set(sys.modules)\n"
-        "print(json.dumps([code, sorted(loaded)]))\n"
+        f"print(json.dumps([code, sorted(set({sorted(names)!r}) & set(sys.modules))]))\n"
     )
-    assert (code, loaded) == (0, [])
+
+
+def test_prime_field_decompose_does_not_load_fractions(tmp_path):
+    # the rational field lives in its own module; GF(p) never uses a Fraction
+    from conftest import sl2_square
+    from gradedlts import PrimeField
+
+    numeric = {"fractions", "decimal", "numbers"}
+    assert decompose_loads(sl2_square(PrimeField(7)), numeric, tmp_path) == [0, []]
+
+
+@pytest.mark.parametrize("field", ["GF(7)", "Q"])
+def test_decompose_loads_no_argument_parser_and_no_openssl(field, tmp_path):
+    from conftest import sl2_square
+    from gradedlts import PrimeField, RationalField
+
+    system = sl2_square(PrimeField(7) if field == "GF(7)" else RationalField())
+    heavy = {"argparse", "gettext", "locale", "hashlib", "_hashlib"}
+    assert decompose_loads(system, heavy, tmp_path) == [0, []]
+
+
+@pytest.mark.parametrize("blocked", [(), ("_sha2", "_sha256")])
+def test_input_digest_is_sha256_with_or_without_the_builtin_module(blocked, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_bytes(bytes(range(256)) * 41)
+    digest, fell_back = fresh(
+        "import json, sys\n"
+        f"for name in {blocked!r}:\n"
+        "    sys.modules[name] = None\n"
+        "from gradedlts import cli\n"
+        f"digest = cli._input_section({str(path)!r})['sha256']\n"
+        "print(json.dumps([digest, 'hashlib' in sys.modules]))\n"
+    )
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert fell_back == bool(blocked)
