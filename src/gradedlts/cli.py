@@ -398,7 +398,6 @@ def _cmd_decompose(command, path, json_out, seed) -> int:
     print(f"obstructions: {len(deco.obstructions)}")
     certs_ok = (
         report["embedding"]["even_grading_ok"]
-        and deco.spans
         and deco.all_orthogonal
         and report["lemmas"]["all_hold"]
     )

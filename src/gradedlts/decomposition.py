@@ -381,24 +381,33 @@ def verify_structure_lemmas(
 ) -> list[LemmaCheck]:
     """Instance-by-instance evaluation of the structural laws.
 
-    Three implication laws relate supports to connectivity, two vanishing
-    laws kill products across disconnected degrees, and two confinement
-    laws pin the degrees of nonzero products to a single class.  Every
-    instance is evaluated exactly; failures carry witnesses.  The report is
-    informational (the command line escalates failures to a nonzero exit).
+    Three implication laws relate supports to connectivity, three vanishing
+    laws kill products across disconnected degrees (brackets, the inverse
+    triple and core products), and two confinement laws pin the degrees of
+    nonzero products to a single class.  Every instance is evaluated
+    exactly; failures carry witnesses.  The report is informational (the
+    command line escalates failures to a nonzero exit).
     """
     if sup is None:
         sup = SupportData.from_system(system, emb)
-    # the components are read once, as blocks of basis indices; a degree
-    # without basis vectors has no block; each class's core sources and
-    # their slot products are enumerated once, for both core laws
+    # read once: the components, as blocks of basis indices (a degree without
+    # basis vectors has no block); the ordered pairs of disconnected odd
+    # degrees; and per class the degrees allowed by the confinement laws, the
+    # class or 1, with the core sources and their slot products
     blocks = system.components()
-    cores = [(cls, _core_product_sources(system, cls)) for cls in classes]
+    disconnected = [(g, h) for g in sup.odd for h in sup.odd if not are_connected(sup, g, h)]
+    cores = []
+    for cls in classes:
+        members = set(cls.members)
+        allowed = members | {system.group.identity()}
+        pattern = _degree_products(system, members, allowed, members)
+        sources = [(key, u, system.int_slot_products(u)) for key, u in pattern]
+        cores.append((cls, allowed, sources))
     return [
         *_pair_laws(sup),
-        _lemma_disconnected_brackets_vanish(emb, sup, blocks),
-        _lemma_disconnected_inverse_triple_vanishes(system, sup, blocks),
-        _lemma_products_confined_to_class(system, classes),
+        _lemma_disconnected_brackets_vanish(emb, disconnected, blocks),
+        _lemma_disconnected_inverse_triple_vanishes(system, disconnected, blocks),
+        _lemma_products_confined_to_class(system, cores),
         _lemma_core_products_confined(system, cores),
         _lemma_core_disconnected_vanish(system, emb, cores, sup, blocks),
     ]
@@ -433,37 +442,29 @@ def _pair_laws(sup: SupportData) -> list[LemmaCheck]:
     return checks
 
 
-def _lemma_disconnected_brackets_vanish(emb, sup, blocks) -> LemmaCheck:
+def _lemma_disconnected_brackets_vanish(emb, disconnected, blocks) -> LemmaCheck:
     # Disconnected support degrees bracket to zero in the embedding, at all
     # three levels: odd with odd, even with odd, even with even.  A bracket
     # of basis elements of L is nonzero exactly when the table stores it.
     check = LemmaCheck("disconnected_brackets_vanish")
     s, table = emb.dim_even, emb.table
-    for g in sup.odd:
-        for hbar in sup.odd:
-            if are_connected(sup, g, hbar):
-                continue
-            check.instances += 1
-            check.nonvacuous += 1
-            pair = (g.format(), hbar.format())
-            eg, eh = blocks[g], blocks[hbar]
-            cg, ch = emb.component(g), emb.component(hbar)
-            for x in eg:
-                for y in eh:
-                    if (s + x, s + y) in table:
-                        check.failures.append({"pair": pair, "level": "odd_odd"})
-            for t in cg:
-                for y in eh:
-                    if (t, s + y) in table:
-                        check.failures.append({"pair": pair, "level": "even_odd"})
-            for t in cg:
-                for u in ch:
-                    if (t, u) in table:
-                        check.failures.append({"pair": pair, "level": "even_even"})
+    for g, hbar in disconnected:
+        check.instances += 1
+        check.nonvacuous += 1
+        pair = (g.format(), hbar.format())
+        eg = [s + x for x in blocks[g]]
+        eh = [s + y for y in blocks[hbar]]
+        cg, ch = emb.component(g), emb.component(hbar)
+        levels = (("odd_odd", eg, eh), ("even_odd", cg, eh), ("even_even", cg, ch))
+        for level, left, right in levels:
+            for x in left:
+                for y in right:
+                    if (x, y) in table:
+                        check.failures.append({"pair": pair, "level": level})
     return check
 
 
-def _lemma_disconnected_inverse_triple_vanishes(system, sup, blocks) -> LemmaCheck:
+def _lemma_disconnected_inverse_triple_vanishes(system, disconnected, blocks) -> LemmaCheck:
     # {E_g, E_g^-1, E_hbar} vanishes for disconnected g, hbar: one failure per
     # nonzero product of basis vectors, that is per stored constant, of that
     # degree pattern
@@ -472,75 +473,61 @@ def _lemma_disconnected_inverse_triple_vanishes(system, sup, blocks) -> LemmaChe
     stored = Counter(
         (degrees[p], degrees[q], degrees[r]) for (p, q, r), _ in system.integer_triples()
     )
-    for g in sup.odd:
-        for hbar in sup.odd:
-            if are_connected(sup, g, hbar):
-                continue
-            check.instances += 1
-            if g.inverse() in blocks:
-                check.nonvacuous += 1
-            pair = (g.format(), hbar.format())
-            check.failures.extend({"pair": pair} for _ in range(stored[g, g.inverse(), hbar]))
+    for g, hbar in disconnected:
+        check.instances += 1
+        if g.inverse() in blocks:
+            check.nonvacuous += 1
+        pair = (g.format(), hbar.format())
+        check.failures.extend({"pair": pair} for _ in range(stored[g, g.inverse(), hbar]))
     return check
 
 
-def _lemma_products_confined_to_class(system, classes) -> LemmaCheck:
+def _lemma_products_confined_to_class(system, cores) -> LemmaCheck:
     # A nonzero product with one slot of degree inside a class forces the
     # other degrees (and the product degree) into the class or the identity.
     check = LemmaCheck("nonzero_products_confined_to_class")
-    degree_sets = [(set(cls.members), cls) for cls in classes]
+    degrees = system.degrees
     for (p, q, r), _ in system.integer_triples():
-        dp, dq, dr = system.degrees[p], system.degrees[q], system.degrees[r]
+        dp, dq, dr = degrees[p], degrees[q], degrees[r]
         total = dp.compose(dq).compose(dr)
-        for members, cls in degree_sets:
-            for slot_degree, others in (
-                (dp, (dq, dr)),
-                (dq, (dp, dr)),
-                (dr, (dp, dq)),
-            ):
-                if slot_degree in members:
+        for cls, allowed, _ in cores:
+            for slot_degree, others in ((dp, (dq, dr)), (dq, (dp, dr)), (dr, (dp, dq))):
+                if slot_degree in allowed and not slot_degree.is_identity():
                     check.instances += 1
                     check.nonvacuous += 1
-                    for d in (*others, total):
-                        if not d.is_identity() and d not in members:
-                            check.failures.append(
-                                {
-                                    "triple": (p, q, r),
-                                    "class": cls.representative.format(),
-                                    "degree": d.format(),
-                                }
-                            )
+                    rep = cls.representative
+                    check.failures.extend(
+                        {"triple": (p, q, r), "class": rep.format(), "degree": d.format()}
+                        for d in (*others, total)
+                        if d not in allowed
+                    )
     return check
 
 
-def _core_product_sources(system, cls):
-    """Basis products {b_p, b_q, b_r} whose degrees qualify as core products,
-    as ((p, q, r), u, the nonzero slot products of u)."""
-    members = set(cls.members)
-    pattern = _degree_products(system, members, members | {system.group.identity()}, members)
-    return [(key, u, system.int_slot_products(u)) for key, u in pattern]
-
-
 def _lemma_core_products_confined(system, cores) -> LemmaCheck:
+    # The outer degrees of each nonzero slot product of a core vector, and
+    # their product, lie in the class or are 1.  The verdict depends on the
+    # outer degrees alone, so each class decides it once per outer index
+    # pair, which fixes them; keyed by the degrees themselves, the law would
+    # spend most of its time hashing two GroupElements per product.
     check = LemmaCheck("core_products_confined_to_class")
-    for cls, sources in cores:
-        members = set(cls.members)
+    degrees = system.degrees
+    for _, allowed, sources in cores:
+        # (jq, jr) -> the formatted outer degrees outside `allowed`
+        bad: dict[tuple[int, int], list[str]] = {}
         for (p, q, r), _, products in sources:
             # each nonzero slot product of the core vector is one instance
+            check.instances += len(products)
+            check.nonvacuous += len(products)
             for jq, jr, slot in products:
-                check.instances += 1
-                check.nonvacuous += 1
-                dl, dm = system.degrees[jq], system.degrees[jr]
-                for d in (dl, dm, dl.compose(dm)):
-                    if not d.is_identity() and d not in members:
-                        check.failures.append(
-                            {
-                                "core_triple": (p, q, r),
-                                "outer_pair": (jq, jr),
-                                "slot": slot,
-                                "degree": d.format(),
-                            }
-                        )
+                pair = (jq, jr)
+                if pair not in bad:
+                    dl, dm = degrees[jq], degrees[jr]
+                    bad[pair] = [d.format() for d in (dl, dm, dl.compose(dm)) if d not in allowed]
+                for d in bad[pair]:
+                    check.failures.append(
+                        {"core_triple": (p, q, r), "outer_pair": pair, "slot": slot, "degree": d}
+                    )
     return check
 
 
@@ -553,7 +540,7 @@ def _lemma_core_disconnected_vanish(system, emb, cores, sup, blocks) -> LemmaChe
     check = LemmaCheck("core_disconnected_products_vanish")
     s = emb.dim_even
     identity_comp = blocks.get(system.group.identity(), ())
-    for cls, sources in cores:
+    for cls, _, sources in cores:
         outside = [h for h in sup.odd if h not in cls]
         for hbar in outside:
             eh, ch = blocks[hbar], emb.component(hbar)
@@ -561,32 +548,15 @@ def _lemma_core_disconnected_vanish(system, emb, cores, sup, blocks) -> LemmaChe
                 check.instances += 1
                 check.nonvacuous += 1
                 odd = {s + l: x for l, x in u.items()}
-                for y in eh:
-                    if emb.int_bracket(odd, {s + y: 1}):
-                        check.failures.append(
-                            {
-                                "core_triple": (p, q, r),
-                                "outside": hbar.format(),
-                                "level": "tensor",
-                            }
-                        )
-                for t in ch:
-                    if emb.int_bracket(odd, {t: 1}):
-                        check.failures.append(
-                            {
-                                "core_triple": (p, q, r),
-                                "outside": hbar.format(),
-                                "level": "even_action",
-                            }
-                        )
-                for e1 in identity_comp:
-                    for y in eh:
-                        if (e1, y, 0) in products:
-                            check.failures.append(
-                                {
-                                    "core_triple": (p, q, r),
-                                    "outside": hbar.format(),
-                                    "level": "identity_triple",
-                                }
-                            )
+                levels = (
+                    ("tensor", sum(1 for y in eh if emb.int_bracket(odd, {s + y: 1}))),
+                    ("even_action", sum(1 for t in ch if emb.int_bracket(odd, {t: 1}))),
+                    ("identity_triple",
+                     sum((e1, y, 0) in products for e1 in identity_comp for y in eh)),
+                )
+                for level, count in levels:
+                    check.failures.extend(
+                        {"core_triple": (p, q, r), "outside": hbar.format(), "level": level}
+                        for _ in range(count)
+                    )
     return check

@@ -161,16 +161,15 @@ def relabel_degrees(system: GradedTripleSystem, target: AbelianGroup, image) -> 
     return GradedTripleSystem(system.field, target, degrees, products)
 
 
-def sl2_algebra(field=None, degree_scale: int = 1) -> GradedLeibnizAlgebra:
+def sl2_algebra(field=None) -> GradedLeibnizAlgebra:
     """The three-dimensional simple Lie algebra with a diagonal grading.
 
     Basis (e, h, f) with [h, e] = 2e, [h, f] = -2f, [e, f] = h, graded over
-    the integers with degrees (s, 0, -s).
+    the integers with degrees (1, 0, -1).
     """
     field = field or RationalField()
     group = AbelianGroup((0,))
-    s = degree_scale
-    degrees = [group.element([s]), group.element([0]), group.element([-s])]
+    degrees = [group.element([1]), group.element([0]), group.element([-1])]
     brackets = {
         (1, 0): {0: 2},
         (0, 1): {0: -2},

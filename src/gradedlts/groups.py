@@ -96,11 +96,6 @@ class GroupElement:
     def is_identity(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def __mul__(self, other):
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.compose(other)
-
     def __lt__(self, other: "GroupElement") -> bool:
         self._check(other)
         return self.coords < other.coords

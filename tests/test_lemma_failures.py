@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,24 @@ def test_split_class_fails_the_core_disconnected_law_on_sl2_module():
     # 4 failures, 2 of them at level "even_action", where [t, u] gives none
     rows = json.loads(GOLDEN.read_text(encoding="utf-8"))["sl2_V4_Q"]["split"]
     assert {row[0]: row[3] for row in rows}["core_disconnected_products_vanish"] == 4
+
+
+def test_split_class_fails_every_level_of_the_core_disconnected_law():
+    # sl4 pushed to Z_3 has a 5-dimensional, non-abelian identity component
+    # and one class {[1], [2]}; split in two, the core products of each half
+    # meet the other half at all three levels, the identity triple included
+    group = g.AbelianGroup((3,))
+    system = g.relabel_degrees(sl_root(4, g.RationalField()), group, [[2], [-2], [1]])
+    emb = g.build_embedding(system)
+    sup = g.SupportData.from_system(system, emb)
+    one, two = group.element([1]), group.element([2])
+    assert g.connection_classes(sup) == [g.ConnectionClass(one, (one, two))]
+    split = [g.ConnectionClass(one, (one,)), g.ConnectionClass(two, (two,))]
+    check = g.verify_structure_lemmas(system, emb, split, sup)[-1]
+    assert check.name == "core_disconnected_products_vanish"
+    assert (check.instances, check.nonvacuous) == (40, 40)
+    levels = Counter(failure["level"] for failure in check.failures)
+    assert levels == {"tensor": 136, "even_action": 136, "identity_triple": 224}
 
 
 def test_true_supports_fail_no_law():
