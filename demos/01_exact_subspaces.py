@@ -6,7 +6,6 @@ Run as: python demos/01_exact_subspaces.py
 """
 
 from gradedlts import PrimeField, RationalField, Subspace, complete_complement, span
-from gradedlts.linalg import Echelon
 
 Q = RationalField()
 
@@ -36,7 +35,7 @@ print("dim(xy-plane & yz-plane) =", meet.dim, " basis:", show(meet.basis))
 print("dim(xy-plane + yz-plane) =", join.dim)
 print("dimension identity: ", xy.dim, "+", yz.dim, "=", join.dim, "+", meet.dim)
 
-k = Echelon(Q, 2, [[1, -1]]).kernel()
+k = span(Q, 2, [[1, -1]]).kernel()
 print("kernel of the row (1,-1):", show(k.basis))
 
 print()

@@ -146,6 +146,8 @@ def _parse_args(argv: list[str]):
                 value = next(args, None)
                 if value is None or _is_option(value):
                     raise _UsageError(command, f"argument {name}: expected one argument")
+            if name == "--json" and not value:
+                raise _UsageError(command, "argument --json: expected a non-empty path")
             if name == "--seed":
                 try:
                     value = int(value)
@@ -301,8 +303,11 @@ def _obstruction_section(obstructions) -> list[dict]:
 
 
 def _emit(report: dict, json_out) -> None:
-    if json_out:
-        Path(json_out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    if json_out is not None:
+        try:
+            Path(json_out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {json_out}: {exc}") from None
 
 
 def _print_verification(section) -> None:

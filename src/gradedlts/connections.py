@@ -55,7 +55,8 @@ class SupportData:
         pm_odd = frozenset(odd) | frozenset(g.inverse() for g in odd)
         pm_even = frozenset(even) | frozenset(g.inverse() for g in even)
         steps = sorted(pm_odd) + [odd[0].group.identity()] if odd else []
-        closures = {g: _closure_with_parents(steps, pm_odd, pm_even, g) for g in odd}
+        moves: dict = {}
+        closures = {g: _closure_with_parents(moves, steps, pm_odd, pm_even, g) for g in odd}
         return cls(odd, even, pm_odd, pm_even, closures)
 
     @classmethod
@@ -78,20 +79,26 @@ class ConnectionClass(NamedTuple):
         return g in self.members
 
 
-def _closure_with_parents(steps, pm_odd, pm_even, g: GroupElement):
+def _closure_with_parents(moves: dict, steps, pm_odd, pm_even, g: GroupElement):
+    """Parent pointers of the search from g.  `moves` maps each element q
+    visited by any search to its steps (q a b, a, b), in (a, b) order, with
+    q a in the even and q a b in the odd support; a visit fills it once."""
     parents: dict[GroupElement, tuple] = {g: None}
     frontier = [g]
     while frontier:
         q = frontier.pop()
-        for a in steps:
-            qa = q.compose(a)
-            if qa not in pm_even:
-                continue
-            for b in steps:
-                qab = qa.compose(b)
-                if qab in pm_odd and qab not in parents:
-                    parents[qab] = (q, a, b)
-                    frontier.append(qab)
+        if q not in moves:
+            moves[q] = [
+                (qab, a, b)
+                for a in steps
+                if (qa := q.compose(a)) in pm_even
+                for b in steps
+                if (qab := qa.compose(b)) in pm_odd
+            ]
+        for qab, a, b in moves[q]:
+            if qab not in parents:
+                parents[qab] = (q, a, b)
+                frontier.append(qab)
     return parents
 
 

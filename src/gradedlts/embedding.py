@@ -44,7 +44,7 @@ from math import lcm
 from .errors import DecompositionFailure, LeibnizIdentityFailure, NotWellDefined
 from .groups import GroupElement
 from .identities import RIGHT_LEIBNIZ, index_constants, term_violations
-from .linalg import Echelon, Subspace
+from .linalg import Subspace
 from .triples import GradedTripleSystem
 
 
@@ -292,8 +292,8 @@ def build_embedding(system: GradedTripleSystem) -> StandardEmbedding:
     # One RREF gives everything: ker(R) = N, the pivot columns index the
     # greedy standard-tensor complement of N, and R kills N while sending
     # the pivot tensor of row r to the r-th quotient coordinate.
-    reduced = Echelon(system.field, action.ncols, (row for _, row in action.rows))
-    rows = tuple(reduced.int_rows[p] for p in reduced.pivots)
+    reduced = Subspace(system.field, action.ncols, (row for _, row in action.rows))
+    rows = tuple(reduced.integral_rows())
     free = reduced.free_vectors()
     emb = StandardEmbedding(system, action.ncols, free, reduced.pivots, rows)
     _certify_descent(emb, action, free)

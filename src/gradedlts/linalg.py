@@ -12,16 +12,15 @@ images: `integral` clears a vector to a primitive integer vector,
 Arithmetic is exact, and entry growth is unbounded by design.  Scalar
 strings "a" and "a/b" of any length parse and format exactly.
 
-All elimination goes through one sparse eliminator, `Echelon`, whose rows
-are canonical integer rows; the exact reduced row echelon form, kernels,
+One type, `Subspace`, holds a span as its canonical integer rows and does
+all elimination on them; the exact reduced row echelon form, kernels,
 complements, membership, sums and intersections (by Zassenhaus
 elimination) are read off it, and two subspaces are equal exactly when
 their stored rows are.  Fractions appear only where exact values leave:
-`Echelon.rows` and `Subspace.basis`.
+`Subspace.basis`, built from the rows on each read.
 
-An `Echelon` grows in place and a `Subspace` builds its `basis` on first
-read; all else is immutable after construction.  Concurrent read-only use
-is safe: two threads that both build a `basis` store equal tuples.
+A `Subspace` grows in place through `add` only while it is built; once
+handed out it is read only, and concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -190,17 +189,18 @@ def field_from_descriptor(descriptor: dict):
     raise InputError(f"unknown field kind {kind!r}")
 
 
-class Echelon:
-    """The one eliminator: a span kept in sparse echelon form on integer rows.
+class Subspace:
+    """A linear subspace kept in sparse echelon form on canonical integer rows.
 
     Each row {column: int} is stored in `int_rows` under its pivot (its
     first column); every pivot column is zero in all other rows.  Over GF(p)
     a row holds residues with pivot entry 1, over Q it is the primitive
     integer multiple of its reduced row with a positive pivot entry, so the
-    rows are fixed by the span and `rows` divides them back to the exact
-    RREF.  Elimination is fraction-free: over Q a vector is scaled once by
-    the lcm of the pivot entries it meets.  Vectors are dense sequences of
-    length `ambient` or sparse mappings {column: scalar}, columns in [0, ambient).
+    rows are fixed by the span: equality, hash, dimension and membership are
+    read off them, and `basis` divides them back to the exact RREF.
+    Elimination is fraction-free: over Q a vector is scaled once by the lcm
+    of the pivot entries it meets.  Vectors are dense sequences of length
+    `ambient` or sparse mappings {column: scalar}, columns in [0, ambient).
     """
 
     __slots__ = ("field", "ambient", "int_rows", "_p")
@@ -212,6 +212,14 @@ class Echelon:
         self._p = field.p if field.kind == "prime" else 0
         for vec in vectors:
             self.add(vec)
+
+    @classmethod
+    def zero(cls, field, ambient: int) -> "Subspace":
+        return cls(field, ambient)
+
+    @classmethod
+    def full(cls, field, ambient: int) -> "Subspace":
+        return cls(field, ambient, ({i: 1} for i in range(ambient)))
 
     def reduce(self, vec) -> dict:
         """A nonzero multiple of the residual of `vec` as {column: int}, zeros
@@ -268,14 +276,27 @@ class Echelon:
         return tuple(sorted(self.int_rows))
 
     @property
-    def rows(self) -> dict[int, dict]:
-        """The exact reduced rows {pivot: {column: scalar}}, every pivot entry 1."""
-        return {q: self.field.unscale(row, row[q]) for q, row in self.int_rows.items()}
+    def basis(self) -> tuple[tuple, ...]:
+        """The canonical reduced-row-echelon basis as exact dense row tuples,
+        pivots strictly increasing; built on each read."""
+        zero, unscale, n = self.field.zero, self.field.unscale, self.ambient
+        exact = (unscale(row, row[q]) for q, row in sorted(self.int_rows.items()))
+        return tuple(tuple([row.get(c, zero) for c in range(n)]) for row in exact)
 
-    def dense(self) -> tuple[tuple, ...]:
-        """The exact reduced rows as dense tuples, in pivot order."""
-        zero, rows, n = self.field.zero, self.rows, self.ambient
-        return tuple(tuple([rows[q].get(c, zero) for c in range(n)]) for q in self.pivots)
+    @property
+    def dim(self) -> int:
+        return len(self.int_rows)
+
+    def is_zero(self) -> bool:
+        return not self.int_rows
+
+    def contains(self, vec) -> bool:
+        return not self.reduce(vec)
+
+    def integral_rows(self) -> list[dict]:
+        """The stored rows in pivot order, {column: int}; do not change them."""
+        rows = self.int_rows
+        return [rows[q] for q in sorted(rows)]
 
     def free_vectors(self) -> list[dict]:
         """One kernel vector per free (non-pivot) column c, in column order:
@@ -292,63 +313,6 @@ class Echelon:
     def kernel(self) -> "Subspace":
         """{x : r . x = 0 for every row r}, spanned by the `free_vectors`."""
         return Subspace(self.field, self.ambient, self.free_vectors())
-
-
-class Subspace:
-    """A linear subspace stored by the canonical integer rows of its `Echelon`.
-
-    Equality, hash, dimension and membership are read off those rows, and
-    `integral_rows` hands them out.  `basis`, the exact RREF basis rows
-    with strictly increasing pivot columns, is built when first read.
-    Spanning vectors may be dense sequences or sparse mappings {column: scalar}.
-    """
-
-    __slots__ = ("field", "ambient", "pivots", "_echelon", "_basis")
-
-    def __init__(self, field, ambient: int, vectors: Iterable):
-        echelon = Echelon(field, ambient, vectors)
-        self.field = field
-        self.ambient = ambient
-        self.pivots = echelon.pivots
-        self._echelon = echelon
-        self._basis = None
-
-    @classmethod
-    def of(cls, echelon: Echelon) -> "Subspace":
-        """The span of `echelon`, kept as its canonical rows; grow it no further."""
-        sub = cls(echelon.field, echelon.ambient, ())
-        sub.pivots, sub._echelon = echelon.pivots, echelon
-        return sub
-
-    @classmethod
-    def zero(cls, field, ambient: int) -> "Subspace":
-        return cls(field, ambient, ())
-
-    @classmethod
-    def full(cls, field, ambient: int) -> "Subspace":
-        return cls(field, ambient, ({i: 1} for i in range(ambient)))
-
-    @property
-    def basis(self) -> tuple[tuple, ...]:
-        """The canonical reduced-row-echelon basis as exact row tuples."""
-        if self._basis is None:
-            self._basis = self._echelon.dense()
-        return self._basis
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def is_zero(self) -> bool:
-        return not self.pivots
-
-    def contains(self, vec) -> bool:
-        return not self._echelon.reduce(vec)
-
-    def integral_rows(self) -> list[dict]:
-        """The stored rows in pivot order, {column: int}; do not change them."""
-        rows = self._echelon.int_rows
-        return [rows[q] for q in self.pivots]
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -369,7 +333,7 @@ class Subspace:
         self._check_compatible(other)
         n = self.ambient
         rows = [{**a, **{c + n: x for c, x in a.items()}} for a in self.integral_rows()]
-        meet = Echelon(self.field, 2 * n, rows + other.integral_rows())
+        meet = Subspace(self.field, 2 * n, rows + other.integral_rows())
         right = [{c - n: x for c, x in row.items()} for p, row in meet.int_rows.items() if p >= n]
         return Subspace(self.field, n, right)
 
@@ -383,7 +347,7 @@ class Subspace:
         return (
             self.field == other.field
             and self.ambient == other.ambient
-            and self._echelon.int_rows == other._echelon.int_rows
+            and self.int_rows == other.int_rows
         )
 
     def __hash__(self):
@@ -408,6 +372,6 @@ def complete_complement(sub: Subspace, within: Subspace) -> Subspace:
     """
     if not within.contains_subspace(sub):
         raise ValueError("complement requested for a subspace not contained in the carrier")
-    acc = Echelon(sub.field, sub.ambient, sub.integral_rows())
+    acc = Subspace(sub.field, sub.ambient, sub.integral_rows())
     kept = [row for row in within.integral_rows() if acc.add(row)]
     return Subspace(sub.field, sub.ambient, kept)

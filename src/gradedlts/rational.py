@@ -15,7 +15,7 @@ from .linalg import _decimal, _parse_scalar, sparse
 
 
 class RationalField:
-    """The field of rationals; kernels and `Echelon` rows hold ints, exact values Fractions."""
+    """The field of rationals; kernels and `Subspace` rows hold ints, exact values Fractions."""
 
     kind = "rational"
     zero = Fraction(0)

@@ -23,7 +23,7 @@ from typing import Sequence
 from .errors import CertificateFailure, InputError, OracleDisagreement
 from .groups import AbelianGroup, GroupElement
 from .identities import AXIOM_TERMS, SIX_TERM, Violation, index_constants, term_violations
-from .linalg import Echelon, Subspace
+from .linalg import Subspace
 
 
 class GradedTripleSystem:
@@ -213,21 +213,21 @@ class GradedTripleSystem:
         already and is skipped without being reduced.
         """
         self._check_subspace(sub)
-        n, acc = self.dim, Echelon(self.field, self.dim)
-        rows, units = acc.int_rows, set()
+        n, closure = self.dim, Subspace(self.field, self.dim)
+        rows, units = closure.int_rows, set()
 
         def offer(w):
             if len(w) == 1:
                 if (c := next(iter(w))) in units:
                     return False
                 units.add(c)
-            return acc.add(w)
+            return closure.add(w)
 
         queue = [row for row in sub.integral_rows() if offer(row)]
         while queue and len(rows) < n:
             products = self.int_slot_products(queue.pop()).values()
             queue.extend(w for w in products if len(rows) < n and offer(w))
-        return Subspace.of(acc)
+        return closure
 
     def is_ideal(self, sub: Subspace) -> bool:
         """Whether {I,E,E} + {E,I,E} + {E,E,I} is contained in I."""
@@ -352,7 +352,7 @@ class GradedTripleSystem:
             for key, column in (((0, b, c), a), ((1, a, c), b), ((2, a, b), c)):
                 for l, x in entry.items():
                     rows.setdefault((*key, l), {})[column] = x
-        return Echelon(self.field, self.dim, rows.values()).kernel()
+        return Subspace(self.field, self.dim, rows.values()).kernel()
 
     # -- misc -----------------------------------------------------------------
 

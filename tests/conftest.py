@@ -811,6 +811,31 @@ def oracle_closures(sup) -> dict:
     return {x: frozenset(reach[x] | {x}) for x in sup.odd}
 
 
+def reference_closures(sup) -> dict:
+    """g -> parent pointers of the depth-first search from g that composes
+    the steps q a and q a b afresh at every visit of q: the reference for
+    the parents of `SupportData.closures` and their order, which the
+    witness sequences follow."""
+    steps = sorted(sup.pm_odd) + [sup.odd[0].group.identity()] if sup.odd else []
+    closures = {}
+    for g0 in sup.odd:
+        parents = {g0: None}
+        frontier = [g0]
+        while frontier:
+            q = frontier.pop()
+            for a in steps:
+                qa = q.compose(a)
+                if qa not in sup.pm_even:
+                    continue
+                for b in steps:
+                    qab = qa.compose(b)
+                    if qab in sup.pm_odd and qab not in parents:
+                        parents[qab] = (q, a, b)
+                        frontier.append(qab)
+        closures[g0] = parents
+    return closures
+
+
 def oracle_classes(sup) -> list[tuple]:
     """Connection classes as sorted member tuples: the components of the
     relation "h or h^-1 lies in the closure of g", merged pair by pair."""

@@ -50,6 +50,30 @@ def test_verify_fails_on_corrupted_constant(fixture_files, tmp_path):
     assert "FAILED" in result.stdout
 
 
+def test_decompose_of_a_corrupt_system_writes_the_verification_report(tmp_path, capsys):
+    data = json.loads(fixture_text("sl2_Z"))
+    data["triple"][2]["out"][0]["val"] = "3"  # {b0, b2, b0} = 3 b0, not 2 b0
+    bad, out = tmp_path / "corrupt.json", tmp_path / "report.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["decompose", str(bad), "--json", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.endswith("verdict: fail (verification)\n")
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert list(report) == ["tool", "command", "input", "system", "seed", "verification"]
+    assert report["verification"]["axioms"]["ok"] is False
+
+
+def test_certificate_failure_exits_1_with_one_line(fixture_files, monkeypatch, capsys):
+    def broken(system):
+        raise g.NotWellDefined("bracketing N escapes N", witness={"tensor": 0})
+
+    monkeypatch.setattr(cli, "build_embedding", broken)
+    assert main(["embed", str(fixture_files["sl2_Z"])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "certificate failure [NotWellDefined]: bracketing N escapes N\n"
+
+
 def test_verify_rejects_malformed_scalar(tmp_path):
     doc = {
         "group": {"moduli": [0]},
@@ -182,6 +206,56 @@ def test_verify_rejects_boolean_degree(tmp_path):
     assert "input error" in result.stderr
 
 
+_DELETE = object()
+
+
+def _changed_sl2_doc(path, value):
+    """The sl2_Z document with the entry at `path` (keys and indices; the
+    empty path is the whole document) set to `value`, or deleted when
+    `value` is _DELETE."""
+    doc = json.loads(fixture_text("sl2_Z"))
+    if not path:
+        return value
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+# (id, path, value, message) of a document that each check of the loader rejects
+MALFORMED_INPUTS = [
+    ("not_an_object", (), [], "top-level document must be an object"),
+    ("no_triple", ("triple",), _DELETE, "missing required key 'triple'"),
+    ("group_list", ("group",), [0], "group must be an object with a 'moduli' list"),
+    ("field_string", ("field",), "rational", "field must be an object"),
+    ("prime_without_p", ("field",), {"kind": "prime"}, "prime field descriptor is missing 'p'"),
+    ("field_kind", ("field",), {"kind": "real"}, "unknown field kind 'real'"),
+    ("degree_rank", ("degrees", 0), [1, 0], "element has 2 coordinates, group has 1 factors"),
+    ("triple_object", ("triple",), {}, "triple must be a list of records"),
+    ("record_no_out", ("triple", 0, "out"), _DELETE, "each triple record needs 'args' and 'out'"),
+    ("out_object", ("triple", 0, "out"), {}, "out must be a list"),
+    ("output_no_val", ("triple", 0, "out", 0, "val"), _DELETE, "each output needs 'idx' and 'val'"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [case[1:] for case in MALFORMED_INPUTS],
+    ids=[case[0] for case in MALFORMED_INPUTS],
+)
+def test_malformed_input_exits_2_with_its_message(path, value, message, tmp_path, capsys):
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(_changed_sl2_doc(path, value)), encoding="utf-8")
+    assert main(["verify", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"input error: {message}\n")
+
+
 def test_broken_json_reports_position(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{"group": \n', encoding="utf-8")
@@ -287,9 +361,9 @@ def test_reports_are_deterministic(fixture_files, tmp_path):
 
 # argv -> exit code, the stream written and a message in it, and the seed
 # of the --json report written (None: no report).  Every row but the last
-# three is what the argparse parser of earlier versions did too; it also
-# accepted unique-prefix abbreviations such as --js and ended help with
-# SystemExit.
+# five is what the argparse parser of earlier versions did too; it also
+# accepted unique-prefix abbreviations such as --js and an empty --json
+# value, which wrote no report, and ended help with SystemExit.
 PARSER_CASES = [
     ([], 2, "err", "the following arguments are required: command", None),
     (["frob", "{path}"], 2, "err", "argument command: invalid choice: 'frob'", None),
@@ -305,6 +379,10 @@ PARSER_CASES = [
     (["--help"], 0, "out", "usage: gradedlts {verify,analyze,embed,decompose} PATH", None),
     (["decompose", "--help"], 0, "out", "usage: gradedlts decompose PATH [--json", None),
     (["verify", "{path}", "--js", "{out}"], 2, "err", "unrecognized arguments: --js", None),
+    (["verify", "{path}", "--json="], 2, "err", "argument --json: expected a non-empty path", None),
+    (["verify", "{path}", "--json", ""], 2, "err", "--json: expected a non-empty path", None),
+    (["decompose", "--json=", "{path}"], 2, "err", "--json: expected a non-empty path", None),
+    (["decompose", "{path}", "--json", ""], 2, "err", "--json: expected a non-empty path", None),
 ]
 
 
@@ -323,6 +401,17 @@ def test_command_line_grammar(argv, code, stream, message, seed, fixture_files, 
         assert json.loads(out.read_text(encoding="utf-8"))["seed"] == seed
     else:
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_unwritable_report_exits_2_with_one_line(command, target, fixture_files, tmp_path, capsys):
+    out = tmp_path / "absent" / "report.json" if target == "missing_directory" else tmp_path
+    assert main([command, str(fixture_files["sl2_Z"]), "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_module_entry_point_exists():

@@ -1,5 +1,7 @@
 """Connection relation: closures, classes, witnesses, partition certificates."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +11,15 @@ from gradedlts.cli import main
 from gradedlts.connections import validate_sequence
 from gradedlts.errors import EquivalenceFailure, InputError
 
-from conftest import coordinate_sum, oracle_classes, oracle_closures, random_variant, sl2_power
+from conftest import (
+    coordinate_sum,
+    oracle_classes,
+    oracle_closures,
+    random_variant,
+    reference_closures,
+    sl2_power,
+    sl_root,
+)
 
 
 def supports_for(name):
@@ -128,6 +138,29 @@ def test_witness_sequence_with_a_step_outside_the_supports_raises(disjoint_sup):
     assert info.value.witness == {"pair": ("[1,0]", "[0,1]")}
 
 
+# (odd support, even support, sequence, g, h) on Z: each sequence breaks
+# exactly one rule of a connection from g to h and passes every other
+REJECTED_SEQUENCES = {
+    # 1 + 1 = 2 lies in both supports and in {h, h^-1}, but the length is even
+    "even_length": ((1, 2), (2,), (1, 1), 1, 2),
+    # the steps (1, 1) lead from 1 through the even 2 to 3, but the sequence starts at 3
+    "wrong_start": ((1, 3), (2,), (3, 1, 1), 1, 3),
+    # 1 + 1 = 2 is not in the (empty) even support
+    "even_partial_outside": ((1, 3), (), (1, 1, 1), 1, 3),
+    # 1 + 1 + 1 = 3 is not in the odd support
+    "odd_partial_outside": ((1, 4), (2, 4), (1, 1, 1, 1, 0), 1, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_SEQUENCES))
+def test_validate_sequence_rejects_each_broken_rule(case):
+    odd, even, seq, start, end = REJECTED_SEQUENCES[case]
+    z = g.AbelianGroup((0,))
+    sup = g.SupportData.from_parts([z.element([c]) for c in odd], [z.element([c]) for c in even])
+    seq = tuple(z.element([c]) for c in seq)
+    assert validate_sequence(sup, seq, z.element([start]), z.element([end])) is False
+
+
 def test_arguments_must_lie_in_support(sl2_sup):
     group = g.AbelianGroup((0,))
     outside = group.element([7])
@@ -198,6 +231,32 @@ def oracle_systems():
 def test_relation_matches_warshall_oracle(name):
     system = oracle_systems()[name]
     assert_relation_matches_oracle(g.SupportData.from_system(system, g.build_embedding(system)))
+
+
+def reference_systems():
+    """name -> a function that builds the system, so that collection builds none."""
+    systems = {name: partial(g.builtin, name) for name in g.BUILTIN_NAMES}
+    for tag, field in (("Q", g.RationalField()), ("F7", g.PrimeField(7))):
+        builds = {f"sl2x{k}": partial(sl2_power, k, field) for k in (2, 3)}
+        builds.update({f"sl{N}_root": partial(sl_root, N, field) for N in (3, 4, 5)})
+        for name, build in builds.items():
+            systems[f"{name}_{tag}"] = build
+            systems[f"{name}_{tag}_Z3"] = lambda build=build: coordinate_sum(build(), 3)
+    for seed in range(20):
+        systems[f"variant_{seed}"] = partial(random_variant, seed)
+    return systems
+
+
+@pytest.mark.parametrize("name", sorted(reference_systems()))
+def test_tabled_steps_keep_the_reference_parents(name):
+    # the parent pointers, and so every witness sequence, are those of the
+    # search that composes each step afresh, item order included
+    system = reference_systems()[name]()
+    sup = g.SupportData.from_system(system, g.build_embedding(system))
+    reference = reference_closures(sup)
+    assert list(sup.closures) == list(reference)
+    for x, parents in reference.items():
+        assert list(sup.closures[x].items()) == list(parents.items()), x.format()
 
 
 @st.composite

@@ -23,7 +23,7 @@ from gradedlts.embedding import (
     _certify_descent,
     _certify_leibniz_identity,
 )
-from gradedlts.linalg import Echelon
+from gradedlts.linalg import Subspace
 
 from conftest import (
     dense_table,
@@ -43,8 +43,8 @@ def uncertified(system):
     """The embedding as `build_embedding` constructs it, before either
     certificate, with the action matrix and the kernel's free-column vectors."""
     action = _ActionMatrix(system)
-    reduced = Echelon(system.field, action.ncols, (row for _, row in action.rows))
-    rows = tuple(reduced.int_rows[p] for p in reduced.pivots)
+    reduced = Subspace(system.field, action.ncols, (row for _, row in action.rows))
+    rows = tuple(reduced.integral_rows())
     free = reduced.free_vectors()
     emb = StandardEmbedding(system, action.ncols, free, reduced.pivots, rows)
     return emb, action, free
@@ -220,7 +220,7 @@ def embedding_eliminating_last(system, last):
         return {order[t]: x for t, x in vec.items()}
 
     moved = ({position[c]: x for c, x in row.items()} for _, row in action.rows)
-    reduced = Echelon(system.field, nn, moved)
+    reduced = Subspace(system.field, nn, moved)
     pivots = tuple(sorted(order[q] for q in reduced.pivots))
     rows = tuple(back(reduced.int_rows[position[p]]) for p in pivots)
     free = sorted(map(back, reduced.free_vectors()), key=lambda v: min(set(v) - set(pivots)))

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import oracle_rref
 from gradedlts import linalg
 from gradedlts.linalg import (
-    Echelon,
     PrimeField,
     Subspace,
     complete_complement,
@@ -57,7 +56,7 @@ def test_sum_with_zero_is_identity():
 
 
 def test_kernel_of_difference_row():
-    k = Echelon(Q, 2, [[1, -1]]).kernel()
+    k = span(Q, 2, [[1, -1]]).kernel()
     assert k == span(Q, 2, [[1, 1]])
 
 
@@ -233,20 +232,33 @@ def test_complement_properties(data):
 @settings(max_examples=40, deadline=None)
 def test_kernel_annihilates(data):
     rows, nc = data
-    k = Echelon(Q, nc, rows).kernel()
+    k = span(Q, nc, rows).kernel()
     for v in k.basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
     assert len(k.basis) + len(span(Q, nc, rows).basis) == nc
 
 
+GROWTH_CASES = [
+    (Q, 3, [[1, 2, 3], [2, 4, 6], [0, 1, 1]], [True, False, True]),
+    (Q, 4, [{3: Fraction(1, 2)}, {0: 2, 3: 1}, [0, 3, 0, 0], {0: -4, 3: -2}, {1: 1, 2: 5}],
+     [True, True, True, False, True]),
+    (F5, 3, [[0, 0, 0], [3, 1, 0], [1, 2, 4], {0: 4, 1: 3, 2: 4}], [False, True, True, False]),
+    (F5, 2, [[0, 1], [2, 4], [1, 1]], [True, True, False]),
+]
+
+
 def test_echelon_accumulator_matches_subspace():
-    acc = Echelon(Q, 3)
-    vectors = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    added = [acc.add([Fraction(x) for x in v]) for v in vectors]
-    assert added == [True, False, True]
-    assert span(Q, 3, acc.rows.values()) == span(Q, 3, vectors)
-    assert acc.dense() == span(Q, 3, vectors).basis
+    # a subspace grown one vector at a time reads as a fresh span of the same vectors
+    for field, n, vectors, grows in GROWTH_CASES:
+        acc = Subspace(field, n)
+        for k, v in enumerate(vectors):
+            assert acc.add(v) == grows[k]
+            fresh = span(field, n, vectors[: k + 1])
+            assert (acc.dim, acc.pivots) == (fresh.dim, fresh.pivots)
+            assert acc.integral_rows() == fresh.integral_rows()
+            assert acc.basis == fresh.basis
+            assert acc == fresh and hash(acc) == hash(fresh)
 
 
 # -- the eliminator against the dense oracle ------------------------------------
@@ -318,15 +330,15 @@ FIELDS = [
 ]
 
 
-def assert_canonical_rows(echelon):
+def assert_canonical_rows(sub):
     """The stored row invariant: int entries, none zero, the pivot first;
     over Q primitive with a positive pivot entry, over GF(p) residues with
     pivot entry 1; and every pivot column zero in all other rows."""
-    rows = echelon.int_rows
+    rows = sub.int_rows
     for q, row in rows.items():
         assert q == min(row) and all(type(x) is int and x for x in row.values())
-        if echelon.field.kind == "prime":
-            assert row[q] == 1 and all(0 < x < echelon.field.p for x in row.values())
+        if sub.field.kind == "prime":
+            assert row[q] == 1 and all(0 < x < sub.field.p for x in row.values())
         else:
             assert row[q] > 0 and gcd(*row.values()) == 1
         assert not any(c in rows for c in row if c != q)
@@ -337,29 +349,28 @@ def assert_canonical_rows(echelon):
 @settings(max_examples=80, deadline=None)
 def test_eliminator_matches_dense_oracle(field, elems, data):
     rows, nc = data.draw(ragged_matrices(field, elems))
-    echelon = Echelon(field, nc, rows)
-    assert (list(echelon.dense()), echelon.pivots) == canonical(field, nc, rows)
-    kernel = echelon.kernel()
+    sub = span(field, nc, rows)
+    assert (list(sub.basis), sub.pivots) == canonical(field, nc, rows)
+    kernel = sub.kernel()
     assert kernel.basis == tuple(canonical(field, nc, oracle_kernel(field, nc, rows))[0])
 
-    acc = Echelon(field, nc)
+    acc = Subspace(field, nc)
     prefix = []
     for row in rows:
         grew = oracle_rank(field, nc, prefix + [row]) > oracle_rank(field, nc, prefix)
         assert acc.add(row) == grew
         assert_canonical_rows(acc)
         prefix.append(row)
-    assert acc.dense() == echelon.dense()
-    assert_canonical_rows(kernel._echelon)
+    assert acc.basis == sub.basis
+    assert_canonical_rows(kernel)
 
-    sub = span(field, nc, rows)
     # the same span from the rows in another order, each times a nonzero scalar
     order = data.draw(st.permutations(range(len(rows))))
     scales = data.draw(st.lists(elems.filter(bool), min_size=len(rows), max_size=len(rows)))
     scaled = [[field.element(c * x) for x in rows[i]] for i, c in zip(order, scales)]
     again = span(field, nc, scaled)
     assert again == sub and hash(again) == hash(sub)
-    assert again._echelon.int_rows == sub._echelon.int_rows
+    assert again.int_rows == sub.int_rows
     probe = data.draw(st.lists(elems, min_size=nc, max_size=nc))
     probe = list(map(field.element, probe))
     inside = oracle_rank(field, nc, rows + [probe]) == oracle_rank(field, nc, rows)
@@ -379,7 +390,7 @@ def test_intersection_and_complement_match_dense_oracle(field, elems, data):
     a, b = span(field, nc, rows_a), span(field, nc, rows_b)
     meet = oracle_intersection(field, nc, a.basis, b.basis)
     assert a.intersect(b).basis == tuple(canonical(field, nc, meet)[0])
-    assert_canonical_rows(a.intersect(b)._echelon)
+    assert_canonical_rows(a.intersect(b))
 
     within = a.sum(b)
     kept = []
@@ -388,7 +399,7 @@ def test_intersection_and_complement_match_dense_oracle(field, elems, data):
             kept.append(row)
     complement = complete_complement(a, within)
     assert complement.basis == tuple(canonical(field, nc, kept)[0])
-    assert_canonical_rows(complement._echelon)
+    assert_canonical_rows(complement)
 
 
 def test_no_two_code_objects_share_a_line_and_name():

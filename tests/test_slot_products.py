@@ -140,7 +140,7 @@ def test_closure_stops_part_way_through_the_first_products(monkeypatch):
     v = probe_lines(system, seed=0)[system.dim]
     line = g.Subspace(system.field, system.dim, [v])
     counts = {"products": 0, "adds": 0}
-    products, add = g.GradedTripleSystem.int_slot_products, g.linalg.Echelon.add
+    products, add = g.GradedTripleSystem.int_slot_products, g.linalg.Subspace.add
 
     def counted_products(self, w):
         counts["products"] += 1
@@ -151,7 +151,7 @@ def test_closure_stops_part_way_through_the_first_products(monkeypatch):
         return add(self, vec)
 
     monkeypatch.setattr(g.GradedTripleSystem, "int_slot_products", counted_products)
-    monkeypatch.setattr(g.linalg.Echelon, "add", counted_add)
+    monkeypatch.setattr(g.linalg.Subspace, "add", counted_add)
     closure = system.ideal_closure(line)
     monkeypatch.undo()
     assert closure == g.Subspace.full(system.field, system.dim) == naive_closure(system, [v])
@@ -188,7 +188,7 @@ def test_annihilator_is_kernel_of_oracle_action_matrix(name):
         for i in range(n)
     ]
     rows = [list(row) for row in zip(*columns)]
-    assert system.annihilator() == g.linalg.Echelon(system.field, n, rows).kernel()
+    assert system.annihilator() == g.span(system.field, n, rows).kernel()
 
 
 @pytest.mark.parametrize("field", [g.RationalField(), g.PrimeField(7)], ids=["Q", "F7"])

@@ -69,13 +69,13 @@ def test_every_public_name_resolves_lazily():
         "    'unlisted': [n for n in names if n not in listed],\n"
         "    'starred': sorted(n for n in namespace if not n.startswith('__')),\n"
         "    'bound': [n for n in names if getattr(gradedlts, n) is not namespace[n]],\n"
-        "    'echelon': gradedlts.linalg.Echelon.__qualname__,\n"
+        "    'subspace': gradedlts.linalg.Subspace.__qualname__,\n"
         "}))\n"
     )
     assert len(found["all"]) == 49
     assert found["unlisted"] == [] and found["bound"] == []
     assert found["starred"] == sorted(found["all"])
-    assert found["echelon"] == "Echelon"
+    assert found["subspace"] == "Subspace"
 
 
 def decompose_loads(system, names, tmp_path):
