@@ -19,6 +19,7 @@ flags produce byte-identical files.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -37,9 +38,12 @@ from .connections import SupportData, connection_classes, witness_sequence
 from .decomposition import decompose, verify_structure_lemmas
 from .embedding import build_embedding
 from .errors import CertificateFailure, InputError
-from .systemfile import load_system
+from .systemfile import loads_system, read_input
 
 _MAX_REPORTED_VIOLATIONS = 20
+
+# ASCII decimal digits: int() also takes "+", spaces, "_" and other digits
+_INTEGER = re.compile(r"-?[0-9]+")
 
 _COMMANDS = {
     "verify": "check the defining identities and the grading",
@@ -108,7 +112,7 @@ def _help(command) -> str:
 
 def _is_option(arg: str) -> bool:
     """Whether `arg` names an option; "-" and negative integers are values."""
-    return arg.startswith("-") and arg != "-" and not arg[1:].isdigit()
+    return arg.startswith("-") and arg != "-" and not _INTEGER.fullmatch(arg)
 
 
 def _parse_args(argv: list[str]):
@@ -150,6 +154,8 @@ def _parse_args(argv: list[str]):
                 raise _UsageError(command, "argument --json: expected a non-empty path")
             if name == "--seed":
                 try:
+                    if not _INTEGER.fullmatch(value):
+                        raise ValueError(value)
                     value = int(value)
                 except ValueError:
                     message = f"argument --seed: invalid int value: {value!r}"
@@ -162,45 +168,44 @@ def _parse_args(argv: list[str]):
     return command, positional[0], values["--json"], values.get("--seed")
 
 
-def _input_section(path: str) -> dict:
-    digest = sha256(Path(path).read_bytes()).hexdigest()
-    return {"path": str(path), "sha256": digest}
-
-
-def _header(command: str, path: str, system) -> dict:
-    return {
+def _load(command: str, path: str, seed):
+    """(system, report, ok): the header, `seed` if given and the verification
+    of the input at `path`, read once, so the hash is of the bytes parsed."""
+    data, text = read_input(path)
+    system = loads_system(text)
+    report = {
         "tool": {"name": "gradedlts", "version": __version__},
         "command": command,
-        "input": _input_section(path),
+        "input": {"path": str(path), "sha256": sha256(data).hexdigest()},
         "system": {
             "field": system.field.descriptor(),
             "group": list(system.group.moduli),
             "dimension": system.dim,
         },
     }
+    if seed is not None:
+        report["seed"] = seed
+    report["verification"], ok = _verification_section(system)
+    return system, report, ok
 
 
 def _verification_section(system) -> tuple[dict, bool]:
-    axiom_violations = system.verify_axioms()
-    grading_violations = system.verify_grading()
-    fundamental_violations = system.verify_fundamental_identity()
-
-    def block(violations):
-        return {
+    found = {
+        "axioms": system.verify_axioms(),
+        "grading": system.verify_grading(),
+        "fundamental_identity": system.verify_fundamental_identity(),
+    }
+    section = {
+        key: {
             "ok": not violations,
             "violation_count": len(violations),
             "violations": [
                 v.describe(system.field) for v in violations[:_MAX_REPORTED_VIOLATIONS]
             ],
         }
-
-    section = {
-        "axioms": block(axiom_violations),
-        "grading": block(grading_violations),
-        "fundamental_identity": block(fundamental_violations),
+        for key, violations in found.items()
     }
-    ok = not (axiom_violations or grading_violations or fundamental_violations)
-    return section, ok
+    return section, not any(found.values())
 
 
 def _supports_section(system, emb) -> dict:
@@ -318,12 +323,9 @@ def _print_verification(section) -> None:
 
 
 def _cmd_verify(command, path, json_out, seed) -> int:
-    system = load_system(path)
-    report = _header(command, path, system)
-    verification, ok = _verification_section(system)
-    report["verification"] = verification
+    _, report, ok = _load(command, path, seed)
     _emit(report, json_out)
-    _print_verification(verification)
+    _print_verification(report["verification"])
     print("verdict:", "pass" if ok else "fail")
     return 0 if ok else 1
 
@@ -336,15 +338,10 @@ def _verified(command, path, json_out, seed):
     verification fails, the report is written and the verdict printed, and
     emb is None.
     """
-    system = load_system(path)
-    report = _header(command, path, system)
-    if seed is not None:
-        report["seed"] = seed
-    verification, ok = _verification_section(system)
-    report["verification"] = verification
+    system, report, ok = _load(command, path, seed)
     if not ok:
         _emit(report, json_out)
-        _print_verification(verification)
+        _print_verification(report["verification"])
         print("verdict: fail (verification)")
         return system, None, report
     emb = build_embedding(system)

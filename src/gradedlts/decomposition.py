@@ -82,17 +82,17 @@ class DecompositionReport:
 
     __slots__ = (
         "supports", "u", "span_products", "ideals", "orthogonality", "all_orthogonal", "spans",
-        "tight", "annihilator_dim", "pairwise_disjoint", "direct_sum", "obstructions", "seed",
+        "tight", "annihilator_dim", "pairwise_disjoint", "direct_sum", "obstructions",
     )
 
     def __init__(
         self, supports: SupportData, u: Subspace, span_products: Subspace,
         ideals: list[ClassIdeal], orthogonality: list[dict], all_orthogonal: bool, spans: bool,
         tight: bool, annihilator_dim: int, pairwise_disjoint: bool | None,
-        direct_sum: bool | None, obstructions: list[Obstruction], seed: int,
+        direct_sum: bool | None, obstructions: list[Obstruction],
     ):
         values = (supports, u, span_products, ideals, orthogonality, all_orthogonal, spans,
-                  tight, annihilator_dim, pairwise_disjoint, direct_sum, obstructions, seed)
+                  tight, annihilator_dim, pairwise_disjoint, direct_sum, obstructions)
         for name, value in zip(self.__slots__, values):
             setattr(self, name, value)
 
@@ -272,7 +272,6 @@ def decompose(
         pairwise_disjoint=pairwise_disjoint,
         direct_sum=direct_sum,
         obstructions=[],
-        seed=seed,
     )
     report.obstructions = simplicity_obstructions(system, report, seed=seed)
     return report
@@ -377,7 +376,7 @@ def verify_structure_lemmas(
     system: GradedTripleSystem,
     emb: StandardEmbedding,
     classes: list[ConnectionClass],
-    sup: SupportData | None = None,
+    sup: SupportData,
 ) -> list[LemmaCheck]:
     """Instance-by-instance evaluation of the structural laws.
 
@@ -388,8 +387,6 @@ def verify_structure_lemmas(
     exactly; failures carry witnesses.  The report is informational (the
     command line escalates failures to a nonzero exit).
     """
-    if sup is None:
-        sup = SupportData.from_system(system, emb)
     # read once: the components, as blocks of basis indices (a degree without
     # basis vectors has no block); the ordered pairs of disconnected odd
     # degrees; and per class the degrees allowed by the confinement laws, the

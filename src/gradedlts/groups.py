@@ -47,19 +47,6 @@ class AbelianGroup:
             )
         return GroupElement(self, coords)
 
-    def parse(self, text: str) -> "GroupElement":
-        """Parse the bracketed textual form, e.g. "[1,-1]"."""
-        text = text.strip()
-        if not (text.startswith("[") and text.endswith("]")):
-            raise InputError(f"malformed group element {text!r}")
-        inner = text[1:-1].strip()
-        parts = [p.strip() for p in inner.split(",")] if inner else []
-        try:
-            coords = [int(p) for p in parts]
-        except ValueError:
-            raise InputError(f"malformed group element {text!r}") from None
-        return self.element(coords)
-
     def __repr__(self):
         return f"AbelianGroup({list(self.moduli)})"
 

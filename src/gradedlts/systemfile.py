@@ -30,21 +30,24 @@ from .groups import AbelianGroup
 from .linalg import field_from_descriptor
 from .triples import GradedTripleSystem
 
-_SCALAR_KINDS = (str,)
-
 
 def _is_int(x) -> bool:
     # JSON true/false load as bool, which is a subclass of int
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def load_system(path) -> GradedTripleSystem:
-    """Parse a system from a file path."""
+def read_input(path) -> tuple[bytes, str]:
+    """The file's bytes, read once, and their text as `Path.read_text` decodes it."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        return data, data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    return loads_system(text)
+
+
+def load_system(path) -> GradedTripleSystem:
+    """Parse a system from a file path."""
+    return loads_system(read_input(path)[1])
 
 
 def loads_system(text: str) -> GradedTripleSystem:
@@ -124,7 +127,7 @@ def system_from_data(data) -> GradedTripleSystem:
             if l in entry:
                 raise InputError(f"duplicate output index {l} for args {args}")
             val = item["val"]
-            if not isinstance(val, _SCALAR_KINDS):
+            if not isinstance(val, str):
                 raise InputError(f"scalar values must be strings, got {val!r}")
             entry[l] = field.element(val)
         products[(i, j, k)] = entry

@@ -84,51 +84,10 @@ class GradedTripleSystem:
         """Sorted ((i, j, k), {l: int}) of the stored integer image; do not change the mappings."""
         return sorted(self._table.items())
 
-    def int_triple_product(self, x: Mapping, y: Mapping, z: Mapping) -> dict:
-        """`scale` {x, y, z} of sparse integer vectors, reduced, zeros dropped."""
-        table, (by_first, _, _), _ = self._index
-        acc: dict[int, object] = {}
-        for i, a in x.items():
-            for key in by_first[i]:
-                coef = a * y.get(key[1], 0) * z.get(key[2], 0)
-                if coef:
-                    for l, c in table[key].items():
-                        acc[l] = acc.get(l, 0) + coef * c
-        return self.field.clean(acc)
-
-    def vector(self, sparse: Mapping[int, object]) -> list:
-        """Dense coordinate list of a sparse mapping l -> scalar, 0 <= l < n."""
-        self._check_vector(sparse)
-        out = [self.field.zero] * self.dim
-        for l, c in sparse.items():
-            out[l] = c
-        return out
-
-    def slot_products(self, v) -> dict[tuple[int, int, int], dict[int, object]]:
-        """Products of `v` with every basis pair, from the constants v meets.
-
-        `v` is a dense sequence or a sparse mapping l -> scalar, 0 <= l < n.  Key
-        (j, k, 0) is {v, b_j, b_k}, (j, k, 1) is {b_j, v, b_k} and
-        (j, k, 2) is {b_j, b_k, v}.  Only the nonzero products are returned,
-        as sparse mappings l -> scalar, with keys in increasing order; a
-        missing key means the product is zero.
-        """
-        self._check_vector(v)
-        w, c = self.field.integral(v)
-        unscale, scale = self.field.unscale, c * self.scale
-        return {key: unscale(out, scale) for key, out in self.int_slot_products(w).items()}
-
-    def _check_vector(self, v) -> None:
-        """Reject a dense vector of the wrong length, or a sparse one with an
-        index outside [0, n)."""
-        if not isinstance(v, Mapping):
-            if len(v) != self.dim:
-                raise InputError("vector length does not match system dimension")
-        elif v and (min(v) < 0 or max(v) >= self.dim):
-            raise InputError("vector index outside the system dimension")
-
     def int_slot_products(self, w: Mapping) -> dict[tuple[int, int, int], dict[int, object]]:
-        """`slot_products` of a sparse integer vector, each `scale` times, reduced."""
+        """The nonzero products of w with every basis pair, `scale` times, reduced,
+        keys in order: (j, k, 0) is {w, b_j, b_k}, (j, k, 1) is {b_j, w, b_k}
+        and (j, k, 2) is {b_j, b_k, w}.  Reads only the constants w meets."""
         table, by_slot, _ = self._index
         acc: dict[tuple[int, int, int], dict[int, object]] = {}
         for slot, by_index in enumerate(by_slot):
@@ -170,7 +129,8 @@ class GradedTripleSystem:
             expected = self.degrees[i].compose(self.degrees[j]).compose(self.degrees[k])
             for l in sorted(entry):
                 if self.degrees[l] != expected:
-                    vec = self.vector(self.field.unscale({l: entry[l]}, self.scale))
+                    vec = [self.field.zero] * self.dim
+                    vec[l] = self.field.unscale({l: entry[l]}, self.scale)[l]
                     violations.append(Violation("grading", (i, j, k, l), tuple(vec)))
         return violations
 
@@ -185,17 +145,14 @@ class GradedTripleSystem:
             blocks.setdefault(d, []).append(i)
         return {d: tuple(blocks[d]) for d in sorted(blocks)}
 
-    def homogeneous_component(self, g: GroupElement) -> Subspace:
-        """The span of the basis vectors of degree g, the unit span of its block."""
-        units = [{i: 1} for i in self.components().get(g, ())]
-        return Subspace(self.field, self.dim, units)
-
     def support(self) -> tuple[GroupElement, ...]:
         """Nonidentity degrees with a nonzero component, in canonical order."""
         return tuple(d for d in self.components() if not d.is_identity())
 
     def identity_component(self) -> Subspace:
-        return self.homogeneous_component(self.group.identity())
+        """E_1, the unit span of the basis vectors of identity degree."""
+        units = [{i: 1} for i in self.components().get(self.group.identity(), ())]
+        return Subspace(self.field, self.dim, units)
 
     # -- ideals ---------------------------------------------------------------
 
@@ -246,14 +203,6 @@ class GradedTripleSystem:
                 if not sub.contains(w):
                     return {"vector": sub.basis[r], "slot": slot, "j": j, "k": k}
         return None
-
-    def is_subsystem(self, sub: Subspace) -> bool:
-        """Whether {S,S,S} is contained in S, tested on integer images."""
-        self._check_subspace(sub)
-        rows = sub.integral_rows()
-        return all(
-            sub.contains(self.int_triple_product(x, y, z)) for x in rows for y in rows for z in rows
-        )
 
     def _check_subspace(self, sub: Subspace) -> None:
         if sub.ambient != self.dim or sub.field != self.field:

@@ -10,14 +10,18 @@ where the library holds plain ints and its kernels reduce once.
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 import gradedlts as g
 from gradedlts.decomposition import PROBES, _random_vector
 from gradedlts.linalg import sparse
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # -- the oracles' scalars ------------------------------------------------------
@@ -114,6 +118,14 @@ def oracle_zero_one(field):
     return oracle_scalar(field, field.zero), oracle_scalar(field, field.one)
 
 
+def child_env() -> dict:
+    """This process's environment with the checkout's `src` first on
+    PYTHONPATH, for a spawned `python -m gradedlts` child: pyproject's
+    `pythonpath` reaches the pytest process only."""
+    paths = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
 def library_vector(vec):
     """Oracle scalars as library scalars (residues as plain ints), to pass to the library."""
     return [x.value if isinstance(x, PrimeFieldElement) else x for x in vec]
@@ -124,11 +136,30 @@ def library_vector(vec):
 # over Q; these divide a result back to dense exact values.
 
 
+def dense(system, vec):
+    """Dense coordinate list of a sparse mapping l -> scalar, zero elsewhere."""
+    return [vec.get(l, system.field.zero) for l in range(system.dim)]
+
+
+def exact_slot_products(system, v):
+    """`int_slot_products` of a dense or sparse exact vector, divided back."""
+    w, c = system.field.integral(v)
+    unscale, scale = system.field.unscale, c * system.scale
+    return {key: unscale(out, scale) for key, out in system.int_slot_products(w).items()}
+
+
 def exact_triple(system, x, y, z):
-    """{x, y, z} of dense vectors by `int_triple_product`, as an exact tuple."""
+    """{x, y, z} of dense vectors as an exact tuple: the sum of y_j z_k
+    times the `int_slot_products` entries (j, k, 0) of x, divided back."""
     (x, a), (y, b), (z, c) = map(system.field.integral, (x, y, z))
-    product = system.int_triple_product(x, y, z)
-    return tuple(system.vector(system.field.unscale(product, a * b * c * system.scale)))
+    acc = {}
+    for (j, k, slot), out in system.int_slot_products(x).items():
+        coef = y.get(j, 0) * z.get(k, 0)
+        if slot == 0 and coef:
+            for l, v in out.items():
+                acc[l] = acc.get(l, 0) + coef * v
+    product = system.field.clean(acc)
+    return tuple(dense(system, system.field.unscale(product, a * b * c * system.scale)))
 
 
 def exact_bracket(emb, a, b):
@@ -611,7 +642,7 @@ def oracle_sweep(system, which):
             for term in terms:
                 term(*indices, acc)
             if any(acc.values()):
-                violations.append(g.Violation(name, indices, tuple(system.vector(acc))))
+                violations.append(g.Violation(name, indices, tuple(dense(system, acc))))
     return violations
 
 
@@ -630,7 +661,7 @@ def oracle_nonzero_terms(system, which):
 
 
 def oracle_slot_products(system, v):
-    """`slot_products` without the slot index: one pass over every constant.
+    """Slot products without the slot index: one pass over every constant.
 
     Key (j, k, 0) is {v, b_j, b_k}, (j, k, 1) is {b_j, v, b_k} and
     (j, k, 2) is {b_j, b_k, v}; only nonzero products, keys in order.

@@ -20,6 +20,7 @@ import pytest
 
 import gradedlts as g
 from conftest import (
+    child_env,
     mutate_constant,
     oracle_is_lie,
     oracle_is_valid,
@@ -221,6 +222,7 @@ def test_criterion_09_report_determinism(tmp_path):
                 ],
                 capture_output=True,
                 text=True,
+                env=child_env(),
             )
             assert result.returncode == 0, (name, result.stderr)
             digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
@@ -255,7 +257,10 @@ def test_criterion_10_cli_exit_codes(tmp_path):
 
     def run(*args):
         return subprocess.run(
-            [sys.executable, "-m", "gradedlts", *args], capture_output=True, text=True
+            [sys.executable, "-m", "gradedlts", *args],
+            capture_output=True,
+            text=True,
+            env=child_env(),
         ).returncode
 
     for command in ("verify", "analyze", "embed", "decompose"):

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ import gradedlts as g
 from gradedlts import cli
 from gradedlts.cli import main
 from gradedlts.fixtures import fixture_text
+from conftest import child_env
 
 
 def run_cli(*args):
@@ -18,6 +21,7 @@ def run_cli(*args):
         [sys.executable, "-m", "gradedlts", *args],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
 
 
@@ -190,7 +194,7 @@ def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
     def broken(path):
         raise RuntimeError("loader exploded\nsecond line")
 
-    monkeypatch.setattr(cli, "load_system", broken)
+    monkeypatch.setattr(cli, "read_input", broken)
     assert main(["verify", "whatever.json"]) == 3
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: loader exploded second line\n"
@@ -262,6 +266,42 @@ def test_broken_json_reports_position(tmp_path):
     result = run_cli("verify", str(bad))
     assert result.returncode == 2
     assert "line" in result.stderr
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+def test_piped_input_records_the_hash_of_the_bytes_analysed(tmp_path):
+    # `gradedlts verify <(cat FILE)`: a pipe can be read only once
+    data = fixture_text("sl2_Z").encode("utf-8")
+    read, write = os.pipe()
+    os.write(write, data)
+    os.close(write)
+    try:
+        out = tmp_path / "report.json"
+        assert main(["verify", f"/dev/fd/{read}", "--json", str(out)]) == 0
+    finally:
+        os.close(read)
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["input"]["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_input_newlines_read_as_universal_newlines(newline, tmp_path):
+    # the report hashes the bytes on disk, and a JSON error names the line
+    # and column of the text with its newlines translated
+    good = tmp_path / "system.json"
+    good.write_bytes(fixture_text("sl2_Z").replace("\n", newline).encode("utf-8"))
+    out = tmp_path / "report.json"
+    assert main(["verify", str(good), "--json", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["input"]["sha256"] == hashlib.sha256(good.read_bytes()).hexdigest()
+    bad = tmp_path / "broken.json"
+    bad.write_bytes(newline.join(['{"group":', '  {"moduli": [0]},', "  oops"]).encode("utf-8"))
+    with pytest.raises(g.InputError) as raised:
+        g.load_system(bad)
+    assert (raised.value.line, raised.value.column) == (3, 3)
+    with pytest.raises(g.InputError) as expected:
+        g.loads_system(bad.read_text(encoding="utf-8"))
+    assert str(raised.value) == str(expected.value)
 
 
 def test_analyze_reports_classes(fixture_files, tmp_path):
@@ -361,9 +401,10 @@ def test_reports_are_deterministic(fixture_files, tmp_path):
 
 # argv -> exit code, the stream written and a message in it, and the seed
 # of the --json report written (None: no report).  Every row but the last
-# five is what the argparse parser of earlier versions did too; it also
-# accepted unique-prefix abbreviations such as --js and an empty --json
-# value, which wrote no report, and ended help with SystemExit.
+# six is what the argparse parser of earlier versions did too; it also
+# accepted unique-prefix abbreviations such as --js, an empty --json value,
+# which wrote no report, and "-" before non-ASCII digits as a negative
+# number, and ended help with SystemExit.
 PARSER_CASES = [
     ([], 2, "err", "the following arguments are required: command", None),
     (["frob", "{path}"], 2, "err", "argument command: invalid choice: 'frob'", None),
@@ -383,6 +424,7 @@ PARSER_CASES = [
     (["verify", "{path}", "--json", ""], 2, "err", "--json: expected a non-empty path", None),
     (["decompose", "--json=", "{path}"], 2, "err", "--json: expected a non-empty path", None),
     (["decompose", "{path}", "--json", ""], 2, "err", "--json: expected a non-empty path", None),
+    (["decompose", "{path}", "--seed", "-\u0663"], 2, "err", "--seed: expected one argument", None),
 ]
 
 
@@ -401,6 +443,15 @@ def test_command_line_grammar(argv, code, stream, message, seed, fixture_files, 
         assert json.loads(out.read_text(encoding="utf-8"))["seed"] == seed
     else:
         assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["1_000", " 7", "7 ", "+3", "\u0663", "-\u0663", "0x7", ""])
+def test_seed_is_an_ascii_integer(seed, fixture_files, tmp_path, capsys):
+    # int() accepts all but the last two; the grammar is -?[0-9]+
+    out = tmp_path / "report.json"
+    assert main(["decompose", str(fixture_files["sl2_Z"]), f"--seed={seed}", "--json", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(f"argument --seed: invalid int value: {seed!r}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "decompose"])

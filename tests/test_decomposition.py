@@ -5,12 +5,15 @@ import fractions
 import pstats
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import gradedlts as g
 from conftest import (
     coordinate_sum,
+    dense_table,
+    library_vector,
     naive_closure,
     oracle_triple,
     probe_lines,
@@ -93,13 +96,18 @@ PREDICATE_CASES = {
 @pytest.mark.parametrize("name", sorted(PREDICATE_CASES))
 def test_class_ideals_pass_predicates(name):
     # `class_ideal` certifies the ideal predicate only: every ideal is a
-    # subsystem, since {I,I,I} lies in {I,E,E}, which lies in I
+    # subsystem, since {I,I,I} lies in {I,E,E}, which lies in I; the dense
+    # oracle confirms it on every basis triple
     system = PREDICATE_CASES[name]()
     emb = g.build_embedding(system)
+    table = dense_table(system)
     for cls in g.connection_classes(g.SupportData.from_system(system, emb)):
         ideal = g.class_ideal(system, cls)
         assert system.is_ideal(ideal.total)
-        assert system.is_subsystem(ideal.total)
+        rows = ideal.total.basis
+        for x, y, z in product(rows, repeat=3):
+            triple = oracle_triple(system, x, y, z, table)
+            assert ideal.total.contains(library_vector(triple))
 
 
 def test_decompose_zero_system():
@@ -292,7 +300,7 @@ def test_lemma_suite_reads_the_blocks_once(monkeypatch):
 
         return counted
 
-    for name in ("components", "homogeneous_component"):
+    for name in ("components", "identity_component"):
         monkeypatch.setattr(g.GradedTripleSystem, name, counting(name))
     checks = g.verify_structure_lemmas(system, emb, classes, sup)
     assert all(c.holds for c in checks)

@@ -38,6 +38,7 @@ def test_zero_dimensional_cli_round_trip(tmp_path):
     import subprocess
     import sys
 
+    from conftest import child_env
     from gradedlts.systemfile import dumps_system
 
     path = tmp_path / "empty.json"
@@ -46,6 +47,7 @@ def test_zero_dimensional_cli_round_trip(tmp_path):
         [sys.executable, "-m", "gradedlts", "decompose", str(path)],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert result.returncode == 0, result.stderr
 

@@ -13,6 +13,7 @@ reached by the join.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -31,6 +32,7 @@ from conftest import (
     oracle_algebra_verify,
     oracle_axioms_ok,
     oracle_bracket,
+    oracle_identities,
     oracle_nonzero_terms,
     oracle_sweep,
     random_variant,
@@ -119,6 +121,45 @@ def test_join_reaches_every_tuple_with_a_nonzero_term(name, which):
     assert reached == sorted(set(reached))
     needed = oracle_nonzero_terms(system, which)
     assert needed and needed <= set(reached)
+
+
+def random_dense_system(field, seed, n=3):
+    """Every one of the n^3 products a seeded random vector, all of degree 0."""
+    rng = random.Random(seed)
+
+    def draw():
+        if field.kind == "prime":
+            return rng.randrange(field.p)
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    group = g.AbelianGroup((0,))
+    table = {key: {l: draw() for l in range(n)} for key in product(range(n), repeat=3)}
+    return g.GradedTripleSystem(field, group, [group.identity()] * n, table)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])
+def test_the_three_identities_are_linearly_related(field, seed):
+    # for every trilinear product, middle(x, b, c, d, e) + six(b, c, x, d, e)
+    # + right(x, d, b, c, e) = 0: each nested product of one residual
+    # cancels against one of another
+    system = random_dense_system(field, seed)
+    (_, middle), (_, right) = oracle_identities(system, "axioms")
+    ((_, six),) = oracle_identities(system, "six_term")
+
+    def residual(terms, indices, acc):
+        for term in terms:
+            term(*indices, acc)
+        return acc
+
+    nonzero_middle = 0
+    for x, b, c, d, e in product(range(system.dim), repeat=5):
+        acc = residual(middle, (x, b, c, d, e), {})
+        nonzero_middle += any(acc.values())
+        residual(six, (b, c, x, d, e), acc)
+        residual(right, (x, d, b, c, e), acc)
+        assert not any(acc.values()), (x, b, c, d, e)
+    assert nonzero_middle > 3**5 // 2
 
 
 def test_join_keeps_residuals_that_cancel():

@@ -80,10 +80,10 @@ def test_support_of_disjoint_sum():
 
 
 def test_homogeneous_components_sum_to_whole(sl2):
-    degrees = {d for d in sl2.degrees}
-    total = g.Subspace.zero(Q, 3)
-    for d in degrees:
-        total = total.sum(sl2.homogeneous_component(d))
+    total = sl2.identity_component()
+    for d, block in sl2.components().items():
+        if not d.is_identity():
+            total = total.sum(g.Subspace(Q, 3, [{i: 1} for i in block]))
     assert total == g.Subspace.full(Q, 3)
 
 
@@ -95,8 +95,9 @@ def test_homogeneous_decomposition_is_direct(builtins):
         dims = 0
         for degree, block in blocks.items():
             assert block and block == tuple(sorted(block)), name
-            component = system.homogeneous_component(degree)
-            assert component == g.Subspace(system.field, system.dim, [{i: 1} for i in block])
+            component = g.Subspace(system.field, system.dim, [{i: 1} for i in block])
+            if degree.is_identity():
+                assert component == system.identity_component(), name
             for row in component.basis:
                 support = [i for i, x in enumerate(row) if x != system.field.zero]
                 assert all(system.degrees[i] == degree for i in support), name
@@ -182,7 +183,7 @@ FOREIGN = {
 }
 
 
-@pytest.mark.parametrize("predicate", ["ideal_closure", "ideal_witness", "is_ideal", "is_subsystem"])
+@pytest.mark.parametrize("predicate", ["ideal_closure", "ideal_witness", "is_ideal"])
 def test_subspace_of_another_space_is_rejected(sl2, predicate):
     for sub in FOREIGN.values():
         with pytest.raises(InputError, match="not in the system's space"):
@@ -192,7 +193,6 @@ def test_subspace_of_another_space_is_rejected(sl2, predicate):
 def test_every_subspace_is_ideal_in_zero_system():
     z = g.builtin("zero_3")
     assert z.is_ideal(g.span(Q, 3, [[1, 2, 3]]))
-    assert z.is_subsystem(g.span(Q, 3, [[1, 0, 5], [0, 1, 0]]))
 
 
 def test_defect_ideal_zero_for_lie_derived_systems(sl2):
@@ -353,7 +353,8 @@ def test_products_of_homogeneous_vectors_stay_homogeneous(builtins):
             target = (
                 system.degrees[i].compose(system.degrees[j]).compose(system.degrees[k])
             )
-            component = system.homogeneous_component(target)
+            block = system.components().get(target, ())
+            component = g.Subspace(system.field, n, [{t: 1} for t in block])
             vec = [system.field.zero] * n
             for l, c in entry.items():
                 vec[l] = c

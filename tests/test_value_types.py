@@ -39,7 +39,7 @@ def field_values() -> dict[type, dict[str, object]]:
             "supports": sup, "u": line, "span_products": line, "ideals": [],
             "orthogonality": [], "all_orthogonal": True, "spans": True, "tight": False,
             "annihilator_dim": 0, "pairwise_disjoint": None, "direct_sum": None,
-            "obstructions": [], "seed": 5,
+            "obstructions": [],
         },
         g.GradedLeibnizAlgebra: {
             "field": Q, "group": Z, "degrees": (Z.element([0]),), "brackets": (),
