@@ -405,7 +405,3 @@ def _cmd_decompose(command, path, json_out, seed) -> int:
     )
     print("verdict:", "pass" if certs_ok else "fail (certificates)")
     return 0 if certs_ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -142,12 +142,13 @@ def class_ideal(system: GradedTripleSystem, cls: ConnectionClass) -> ClassIdeal:
     blocks = system.components()
     units = [{i: 1} for d in cls.members for i in blocks[d]]
     vertex = Subspace(system.field, system.dim, units)
-    if not core.intersect(vertex).is_zero():
+    total = core.sum(vertex)
+    # dim(core + vertex) = dim core + dim vertex - dim(core & vertex)
+    if total.dim != core.dim + vertex.dim:
         raise IdealCertificateFailure(
             "core and vertex parts of a class ideal are not independent",
             witness={"class": cls.representative.format()},
         )
-    total = core.sum(vertex)
     witness = system.ideal_witness(total)
     if witness is not None:
         raise IdealCertificateFailure(

@@ -44,7 +44,7 @@ from math import lcm
 from .errors import DecompositionFailure, LeibnizIdentityFailure, NotWellDefined
 from .groups import GroupElement
 from .identities import RIGHT_LEIBNIZ, index_constants, term_violations
-from .linalg import Subspace
+from .linalg import Subspace, dense
 from .triples import GradedTripleSystem
 
 
@@ -60,8 +60,8 @@ class StandardEmbedding:
     element a < dim_even of L is the even coordinate a and dim_even + i the
     system basis vector i, and table[a, b] = {c: int} is D D_R [a, b],
     stored for the nonzero brackets only.  Every later bracket is read off
-    it by `int_bracket`, and `_exact` divides a scaled result back to a
-    dense exact tuple.
+    it by `int_bracket`, and `linalg.dense` divides a scaled result back
+    to a dense exact tuple.
     """
 
     __slots__ = (
@@ -152,13 +152,6 @@ class StandardEmbedding:
             odd = system._combination((a - s, i, j), minus=(a - s, j, i))
         return {s + l: self._reduction_scale * x for l, x in odd.items()}
 
-    def _exact(self, kernel_result, size, scale) -> tuple:
-        """Dense exact vector of a kernel result divided by `scale`."""
-        out = [self.system.field.zero] * size
-        for t, x in self.system.field.unscale(kernel_result, scale).items():
-            out[t] = x
-        return tuple(out)
-
     # -- the bracket of L -------------------------------------------------------
 
     def int_bracket(self, x, y) -> dict:
@@ -225,7 +218,7 @@ class StandardEmbedding:
                     for t in block_h:
                         w = self.table.get((r, t), {})
                         if not target.issuperset(w):
-                            exact = self._exact(w, self.dim_even, scale)
+                            exact = dense(self.system.field, w, self.dim_even, scale)
                             bracket = [self.system.field.format(x) for x in exact]
                             degrees = (g.format(), h.format())
                             violations.append({"degrees": degrees, "bracket": bracket})
@@ -325,8 +318,8 @@ def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix, free: list[d
         "psi": "twisted right action of a null tensor does not vanish",
     }
 
-    def dense(vec, scale):
-        return [field.format(x) for x in emb._exact(vec, emb.tensor_dim, scale)]
+    def formatted(vec, scale):
+        return [field.format(x) for x in dense(field, vec, emb.tensor_dim, scale)]
 
     columns = (c for c in range(emb.tensor_dim) if c not in pivots)
     for c, nu in zip_longest(columns, free):
@@ -335,15 +328,15 @@ def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix, free: list[d
             message = "null vectors do not match the free columns of the action matrix"
             raise NotWellDefined(message, witness={"column": c})
         if failing := action.failing_action(nu):
-            raise NotWellDefined(action_messages[failing], witness={"tensor": dense(nu, nu[c])})
+            raise NotWellDefined(action_messages[failing], witness={"tensor": formatted(nu, nu[c])})
         for p in emb.coset_indices:
             if action.failing_action(outward := emb._bracket(p, nu)):
                 raise NotWellDefined(
                     "bracket of the tensor square into the null space escapes it",
                     witness={
                         "coordinate": p,
-                        "null_vector": dense(nu, nu[c]),
-                        "bracket": dense(outward, emb.system.scale * nu[c]),
+                        "null_vector": formatted(nu, nu[c]),
+                        "bracket": formatted(outward, emb.system.scale * nu[c]),
                     },
                 )
 

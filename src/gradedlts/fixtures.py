@@ -20,12 +20,13 @@ from typing import Mapping, NamedTuple
 from .errors import InputError
 from .groups import AbelianGroup, GroupElement
 from .identities import RIGHT_LEIBNIZ, Violation, index_constants, term_violations
+from .linalg import dense
 from .rational import RationalField
 from .triples import GradedTripleSystem
 
 BUILTIN_NAMES = ("zero_3", "sl2_Z", "disjoint_sum", "nonlie_J", "trivial_grading_sl2")
 
-_ZERO_PATTERN = re.compile(r"^zero_(\d+)$")
+_ZERO_PATTERN = re.compile(r"zero_([0-9]+)")
 
 
 class GradedLeibnizAlgebra(NamedTuple):
@@ -69,16 +70,14 @@ class GradedLeibnizAlgebra(NamedTuple):
         zero; its violations follow in (y, z, x) order.
         """
         violations = []
-        zero = self.field.zero
         n = self.dim
         table = self.bracket_table()
         for (i, j), entry in table.items():
             expected = self.degrees[i].compose(self.degrees[j])
             for l in entry:
                 if self.degrees[l] != expected:
-                    vec = [zero] * n
-                    vec[l] = entry[l]
-                    violations.append(Violation("grading", (i, j, l), tuple(vec)))
+                    vec = dense(self.field, {l: entry[l]}, n)
+                    violations.append(Violation("grading", (i, j, l), vec))
         ints, scale = self.field.integer_image(table)
         index = index_constants(ints, n, 2)
         return violations + term_violations(self.field, index, RIGHT_LEIBNIZ, scale**2)
@@ -207,22 +206,16 @@ def zero_system(n: int, field=None) -> GradedTripleSystem:
 def builtin(name: str) -> GradedTripleSystem:
     """Load a named verified fixture.
 
-    Names: zero_<n> (trivially graded zero system), sl2_Z, disjoint_sum,
-    nonlie_J, trivial_grading_sl2.  Fixtures with a data file are parsed
-    from the packaged file; zero_<n> for other n is synthesized.
+    Names: zero_<n> (trivially graded zero system, n in ASCII digits), sl2_Z,
+    disjoint_sum, nonlie_J, trivial_grading_sl2.  Names in `BUILTIN_NAMES`
+    are parsed from their packaged file; any other zero_<n> is synthesized.
     """
     from .systemfile import loads_system
 
-    match = _ZERO_PATTERN.match(name)
-    if match and name != "zero_3":
+    if name in BUILTIN_NAMES:
+        return loads_system(fixture_text(name))
+    if match := _ZERO_PATTERN.fullmatch(name):
         return zero_system(int(match.group(1)))
-    if match or name in BUILTIN_NAMES:
-        data = resources.files("gradedlts").joinpath(f"fixture_data/{name}.json")
-        try:
-            text = data.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise InputError(f"unknown builtin fixture {name!r}") from None
-        return loads_system(text)
     raise InputError(f"unknown builtin fixture {name!r}")
 
 

@@ -66,10 +66,11 @@ class GroupElement:
     def __eq__(self, other):
         if other.__class__ is not GroupElement:
             return NotImplemented
-        return (self.group, self.coords) == (other.group, other.coords)
+        same_group = self.group is other.group or self.group == other.group
+        return same_group and self.coords == other.coords
 
     def __hash__(self):
-        return hash((self.group, self.coords))
+        return hash(self.coords)
 
     def compose(self, other: "GroupElement") -> "GroupElement":
         self._check(other)
@@ -88,7 +89,7 @@ class GroupElement:
         return self.coords < other.coords
 
     def _check(self, other: "GroupElement"):
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise InputError("elements belong to different groups")
 
     def format(self) -> str:

@@ -14,6 +14,8 @@ from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
+from .linalg import dense
+
 
 class Violation(NamedTuple):
     """One failed identity instance: which identity, where, and the residual."""
@@ -139,7 +141,6 @@ def term_violations(field, index, identities, scale) -> list[Violation]:
     violations = []
     for (indices, ident), residual in join_residuals(index, identities):
         if residual := field.clean(residual):
-            residual = field.unscale(residual, scale)
-            vector = tuple(residual.get(m, field.zero) for m in range(len(index[2])))
+            vector = dense(field, residual, len(index[2]), scale)
             violations.append(Violation(identities[ident][0], indices, vector))
     return violations

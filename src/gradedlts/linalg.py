@@ -16,8 +16,8 @@ One type, `Subspace`, holds a span as its canonical integer rows and does
 all elimination on them; the exact reduced row echelon form, kernels,
 complements, membership, sums and intersections (by Zassenhaus
 elimination) are read off it, and two subspaces are equal exactly when
-their stored rows are.  Fractions appear only where exact values leave:
-`Subspace.basis`, built from the rows on each read.
+their stored rows are.  Fractions appear only where exact values leave,
+through `dense`; `Subspace.basis` is built with it from the rows on each read.
 
 A `Subspace` grows in place through `add` only while it is built; once
 handed out it is read only, and concurrent reads are safe.
@@ -279,9 +279,8 @@ class Subspace:
     def basis(self) -> tuple[tuple, ...]:
         """The canonical reduced-row-echelon basis as exact dense row tuples,
         pivots strictly increasing; built on each read."""
-        zero, unscale, n = self.field.zero, self.field.unscale, self.ambient
-        exact = (unscale(row, row[q]) for q, row in sorted(self.int_rows.items()))
-        return tuple(tuple([row.get(c, zero) for c in range(n)]) for row in exact)
+        rows = sorted(self.int_rows.items())
+        return tuple(dense(self.field, row, self.ambient, row[q]) for q, row in rows)
 
     @property
     def dim(self) -> int:
@@ -361,6 +360,12 @@ class Subspace:
 def span(field, ambient: int, vectors: Iterable) -> Subspace:
     """Canonical subspace spanned by the given vectors."""
     return Subspace(field, ambient, vectors)
+
+
+def dense(field, vec: dict, size: int, scale=1) -> tuple:
+    """The exact dense tuple of length `size` of which the sparse `vec` is `scale` times."""
+    exact = field.unscale(vec, scale)
+    return tuple(exact.get(t, field.zero) for t in range(size))
 
 
 def complete_complement(sub: Subspace, within: Subspace) -> Subspace:

@@ -23,7 +23,7 @@ from typing import Sequence
 from .errors import CertificateFailure, InputError, OracleDisagreement
 from .groups import AbelianGroup, GroupElement
 from .identities import AXIOM_TERMS, SIX_TERM, Violation, index_constants, term_violations
-from .linalg import Subspace
+from .linalg import Subspace, dense
 
 
 class GradedTripleSystem:
@@ -129,9 +129,8 @@ class GradedTripleSystem:
             expected = self.degrees[i].compose(self.degrees[j]).compose(self.degrees[k])
             for l in sorted(entry):
                 if self.degrees[l] != expected:
-                    vec = [self.field.zero] * self.dim
-                    vec[l] = self.field.unscale({l: entry[l]}, self.scale)[l]
-                    violations.append(Violation("grading", (i, j, k, l), tuple(vec)))
+                    vec = dense(self.field, {l: entry[l]}, self.dim, self.scale)
+                    violations.append(Violation("grading", (i, j, k, l), vec))
         return violations
 
     # -- grading data ---------------------------------------------------------
@@ -198,10 +197,11 @@ class GradedTripleSystem:
         lie in the subspace.
         """
         self._check_subspace(sub)
-        for r, row in enumerate(sub.integral_rows()):
+        for row in sub.integral_rows():
             for (j, k, slot), w in self.int_slot_products(row).items():
                 if not sub.contains(w):
-                    return {"vector": sub.basis[r], "slot": slot, "j": j, "k": k}
+                    vector = dense(self.field, row, self.dim, row[min(row)])
+                    return {"vector": vector, "slot": slot, "j": j, "k": k}
         return None
 
     def _check_subspace(self, sub: Subspace) -> None:
@@ -229,7 +229,7 @@ class GradedTripleSystem:
             for i, j, k in sorted(reached)
         ]
         ideal = self.ideal_closure(Subspace(self.field, self.dim, generators))
-        for r, row in enumerate(ideal.integral_rows()):
+        for row in ideal.integral_rows():
             # keyed (j, k, -slot) so that on each pair {E,E,I} (slot 2)
             # comes before {E,I,E} (slot 1)
             products = self.int_slot_products(row)
@@ -237,9 +237,10 @@ class GradedTripleSystem:
             if failing:
                 j, k, slot = min(failing)
                 family = "{E,E,I}" if slot == -2 else "{E,I,E}"
+                vector = dense(self.field, row, self.dim, row[min(row)])
                 raise CertificateFailure(
                     f"products {family} of the defect ideal do not vanish",
-                    witness={"vector": ideal.basis[r], "j": j, "k": k},
+                    witness={"vector": vector, "j": j, "k": k},
                 )
         return ideal
 

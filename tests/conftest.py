@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import gradedlts as g
+from gradedlts import linalg
 from gradedlts.decomposition import PROBES, _random_vector
 from gradedlts.linalg import sparse
 
@@ -169,18 +170,20 @@ def exact_bracket(emb, a, b):
     for p, x in sparse(a).items():
         for c, y in emb._bracket(p, b).items():
             acc[c] = acc.get(c, 0) + x * y
-    return emb._exact(emb.system.field.clean(acc), emb.tensor_dim, emb.system.scale)
+    field = emb.system.field
+    return linalg.dense(field, field.clean(acc), emb.tensor_dim, emb.system.scale)
 
 
 def exact_reduce(emb, tensor):
     """The quotient coordinates of a dense tensor, along N."""
-    return emb._exact(emb._reduce(sparse(tensor)), emb.dim_even, emb._reduction_scale)
+    coords = emb._reduce(sparse(tensor))
+    return linalg.dense(emb.system.field, coords, emb.dim_even, emb._reduction_scale)
 
 
 def exact_lift(emb, coords):
     """The canonical tensor representative of quotient coordinates."""
     tensor = {emb.coset_indices[r]: x for r, x in sparse(coords).items()}
-    return emb._exact(tensor, emb.tensor_dim, 1)
+    return linalg.dense(emb.system.field, tensor, emb.tensor_dim)
 
 
 # -- independent oracles -----------------------------------------------------
@@ -658,6 +661,65 @@ def oracle_nonzero_terms(system, which):
                 if any(acc.values()):
                     found.add((indices, ident))
     return found
+
+
+def pivot_pair_verdict(system):
+    """(the axioms hold, the six-term identity holds), decided at the pivot
+    pairs of the embedding's action matrix A instead of by the joins.
+
+    Column a*n + b of A holds L = L(a, b), x -> {a, b, x}, in its phi rows
+    and P = P(a, b), z -> {z, a, b} - {z, b, a}, in its psi rows.  right_slot
+    at (a, b, c, d, e) is Phi(L)(c, d, e) = 0 and six_term is
+    Psi(L, P)(c, d, e) = 0, where
+        Phi(L)(c,d,e) = L{c,d,e} - {Lc,d,e} + {Ld,c,e} + {Le,c,d} - {Le,d,c},
+        Psi(L,P)(c,d,e) = -P{c,d,e} + {Pc,d,e} - {c,Ld,e} - {c,d,Le},
+    and middle_slot follows from the two, since middle(x,b,c,d,e) +
+    six(b,c,x,d,e) + right(x,d,b,c,e) = 0.  Phi and Psi are linear in (L, P),
+    so they vanish on every pair once they vanish on the pivot columns of A,
+    which span its columns: that claim is certified first, as the descent
+    certificate does, by the free-vector shape and A nu = 0.  Everything
+    runs on the integer image, where each term scales by D^2.
+    """
+    from gradedlts.embedding import _ActionMatrix
+
+    action = _ActionMatrix(system)
+    echelon = g.Subspace(system.field, action.ncols, (row for _, row in action.rows))
+    pivots = set(echelon.pivots)
+    free = echelon.free_vectors()
+    assert len(free) == action.ncols - len(pivots)
+    for c, nu in zip((c for c in range(action.ncols) if c not in pivots), free):
+        assert set(nu) - pivots == {c}
+        assert action.failing_action(nu) is None
+    n, table, clean = system.dim, system._table, system.field.clean
+
+    def T(i, j, k):
+        return table.get((i, j, k), {})
+
+    def add(acc, sign, vec, op):
+        # acc += sign * sum_m vec[m] op(m)
+        for m, x in vec.items():
+            for l, y in op(m).items():
+                acc[l] = acc.get(l, 0) + sign * x * y
+        return acc
+
+    phi_zero = psi_zero = True
+    for a, b in (divmod(p, n) for p in sorted(pivots)):
+        L = [T(a, b, x) for x in range(n)]
+        P = [add(dict(T(z, a, b)), -1, T(z, b, a), lambda l: {l: 1}) for z in range(n)]
+        for c, d, e in product(range(n), repeat=3):
+            phi, psi = {}, {}
+            add(phi, 1, T(c, d, e), L.__getitem__)
+            add(phi, -1, L[c], lambda m: T(m, d, e))
+            add(phi, 1, L[d], lambda m: T(m, c, e))
+            add(phi, 1, L[e], lambda m: T(m, c, d))
+            add(phi, -1, L[e], lambda m: T(m, d, c))
+            add(psi, -1, T(c, d, e), P.__getitem__)
+            add(psi, 1, P[c], lambda m: T(m, d, e))
+            add(psi, -1, L[d], lambda m: T(c, m, e))
+            add(psi, -1, L[e], lambda m: T(c, d, m))
+            phi_zero = phi_zero and not clean(phi)
+            psi_zero = psi_zero and not clean(psi)
+    return phi_zero and psi_zero, psi_zero
 
 
 def oracle_slot_products(system, v):

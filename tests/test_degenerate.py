@@ -65,6 +65,21 @@ def test_hand_built_non_ideal_class_is_rejected():
         g.class_ideal(system, fake)
 
 
+def test_dependent_core_and_vertex_parts_are_rejected():
+    # {e, f, h} = e and {e, f, e} = h break the grading of e, h, f in
+    # degrees 1, 0, -1; the core of the class {-1, 1} is then span{e}, which
+    # lies in its vertex part span{e, f}
+    group = g.AbelianGroup((0,))
+    degrees = [group.element([1]), group.element([0]), group.element([-1])]
+    system = g.GradedTripleSystem(Q, group, degrees, {(0, 2, 1): {0: 1}, (0, 2, 0): {1: 1}})
+    assert len(system.verify_grading()) == 2
+    cls = g.ConnectionClass(representative=degrees[2], members=(degrees[2], degrees[0]))
+    with pytest.raises(IdealCertificateFailure) as info:
+        g.class_ideal(system, cls)
+    assert str(info.value) == "core and vertex parts of a class ideal are not independent"
+    assert info.value.witness == {"class": "[-1]"}
+
+
 def test_one_dimensional_zero_system():
     system = g.zero_system(1)
     emb = g.build_embedding(system)

@@ -17,6 +17,7 @@ from collections import Counter
 import pytest
 
 import gradedlts as g
+from gradedlts import linalg
 from gradedlts.embedding import (
     StandardEmbedding,
     _ActionMatrix,
@@ -71,8 +72,8 @@ def library_outcome(system):
 
 def exact_rows(emb, free):
     """The free-column vectors as exact dense rows, 1 at their free column."""
-    pivots = set(emb.coset_indices)
-    return [emb._exact(nu, emb.tensor_dim, nu[min(set(nu) - pivots)]) for nu in free]
+    field, pivots = emb.system.field, set(emb.coset_indices)
+    return [linalg.dense(field, nu, emb.tensor_dim, nu[min(set(nu) - pivots)]) for nu in free]
 
 
 def verdict(result):

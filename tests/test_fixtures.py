@@ -88,10 +88,20 @@ def test_search_finds_the_frozen_nonlie_fixture(builtins):
 
 
 def test_zero_n_synthesis():
+    from gradedlts.fixtures import fixture_text
+    from gradedlts.systemfile import loads_system
+
     z5 = g.builtin("zero_5")
     assert z5.dim == 5
     assert z5.support() == ()
     assert list(z5.nonzero_triples()) == []
+    # zero_3 is the packaged file; zero_<n> takes ASCII digits only
+    z3, parsed = g.builtin("zero_3"), loads_system(fixture_text("zero_3"))
+    assert (z3.field, z3.group, z3.degrees) == (parsed.field, parsed.group, parsed.degrees)
+    assert z3.structure_constants() == parsed.structure_constants()
+    for name in ("zero_\u0663", "zero_\uff13", "zero_3\n", "zero_+3", "zero_"):
+        with pytest.raises(InputError, match="unknown builtin fixture"):
+            g.builtin(name)
 
 
 def test_unknown_builtin_rejected():

@@ -35,6 +35,7 @@ from conftest import (
     oracle_identities,
     oracle_nonzero_terms,
     oracle_sweep,
+    pivot_pair_verdict,
     random_variant,
     sl2_power,
     sl_root,
@@ -178,6 +179,72 @@ def test_index_lists_each_constant_under_every_slot_and_output():
         assert by_slot[s][i] == sorted(k for k in stored if k[s] == i)
     for l in range(system.dim):
         assert by_output[l] == sorted(k for k, e in stored.items() if l in e)
+
+
+# -- the verdict at the pivot pairs of the action matrix ------------------------
+
+
+def over_f7(system):
+    """A rational system with integer-coded constants read over GF(7)."""
+    constants = {
+        key: {l: F7.element(str(x)) for l, x in entry.items()}
+        for key, entry in system.nonzero_triples()
+    }
+    return g.GradedTripleSystem(F7, system.group, system.degrees, constants)
+
+
+def pivot_pair_cases():
+    """Valid systems over Q and GF(7), four seeded one-constant mutants of
+    each, and {b0, b1, b2} = b0 on zero_3, which fails middle_slot and
+    right_slot but not six_term."""
+    bases = {}
+    for name in g.BUILTIN_NAMES:
+        bases[f"{name}_Q"] = g.builtin(name)
+        bases[f"{name}_F7"] = over_f7(g.builtin(name))
+    for label, field in (("Q", Q), ("F7", F7)):
+        bases[f"sl2x2_{label}"] = sl2_power(2, field)
+        bases[f"sl2x3_{label}"] = sl2_power(3, field)
+        bases[f"sl3_root_{label}"] = sl_root(3, field)
+    for seed in range(10):
+        bases[f"variant{seed}"] = random_variant(seed)
+    cases = {}
+    for name, system in bases.items():
+        rng = random.Random(name)
+        cases[name] = [system]
+        for _ in range(4):
+            cell = [rng.randrange(system.dim) for _ in range(4)]
+            delta = system.field.element(rng.choice([1, -1, 2]))
+            cases[name].append(mutate_constant(system, *cell, delta))
+    cases["zero_3_Q"].append(mutate_constant(g.builtin("zero_3"), 0, 1, 2, 0, Q.one))
+    return cases
+
+
+PIVOT_PAIR_CASES = pivot_pair_cases()
+
+
+def failing_identities(system):
+    """The names of the identities the joins find violated."""
+    names = {v.identity for v in system.verify_axioms()}
+    return names | ({"six_term"} if system.verify_fundamental_identity() else set())
+
+
+@pytest.mark.parametrize("name", sorted(PIVOT_PAIR_CASES))
+def test_pivot_pair_verdict_equals_the_joins_verdict(name):
+    for system in PIVOT_PAIR_CASES[name]:
+        joins = (not system.verify_axioms(), not system.verify_fundamental_identity())
+        assert pivot_pair_verdict(system) == joins
+
+
+def test_pivot_pair_cases_pass_fail_all_three_and_fail_exactly_two():
+    outcomes = {
+        frozenset(failing_identities(system))
+        for systems in PIVOT_PAIR_CASES.values()
+        for system in systems[1:]
+    }
+    assert frozenset() in outcomes
+    assert frozenset({"middle_slot", "right_slot", "six_term"}) in outcomes
+    two = {o for o in outcomes if len(o) == 2}
+    assert frozenset({"middle_slot", "right_slot"}) in two and len(two) >= 2
 
 
 # -- GradedLeibnizAlgebra.verify -------------------------------------------------

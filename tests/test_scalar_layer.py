@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradedlts as g
+from gradedlts import linalg
 from conftest import (
     exact_bracket,
     exact_slot_products,
@@ -161,8 +162,9 @@ def test_embedding_brackets_divide_the_integer_image_back():
     for r, p in enumerate(emb.coset_indices):
         phi, psi = oracle_actions(system, [int(c == p) for c in range(nn)])
         for w in range(n):
-            assert list(emb._exact(emb.table.get((r, s + w), {}), s + n, scale)[s:]) == phi[w]
-            assert list(emb._exact(emb.table.get((s + w, r), {}), s + n, scale)[s:]) == psi[w]
+            phi_w, psi_w = emb.table.get((r, s + w), {}), emb.table.get((s + w, r), {})
+            assert list(linalg.dense(system.field, phi_w, s + n, scale)[s:]) == phi[w]
+            assert list(linalg.dense(system.field, psi_w, s + n, scale)[s:]) == psi[w]
 
 
 def test_cross_products_reduce_mod_p_before_the_zero_test():
