@@ -260,7 +260,7 @@ def _decomposition_section(system, report) -> dict:
         "u_basis": _basis_strings(system, report.u),
         "tight": report.tight,
         "annihilator_dim": report.annihilator_dim,
-        "spans": report.spans,
+        "spans": True,  # decompose raises unless U + the ideals span E
         "ideals": [
             {
                 "class": ideal.cls.representative.format(),

@@ -13,9 +13,12 @@ identity.  The library certifies, exactly and on every run:
     IdealCertificateFailure with a witness otherwise),
   * a deterministic complement U of the span of all support products inside
     the identity component satisfies U + sum of ideals = the whole system,
-  * all three cross-class product families vanish for distinct classes,
-  * when the identity component is tight and the annihilator is zero, the
-    ideals meet pairwise in zero and their dimensions add up.
+  * all three cross-class product families vanish for distinct classes.
+
+Each verdict is read off the certificate that decides it: the identity
+component is tight exactly when U = 0, two ideals meet in zero exactly when
+their sum has the sum of their dimensions, and under U = 0 and a zero
+annihilator the sum is direct exactly when the ideal dimensions add up to n.
 
 Every product family of a fixed degree pattern (the class cores, the span
 of all support products, the core sources of the lemmas) comes from one
@@ -42,7 +45,6 @@ from typing import NamedTuple
 from .connections import ConnectionClass, SupportData, are_connected, connection_classes
 from .embedding import StandardEmbedding
 from .errors import DecompositionFailure, IdealCertificateFailure
-from .groups import GroupElement
 from .linalg import Subspace, complete_complement
 from .triples import GradedTripleSystem
 
@@ -77,24 +79,20 @@ class LemmaCheck:
         return not self.failures
 
 
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """The decomposition E = U + sum of the class ideals, with its certificates."""
 
-    __slots__ = (
-        "supports", "u", "span_products", "ideals", "orthogonality", "all_orthogonal", "spans",
-        "tight", "annihilator_dim", "pairwise_disjoint", "direct_sum", "obstructions",
-    )
-
-    def __init__(
-        self, supports: SupportData, u: Subspace, span_products: Subspace,
-        ideals: list[ClassIdeal], orthogonality: list[dict], all_orthogonal: bool, spans: bool,
-        tight: bool, annihilator_dim: int, pairwise_disjoint: bool | None,
-        direct_sum: bool | None, obstructions: list[Obstruction],
-    ):
-        values = (supports, u, span_products, ideals, orthogonality, all_orthogonal, spans,
-                  tight, annihilator_dim, pairwise_disjoint, direct_sum, obstructions)
-        for name, value in zip(self.__slots__, values):
-            setattr(self, name, value)
+    supports: SupportData
+    u: Subspace
+    span_products: Subspace
+    ideals: list[ClassIdeal]
+    orthogonality: list[dict]
+    all_orthogonal: bool
+    tight: bool
+    annihilator_dim: int
+    pairwise_disjoint: bool | None
+    direct_sum: bool | None
+    obstructions: list[Obstruction]
 
 
 def _degree_products(system: GradedTripleSystem, first, second, third):
@@ -213,84 +211,72 @@ def decompose(
 ) -> DecompositionReport:
     """Full certified decomposition report for a verified system."""
     sup = SupportData.from_system(system, emb)
-    classes = connection_classes(sup)
-    ideals = [class_ideal(system, cls) for cls in classes]
+    ideals = [class_ideal(system, cls) for cls in connection_classes(sup)]
 
     span_products = support_product_span(system)
     identity_comp = system.identity_component()
     u = complete_complement(span_products, identity_comp)
-    tight = span_products == identity_comp
 
     total = u
     for ideal in ideals:
         total = total.sum(ideal.total)
-    spans = total.dim == system.dim
-    if not spans:
+    if total.dim != system.dim:
         raise DecompositionFailure(
             "complement plus class ideals do not span the system",
             witness={"dim_reached": total.dim, "dim_expected": system.dim},
         )
 
-    orthogonality = []
-    all_orthogonal = True
+    orthogonality, disjoint = [], []
     for a, b in combinations(ideals, 2):
         checks = _cross_products_vanish(system, a.total, b.total)
-        ok = all(checks.values())
-        all_orthogonal = all_orthogonal and ok
         orthogonality.append(
             {
                 "classes": (a.cls.representative.format(), b.cls.representative.format()),
-                "vanish": ok,
+                "vanish": all(checks.values()),
                 "families": checks,
             }
         )
+        # dim(a + b) = dim a + dim b - dim(a & b)
+        disjoint.append(a.total.sum(b.total).dim == a.total.dim + b.total.dim)
 
-    ann = system.annihilator()
-
-    pairwise_disjoint: bool | None = None
-    if len(ideals) >= 2:
-        pairwise = combinations(ideals, 2)
-        pairwise_disjoint = all(a.total.intersect(b.total).is_zero() for a, b in pairwise)
-
-    direct_sum: bool | None = None
+    tight, ann = u.is_zero(), system.annihilator()
+    direct_sum = None
     if tight and ann.is_zero():
-        direct_sum = (
-            sum(i.total.dim for i in ideals) == system.dim
-            and u.is_zero()
-            and (pairwise_disjoint is None or pairwise_disjoint)
-        )
+        # with U = 0 the ideals span E, so their dimensions add up to n exactly
+        # when their sum is direct, and a direct sum meets pairwise in zero
+        direct_sum = sum(i.total.dim for i in ideals) == system.dim
 
-    report = DecompositionReport(
+    return DecompositionReport(
         supports=sup,
         u=u,
         span_products=span_products,
         ideals=ideals,
         orthogonality=orthogonality,
-        all_orthogonal=all_orthogonal,
-        spans=spans,
+        all_orthogonal=all(o["vanish"] for o in orthogonality),
         tight=tight,
         annihilator_dim=ann.dim,
-        pairwise_disjoint=pairwise_disjoint,
+        pairwise_disjoint=all(disjoint) if len(ideals) >= 2 else None,
         direct_sum=direct_sum,
-        obstructions=[],
+        obstructions=simplicity_obstructions(system, ideals, identity_comp, span_products, seed),
     )
-    report.obstructions = simplicity_obstructions(system, report, seed=seed)
-    return report
 
 
 def simplicity_obstructions(
     system: GradedTripleSystem,
-    report: DecompositionReport,
+    ideals: list[ClassIdeal],
+    identity_comp: Subspace,
+    span_products: Subspace,
     seed: int = 0,
 ) -> list[Obstruction]:
     """Contrapositive simplicity certificates.
 
     A simple system must have a nonzero product, only the zero ideal, the
     defect ideal, and the whole system as ideals, a fully connected support,
-    and a tight identity component.  Each failed requirement is emitted as
-    an obstruction with a witness.  A random sample of ideal closures of
-    single lines (seeded, deterministic) looks for extra proper ideals.
-    The search never asserts simplicity.
+    and a tight identity component: the span of the support products,
+    `span_products`, must be all of `identity_comp`.  Each failed
+    requirement is emitted as an obstruction with a witness.  A random
+    sample of ideal closures of single lines (seeded, deterministic) looks
+    for extra proper ideals.  The search never asserts simplicity.
     """
     obstructions: list[Obstruction] = []
     defect = system.lie_defect_ideal()
@@ -300,7 +286,7 @@ def simplicity_obstructions(
             Obstruction(kind="zero_product", detail="the triple product is identically zero")
         )
 
-    for ideal in report.ideals:
+    for ideal in ideals:
         if 0 < ideal.total.dim < system.dim and ideal.total != defect:
             obstructions.append(
                 Obstruction(
@@ -313,22 +299,22 @@ def simplicity_obstructions(
                 )
             )
 
-    if len(report.ideals) > 1:
+    if len(ideals) > 1:
         obstructions.append(
             Obstruction(
                 kind="support_not_connected",
                 detail="the odd support splits into more than one connection class",
-                witness={"classes": len(report.ideals)},
+                witness={"classes": len(ideals)},
             )
         )
-    if not report.tight:
+    if span_products != identity_comp:
         obstructions.append(
             Obstruction(
                 kind="identity_component_not_tight",
                 detail="the identity component is not spanned by support products",
                 witness={
-                    "identity_dim": system.identity_component().dim,
-                    "product_span_dim": report.span_products.dim,
+                    "identity_dim": identity_comp.dim,
+                    "product_span_dim": span_products.dim,
                 },
             )
         )

@@ -215,7 +215,10 @@ def builtin(name: str) -> GradedTripleSystem:
     if name in BUILTIN_NAMES:
         return loads_system(fixture_text(name))
     if match := _ZERO_PATTERN.fullmatch(name):
-        return zero_system(int(match.group(1)))
+        try:
+            return zero_system(int(match.group(1)))
+        except (ValueError, OverflowError):  # n past the int/str limit or a list size
+            raise InputError(f"zero_<n> with {len(match.group(1))} digits is too large") from None
     raise InputError(f"unknown builtin fixture {name!r}")
 
 

@@ -102,6 +102,11 @@ def test_zero_n_synthesis():
     for name in ("zero_\u0663", "zero_\uff13", "zero_3\n", "zero_+3", "zero_"):
         with pytest.raises(InputError, match="unknown builtin fixture"):
             g.builtin(name)
+    # past the interpreter's 4,300-digit int/str limit or an index-sized int,
+    # rejected before anything is built
+    for digits in (5000, 30):
+        with pytest.raises(InputError, match=f"zero_<n> with {digits} digits is too large"):
+            g.builtin("zero_" + "9" * digits)
 
 
 def test_unknown_builtin_rejected():

@@ -1,5 +1,6 @@
 """Exact linear algebra: canonical forms, the subspace lattice, complements."""
 
+import random
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -190,6 +191,30 @@ def test_rref_idempotent_mod_5(data):
     r = span(F5, nc, rows).basis
     assert span(F5, nc, r).basis == r
     assert span(F5, nc, rows) == span(F5, nc, r)
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
+def test_sum_dimension_decides_disjointness(field):
+    # the rule class_ideal and decompose read independence by: a and b meet
+    # in zero exactly when dim(a + b) = dim a + dim b; half the pairs share a
+    # random combination of rows, so both outcomes occur
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(200):
+        n = rng.randint(1, 6)
+
+        def rows(count):
+            return [[rng.randint(-2, 2) for _ in range(n)] for _ in range(count)]
+
+        rows_a, rows_b = rows(rng.randint(0, 3)), rows(rng.randint(0, 3))
+        if rows_a and rng.random() < 0.5:
+            coefs = [rng.randint(-2, 2) for _ in rows_a]
+            rows_b.append([sum(c * r[t] for c, r in zip(coefs, rows_a)) for t in range(n)])
+        a, b = span(field, n, rows_a), span(field, n, rows_b)
+        disjoint = a.intersect(b).is_zero()
+        assert (a.sum(b).dim == a.dim + b.dim) == disjoint
+        outcomes.add(disjoint)
+    assert outcomes == {True, False}
 
 
 @given(
