@@ -29,10 +29,10 @@ _EXPORTS = {
          "IdealCertificateFailure InputError LeibnizIdentityFailure NotWellDefined "
          "OracleDisagreement"),
         ("fixtures", "BUILTIN_NAMES GradedLeibnizAlgebra builtin direct_sum from_leibniz_algebra "
-         "nonlie_algebra relabel_degrees sl2_algebra zero_system"),
+         "relabel_degrees sl2_algebra zero_system"),
         ("groups", "AbelianGroup GroupElement"),
         ("identities", "Violation"),
-        ("linalg", "PrimeField Subspace complete_complement span"),
+        ("linalg", "PrimeField Subspace complete_complement"),
         ("rational", "RationalField"),
         ("systemfile", "dump_system dumps_system load_system loads_system"),
         ("triples", "GradedTripleSystem"),

@@ -233,7 +233,7 @@ def _classes_section(sup, classes) -> list[dict]:
     return out
 
 
-def _embedding_section(system, emb) -> dict:
+def _embedding_section(emb) -> dict:
     grading_violations = emb.verify_even_grading()
     return {
         "realization": "tensor_square_quotient",
@@ -249,15 +249,15 @@ def _embedding_section(system, emb) -> dict:
     }
 
 
-def _basis_strings(system, subspace) -> list[list[str]]:
-    fmt = system.field.format
+def _basis_strings(subspace) -> list[list[str]]:
+    fmt = subspace.field.format
     return [list(map(fmt, row)) for row in subspace.basis]
 
 
-def _decomposition_section(system, report) -> dict:
+def _decomposition_section(report) -> dict:
     return {
         "u_dim": report.u.dim,
-        "u_basis": _basis_strings(system, report.u),
+        "u_basis": _basis_strings(report.u),
         "tight": report.tight,
         "annihilator_dim": report.annihilator_dim,
         "spans": True,  # decompose raises unless U + the ideals span E
@@ -268,7 +268,7 @@ def _decomposition_section(system, report) -> dict:
                 "core_dim": ideal.core.dim,
                 "vertex_dim": ideal.vertex.dim,
                 "total_dim": ideal.total.dim,
-                "basis": _basis_strings(system, ideal.total),
+                "basis": _basis_strings(ideal.total),
                 "is_ideal": True,
                 "is_subsystem": True,
             }
@@ -368,7 +368,7 @@ def _cmd_embed(command, path, json_out, seed) -> int:
     system, emb, report = _verified(command, path, json_out, seed)
     if emb is None:
         return 1
-    section = _embedding_section(system, emb)
+    section = _embedding_section(emb)
     report["embedding"] = section
     _emit(report, json_out)
     print(f"even part dimension: {section['even_part_dim']}")
@@ -387,8 +387,8 @@ def _cmd_decompose(command, path, json_out, seed) -> int:
     sup = deco.supports
     classes = [ideal.cls for ideal in deco.ideals]
     report["classes"] = _classes_section(sup, classes)
-    report["embedding"] = _embedding_section(system, emb)
-    report["decomposition"] = _decomposition_section(system, deco)
+    report["embedding"] = _embedding_section(emb)
+    report["decomposition"] = _decomposition_section(deco)
     lemma_checks = verify_structure_lemmas(system, emb, classes, sup)
     report["lemmas"] = _lemma_section(lemma_checks)
     report["obstructions"] = _obstruction_section(deco.obstructions)

@@ -217,9 +217,8 @@ def decompose(
     identity_comp = system.identity_component()
     u = complete_complement(span_products, identity_comp)
 
-    total = u
-    for ideal in ideals:
-        total = total.sum(ideal.total)
+    rows = [row for sub in (u, *(ideal.total for ideal in ideals)) for row in sub.integral_rows()]
+    total = Subspace(system.field, system.dim, rows)
     if total.dim != system.dim:
         raise DecompositionFailure(
             "complement plus class ideals do not span the system",

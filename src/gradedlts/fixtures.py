@@ -6,9 +6,10 @@ direct sums, degree relabeling along group homomorphisms, and a set of
 named built-in fixtures stored as data files in the command-line input
 format (so loading them doubles as a format conformance check).
 
-The built-in with a nonzero Lie-defect ideal, `nonlie_algebra`, was found
-by an exhaustive search over small graded right Leibniz algebras; the test
-suite keeps the search and checks that it still finds the frozen fixture.
+The built-in with a nonzero Lie-defect ideal, `nonlie_J`, is the double
+bracket of an algebra found by an exhaustive search over small graded right
+Leibniz algebras; the test suite keeps the search and the algebra, and
+checks that the search still finds the frozen fixture.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .triples import GradedTripleSystem
 BUILTIN_NAMES = ("zero_3", "sl2_Z", "disjoint_sum", "nonlie_J", "trivial_grading_sl2")
 
 _ZERO_PATTERN = re.compile(r"zero_([0-9]+)")
+# the largest n that `zero_system` builds: its embedding would need n**2 = 10**8 tensor columns
+ZERO_MAX = 10**4
 
 
 class GradedLeibnizAlgebra(NamedTuple):
@@ -180,23 +183,11 @@ def sl2_algebra(field=None) -> GradedLeibnizAlgebra:
     return GradedLeibnizAlgebra.build(field, group, degrees, brackets)
 
 
-def nonlie_algebra(field=None) -> GradedLeibnizAlgebra:
-    """The frozen non-Lie right Leibniz algebra found by an exhaustive search.
-
-    Basis (a, b, c) with [a, a] = b and [b, a] = c, degrees (1, 2, 3); its
-    double-bracket triple system has the single product {a, a, a} = c, so
-    the skew combination {a,a,a} - {a,a,a} + {a,a,a} = c generates a
-    one-dimensional nonzero defect ideal.
-    """
-    field = field or RationalField()
-    group = AbelianGroup((0,))
-    degrees = [group.element([1]), group.element([2]), group.element([3])]
-    brackets = {(0, 0): {1: 1}, (1, 0): {2: 1}}
-    return GradedLeibnizAlgebra.build(field, group, degrees, brackets)
-
-
 def zero_system(n: int, field=None) -> GradedTripleSystem:
-    """The n-dimensional system with identically zero product and trivial grading."""
+    """The n-dimensional system with identically zero product and trivial grading;
+    InputError past n = ZERO_MAX, before anything is built."""
+    if n > ZERO_MAX:
+        raise InputError(f"zero system of dimension {n} is past the limit {ZERO_MAX}")
     field = field or RationalField()
     group = AbelianGroup((0,))
     degrees = [group.identity()] * n
@@ -215,10 +206,12 @@ def builtin(name: str) -> GradedTripleSystem:
     if name in BUILTIN_NAMES:
         return loads_system(fixture_text(name))
     if match := _ZERO_PATTERN.fullmatch(name):
-        try:
-            return zero_system(int(match.group(1)))
-        except (ValueError, OverflowError):  # n past the int/str limit or a list size
-            raise InputError(f"zero_<n> with {len(match.group(1))} digits is too large") from None
+        digits = match.group(1)
+        # an n with more digits than ZERO_MAX is past it; checked before int(),
+        # which refuses more than 4,300 digits
+        if len(digits.lstrip("0")) > len(str(ZERO_MAX)):
+            raise InputError(f"zero_<n> with {len(digits)} digits is too large")
+        return zero_system(int(digits))
     raise InputError(f"unknown builtin fixture {name!r}")
 
 

@@ -214,10 +214,6 @@ class Subspace:
             self.add(vec)
 
     @classmethod
-    def zero(cls, field, ambient: int) -> "Subspace":
-        return cls(field, ambient)
-
-    @classmethod
     def full(cls, field, ambient: int) -> "Subspace":
         return cls(field, ambient, ({i: 1} for i in range(ambient)))
 
@@ -355,11 +351,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
-
-
-def span(field, ambient: int, vectors: Iterable) -> Subspace:
-    """Canonical subspace spanned by the given vectors."""
-    return Subspace(field, ambient, vectors)
 
 
 def dense(field, vec: dict, size: int, scale=1) -> tuple:

@@ -136,14 +136,11 @@ def system_from_data(data) -> GradedTripleSystem:
 
 def system_to_data(system: GradedTripleSystem) -> dict:
     """Canonical plain-data form of a system."""
-    triple = []
-    for (i, j, k), entry in system.structure_constants():
-        triple.append(
-            {
-                "args": [i, j, k],
-                "out": [{"idx": l, "val": system.field.format(c)} for l, c in entry],
-            }
-        )
+    fmt = system.field.format
+    triple = [
+        {"args": list(key), "out": [{"idx": l, "val": fmt(entry[l])} for l in sorted(entry)]}
+        for key, entry in system.nonzero_triples()
+    ]
     return {
         "group": {"moduli": list(system.group.moduli)},
         "field": system.field.descriptor(),

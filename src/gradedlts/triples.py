@@ -185,10 +185,6 @@ class GradedTripleSystem:
             queue.extend(w for w in products if len(rows) < n and offer(w))
         return closure
 
-    def is_ideal(self, sub: Subspace) -> bool:
-        """Whether {I,E,E} + {E,I,E} + {E,E,I} is contained in I."""
-        return self.ideal_witness(sub) is None
-
     def ideal_witness(self, sub: Subspace):
         """First product escaping the subspace, or None when it is an ideal.
 
@@ -305,10 +301,6 @@ class GradedTripleSystem:
         return Subspace(self.field, self.dim, rows.values()).kernel()
 
     # -- misc -----------------------------------------------------------------
-
-    def structure_constants(self) -> list[tuple[tuple[int, int, int], list[tuple[int, object]]]]:
-        """Canonical serializable view of the structure constants."""
-        return [(key, sorted(entry.items())) for key, entry in self.nonzero_triples()]
 
     def __repr__(self):
         return (

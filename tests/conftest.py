@@ -1027,9 +1027,24 @@ def coordinate_sum(system, modulus) -> g.GradedTripleSystem:
     return g.relabel_degrees(system, target, [[1]] * system.group.rank)
 
 
+def nonlie_algebra(field=None) -> g.GradedLeibnizAlgebra:
+    """The frozen non-Lie right Leibniz algebra found by `search_nonlie_example`.
+
+    Basis (a, b, c) with [a, a] = b and [b, a] = c, degrees (1, 2, 3); its
+    double-bracket triple system, the builtin `nonlie_J`, has the single
+    product {a, a, a} = c, so the skew combination {a,a,a} - {a,a,a} +
+    {a,a,a} = c generates a one-dimensional nonzero defect ideal.
+    """
+    field = field or g.RationalField()
+    group = g.AbelianGroup((0,))
+    degrees = [group.element([1]), group.element([2]), group.element([3])]
+    brackets = {(0, 0): {1: 1}, (1, 0): {2: 1}}
+    return g.GradedLeibnizAlgebra.build(field, group, degrees, brackets)
+
+
 def search_nonlie_example(coefficients=(0, 1, -1)):
     """Exhaustive search for a graded right Leibniz algebra with nonzero defect,
-    which found `gradedlts.nonlie_algebra`.
+    which found `nonlie_algebra`.
 
     Scans three-dimensional algebras with degrees (1, 2, 3) over the
     rationals.  The grading leaves three free structure cells:
@@ -1083,7 +1098,7 @@ def random_variant(seed: int) -> g.GradedTripleSystem:
         if kind == "sl2":
             block = g.from_leibniz_algebra(g.sl2_algebra(field=field))
         elif kind == "nonlie":
-            block = g.from_leibniz_algebra(g.nonlie_algebra(field=field))
+            block = g.from_leibniz_algebra(nonlie_algebra(field=field))
         else:
             block = g.GradedTripleSystem(
                 field, g.AbelianGroup((0,)), [g.AbelianGroup((0,)).element([1])], {}

@@ -97,7 +97,7 @@ def test_criterion_02_defect_ideal_certificates(systems):
         # the vanishing certificates {E,E,I} = {E,I,E} = 0 are enforced
         # inside the computation and raise on failure
         defect = system.lie_defect_ideal()
-        assert system.is_ideal(defect), name
+        assert system.ideal_witness(defect) is None, name
         assert system.is_lie_triple() == oracle_is_lie(system), name
     assert systems["nonlie_J"].is_lie_triple() is False
     assert oracle_is_lie(systems["nonlie_J"]) is False
@@ -138,7 +138,7 @@ def test_criterion_05_class_ideals(pipelines):
     for name, (system, emb, sup, classes) in pipelines.items():
         for cls in classes:
             ideal = g.class_ideal(system, cls)
-            assert system.is_ideal(ideal.total), name
+            assert system.ideal_witness(ideal.total) is None, name
     for seed in range(RANDOM_VARIANTS):
         system = random_variant(seed)
         assert system.verify_grading() == [], seed
@@ -146,7 +146,7 @@ def test_criterion_05_class_ideals(pipelines):
         sup = g.SupportData.from_system(system, emb)
         for cls in g.connection_classes(sup):
             ideal = g.class_ideal(system, cls)
-            assert system.is_ideal(ideal.total), seed
+            assert system.ideal_witness(ideal.total) is None, seed
     _passed(5, "class-ideals-on-fixtures-and-variants")
 
 
@@ -163,8 +163,8 @@ def test_criterion_06_complement_decomposition(pipelines):
     system, emb, sup, classes = pipelines["disjoint_sum"]
     report = g.decompose(system, emb)
     blocks = [
-        g.span(Q, 6, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]),
-        g.span(Q, 6, [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]),
+        g.Subspace(Q, 6, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]),
+        g.Subspace(Q, 6, [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]),
     ]
     assert [ideal.total for ideal in report.ideals] == blocks
     _passed(6, "complement-plus-ideals-decomposition")

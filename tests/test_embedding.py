@@ -292,7 +292,7 @@ def oracle_even_grading(system, emb):
         return tensor
 
     comps = oracle_components(emb)
-    zero = g.Subspace.zero(field, emb.dim_even)
+    zero = g.Subspace(field, emb.dim_even)
     violations = []
     for a, ca in comps.items():
         for b, cb in comps.items():

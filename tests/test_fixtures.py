@@ -1,11 +1,13 @@
 """Fixture constructors: double-bracket systems, direct sums, the search that found nonlie_J."""
 
+import tracemalloc
+
 import pytest
 
 import gradedlts as g
 from gradedlts.errors import InputError
 
-from conftest import search_nonlie_example
+from conftest import nonlie_algebra, search_nonlie_example
 
 Q = g.RationalField()
 
@@ -44,7 +46,7 @@ def test_square_nilpotent_algebra_gives_zero_triple_system():
 def test_sl2_construction_matches_frozen_fixture(builtins):
     constructed = g.from_leibniz_algebra(g.sl2_algebra())
     frozen = builtins["sl2_Z"]
-    assert constructed.structure_constants() == frozen.structure_constants()
+    assert list(constructed.nonzero_triples()) == list(frozen.nonzero_triples())
     assert constructed.degrees == frozen.degrees
     assert constructed.group == frozen.group
 
@@ -56,7 +58,7 @@ def test_disjoint_sum_matches_relabel_and_sum(builtins):
     second = g.relabel_degrees(sl2, target, [[0, 1]])
     combined = g.direct_sum([first, second])
     frozen = builtins["disjoint_sum"]
-    assert combined.structure_constants() == frozen.structure_constants()
+    assert list(combined.nonzero_triples()) == list(frozen.nonzero_triples())
     assert combined.degrees == frozen.degrees
 
 
@@ -75,14 +77,14 @@ def test_from_leibniz_rejects_broken_algebra():
 
 
 def test_double_bracket_grading_compatible(builtins):
-    system = g.from_leibniz_algebra(g.nonlie_algebra())
+    system = g.from_leibniz_algebra(nonlie_algebra())
     assert system.verify_grading() == []
 
 
 def test_search_finds_the_frozen_nonlie_fixture(builtins):
     algebra, system = search_nonlie_example()
-    assert algebra.brackets == g.nonlie_algebra().brackets
-    assert system.structure_constants() == builtins["nonlie_J"].structure_constants()
+    assert algebra.brackets == nonlie_algebra().brackets
+    assert list(system.nonzero_triples()) == list(builtins["nonlie_J"].nonzero_triples())
     assert not system.lie_defect_ideal().is_zero()
     assert system.verify_axioms() == []
 
@@ -98,15 +100,25 @@ def test_zero_n_synthesis():
     # zero_3 is the packaged file; zero_<n> takes ASCII digits only
     z3, parsed = g.builtin("zero_3"), loads_system(fixture_text("zero_3"))
     assert (z3.field, z3.group, z3.degrees) == (parsed.field, parsed.group, parsed.degrees)
-    assert z3.structure_constants() == parsed.structure_constants()
+    assert list(z3.nonzero_triples()) == list(parsed.nonzero_triples())
     for name in ("zero_\u0663", "zero_\uff13", "zero_3\n", "zero_+3", "zero_"):
         with pytest.raises(InputError, match="unknown builtin fixture"):
             g.builtin(name)
-    # past the interpreter's 4,300-digit int/str limit or an index-sized int,
-    # rejected before anything is built
-    for digits in (5000, 30):
-        with pytest.raises(InputError, match=f"zero_<n> with {digits} digits is too large"):
-            g.builtin("zero_" + "9" * digits)
+    # past the interpreter's 4,300-digit int/str limit, an index-sized int or
+    # the cap of 10**4, rejected before anything is built
+    for digits in (5000, 30, 18, 12, 10):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=f"zero_<n> with {digits} digits is too large"):
+                g.builtin("zero_" + "9" * digits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, digits
+    with pytest.raises(InputError, match="past the limit 10000"):
+        g.zero_system(10**4 + 1)
+    assert g.zero_system(10**4).dim == 10**4
+    assert g.builtin("zero_0010000").dim == 10**4
 
 
 def test_unknown_builtin_rejected():
@@ -121,7 +133,7 @@ def test_builtin_loads_from_data_file(builtins):
 
     for name in g.BUILTIN_NAMES:
         parsed = loads_system(fixture_text(name))
-        assert parsed.structure_constants() == builtins[name].structure_constants()
+        assert list(parsed.nonzero_triples()) == list(builtins[name].nonzero_triples())
 
 
 def test_direct_sum_requires_common_group():

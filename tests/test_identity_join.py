@@ -29,6 +29,7 @@ from gradedlts.identities import (
 from conftest import (
     coordinate_sum,
     mutate_constant,
+    nonlie_algebra,
     oracle_algebra_verify,
     oracle_axioms_ok,
     oracle_bracket,
@@ -279,7 +280,7 @@ def algebras():
     out = {
         "sl2_Q": g.sl2_algebra(Q),
         "sl2_F7": g.sl2_algebra(F7),
-        "nonlie": g.nonlie_algebra(),
+        "nonlie": nonlie_algebra(),
         "sl3_root": sl_root_algebra(3, Q),
     }
     for t, algebra in enumerate(nonlie_candidates()):

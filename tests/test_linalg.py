@@ -14,7 +14,6 @@ from gradedlts.linalg import (
     PrimeField,
     Subspace,
     complete_complement,
-    span,
 )
 from gradedlts.rational import RationalField
 
@@ -27,70 +26,70 @@ F5 = PrimeField(5)
 
 def test_rref_identity_is_fixed():
     identity = tuple(tuple(Fraction(int(t == i)) for t in range(3)) for i in range(3))
-    sub = span(Q, 3, identity)
+    sub = Subspace(Q, 3, identity)
     assert sub.basis == identity
     assert sub.pivots == (0, 1, 2)
 
 
 def test_rref_collapses_proportional_rows():
-    sub = span(Q, 2, [[2, 4], [1, 2]])
+    sub = Subspace(Q, 2, [[2, 4], [1, 2]])
     assert sub.basis == ((Fraction(1), Fraction(2)),)
     assert sub.pivots == (0,)
 
 
 def test_rref_scales_by_field_inverse_mod_5():
     # 2^-1 = 3 in the 5-element field, so the row (2, 4) normalizes to (1, 2)
-    sub = span(F5, 2, [[F5.element(2), F5.element(4)]])
+    sub = Subspace(F5, 2, [[F5.element(2), F5.element(4)]])
     assert sub.basis == ((F5.element(1), F5.element(2)),)
     assert sub.pivots == (0,)
 
 
 def test_intersection_of_coordinate_planes():
-    xy = span(Q, 3, [[1, 0, 0], [0, 1, 0]])
-    yz = span(Q, 3, [[0, 1, 0], [0, 0, 1]])
-    assert xy.intersect(yz) == span(Q, 3, [[0, 1, 0]])
+    xy = Subspace(Q, 3, [[1, 0, 0], [0, 1, 0]])
+    yz = Subspace(Q, 3, [[0, 1, 0], [0, 0, 1]])
+    assert xy.intersect(yz) == Subspace(Q, 3, [[0, 1, 0]])
 
 
 def test_sum_with_zero_is_identity():
-    v = span(Q, 3, [[1, 2, 3], [0, 1, 1]])
-    assert Subspace.zero(Q, 3).sum(v) == v
+    v = Subspace(Q, 3, [[1, 2, 3], [0, 1, 1]])
+    assert Subspace(Q, 3).sum(v) == v
 
 
 def test_kernel_of_difference_row():
-    k = span(Q, 2, [[1, -1]]).kernel()
-    assert k == span(Q, 2, [[1, 1]])
+    k = Subspace(Q, 2, [[1, -1]]).kernel()
+    assert k == Subspace(Q, 2, [[1, 1]])
 
 
 def test_complement_of_zero_is_whole_carrier():
-    v = span(Q, 3, [[1, 0, 2], [0, 1, 0]])
-    assert complete_complement(Subspace.zero(Q, 3), v) == v
+    v = Subspace(Q, 3, [[1, 0, 2], [0, 1, 0]])
+    assert complete_complement(Subspace(Q, 3), v) == v
 
 
 def test_complement_of_whole_carrier_is_zero():
-    v = span(Q, 3, [[1, 0, 2], [0, 1, 0]])
-    assert complete_complement(v, v) == Subspace.zero(Q, 3)
+    v = Subspace(Q, 3, [[1, 0, 2], [0, 1, 0]])
+    assert complete_complement(v, v) == Subspace(Q, 3)
 
 
 def test_complement_takes_first_standard_vector():
     # Oracle: enumerate standard vectors in index order, keep those that
     # enlarge the span.  For span{e0 + e1} inside the plane, e0 already
     # enlarges, so the greedy complement is span{e0}, not span{e1}.
-    sub = span(Q, 2, [[1, 1]])
+    sub = Subspace(Q, 2, [[1, 1]])
     w = complete_complement(sub, Subspace.full(Q, 2))
-    assert w == span(Q, 2, [[1, 0]])
+    assert w == Subspace(Q, 2, [[1, 0]])
 
 
 def test_complement_requires_containment():
     with pytest.raises(ValueError):
-        complete_complement(span(Q, 2, [[1, 0]]), span(Q, 2, [[0, 1]]))
+        complete_complement(Subspace(Q, 2, [[1, 0]]), Subspace(Q, 2, [[0, 1]]))
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        span(Q, 2, [[1, 0]]).sum(span(Q, 3, [[1, 0, 0]]))
-    for within in (span(Q, 3, []), span(F5, 2, [])):
+        Subspace(Q, 2, [[1, 0]]).sum(Subspace(Q, 3, [[1, 0, 0]]))
+    for within in (Subspace(Q, 3, []), Subspace(F5, 2, [])):
         with pytest.raises(ValueError, match="different ambient spaces"):
-            complete_complement(span(Q, 2, []), within)
+            complete_complement(Subspace(Q, 2, []), within)
 
 
 # A sparse vector with a column outside [0, ambient) gets the error of a
@@ -105,7 +104,7 @@ def test_subspace_rejects_sparse_column_outside_ambient(column):
 
 @pytest.mark.parametrize("column", [3, 7, -1])
 def test_contains_rejects_sparse_column_outside_ambient(column):
-    sub = span(Q, 3, [[1, 0, 0]])
+    sub = Subspace(Q, 3, [[1, 0, 0]])
     with pytest.raises(ValueError, match="ambient dimension mismatch"):
         sub.contains([1, 0])
     with pytest.raises(ValueError, match="ambient dimension mismatch"):
@@ -113,7 +112,7 @@ def test_contains_rejects_sparse_column_outside_ambient(column):
 
 
 def test_zero_dimensional_ambient():
-    z = Subspace.zero(Q, 0)
+    z = Subspace(Q, 0)
     assert z.dim == 0
     assert z == Subspace.full(Q, 0)
     assert complete_complement(z, z).dim == 0
@@ -173,10 +172,10 @@ def matrices(field_elems, max_dim=4):
 @settings(max_examples=60, deadline=None)
 def test_rref_idempotent_and_row_space_preserved_rational(data):
     rows, nc = data
-    r = span(Q, nc, rows).basis
-    assert span(Q, nc, r).basis == r
-    original = span(Q, nc, rows)
-    reduced = span(Q, nc, r)
+    r = Subspace(Q, nc, rows).basis
+    assert Subspace(Q, nc, r).basis == r
+    original = Subspace(Q, nc, rows)
+    reduced = Subspace(Q, nc, r)
     assert original == reduced
     for row in rows:
         assert reduced.contains(row)
@@ -188,9 +187,9 @@ def test_rref_idempotent_and_row_space_preserved_rational(data):
 @settings(max_examples=60, deadline=None)
 def test_rref_idempotent_mod_5(data):
     rows, nc = data
-    r = span(F5, nc, rows).basis
-    assert span(F5, nc, r).basis == r
-    assert span(F5, nc, rows) == span(F5, nc, r)
+    r = Subspace(F5, nc, rows).basis
+    assert Subspace(F5, nc, r).basis == r
+    assert Subspace(F5, nc, rows) == Subspace(F5, nc, r)
 
 
 @pytest.mark.parametrize("field", [Q, PrimeField(7)], ids=["Q", "F7"])
@@ -210,7 +209,7 @@ def test_sum_dimension_decides_disjointness(field):
         if rows_a and rng.random() < 0.5:
             coefs = [rng.randint(-2, 2) for _ in rows_a]
             rows_b.append([sum(c * r[t] for c, r in zip(coefs, rows_a)) for t in range(n)])
-        a, b = span(field, n, rows_a), span(field, n, rows_b)
+        a, b = Subspace(field, n, rows_a), Subspace(field, n, rows_b)
         disjoint = a.intersect(b).is_zero()
         assert (a.sum(b).dim == a.dim + b.dim) == disjoint
         outcomes.add(disjoint)
@@ -229,8 +228,8 @@ def test_sum_dimension_decides_disjointness(field):
 @settings(max_examples=60, deadline=None)
 def test_modular_dimension_identity(data):
     n, rows_a, rows_b = data
-    a = span(Q, n, rows_a)
-    b = span(Q, n, rows_b)
+    a = Subspace(Q, n, rows_a)
+    b = Subspace(Q, n, rows_b)
     assert a.dim + b.dim == a.sum(b).dim + a.intersect(b).dim
 
 
@@ -246,8 +245,8 @@ def test_modular_dimension_identity(data):
 @settings(max_examples=60, deadline=None)
 def test_complement_properties(data):
     n, carrier_rows, extra_rows = data
-    within = span(Q, n, carrier_rows + extra_rows)
-    sub = span(Q, n, extra_rows)
+    within = Subspace(Q, n, carrier_rows + extra_rows)
+    sub = Subspace(Q, n, extra_rows)
     w = complete_complement(sub, within)
     assert sub.sum(w) == within
     assert sub.intersect(w).is_zero()
@@ -257,11 +256,11 @@ def test_complement_properties(data):
 @settings(max_examples=40, deadline=None)
 def test_kernel_annihilates(data):
     rows, nc = data
-    k = span(Q, nc, rows).kernel()
+    k = Subspace(Q, nc, rows).kernel()
     for v in k.basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
-    assert len(k.basis) + len(span(Q, nc, rows).basis) == nc
+    assert len(k.basis) + len(Subspace(Q, nc, rows).basis) == nc
 
 
 GROWTH_CASES = [
@@ -279,7 +278,7 @@ def test_echelon_accumulator_matches_subspace():
         acc = Subspace(field, n)
         for k, v in enumerate(vectors):
             assert acc.add(v) == grows[k]
-            fresh = span(field, n, vectors[: k + 1])
+            fresh = Subspace(field, n, vectors[: k + 1])
             assert (acc.dim, acc.pivots) == (fresh.dim, fresh.pivots)
             assert acc.integral_rows() == fresh.integral_rows()
             assert acc.basis == fresh.basis
@@ -374,7 +373,7 @@ def assert_canonical_rows(sub):
 @settings(max_examples=80, deadline=None)
 def test_eliminator_matches_dense_oracle(field, elems, data):
     rows, nc = data.draw(ragged_matrices(field, elems))
-    sub = span(field, nc, rows)
+    sub = Subspace(field, nc, rows)
     assert (list(sub.basis), sub.pivots) == canonical(field, nc, rows)
     kernel = sub.kernel()
     assert kernel.basis == tuple(canonical(field, nc, oracle_kernel(field, nc, rows))[0])
@@ -393,7 +392,7 @@ def test_eliminator_matches_dense_oracle(field, elems, data):
     order = data.draw(st.permutations(range(len(rows))))
     scales = data.draw(st.lists(elems.filter(bool), min_size=len(rows), max_size=len(rows)))
     scaled = [[field.element(c * x) for x in rows[i]] for i, c in zip(order, scales)]
-    again = span(field, nc, scaled)
+    again = Subspace(field, nc, scaled)
     assert again == sub and hash(again) == hash(sub)
     assert again.int_rows == sub.int_rows
     probe = data.draw(st.lists(elems, min_size=nc, max_size=nc))
@@ -412,7 +411,7 @@ def test_intersection_and_complement_match_dense_oracle(field, elems, data):
     rows_b = [list(map(field.element, row)) for row in data.draw(fresh)]
     # share some rows so that the intersection is often nonzero
     rows_b += rows_a[: data.draw(st.integers(0, len(rows_a)))]
-    a, b = span(field, nc, rows_a), span(field, nc, rows_b)
+    a, b = Subspace(field, nc, rows_a), Subspace(field, nc, rows_b)
     meet = oracle_intersection(field, nc, a.basis, b.basis)
     assert a.intersect(b).basis == tuple(canonical(field, nc, meet)[0])
     assert_canonical_rows(a.intersect(b))

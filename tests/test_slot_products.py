@@ -172,7 +172,7 @@ def test_annihilator_is_kernel_of_oracle_action_matrix(name):
         for i in range(n)
     ]
     rows = [list(row) for row in zip(*columns)]
-    assert system.annihilator() == g.span(system.field, n, rows).kernel()
+    assert system.annihilator() == g.Subspace(system.field, n, rows).kernel()
 
 
 @pytest.mark.parametrize("field", [g.RationalField(), g.PrimeField(7)], ids=["Q", "F7"])

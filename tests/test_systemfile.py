@@ -1,17 +1,44 @@
 """File format: canonical round trips and input validation."""
 
+import hashlib
+
 import pytest
 
 import gradedlts as g
 from gradedlts.errors import InputError
 from gradedlts.systemfile import dumps_system, loads_system
 
+from conftest import coordinate_sum, sl2_power
+
+# SHA-256 of the canonical serialization, frozen when it was read off the
+# sorted structure constants; any change to the byte layout shows here
+SERIALIZED_SHA256 = {
+    "zero_3": "15fe51e378220ef72badd90aaa7f4f86bf9846331003b1d484e574aa6e3c86ed",
+    "sl2_Z": "d90fcc0c4229a6e2da7d046d8a8abef1cf4adda6565e19740755402f0e5ccf5e",
+    "disjoint_sum": "bf8189127f4f1c06e160d4edcac19b312059376a098c941a129a927be5d3b48e",
+    "nonlie_J": "a8baca6b1e4b28aae7841afc65f1cd2811c8137e668c597cc88ec5feed100c57",
+    "trivial_grading_sl2": "8517f8cafd9fee60da5552885d0f2bb395b540c520edf2d19ae8fd764446fe95",
+    "sl2_power_3_Q": "47774a9edac752fef671027c1b8bc032ad1981c89a0b110e4c8b5b5489f50236",
+    "sl2_power_3_F7_Z2": "3533ce8c3a1b20038d85bdf1fd6a0ad5263dba10554ddfd046cdd5c7dae6c675",
+}
+
+
+def test_serialization_bytes_are_frozen(builtins):
+    systems = dict(builtins)
+    systems["sl2_power_3_Q"] = sl2_power(3, g.RationalField())
+    systems["sl2_power_3_F7_Z2"] = coordinate_sum(sl2_power(3, g.PrimeField(7)), 2)
+    digests = {
+        name: hashlib.sha256(dumps_system(system).encode("utf-8")).hexdigest()
+        for name, system in systems.items()
+    }
+    assert digests == SERIALIZED_SHA256
+
 
 def test_round_trip_is_identity_on_all_builtins(builtins):
     for name, system in builtins.items():
         text = dumps_system(system)
         reparsed = loads_system(text)
-        assert reparsed.structure_constants() == system.structure_constants(), name
+        assert list(reparsed.nonzero_triples()) == list(system.nonzero_triples()), name
         assert reparsed.degrees == system.degrees, name
         assert reparsed.group == system.group, name
         assert reparsed.field == system.field, name
@@ -23,7 +50,7 @@ def test_prime_field_round_trip():
     text = dumps_system(system)
     reparsed = loads_system(text)
     assert reparsed.field == g.PrimeField(5)
-    assert reparsed.structure_constants() == system.structure_constants()
+    assert list(reparsed.nonzero_triples()) == list(system.nonzero_triples())
 
 
 def minimal(**overrides):
@@ -125,8 +152,8 @@ def test_nonprime_modulus_rejected():
 def test_rational_scalars_parse_and_reduce():
     doc = minimal(triple=[{"args": [0, 0, 0], "out": [{"idx": 0, "val": "4/6"}]}])
     system = loads_data(doc)
-    ((_, entry),) = system.structure_constants()
-    assert system.field.format(entry[0][1]) == "2/3"
+    ((_, entry),) = system.nonzero_triples()
+    assert system.field.format(entry[0]) == "2/3"
 
 
 # JSON true/false load as bool, a subclass of int; the grammar wants integers.

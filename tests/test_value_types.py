@@ -21,7 +21,7 @@ Z4 = g.AbelianGroup((4,))
 
 def field_values() -> dict[type, dict[str, object]]:
     """Class -> its fields in order, with a value for each."""
-    line = g.span(Q, 2, [[1, 0]])
+    line = g.Subspace(Q, 2, [[1, 0]])
     cls = g.ConnectionClass(Z.element([1]), (Z.element([1]), Z.element([-1])))
     sup = g.SupportData.from_parts([Z.element([1])], [Z.element([2])])
     return {
