@@ -13,7 +13,8 @@ could not be parsed or validated, and 3 means an internal error (any other
 exception, reported on one line).  A usage error prints a `usage:` line and
 one `gradedlts: error:` line on standard error.  Reports are emitted as JSON
 with fixed key order and string-serialized scalars, so identical inputs and
-flags produce byte-identical files.
+flags produce byte-identical files.  Each command's report is the `decompose`
+report cut to that command's sections, in one key order.
 """
 
 from __future__ import annotations
@@ -69,15 +70,8 @@ def main(argv=None) -> int:
         return 2
     if parsed is None:
         return 0
-    command, path, json_out, seed = parsed
-    handler = {
-        "verify": _cmd_verify,
-        "analyze": _cmd_analyze,
-        "embed": _cmd_embed,
-        "decompose": _cmd_decompose,
-    }[command]
     try:
-        return handler(command, path, json_out, seed)
+        return _run(*parsed)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -166,27 +160,6 @@ def _parse_args(argv: list[str]):
     if len(positional) > 1:
         raise _UsageError(command, f"unrecognized arguments: {' '.join(positional[1:])}")
     return command, positional[0], values["--json"], values.get("--seed")
-
-
-def _load(command: str, path: str, seed):
-    """(system, report, ok): the header, `seed` if given and the verification
-    of the input at `path`, read once, so the hash is of the bytes parsed."""
-    data, text = read_input(path)
-    system = loads_system(text)
-    report = {
-        "tool": {"name": "gradedlts", "version": __version__},
-        "command": command,
-        "input": {"path": str(path), "sha256": sha256(data).hexdigest()},
-        "system": {
-            "field": system.field.descriptor(),
-            "group": list(system.group.moduli),
-            "dimension": system.dim,
-        },
-    }
-    if seed is not None:
-        report["seed"] = seed
-    report["verification"], ok = _verification_section(system)
-    return system, report, ok
 
 
 def _verification_section(system) -> tuple[dict, bool]:
@@ -315,93 +288,75 @@ def _emit(report: dict, json_out) -> None:
             raise InputError(f"cannot write {json_out}: {exc}") from None
 
 
-def _print_verification(section) -> None:
-    for key in ("axioms", "grading", "fundamental_identity"):
-        block = section[key]
-        status = "ok" if block["ok"] else f"FAILED ({block['violation_count']} violations)"
-        print(f"{key.replace('_', ' ')}: {status}")
+def _run(command: str, path: str, json_out, seed) -> int:
+    """Run `command` on the system file at `path`; returns the exit code.
 
-
-def _cmd_verify(command, path, json_out, seed) -> int:
-    _, report, ok = _load(command, path, seed)
-    _emit(report, json_out)
-    _print_verification(report["verification"])
-    print("verdict:", "pass" if ok else "fail")
-    return 0 if ok else 1
-
-
-def _verified(command, path, json_out, seed):
-    """Load, verify and embed the system of an analyze, embed or decompose run.
-
-    Returns (system, emb, report) with the header (and `seed`, given for
-    decompose only), verification and supports in the report.  When
-    verification fails, the report is written and the verdict printed, and
-    emb is None.
+    Every command builds the decompose report, in its one key order, cut
+    at its own sections: verify, and any command whose verification fails,
+    stops after the verification; analyze adds the supports and classes,
+    embed the supports and the embedding.
     """
-    system, report, ok = _load(command, path, seed)
-    if not ok:
+    # the input is read once, so the hash is of the bytes parsed
+    data, text = read_input(path)
+    system = loads_system(text)
+    report = {
+        "tool": {"name": "gradedlts", "version": __version__},
+        "command": command,
+        "input": {"path": str(path), "sha256": sha256(data).hexdigest()},
+        "system": {
+            "field": system.field.descriptor(),
+            "group": list(system.group.moduli),
+            "dimension": system.dim,
+        },
+    }
+    if seed is not None:
+        report["seed"] = seed
+    report["verification"], ok = _verification_section(system)
+    if command == "verify" or not ok:
         _emit(report, json_out)
-        _print_verification(report["verification"])
-        print("verdict: fail (verification)")
-        return system, None, report
+        for key, block in report["verification"].items():
+            status = "ok" if block["ok"] else f"FAILED ({block['violation_count']} violations)"
+            print(f"{key.replace('_', ' ')}: {status}")
+        print("verdict:", "pass" if ok else "fail" if command == "verify" else "fail (verification)")
+        return 0 if ok else 1
+
     emb = build_embedding(system)
     report["supports"] = _supports_section(system, emb)
-    return system, emb, report
-
-
-def _cmd_analyze(command, path, json_out, seed) -> int:
-    system, emb, report = _verified(command, path, json_out, seed)
-    if emb is None:
-        return 1
-    sup = SupportData.from_system(system, emb)
-    report["classes"] = _classes_section(sup, connection_classes(sup))
-    _emit(report, json_out)
-    print("odd support:", " ".join(report["supports"]["odd_support"]) or "(empty)")
-    print("even support:", " ".join(report["supports"]["even_support"]) or "(empty)")
-    print(f"connection classes: {len(report['classes'])}")
-    for cls in report["classes"]:
-        print(f"  [{cls['representative']}] members: {' '.join(cls['members'])}")
-    return 0
-
-
-def _cmd_embed(command, path, json_out, seed) -> int:
-    system, emb, report = _verified(command, path, json_out, seed)
-    if emb is None:
-        return 1
-    section = _embedding_section(emb)
-    report["embedding"] = section
-    _emit(report, json_out)
-    print(f"even part dimension: {section['even_part_dim']}")
-    print(f"null space dimension: {section['null_space_dim']}")
-    print("even support:", " ".join(section["even_support"]) or "(empty)")
-    ok = section["even_grading_ok"]
-    print("verdict:", "pass" if ok else "fail (even grading)")
-    return 0 if ok else 1
-
-
-def _cmd_decompose(command, path, json_out, seed) -> int:
-    system, emb, report = _verified(command, path, json_out, seed)
-    if emb is None:
-        return 1
-    deco = decompose(system, emb, seed=seed)
-    sup = deco.supports
-    classes = [ideal.cls for ideal in deco.ideals]
-    report["classes"] = _classes_section(sup, classes)
-    report["embedding"] = _embedding_section(emb)
-    report["decomposition"] = _decomposition_section(deco)
-    lemma_checks = verify_structure_lemmas(system, emb, classes, sup)
-    report["lemmas"] = _lemma_section(lemma_checks)
-    report["obstructions"] = _obstruction_section(deco.obstructions)
+    if command == "analyze":
+        sup = SupportData.from_system(system, emb)
+        classes = connection_classes(sup)
+    elif command == "decompose":
+        deco = decompose(system, emb, seed=seed)
+        sup, classes = deco.supports, [ideal.cls for ideal in deco.ideals]
+    if command != "embed":
+        report["classes"] = _classes_section(sup, classes)
+    if command != "analyze":
+        report["embedding"] = _embedding_section(emb)
+    if command == "decompose":
+        report["decomposition"] = _decomposition_section(deco)
+        report["lemmas"] = _lemma_section(verify_structure_lemmas(system, emb, classes, sup))
+        report["obstructions"] = _obstruction_section(deco.obstructions)
     _emit(report, json_out)
 
+    if command == "analyze":
+        print("odd support:", " ".join(report["supports"]["odd_support"]) or "(empty)")
+        print("even support:", " ".join(report["supports"]["even_support"]) or "(empty)")
+        print(f"connection classes: {len(report['classes'])}")
+        for cls in report["classes"]:
+            print(f"  [{cls['representative']}] members: {' '.join(cls['members'])}")
+        return 0
+    section = report["embedding"]
+    if command == "embed":
+        print(f"even part dimension: {section['even_part_dim']}")
+        print(f"null space dimension: {section['null_space_dim']}")
+        print("even support:", " ".join(section["even_support"]) or "(empty)")
+        ok = section["even_grading_ok"]
+        print("verdict:", "pass" if ok else "fail (even grading)")
+        return 0 if ok else 1
     print(f"ideals: {len(deco.ideals)}  complement dim: {deco.u.dim}")
     print(f"tight: {deco.tight}  annihilator dim: {deco.annihilator_dim}")
     print(f"direct sum: {deco.direct_sum}")
     print(f"obstructions: {len(deco.obstructions)}")
-    certs_ok = (
-        report["embedding"]["even_grading_ok"]
-        and deco.all_orthogonal
-        and report["lemmas"]["all_hold"]
-    )
-    print("verdict:", "pass" if certs_ok else "fail (certificates)")
-    return 0 if certs_ok else 1
+    ok = section["even_grading_ok"] and deco.all_orthogonal and report["lemmas"]["all_hold"]
+    print("verdict:", "pass" if ok else "fail (certificates)")
+    return 0 if ok else 1

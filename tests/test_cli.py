@@ -78,6 +78,41 @@ def test_certificate_failure_exits_1_with_one_line(fixture_files, monkeypatch, c
     assert captured.err == "certificate failure [NotWellDefined]: bracketing N escapes N\n"
 
 
+def _fail_even_grading(monkeypatch):
+    violation = {"degrees": ["[0]", "[0]"], "bracket": ["1", "0", "0"]}
+    monkeypatch.setattr(g.StandardEmbedding, "verify_even_grading", lambda self: [violation])
+
+
+def _fail_a_lemma(monkeypatch):
+    checked = cli.verify_structure_lemmas
+
+    def planted(*args):
+        checks = checked(*args)
+        checks[0].failures.append("planted failure")
+        return checks
+
+    monkeypatch.setattr(cli, "verify_structure_lemmas", planted)
+
+
+@pytest.mark.parametrize(
+    "command, plant, verdict, section, key",
+    [
+        ("embed", _fail_even_grading, "fail (even grading)", "embedding", "even_grading_ok"),
+        ("decompose", _fail_even_grading, "fail (certificates)", "embedding", "even_grading_ok"),
+        ("decompose", _fail_a_lemma, "fail (certificates)", "lemmas", "all_hold"),
+    ],
+)
+def test_failed_certificate_exits_1_and_writes_the_report(
+    command, plant, verdict, section, key, fixture_files, tmp_path, monkeypatch, capsys
+):
+    plant(monkeypatch)
+    out = tmp_path / "report.json"
+    assert main([command, str(fixture_files["sl2_Z"]), "--json", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.endswith(f"verdict: {verdict}\n")
+    assert json.loads(out.read_text(encoding="utf-8"))[section][key] is False
+
+
 def test_verify_rejects_malformed_scalar(tmp_path):
     doc = {
         "group": {"moduli": [0]},

@@ -9,6 +9,9 @@ for systems with one corrupted structure constant (exit 1), which freeze
 the violation lists of the identity sweeps.  `<case>.analyze.json` and
 `<case>.embed.json` exist for both sets: exit 0 on the valid systems, and
 exit 1 on the corrupted ones, which freezes the shared fail-out report.
+`cli_stdout.json` freezes the exit code and standard output of every
+command on three cases: the empty system, two classes and a failed
+verification.
 
 Regenerate them only for a deliberate change of the report format, with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -16,8 +19,12 @@ Regenerate them only for a deliberate change of the report format, with
 
 from __future__ import annotations
 
+import io
+import json
 import os
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -29,6 +36,8 @@ from gradedlts.fixtures import fixture_text
 from conftest import coordinate_sum, mutate_constant, sl2_power, sl2_square, sl_root
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+COMMANDS = ("verify", "analyze", "embed", "decompose")
+STDOUT_CASES = ("zero_3", "disjoint_sum", "sl2_Z_corrupt")
 
 
 def golden_inputs() -> dict[str, str]:
@@ -110,9 +119,45 @@ def test_analyze_and_embed_reports_match_golden(command, name, tmp_path):
     assert cli_report(command, name, text, tmp_path, code) == expected
 
 
-if __name__ == "__main__":
-    import tempfile
+@pytest.mark.parametrize("name", sorted({**golden_inputs(), **corrupted_inputs()}))
+def test_each_report_is_the_decompose_report_cut_at_its_sections(name, tmp_path):
+    corrupted = corrupted_inputs()
+    text = {**golden_inputs(), **corrupted}[name]
+    code = 1 if name in corrupted else 0
+    reports = {
+        command: json.loads(cli_report(command, name, text, tmp_path, code))
+        for command in COMMANDS
+    }
+    full = reports["decompose"]
+    for command, report in reports.items():
+        assert [key for key in full if key in report] == list(report), command
+        assert report["command"] == command
+        assert ("seed" in report) == (command == "decompose")
+        for key in report:
+            assert key == "command" or report[key] == full[key], (command, key)
 
+
+def cli_stdout() -> bytes:
+    """`cli_stdout.json`: case -> command -> exit code and standard output lines."""
+    inputs = {**golden_inputs(), **corrupted_inputs()}
+    frozen = {}
+    for name in STDOUT_CASES:
+        frozen[name] = {}
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / f"{name}.json"
+            path.write_text(inputs[name], encoding="utf-8")
+            for command in COMMANDS:
+                with redirect_stdout(io.StringIO()) as out:
+                    code = main([command, str(path)])
+                frozen[name][command] = {"exit": code, "stdout": out.getvalue().splitlines()}
+    return (json.dumps(frozen, indent=2) + "\n").encode("utf-8")
+
+
+def test_cli_stdout_matches_golden():
+    assert cli_stdout() == (GOLDEN_DIR / "cli_stdout.json").read_bytes()
+
+
+if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for inputs, command, run in (
         (golden_inputs(), "decompose", decompose_report),
@@ -128,3 +173,5 @@ if __name__ == "__main__":
             report = cli_report(command, case, source, Path(scratch), code)
         (GOLDEN_DIR / f"{case}.{command}.json").write_bytes(report)
         print(f"wrote {case}.{command}.json", file=sys.stderr)
+    (GOLDEN_DIR / "cli_stdout.json").write_bytes(cli_stdout())
+    print("wrote cli_stdout.json", file=sys.stderr)
