@@ -41,6 +41,6 @@ print("== ideals and the defect ideal ==")
 nonlie = builtin("nonlie_J")
 defect = nonlie.lie_defect_ideal()
 print("non-Lie fixture defect ideal dimension:", defect.dim)
-print("is it a Lie triple system?", nonlie.is_lie_triple())
+print("is it a Lie triple system?", defect.is_zero())
 print("simple Lie fixture defect dimension:", system.lie_defect_ideal().dim)
 print("annihilator of the zero system:", builtin("zero_3").annihilator().dim, "dimensional")

@@ -26,8 +26,7 @@ _EXPORTS = {
          "verify_structure_lemmas"),
         ("embedding", "StandardEmbedding build_embedding"),
         ("errors", "CertificateFailure DecompositionFailure EquivalenceFailure "
-         "IdealCertificateFailure InputError LeibnizIdentityFailure NotWellDefined "
-         "OracleDisagreement"),
+         "IdealCertificateFailure InputError LeibnizIdentityFailure NotWellDefined"),
         ("fixtures", "BUILTIN_NAMES GradedLeibnizAlgebra builtin direct_sum from_leibniz_algebra "
          "relabel_degrees sl2_algebra zero_system"),
         ("groups", "AbelianGroup GroupElement"),

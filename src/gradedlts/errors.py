@@ -32,10 +32,6 @@ class CertificateFailure(RuntimeError):
         self.witness = witness
 
 
-class OracleDisagreement(CertificateFailure):
-    """Two independent computations of the same fact disagree."""
-
-
 class NotWellDefined(CertificateFailure):
     """The quotient bracket does not descend to the tensor-square quotient."""
 
@@ -54,6 +50,11 @@ class EquivalenceFailure(CertificateFailure):
 
 class IdealCertificateFailure(CertificateFailure):
     """A subspace claimed to be an ideal fails the ideal predicate."""
+
+
+def is_int(x) -> bool:
+    """An int and not a bool (JSON true/false load as bool, a subclass of int)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def read_only(self, name, *value):

@@ -20,8 +20,8 @@ from typing import Mapping, NamedTuple
 
 from .errors import InputError
 from .groups import AbelianGroup, GroupElement
-from .identities import RIGHT_LEIBNIZ, Violation, index_constants, term_violations
-from .linalg import dense
+from .identities import (RIGHT_LEIBNIZ, Violation, grading_violations, index_constants,
+                         term_violations)
 from .rational import RationalField
 from .triples import GradedTripleSystem
 
@@ -67,23 +67,15 @@ class GradedLeibnizAlgebra(NamedTuple):
     def verify(self) -> list[Violation]:
         """Grading compatibility, then the right Leibniz identity on basis triples.
 
-        Grading violations come first, in bracket order.  The identity is
-        checked by the term-driven join over the integer image of the
-        brackets, exact because a triple that no term reaches has every term
-        zero; its violations follow in (y, z, x) order.
+        Both run on the integer image of the brackets.  Grading violations
+        come first, in bracket order (`grading_violations`).  The identity is
+        checked by the term-driven join, exact because a triple that no term
+        reaches has every term zero; its violations follow in (y, z, x) order.
         """
-        violations = []
-        n = self.dim
-        table = self.bracket_table()
-        for (i, j), entry in table.items():
-            expected = self.degrees[i].compose(self.degrees[j])
-            for l in entry:
-                if self.degrees[l] != expected:
-                    vec = dense(self.field, {l: entry[l]}, n)
-                    violations.append(Violation("grading", (i, j, l), vec))
-        ints, scale = self.field.integer_image(table)
-        index = index_constants(ints, n, 2)
-        return violations + term_violations(self.field, index, RIGHT_LEIBNIZ, scale**2)
+        ints, scale = self.field.integer_image(self.bracket_table())
+        index = index_constants(ints, self.dim, 2)
+        return (grading_violations(self.field, ints, self.degrees, scale)
+                + term_violations(self.field, index, RIGHT_LEIBNIZ, scale**2))
 
 
 def from_leibniz_algebra(algebra: GradedLeibnizAlgebra) -> GradedTripleSystem:
@@ -140,16 +132,19 @@ def relabel_degrees(system: GradedTripleSystem, target: AbelianGroup, image) -> 
     """Push the grading through a group homomorphism.
 
     `image` maps each generator coordinate of the source group to a target
-    element, as a matrix of integers (one row per source factor).  Any
-    homomorphism preserves grading compatibility, so the result is graded
-    by the target group with the same structure constants.
+    element, as a matrix of integers (one row per source factor); m times
+    the row of a factor of order m must be the identity, else InputError.
+    Any homomorphism preserves grading compatibility, so the result is
+    graded by the target group with the same structure constants.
     """
     image = [list(map(int, row)) for row in image]
     if len(image) != system.group.rank:
         raise InputError("homomorphism matrix must have one row per source factor")
-    for row in image:
+    for m, row in zip(system.group.moduli, image):
         if len(row) != target.rank:
             raise InputError("homomorphism matrix must have one column per target factor")
+        if m and not target.element([m * x for x in row]).is_identity():
+            raise InputError(f"homomorphism matrix: {m} times row {row} is not the identity")
 
     def push(g: GroupElement) -> GroupElement:
         coords = [0] * target.rank
@@ -185,7 +180,9 @@ def sl2_algebra(field=None) -> GradedLeibnizAlgebra:
 
 def zero_system(n: int, field=None) -> GradedTripleSystem:
     """The n-dimensional system with identically zero product and trivial grading;
-    InputError past n = ZERO_MAX, before anything is built."""
+    InputError for n < 0 or past n = ZERO_MAX, before anything is built."""
+    if n < 0:
+        raise InputError(f"zero system of negative dimension {n}")
     if n > ZERO_MAX:
         raise InputError(f"zero system of dimension {n} is past the limit {ZERO_MAX}")
     field = field or RationalField()

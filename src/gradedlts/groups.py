@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import functools
 
-from .errors import InputError, read_only
+from .errors import InputError, is_int, read_only
 
 
 class AbelianGroup:
     __slots__ = ("moduli",)
 
     def __init__(self, moduli: tuple[int, ...]):
-        moduli = tuple(int(m) for m in moduli)
+        moduli = _integers(moduli, "moduli")
         if any(m < 0 or m == 1 for m in moduli):
             raise InputError(f"moduli must be 0 or >= 2, got {list(moduli)}")
         object.__setattr__(self, "moduli", moduli)
@@ -40,7 +40,7 @@ class AbelianGroup:
         return GroupElement(self, (0,) * self.rank)
 
     def element(self, coords) -> "GroupElement":
-        coords = tuple(int(c) for c in coords)
+        coords = _integers(coords, "coordinates")
         if len(coords) != self.rank:
             raise InputError(
                 f"element has {len(coords)} coordinates, group has {self.rank} factors"
@@ -49,6 +49,13 @@ class AbelianGroup:
 
     def __repr__(self):
         return f"AbelianGroup({list(self.moduli)})"
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    values = tuple(values)
+    if not all(map(is_int, values)):
+        raise InputError(f"{what} must be integers, got {list(values)!r}")
+    return values
 
 
 @functools.total_ordering

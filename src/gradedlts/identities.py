@@ -5,15 +5,18 @@ six-term identity and the right Leibniz identity of an algebra each nest
 one stored constant in another, so they hold on all basis tuples (enough,
 as each is multilinear) exactly when the join finds no nonzero residual: a
 tuple the join never reaches has residual zero.  On an integer image (D
-times the constants) a residual scales by D^2 and is divided back.
+times the constants) a residual scales by D^2 and is divided back.  The
+grading condition of an algebra or a system is read off the same image.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
+from .groups import GroupElement
 from .linalg import dense
 
 
@@ -143,4 +146,19 @@ def term_violations(field, index, identities, scale) -> list[Violation]:
         if residual := field.clean(residual):
             vector = dense(field, residual, len(index[2]), scale)
             violations.append(Violation(identities[ident][0], indices, vector))
+    return violations
+
+
+def grading_violations(field, table, degrees, scale) -> list[Violation]:
+    """Every stored constant at b_l of a product of basis elements `key` with
+    deg(b_l) not the product of the key's degrees, as a violation at
+    (*key, l), in key then l order.  `table` is an integer image, `scale`
+    times the constants; only a violating constant is divided back."""
+    violations = []
+    for key in sorted(table):
+        entry, expected = table[key], reduce(GroupElement.compose, (degrees[i] for i in key))
+        for l in sorted(entry):
+            if degrees[l] != expected:
+                vector = dense(field, {l: entry[l]}, len(degrees), scale)
+                violations.append(Violation("grading", (*key, l), vector))
     return violations

@@ -25,15 +25,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import InputError
+from .errors import InputError, is_int
 from .groups import AbelianGroup
 from .linalg import field_from_descriptor
 from .triples import GradedTripleSystem
-
-
-def _is_int(x) -> bool:
-    # JSON true/false load as bool, which is a subclass of int
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def read_input(path) -> tuple[bytes, str]:
@@ -74,7 +69,7 @@ def system_from_data(data) -> GradedTripleSystem:
     if not isinstance(group_desc, dict) or "moduli" not in group_desc:
         raise InputError("group must be an object with a 'moduli' list")
     moduli = group_desc["moduli"]
-    if not isinstance(moduli, list) or not all(_is_int(m) for m in moduli):
+    if not isinstance(moduli, list) or not all(is_int(m) for m in moduli):
         raise InputError("group moduli must be a list of integers")
     group = AbelianGroup(tuple(moduli))
 
@@ -83,7 +78,7 @@ def system_from_data(data) -> GradedTripleSystem:
     field = field_from_descriptor(data["field"])
 
     n = data["dimension"]
-    if not _is_int(n) or n < 0:
+    if not is_int(n) or n < 0:
         raise InputError("dimension must be a non-negative integer")
 
     degrees_raw = data["degrees"]
@@ -91,7 +86,7 @@ def system_from_data(data) -> GradedTripleSystem:
         raise InputError(f"degrees must list exactly {n} coordinate vectors")
     degrees = []
     for coords in degrees_raw:
-        if not isinstance(coords, list) or not all(_is_int(c) for c in coords):
+        if not isinstance(coords, list) or not all(is_int(c) for c in coords):
             raise InputError("each degree must be a list of integers")
         degrees.append(group.element(coords))
 
@@ -106,7 +101,7 @@ def system_from_data(data) -> GradedTripleSystem:
         if (
             not isinstance(args, list)
             or len(args) != 3
-            or not all(_is_int(a) for a in args)
+            or not all(is_int(a) for a in args)
         ):
             raise InputError(f"args must be three integers, got {args!r}")
         i, j, k = args
@@ -122,7 +117,7 @@ def system_from_data(data) -> GradedTripleSystem:
             if not isinstance(item, dict) or "idx" not in item or "val" not in item:
                 raise InputError("each output needs 'idx' and 'val'")
             l = item["idx"]
-            if not _is_int(l) or not 0 <= l < n:
+            if not is_int(l) or not 0 <= l < n:
                 raise InputError(f"output index {l!r} out of range")
             if l in entry:
                 raise InputError(f"duplicate output index {l} for args {args}")

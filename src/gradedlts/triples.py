@@ -20,9 +20,10 @@ from collections.abc import Mapping
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import CertificateFailure, InputError, OracleDisagreement
+from .errors import CertificateFailure, InputError
 from .groups import AbelianGroup, GroupElement
-from .identities import AXIOM_TERMS, SIX_TERM, Violation, index_constants, term_violations
+from .identities import (AXIOM_TERMS, SIX_TERM, Violation, grading_violations, index_constants,
+                         term_violations)
 from .linalg import Subspace, dense
 
 
@@ -123,15 +124,8 @@ class GradedTripleSystem:
 
     def verify_grading(self) -> list[Violation]:
         """Check degree compatibility of every stored structure constant, on
-        the integer image; only a violating constant is divided back."""
-        violations = []
-        for (i, j, k), entry in self.integer_triples():
-            expected = self.degrees[i].compose(self.degrees[j]).compose(self.degrees[k])
-            for l in sorted(entry):
-                if self.degrees[l] != expected:
-                    vec = dense(self.field, {l: entry[l]}, self.dim, self.scale)
-                    violations.append(Violation("grading", (i, j, k, l), vec))
-        return violations
+        the integer image (`grading_violations`)."""
+        return grading_violations(self.field, self._table, self.degrees, self.scale)
 
     # -- grading data ---------------------------------------------------------
 
@@ -239,37 +233,6 @@ class GradedTripleSystem:
                     witness={"vector": vector, "j": j, "k": k},
                 )
         return ideal
-
-    def is_lie_triple(self) -> bool:
-        """Whether the system is a Lie triple system.
-
-        Decided as `lie_defect_ideal() == 0` and cross-checked against the
-        direct axiom test (vanishing {x,x,z} and the ternary Jacobi sum on
-        basis tuples).  The two must agree; a mismatch is an implementation
-        bug and raises OracleDisagreement rather than returning quietly.
-        """
-        via_defect = self.lie_defect_ideal().is_zero()
-        via_axioms = self._lie_axiom_oracle()
-        if via_defect != via_axioms:
-            raise OracleDisagreement(
-                "defect-ideal test and direct Lie-triple axiom test disagree",
-                witness={"defect_zero": via_defect, "axioms_hold": via_axioms},
-            )
-        return via_defect
-
-    def _lie_axiom_oracle(self) -> bool:
-        # {x,x,z} = 0 fails exactly at a stored (i, i, k); the sum
-        # {i,j,k} + {j,i,k} is zero unless it has a stored term, and swapping
-        # i and j leaves it unchanged, so it suffices to test it at stored
-        # keys; the same holds for the cyclic Jacobi sum under rotation
-        if any(i == j for i, j, _ in self._table):
-            return False
-        for i, j, k in self._table:
-            if self._combination((i, j, k), (j, i, k)):
-                return False
-            if self._combination((i, j, k), (j, k, i), (k, i, j)):
-                return False
-        return True
 
     def _combination(self, *keys, minus=None) -> dict[int, object]:
         """{b_i, b_j, b_k} summed over `keys`, less the constant at `minus`,

@@ -98,10 +98,10 @@ def test_criterion_02_defect_ideal_certificates(systems):
         # inside the computation and raise on failure
         defect = system.lie_defect_ideal()
         assert system.ideal_witness(defect) is None, name
-        assert system.is_lie_triple() == oracle_is_lie(system), name
-    assert systems["nonlie_J"].is_lie_triple() is False
+        assert defect.is_zero() == oracle_is_lie(system), name
+    assert systems["nonlie_J"].lie_defect_ideal().is_zero() is False
     assert oracle_is_lie(systems["nonlie_J"]) is False
-    assert systems["sl2_Z"].is_lie_triple() is True
+    assert systems["sl2_Z"].lie_defect_ideal().is_zero() is True
     _passed(2, "defect-ideal-and-lie-test")
 
 

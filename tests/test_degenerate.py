@@ -20,7 +20,7 @@ def test_zero_dimensional_system_accepted_everywhere():
     assert system.support() == ()
     assert system.annihilator().dim == 0
     assert system.lie_defect_ideal().dim == 0
-    assert system.is_lie_triple() is True
+    assert system.lie_defect_ideal().is_zero() is True
 
     emb = g.build_embedding(system)
     assert emb.dim_even == 0

@@ -118,6 +118,8 @@ def test_zero_n_synthesis():
     with pytest.raises(InputError, match="past the limit 10000"):
         g.zero_system(10**4 + 1)
     assert g.zero_system(10**4).dim == 10**4
+    with pytest.raises(InputError, match="negative dimension -1"):
+        g.zero_system(-1)
     assert g.builtin("zero_0010000").dim == 10**4
 
 
@@ -149,3 +151,15 @@ def test_relabel_preserves_validity():
     assert relabeled.verify_grading() == []
     assert relabeled.verify_axioms() == []
     assert [d.coords for d in relabeled.degrees] == [(2,), (0,), (3,)]
+
+
+def test_relabel_rejects_a_matrix_that_is_not_a_homomorphism():
+    sl2_z2 = g.relabel_degrees(g.builtin("sl2_Z"), g.AbelianGroup((2,)), [[1]])
+    z, z4 = g.AbelianGroup((0,)), g.AbelianGroup((4,))
+    # a Z_2 generator must go to an element of order dividing 2
+    for target, image in ((z, [[1]]), (z4, [[1]])):
+        with pytest.raises(InputError, match="2 times row .* is not the identity"):
+            g.relabel_degrees(sl2_z2, target, image)
+    pushed = g.relabel_degrees(sl2_z2, z4, [[2]])
+    assert [d.coords for d in pushed.degrees] == [(2,), (0,), (2,)]
+    assert pushed.verify_grading() == []

@@ -1,6 +1,7 @@
 """Abelian group arithmetic and canonical forms."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +53,14 @@ def test_moduli_validation():
         AbelianGroup((1,))
     with pytest.raises(InputError):
         AbelianGroup((-2,))
+
+
+@pytest.mark.parametrize("value", [1.7, 2.0, "1", True, Fraction(1)])
+def test_moduli_and_coordinates_must_be_ints(value):
+    with pytest.raises(InputError, match="moduli must be integers"):
+        AbelianGroup((0, value))
+    with pytest.raises(InputError, match="coordinates must be integers"):
+        AbelianGroup((0, 3)).element([0, value])
 
 
 def test_mixed_group_operations_rejected():

@@ -290,6 +290,23 @@ def algebras():
             out[f"{name}_m{t}"] = mutant
     for t, mutant in enumerate(bracket_mutants(out["sl3_root"], "sl3", 3)):
         out[f"sl3_root_m{t}"] = mutant
+    out.update(fractional_mutants())
+    return out
+
+
+def fractional_mutants():
+    """sl2 with [e, f] = h/2 and the off-degree bracket [e, e] = -2/3 f, over
+    Q and GF(7).  The other algebras have integer brackets, so only these
+    make the grading check divide a violation back by a scale D > 1 (6 over Q)."""
+    out = {}
+    for label, field in (("Q", Q), ("F7", F7)):
+        algebra = g.sl2_algebra(field)
+        table = algebra.bracket_table()
+        table[(0, 2)] = {1: field.element("1/2")}
+        table[(0, 0)] = {2: field.element("-2/3")}
+        out[f"sl2_{label}_frac"] = g.GradedLeibnizAlgebra.build(
+            field, algebra.group, algebra.degrees, table
+        )
     return out
 
 
@@ -300,6 +317,19 @@ ALGEBRAS = algebras()
 def test_algebra_verify_matches_dense_loop(name):
     algebra = ALGEBRAS[name]
     assert algebra.verify() == oracle_algebra_verify(algebra)
+
+
+def test_fractional_grading_violation_is_divided_back():
+    # the algebra's check and the system's are one function on integer images
+    for label, field in (("Q", Q), ("F7", F7)):
+        zero, value = field.zero, field.element("-2/3")
+        violations = ALGEBRAS[f"sl2_{label}_frac"].verify()
+        assert violations[0] == g.Violation("grading", (0, 0, 2), (zero, zero, value))
+        assert [v.identity for v in violations].count("grading") == 1
+        system = mutate_constant(sl2_power(1, field), 0, 0, 0, 2, value)
+        assert system.scale == (3 if field is Q else 1)
+        grading = system.verify_grading()
+        assert grading == [g.Violation("grading", (0, 0, 0, 2), (zero, zero, value))]
 
 
 def test_algebra_cases_cover_both_outcomes_and_both_kinds():

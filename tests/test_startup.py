@@ -72,7 +72,7 @@ def test_every_public_name_resolves_lazily():
         "    'subspace': gradedlts.linalg.Subspace.__qualname__,\n"
         "}))\n"
     )
-    assert len(found["all"]) == 47
+    assert len(found["all"]) == 46
     assert found["unlisted"] == [] and found["bound"] == []
     assert found["starred"] == sorted(found["all"])
     assert found["subspace"] == "Subspace"

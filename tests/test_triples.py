@@ -256,17 +256,17 @@ def lie_mutants():
     return out
 
 
-def test_is_lie_triple_agrees_with_direct_oracle(builtins):
+def test_lie_test_agrees_with_direct_oracle(builtins):
+    # the Lie test is a zero defect ideal
     for name, system in builtins.items():
-        assert system.is_lie_triple() == oracle_is_lie(system), name
-    # the defect-ideal certificate may reject a corrupt mutant; the two
-    # tests must agree wherever it does not
+        assert system.lie_defect_ideal().is_zero() == oracle_is_lie(system), name
+    # the defect-ideal certificate may reject a corrupt mutant; the test
+    # must agree with the oracle wherever it does not
     decided = []
     for mutant in lie_mutants():
         expected = oracle_is_lie(mutant)
-        assert mutant._lie_axiom_oracle() == expected
         try:
-            assert mutant.is_lie_triple() == expected
+            assert mutant.lie_defect_ideal().is_zero() == expected
         except CertificateFailure:
             continue
         decided.append(expected)
@@ -297,7 +297,7 @@ def test_defect_ideal_matches_closure_of_dense_generators(builtins):
 
 
 def test_nonlie_fixture_is_not_lie(nonlie):
-    assert nonlie.is_lie_triple() is False
+    assert nonlie.lie_defect_ideal().is_zero() is False
     assert oracle_is_lie(nonlie) is False
 
 

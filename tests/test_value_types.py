@@ -117,7 +117,7 @@ def test_group_element_reduces_its_coordinates_and_orders_them():
 
 
 def test_abelian_group_canonicalises_and_hashes_by_moduli():
-    assert g.AbelianGroup([0, "3"]).moduli == (0, 3)
+    assert g.AbelianGroup([0, 3]).moduli == (0, 3)
     assert g.AbelianGroup((0, 3)) == g.AbelianGroup([0, 3])
     assert hash(g.AbelianGroup((0, 3))) == hash(g.AbelianGroup([0, 3]))
     assert g.AbelianGroup((0,)) != g.AbelianGroup((2,))
