@@ -18,7 +18,7 @@ import re
 from importlib import resources
 from typing import Mapping, NamedTuple
 
-from .errors import InputError
+from .errors import InputError, is_int
 from .groups import AbelianGroup, GroupElement
 from .identities import (RIGHT_LEIBNIZ, Violation, grading_violations, index_constants,
                          term_violations)
@@ -137,7 +137,9 @@ def relabel_degrees(system: GradedTripleSystem, target: AbelianGroup, image) -> 
     Any homomorphism preserves grading compatibility, so the result is
     graded by the target group with the same structure constants.
     """
-    image = [list(map(int, row)) for row in image]
+    image = [list(row) for row in image]
+    if not all(is_int(x) for row in image for x in row):
+        raise InputError(f"homomorphism matrix entries must be integers, got {image!r}")
     if len(image) != system.group.rank:
         raise InputError("homomorphism matrix must have one row per source factor")
     for m, row in zip(system.group.moduli, image):

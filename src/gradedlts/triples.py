@@ -5,10 +5,11 @@ degree map into an abelian group, and a trilinear product {.,.,.} given by
 sparse structure constants.  The identities are checked by the join of
 `identities`, the grading {E_g, E_h, E_k} in E_{ghk} constant by constant;
 the basis is homogeneous, so each component E_g is a block of basis indices.
-Products of a vector with every basis pair come from `int_slot_products`,
-which reads only the constants the vector meets.  Zero and span tests run
-on the integer image of the constants (`scale` = D times them; over GF(p)
-the residues) and on primitive integer vectors: scaling moves no zero.
+Products of a vector with every basis pair come from one enumerator, which
+reads only the constants the vector meets; `ideal_closure` streams it.
+Zero and span tests run on the integer image of the constants (`scale` =
+D times them; over GF(p) the residues) and on primitive integer vectors:
+scaling moves no zero.
 
 Systems are immutable after construction; verification sweeps are pure and
 may be run concurrently on the same instance.
@@ -88,18 +89,23 @@ class GradedTripleSystem:
     def int_slot_products(self, w: Mapping) -> dict[tuple[int, int, int], dict[int, object]]:
         """The nonzero products of w with every basis pair, `scale` times, reduced,
         keys in order: (j, k, 0) is {w, b_j, b_k}, (j, k, 1) is {b_j, w, b_k}
-        and (j, k, 2) is {b_j, b_k, w}.  Reads only the constants w meets."""
+        and (j, k, 2) is {b_j, b_k, w}.  Built from `_slot_stream`."""
+        acc, clean = dict(self._slot_stream(w)), self.field.clean
+        return {key: out for key in sorted(acc) if (out := clean(acc[key]))}
+
+    def _slot_stream(self, w: Mapping):
+        """Yield ((j, k, slot), product) as `int_slot_products`, one slot at a
+        time, unreduced and unsorted.  Reads only the constants w meets."""
         table, by_slot, _ = self._index
-        acc: dict[tuple[int, int, int], dict[int, object]] = {}
         for slot, by_index in enumerate(by_slot):
             others = itemgetter(*[t for t in range(3) if t != slot])
+            acc: dict[tuple[int, int, int], dict[int, object]] = {}
             for i, coef in w.items():
                 for key in by_index[i]:
                     out = acc.setdefault((*others(key), slot), {})
                     for l, x in table[key].items():
                         out[l] = out.get(l, 0) + coef * x
-        clean = self.field.clean
-        return {key: out for key in sorted(acc) if (out := clean(acc[key]))}
+            yield from acc.items()
 
     # -- identity sweeps ----------------------------------------------------
 
@@ -152,31 +158,23 @@ class GradedTripleSystem:
     def ideal_closure(self, sub: Subspace) -> Subspace:
         """Least ideal containing `sub`.
 
-        Fixed-point iteration adding the nonzero slot products {v, E, E},
-        {E, v, E} and {E, E, v} of every new spanning vector v, on integer
-        images, until stable or, even part-way through one vector's
-        products, until the span has rank `dim`: each added row lies in the
-        least ideal and E is an ideal, so rank `dim` means the closure is E.
+        Fixed-point iteration adding the slot products {v, E, E}, {E, v, E}
+        and {E, E, v} of every new spanning vector v, streamed slot by slot
+        on integer images, until stable or, even part-way through a slot,
+        until the span has rank `dim`: each added row lies in the least
+        ideal and E is an ideal, so rank `dim` means the closure is E.
         The result is the canonical basis, whatever the order in which
-        products (or multiples) were added.  A one-entry product at a
-        column whose one-entry vector was offered before is in the span
-        already and is skipped without being reduced.
+        products (or multiples) were added.
         """
         self._check_subspace(sub)
-        n, closure = self.dim, Subspace(self.field, self.dim)
-        rows, units = closure.int_rows, set()
-
-        def offer(w):
-            if len(w) == 1:
-                if (c := next(iter(w))) in units:
-                    return False
-                units.add(c)
-            return closure.add(w)
-
-        queue = [row for row in sub.integral_rows() if offer(row)]
-        while queue and len(rows) < n:
-            products = self.int_slot_products(queue.pop()).values()
-            queue.extend(w for w in products if len(rows) < n and offer(w))
+        n, closure, clean = self.dim, Subspace(self.field, self.dim), self.field.clean
+        queue = [row for row in sub.integral_rows() if closure.add(row)]
+        while queue and closure.dim < n:
+            for _, w in self._slot_stream(queue.pop()):
+                if closure.add(w):
+                    queue.append(clean(w))
+                    if closure.dim == n:
+                        break
         return closure
 
     def ideal_witness(self, sub: Subspace):

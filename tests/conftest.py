@@ -241,17 +241,20 @@ def oracle_slot_product(system, v, j, k, slot, table=None):
 
 def naive_closure(system, vectors):
     """Least ideal by brute force: add the escaping oracle products of every
-    basis row, pass after pass, until a pass adds none."""
+    basis row, pass after pass, until a pass adds none or the span is E
+    (every added product lies in the least ideal, so a span of E is it)."""
     n = system.dim
     table = dense_table(system)
     current = g.Subspace(system.field, n, vectors)
     changed = True
-    while changed:
+    while changed and current.dim < n:
         changed = False
         for v, j, k, slot in product(current.basis, range(n), range(n), range(3)):
             w = oracle_slot_product(system, list(v), j, k, slot, table)
             if not current.contains(w):
                 current = current.sum(g.Subspace(system.field, n, [w]))
+                if current.dim == n:
+                    break
                 changed = True
     return current
 

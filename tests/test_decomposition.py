@@ -320,28 +320,29 @@ def test_randomized_variants_have_certified_ideals():
 
 
 @pytest.mark.parametrize(
-    "field,push,evaluations",
+    "field,push,streams",
     [(g.RationalField(), None, 67), (g.PrimeField(7), 2, 58)],
     ids=["sl2x3_Q", "sl2x3_F7_Z2"],
 )
-def test_slot_product_evaluations_per_decompose_run(field, push, evaluations, monkeypatch, tmp_path):
-    # the probe closures stop at full rank; run to their fixed points they
-    # made these counts 195 and 186
+def test_slot_product_evaluations_per_decompose_run(field, push, streams, monkeypatch, tmp_path):
+    # every slot product comes from one stream per vector: 24 and 15 of these
+    # build the sorted `int_slot_products`, 43 feed the closures, which stop
+    # at full rank
     system = sl2_power(3, field)
     if push:
         system = coordinate_sum(system, push)
     path = tmp_path / "sl2x3.json"
     path.write_text(g.dumps_system(system), encoding="utf-8")
     calls = []
-    products = g.GradedTripleSystem.int_slot_products
+    stream = g.GradedTripleSystem._slot_stream
 
     def counted(self, w):
         calls.append(w)
-        return products(self, w)
+        return stream(self, w)
 
-    monkeypatch.setattr(g.GradedTripleSystem, "int_slot_products", counted)
+    monkeypatch.setattr(g.GradedTripleSystem, "_slot_stream", counted)
     assert main(["decompose", str(path)]) == 0
-    assert len(calls) == evaluations
+    assert len(calls) == streams
 
 
 def rescaled(system, scales):

@@ -7,7 +7,7 @@ import pytest
 import gradedlts as g
 from gradedlts.errors import InputError
 
-from conftest import nonlie_algebra, search_nonlie_example
+from conftest import coordinate_sum, nonlie_algebra, search_nonlie_example, sl2_power
 
 Q = g.RationalField()
 
@@ -162,4 +162,23 @@ def test_relabel_rejects_a_matrix_that_is_not_a_homomorphism():
             g.relabel_degrees(sl2_z2, target, image)
     pushed = g.relabel_degrees(sl2_z2, z4, [[2]])
     assert [d.coords for d in pushed.degrees] == [(2,), (0,), (2,)]
+    assert pushed.verify_grading() == []
+
+
+@pytest.mark.parametrize("entry", [2.9, "3", True], ids=["float", "str", "bool"])
+def test_relabel_rejects_a_matrix_entry_that_is_not_an_int(entry):
+    # int() made [[2.9]] the degrees (2, 0, -2) and [["3"]] (3, 0, -3)
+    with pytest.raises(InputError, match="entries must be integers"):
+        g.relabel_degrees(g.builtin("sl2_Z"), g.AbelianGroup((0,)), [[entry]])
+
+
+def test_relabel_takes_the_int_matrices_in_use():
+    sl2 = g.builtin("sl2_Z")
+    for image, coords in (([[1]], [(1,), (0,), (-1,)]), ([[2]], [(2,), (0,), (-2,)])):
+        pushed = g.relabel_degrees(sl2, g.AbelianGroup((0,)), image)
+        assert [d.coords for d in pushed.degrees] == coords
+    # the Z^3 -> Z_2 push of sl2^3 by coordinate sums
+    pushed = coordinate_sum(sl2_power(3, Q), 2)
+    assert pushed.group == g.AbelianGroup((2,))
+    assert [d.coords for d in pushed.degrees] == [(1,), (0,), (1,)] * 3
     assert pushed.verify_grading() == []

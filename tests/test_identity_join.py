@@ -28,6 +28,7 @@ from gradedlts.identities import (
 )
 from conftest import (
     coordinate_sum,
+    dense_table,
     mutate_constant,
     nonlie_algebra,
     oracle_algebra_verify,
@@ -35,7 +36,11 @@ from conftest import (
     oracle_bracket,
     oracle_identities,
     oracle_nonzero_terms,
+    oracle_scalar,
     oracle_sweep,
+    oracle_tensor_bracket,
+    oracle_triple,
+    oracle_zero_one,
     pivot_pair_verdict,
     random_variant,
     sl2_power,
@@ -162,6 +167,79 @@ def test_the_three_identities_are_linearly_related(field, seed):
         residual(right, (x, d, b, c, e), acc)
         assert not any(acc.values()), (x, b, c, d, e)
     assert nonzero_middle > 3**5 // 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])
+def test_the_descent_relations_hold_for_every_trilinear_product(field, seed):
+    # with p = x (x) y, L = {x, y, -}, P = {-, x, y} - {-, y, x} and the
+    # actions phi(nu)(w) = sum nu_kl {k, l, w}, psi(nu)(z) = sum nu_kl
+    # ({z, k, l} - {z, l, k}) of a tensor nu, for every product and every nu
+    #   phi([p, nu])(w) = L(phi(nu)(w)) + psi(nu)(Lw) - sum nu_kl Phi(L)(k, l, w)
+    #   psi([p, nu])(z) = psi(nu)(Pz) - P(psi(nu)(z)) - sum nu_kl (Psi(z, k, l) - Psi(z, l, k))
+    # (ROADMAP items 5 and 11): A nu = 0 and Phi = Psi = 0 at p give
+    # A [p, nu] = 0, which is descent at p
+    system = random_dense_system(field, seed)
+    n, table = system.dim, dense_table(system)
+    zero, one = oracle_zero_one(field)
+    units = [[one if t == i else zero for t in range(n)] for i in range(n)]
+    pairs = [(k * n + l, units[k], units[l]) for k in range(n) for l in range(n)]
+    rng = random.Random(100 + seed)
+
+    def draw(size):
+        if field.kind == "prime":
+            return [oracle_scalar(field, rng.randrange(field.p)) for _ in range(size)]
+        return [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(size)]
+
+    def total(*terms):
+        """The sum of c * v over the pairs (c, v) of `terms`."""
+        out = [zero] * n
+        for c, v in terms:
+            out = [s + c * t for s, t in zip(out, v)]
+        return out
+
+    def triple(a, b, c):
+        return oracle_triple(system, a, b, c, table)
+
+    def twisted(a, b, c):
+        return total((one, triple(a, b, c)), (-one, triple(a, c, b)))
+
+    def left(v):
+        return triple(x, y, v)
+
+    def right(v):
+        return twisted(v, x, y)
+
+    def phi(tensor, v):
+        return total(*((tensor[c], triple(k, l, v)) for c, k, l in pairs))
+
+    def psi(tensor, v):
+        return total(*((tensor[c], twisted(v, k, l)) for c, k, l in pairs))
+
+    def big_phi(c, d, e):
+        return total((one, left(triple(c, d, e))), (-one, triple(left(c), d, e)),
+                     (one, triple(left(d), c, e)), (one, twisted(left(e), c, d)))
+
+    def big_psi(c, d, e):
+        return total((-one, right(triple(c, d, e))), (one, triple(right(c), d, e)),
+                     (-one, triple(c, left(d), e)), (-one, triple(c, d, left(e))))
+
+    # four draws of x, y, w, z and nu, which the closures above read late
+    nonzero = set()
+    for _ in range(4):
+        x, y, w, z, nu = draw(n), draw(n), draw(n), draw(n), draw(n * n)
+        bracket = oracle_tensor_bracket(system, [a * b for a in x for b in y], nu, table)
+        phi_defect = total(*((nu[c], big_phi(k, l, w)) for c, k, l in pairs))
+        psi_defect = total(*((nu[c], total((one, big_psi(z, k, l)), (-one, big_psi(z, l, k))))
+                             for c, k, l in pairs))
+        assert phi(bracket, w) == total((one, left(phi(nu, w))), (one, psi(nu, left(w))),
+                                        (-one, phi_defect))
+        assert psi(bracket, z) == total((one, psi(nu, right(z))), (-one, right(psi(nu, z))),
+                                        (-one, psi_defect))
+        terms = (phi_defect, psi_defect, phi(bracket, w), psi(bracket, z))
+        nonzero.update(t for t, v in enumerate(terms) if any(v))
+    # a random product fails both identities, so no term is zero in every draw
+    assert nonzero == {0, 1, 2, 3}
 
 
 def test_join_keeps_residuals_that_cancel():

@@ -9,7 +9,9 @@ with seeded random vectors, and the slot products (divided back by
 `exact_slot_products`) also with the unindexed pass `oracle_slot_products`
 on sparse and dense probes, sl3 included.
 `ideal_closure` is also compared on every line the obstruction search
-probes, where most closures stop at full rank before their fixed point.
+probes, where most closures stop at full rank before their fixed point,
+on sl3 and sl4 root over Q and GF(7) and `random_variant` 0-9 too, where
+the streamed products reach `Subspace.add` unreduced.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from conftest import (
     oracle_slot_products,
     oracle_triple,
     probe_lines,
+    random_variant,
     sl2_square,
     sl_root,
 )
@@ -114,15 +117,39 @@ def test_ideal_closure_matches_naive_fixed_point(name):
         assert system.ideal_closure(line) == naive_closure(system, [v])
 
 
+def probed_systems():
+    out = {f"sl{N}_root_{name}": sl_root(N, field)
+           for N in (3, 4) for name, field in (("Q", g.RationalField()), ("F7", g.PrimeField(7)))}
+    out.update({f"random_variant_{seed}": random_variant(seed) for seed in range(10)})
+    return {**SYSTEMS, **out}
+
+
+PROBED = probed_systems()
+
+
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("name", sorted(SYSTEMS))
-def test_every_probe_closure_matches_naive_fixed_point(name, seed):
+@pytest.mark.parametrize("name", sorted(PROBED))
+def test_every_probe_closure_matches_naive_fixed_point(name, seed, monkeypatch):
     # a closure that stops at full rank returns E; one that stops a step
-    # early (rank n - 1) differs from the oracle on every full closure
-    system = SYSTEMS[name]
+    # early (rank n - 1) differs from the oracle on every full closure.
+    # The closure hands `Subspace.add` each product as the stream sums it:
+    # over GF(7) with entries of 7 or more, or multiples of 7, never reduced
+    system = PROBED[name]
+    p = getattr(system.field, "p", 0)
+    unreduced = []
+    stream = g.GradedTripleSystem._slot_stream
+
+    def recorded(self, w):
+        for key, out in stream(self, w):
+            unreduced.extend(x for x in out.values() if p and not 0 < x < p)
+            yield key, out
+
+    monkeypatch.setattr(g.GradedTripleSystem, "_slot_stream", recorded)
     for v in probe_lines(system, seed):
         line = g.Subspace(system.field, system.dim, [v])
         assert system.ideal_closure(line) == naive_closure(system, [v]), v
+    if name.endswith("F7"):
+        assert unreduced
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -136,28 +163,31 @@ def test_probe_lines_reach_full_and_proper_closures(seed):
 
 def test_closure_stops_part_way_through_the_first_products(monkeypatch):
     # the first seeded probe line of sl2 over Q spans E with the first few of
-    # its slot products: one evaluation, and the rest are never added
+    # its slot products: one stream is started, and it is left part-way
     system = SYSTEMS["sl2_Z"]
     v = probe_lines(system, seed=0)[system.dim]
     line = g.Subspace(system.field, system.dim, [v])
-    counts = {"products": 0, "adds": 0}
-    products, add = g.GradedTripleSystem.int_slot_products, g.linalg.Subspace.add
+    counts = {"streams": 0, "drawn": 0, "adds": 0}
+    stream, add = g.GradedTripleSystem._slot_stream, g.linalg.Subspace.add
 
-    def counted_products(self, w):
-        counts["products"] += 1
-        return products(self, w)
+    def counted_stream(self, w):
+        counts["streams"] += 1
+        for item in stream(self, w):
+            counts["drawn"] += 1
+            yield item
 
     def counted_add(self, vec):
         counts["adds"] += 1
         return add(self, vec)
 
-    monkeypatch.setattr(g.GradedTripleSystem, "int_slot_products", counted_products)
+    monkeypatch.setattr(g.GradedTripleSystem, "_slot_stream", counted_stream)
     monkeypatch.setattr(g.linalg.Subspace, "add", counted_add)
     closure = system.ideal_closure(line)
     monkeypatch.undo()
     assert closure == g.Subspace.full(system.field, system.dim) == naive_closure(system, [v])
-    assert counts["products"] == 1
-    assert counts["adds"] < len(exact_slot_products(system, v))
+    assert counts["streams"] == 1
+    assert counts["drawn"] < len(exact_slot_products(system, v))
+    assert counts["adds"] == 1 + counts["drawn"]
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
