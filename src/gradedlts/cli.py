@@ -9,20 +9,27 @@ Option names are never abbreviated.
 Exit codes are a contract for scripted use: 0 means every check and
 certificate passed (or help was printed), 1 means a mathematical
 verification or certificate failed, 2 means the command line or the input
-could not be parsed or validated, and 3 means an internal error (any other
-exception, reported on one line).  A usage error prints a `usage:` line and
-one `gradedlts: error:` line on standard error.  Reports are emitted as JSON
-with fixed key order and string-serialized scalars, so identical inputs and
-flags produce byte-identical files.  Each command's report is the `decompose`
-report cut to that command's sections, in one key order.
+could not be parsed or validated, or the report or standard output could not
+be written, and 3 means an internal error (any other exception, reported on
+one line).  A usage error prints a `usage:` line and one `gradedlts: error:`
+line on standard error.  Reports are emitted as JSON with fixed key order and
+string-serialized scalars, so identical inputs and flags produce
+byte-identical files.  Each command's report is the `decompose` report cut to
+that command's sections, in one key order.
+
+`main(argv)` returns the exit code; `entry()`, the process entry of both
+`gradedlts` and `python -m gradedlts`, runs it, flushes both streams and
+ends the process there, without the interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 # hashlib is heavy to load (OpenSSL's libcrypto); the interpreter's built-in
 # SHA-256 gives the same digest, as random.py does for sha512
@@ -68,10 +75,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage: {_usage(exc.command)}\ngradedlts: error: {exc}", file=sys.stderr)
         return 2
-    if parsed is None:
-        return 0
     try:
-        return _run(*parsed)
+        code, lines = (0, [parsed]) if isinstance(parsed, str) else _run(*parsed)
+        _print(lines)
+        return code
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -82,6 +89,42 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).splitlines())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
+
+
+def entry() -> NoReturn:
+    """Run `main` on this process's arguments and end the process with its code.
+
+    Both streams are flushed first (a stream that is None, as when fd 1 was
+    closed at start, is skipped); a failed flush of standard output is
+    reported like a failed write, exit code 2.  The process then ends
+    without the interpreter's teardown, so exit handlers registered by other
+    code in this process do not run.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"input error: {_stdout_error(exc)}", file=sys.stderr)
+        code = 2
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            pass  # nowhere is left to report it; the exit code stands
+    os._exit(code)
+
+
+def _stdout_error(exc: OSError) -> InputError:
+    return InputError(f"cannot write standard output: {exc}")
+
+
+def _print(lines: list[str]) -> None:
+    """Write `lines` to standard output: the CLI's one write there."""
+    try:
+        print("\n".join(lines))
+    except OSError as exc:
+        raise _stdout_error(exc) from None
 
 
 def _usage(command) -> str:
@@ -110,7 +153,7 @@ def _is_option(arg: str) -> bool:
 
 
 def _parse_args(argv: list[str]):
-    """(command, path, json_out, seed) of the command line, or None after printing help.
+    """(command, path, json_out, seed) of the command line, or the help text it asks for.
 
     `seed` is None for every command but decompose.  Raises `_UsageError`
     on anything outside the grammar.
@@ -119,8 +162,7 @@ def _parse_args(argv: list[str]):
         raise _UsageError(None, "the following arguments are required: command")
     command, *rest = argv
     if command in ("-h", "--help"):
-        print(_help(None))
-        return None
+        return _help(None)
     if command not in _COMMANDS:
         choices = ", ".join(map(repr, _COMMANDS))
         message = f"argument command: invalid choice: {command!r} (choose from {choices})"
@@ -134,8 +176,7 @@ def _parse_args(argv: list[str]):
         elif not _is_option(arg):
             positional.append(arg)
         elif arg in ("-h", "--help"):
-            print(_help(command))
-            return None
+            return _help(command)
         else:
             name, eq, value = arg.partition("=")
             if name not in values:
@@ -288,8 +329,8 @@ def _emit(report: dict, json_out) -> None:
             raise InputError(f"cannot write {json_out}: {exc}") from None
 
 
-def _run(command: str, path: str, json_out, seed) -> int:
-    """Run `command` on the system file at `path`; returns the exit code.
+def _run(command: str, path: str, json_out, seed) -> tuple[int, list[str]]:
+    """Run `command` on the system file at `path`: its exit code and summary lines.
 
     Every command builds the decompose report, in its one key order, cut
     at its own sections: verify, and any command whose verification fails,
@@ -314,11 +355,12 @@ def _run(command: str, path: str, json_out, seed) -> int:
     report["verification"], ok = _verification_section(system)
     if command == "verify" or not ok:
         _emit(report, json_out)
+        lines = []
         for key, block in report["verification"].items():
             status = "ok" if block["ok"] else f"FAILED ({block['violation_count']} violations)"
-            print(f"{key.replace('_', ' ')}: {status}")
-        print("verdict:", "pass" if ok else "fail" if command == "verify" else "fail (verification)")
-        return 0 if ok else 1
+            lines.append(f"{key.replace('_', ' ')}: {status}")
+        verdict = "pass" if ok else "fail" if command == "verify" else "fail (verification)"
+        return (0 if ok else 1), [*lines, f"verdict: {verdict}"]
 
     emb = build_embedding(system)
     report["supports"] = _supports_section(system, emb)
@@ -339,24 +381,27 @@ def _run(command: str, path: str, json_out, seed) -> int:
     _emit(report, json_out)
 
     if command == "analyze":
-        print("odd support:", " ".join(report["supports"]["odd_support"]) or "(empty)")
-        print("even support:", " ".join(report["supports"]["even_support"]) or "(empty)")
-        print(f"connection classes: {len(report['classes'])}")
-        for cls in report["classes"]:
-            print(f"  [{cls['representative']}] members: {' '.join(cls['members'])}")
-        return 0
+        return 0, [
+            f"odd support: {' '.join(report['supports']['odd_support']) or '(empty)'}",
+            f"even support: {' '.join(report['supports']['even_support']) or '(empty)'}",
+            f"connection classes: {len(report['classes'])}",
+            *(f"  [{cls['representative']}] members: {' '.join(cls['members'])}"
+              for cls in report["classes"]),
+        ]
     section = report["embedding"]
     if command == "embed":
-        print(f"even part dimension: {section['even_part_dim']}")
-        print(f"null space dimension: {section['null_space_dim']}")
-        print("even support:", " ".join(section["even_support"]) or "(empty)")
         ok = section["even_grading_ok"]
-        print("verdict:", "pass" if ok else "fail (even grading)")
-        return 0 if ok else 1
-    print(f"ideals: {len(deco.ideals)}  complement dim: {deco.u.dim}")
-    print(f"tight: {deco.tight}  annihilator dim: {deco.annihilator_dim}")
-    print(f"direct sum: {deco.direct_sum}")
-    print(f"obstructions: {len(deco.obstructions)}")
+        return (0 if ok else 1), [
+            f"even part dimension: {section['even_part_dim']}",
+            f"null space dimension: {section['null_space_dim']}",
+            f"even support: {' '.join(section['even_support']) or '(empty)'}",
+            f"verdict: {'pass' if ok else 'fail (even grading)'}",
+        ]
     ok = section["even_grading_ok"] and deco.all_orthogonal and report["lemmas"]["all_hold"]
-    print("verdict:", "pass" if ok else "fail (certificates)")
-    return 0 if ok else 1
+    return (0 if ok else 1), [
+        f"ideals: {len(deco.ideals)}  complement dim: {deco.u.dim}",
+        f"tight: {deco.tight}  annihilator dim: {deco.annihilator_dim}",
+        f"direct sum: {deco.direct_sum}",
+        f"obstructions: {len(deco.obstructions)}",
+        f"verdict: {'pass' if ok else 'fail (certificates)'}",
+    ]

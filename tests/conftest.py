@@ -119,12 +119,18 @@ def oracle_zero_one(field):
     return oracle_scalar(field, field.zero), oracle_scalar(field, field.one)
 
 
-def child_env() -> dict:
+def child_env(unbuffered: bool | None = None) -> dict:
     """This process's environment with the checkout's `src` first on
     PYTHONPATH, for a spawned `python -m gradedlts` child: pyproject's
-    `pythonpath` reaches the pytest process only."""
+    `pythonpath` reaches the pytest process only.  `unbuffered` sets
+    (True) or removes (False) PYTHONUNBUFFERED; None keeps this process's."""
     paths = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return env
 
 
 def library_vector(vec):

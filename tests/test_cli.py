@@ -1,5 +1,7 @@
 """Command line: exit codes, report structure, determinism."""
 
+import ast
+import errno
 import hashlib
 import json
 import os
@@ -505,6 +507,83 @@ def test_cli_module_entry_point_exists():
     assert result.returncode == 0
     for command in ("verify", "analyze", "embed", "decompose"):
         assert command in result.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["--help", "verify", "decompose"])
+def test_unwritable_standard_output_exits_2_with_one_line(command, unbuffered, fixture_files):
+    args = [command] if command == "--help" else [command, str(fixture_files["sl2_Z"])]
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "gradedlts", *args],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(unbuffered),
+        )
+    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert result.returncode == 2
+    assert result.stderr == f"input error: cannot write standard output: {reason}\n"
+
+
+class RecordingStream:
+    """A standard stream that logs its writes and flushes; `fail` is raised by flush."""
+
+    def __init__(self, name, log, fail=None):
+        self.name, self.log, self.fail = name, log, fail
+
+    def write(self, text):
+        self.log.append((self.name, "write", text))
+        return len(text)
+
+    def flush(self):
+        if self.fail is not None:
+            raise self.fail
+        self.log.append((self.name, "flush"))
+
+
+def run_entry(monkeypatch, code, stdout_fails=None) -> list:
+    """Run `cli.entry` over recording streams with `main` returning `code`; the log."""
+    log = []
+
+    def exit_(status):
+        log.append(("exit", status))
+        raise SystemExit  # os._exit never returns
+
+    monkeypatch.setattr(cli, "main", lambda: code)
+    monkeypatch.setattr(sys, "stdout", RecordingStream("stdout", log, stdout_fails))
+    monkeypatch.setattr(sys, "stderr", RecordingStream("stderr", log))
+    monkeypatch.setattr(os, "_exit", exit_)
+    with pytest.raises(SystemExit):
+        cli.entry()
+    return log
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+def test_entry_flushes_both_streams_then_ends_the_process(code, monkeypatch):
+    log = run_entry(monkeypatch, code)
+    assert log == [("stdout", "flush"), ("stderr", "flush"), ("exit", code)]
+
+
+def test_entry_reports_a_failed_flush_of_standard_output(monkeypatch):
+    broken = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+    log = run_entry(monkeypatch, 0, stdout_fails=broken)
+    written = "".join(entry[2] for entry in log if entry[:2] == ("stderr", "write"))
+    assert written == f"input error: cannot write standard output: {broken}\n"
+    assert log[-2:] == [("stderr", "flush"), ("exit", 2)]
+
+
+def test_console_script_and_module_run_one_entry():
+    tomllib = pytest.importorskip("tomllib")  # 3.11+
+    root = Path(__file__).resolve().parents[1]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
+    tree = ast.parse((root / "src" / "gradedlts" / "__main__.py").read_text(encoding="utf-8"))
+    [imported] = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    [called] = [node.value.func.id for node in tree.body if isinstance(node, ast.Expr)]
+    assert imported.level == 1 and [alias.name for alias in imported.names] == [called]
+    assert scripts == {"gradedlts": f"gradedlts.{imported.module}:{called}"}
+    assert getattr(cli, called) is cli.entry
 
 
 def test_prime_field_file_passes_all_commands(tmp_path):

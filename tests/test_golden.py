@@ -22,6 +22,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -33,7 +34,7 @@ import gradedlts as g
 from gradedlts.cli import main
 from gradedlts.fixtures import fixture_text
 
-from conftest import coordinate_sum, mutate_constant, sl2_power, sl2_square, sl_root
+from conftest import child_env, coordinate_sum, mutate_constant, sl2_power, sl2_square, sl_root
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 COMMANDS = ("verify", "analyze", "embed", "decompose")
@@ -155,6 +156,62 @@ def cli_stdout() -> bytes:
 
 def test_cli_stdout_matches_golden():
     assert cli_stdout() == (GOLDEN_DIR / "cli_stdout.json").read_bytes()
+
+
+def golden_stdout(name: str, command: str) -> tuple[int, str]:
+    """The exit code and standard output that `cli_stdout.json` holds for a case."""
+    frozen = json.loads((GOLDEN_DIR / "cli_stdout.json").read_text(encoding="utf-8"))[name][command]
+    return frozen["exit"], "".join(line + "\n" for line in frozen["stdout"])
+
+
+def child(argv: list[str], directory: Path, program=("-m", "gradedlts"), **options):
+    """Run `python <program> <argv>` in `directory`, its output captured as text."""
+    options.setdefault("env", child_env())
+    return subprocess.run(
+        [sys.executable, *program, *argv], cwd=directory, capture_output=True, text=True, **options
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_cli_children_print_the_stdout_golden(unbuffered, tmp_path):
+    """A buffered child's summary sits in its stdout buffer until `entry`
+    flushes it, right before the process ends."""
+    inputs = {**golden_inputs(), **corrupted_inputs()}
+    for name in STDOUT_CASES:
+        (tmp_path / f"{name}.json").write_text(inputs[name], encoding="utf-8")
+        for command in COMMANDS:
+            result = child([command, f"{name}.json"], tmp_path, env=child_env(unbuffered))
+            assert (result.returncode, result.stdout) == golden_stdout(name, command), (name, command)
+            assert result.stderr == "", (name, command)
+
+
+DECOMPOSE_ARGV = ["decompose", "--seed", "0", "disjoint_sum.json", "--json", "report.json"]
+
+
+def test_child_with_standard_output_closed_writes_the_golden_report(tmp_path):
+    (tmp_path / "disjoint_sum.json").write_text(golden_inputs()["disjoint_sum"], encoding="utf-8")
+    result = child(DECOMPOSE_ARGV, tmp_path, preexec_fn=lambda: os.close(1))
+    assert (result.returncode, result.stderr) == (0, "")
+    expected = (GOLDEN_DIR / "disjoint_sum.decompose.json").read_bytes()
+    assert (tmp_path / "report.json").read_bytes() == expected
+
+
+@pytest.mark.parametrize("runner", ["entry()", "sys.exit(main())"])
+def test_entry_skips_exit_handlers_and_keeps_the_output(runner, tmp_path):
+    """`entry` ends the process without its exit handlers; returning from
+    `main` instead runs them.  Output and report are whole either way."""
+    (tmp_path / "disjoint_sum.json").write_text(golden_inputs()["disjoint_sum"], encoding="utf-8")
+    program = (
+        "import atexit, pathlib, sys\n"
+        "atexit.register(pathlib.Path('handler_ran').touch)\n"
+        "from gradedlts.cli import entry, main\n"
+        f"{runner}\n"
+    )
+    result = child(DECOMPOSE_ARGV, tmp_path, program=("-c", program), env=child_env(False))
+    assert (result.returncode, result.stdout) == golden_stdout("disjoint_sum", "decompose")
+    expected = (GOLDEN_DIR / "disjoint_sum.decompose.json").read_bytes()
+    assert (tmp_path / "report.json").read_bytes() == expected
+    assert (tmp_path / "handler_ran").exists() == (runner != "entry()")
 
 
 if __name__ == "__main__":
