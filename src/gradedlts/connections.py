@@ -10,9 +10,9 @@ Even partial products are required to lie in the even support strictly (the
 identity is not permitted there); the degenerate case g h = 1 is reachable
 through the length-one sequence and the {h, h^-1} clause instead.
 
-Each support element's closure is computed once, by breadth-first search
-over group elements, when its `SupportData` is built; every connectivity
-question reads it.  Parent pointers yield a witness sequence per element.
+Each support element's closure, by breadth-first search over group
+elements, and its connected set are computed once, when its `SupportData`
+is built.  Parent pointers yield a witness sequence per element.
 """
 
 from __future__ import annotations
@@ -26,13 +26,20 @@ from .groups import GroupElement
 class SupportData:
     """Odd and even supports of a graded system with their inverse closures,
     and the closure of each odd element g as parent pointers: reached
-    element -> (previous element, a, b), and g -> None.  Equality and hash
-    ignore the closures, which the supports determine."""
+    element -> (previous element, a, b), and g -> None.  `connected` is read
+    off the closures given, forged ones included: g -> the odd h with h or
+    h^-1 in g's closure.  Equality and hash ignore both, which the supports
+    determine."""
 
-    __slots__ = ("odd", "even", "pm_odd", "pm_even", "closures")
+    __slots__ = ("odd", "even", "pm_odd", "pm_even", "closures", "connected")
 
     def __init__(self, odd, even, pm_odd, pm_even, closures: dict):
-        for name, value in zip(self.__slots__, (odd, even, pm_odd, pm_even, closures)):
+        odd_set, by_inverse = frozenset(odd), {h.inverse(): h for h in odd}
+        connected = {
+            g: odd_set.intersection(reach).union(by_inverse[x] for x in reach if x in by_inverse)
+            for g, reach in closures.items()
+        }
+        for name, value in zip(self.__slots__, (odd, even, pm_odd, pm_even, closures, connected)):
             object.__setattr__(self, name, value)
 
     __setattr__ = __delattr__ = read_only
@@ -102,9 +109,9 @@ def _closure_with_parents(moves: dict, steps, pm_odd, pm_even, g: GroupElement):
     return parents
 
 
-def _parents(sup: SupportData, g: GroupElement) -> dict:
+def _lookup(table: dict, g: GroupElement):
     try:
-        return sup.closures[g]
+        return table[g]
     except KeyError:
         raise InputError(f"{g.format()} is not in the odd support") from None
 
@@ -112,15 +119,14 @@ def _parents(sup: SupportData, g: GroupElement) -> dict:
 def connection_closure(sup: SupportData, g: GroupElement) -> frozenset[GroupElement]:
     """All partial-product endpoints reachable from g (a subset of the
     inverse-closed odd support)."""
-    return frozenset(_parents(sup, g))
+    return frozenset(_lookup(sup.closures, g))
 
 
 def are_connected(sup: SupportData, g: GroupElement, h: GroupElement) -> bool:
     """Whether h is connected to g (final product allowed to hit h or h^-1)."""
-    if h not in sup.odd:
+    if h not in sup.connected:
         raise InputError(f"{h.format()} is not in the odd support")
-    reach = _parents(sup, g)
-    return h in reach or h.inverse() in reach
+    return h in _lookup(sup.connected, g)
 
 
 def witness_sequence(sup: SupportData, g: GroupElement, h: GroupElement) -> tuple[GroupElement, ...]:
@@ -131,7 +137,7 @@ def witness_sequence(sup: SupportData, g: GroupElement, h: GroupElement) -> tupl
     checked by `validate_sequence` before it is returned, and a sequence
     that fails raises EquivalenceFailure naming the pair.
     """
-    parents = _parents(sup, g)
+    parents = _lookup(sup.closures, g)
     if h in parents:
         target = h
     elif h.inverse() in parents:
@@ -170,23 +176,24 @@ def validate_sequence(sup: SupportData, seq, g: GroupElement, h: GroupElement) -
 def connection_classes(sup: SupportData) -> list[ConnectionClass]:
     """Partition of the odd support into connection classes.
 
-    The computed relation is rechecked to be reflexive, symmetric, and
-    transitive on the support, each pair against the members' own closures,
-    and inverse-closed: a class containing h also contains h^-1 whenever
-    h^-1 lies in the support, and the closure of h^-1 is the inverse image
-    of the closure of h (the search from h^-1 mirrors the one from h, step
-    for inverted step).  Any defect raises EquivalenceFailure with a
-    witness pair: it would contradict the equivalence property of the
-    connection relation and therefore signals a bug rather than a property
-    of the input.
+    The classes are read off the connected sets and rechecked: each
+    member's connected set, worked out once from its own closure, must be
+    exactly its class (so the relation is reflexive, symmetric and
+    transitive), and the classes must be inverse-closed: a class containing
+    h also contains h^-1 whenever h^-1 lies in the support, and the closure
+    of h^-1 is the inverse image of the closure of h (the search from h^-1
+    mirrors the one from h, step for inverted step).  Any defect raises
+    EquivalenceFailure with a witness: it would contradict the equivalence
+    property of the connection relation and therefore signals a bug rather
+    than a property of the input.
     """
     classes: list[ConnectionClass] = []
     assigned: dict[GroupElement, GroupElement] = {}
     for g in sup.odd:
         if g in assigned:
             continue
-        reach = _parents(sup, g)
-        members = tuple(h for h in sup.odd if h in reach or h.inverse() in reach)
+        connected = _lookup(sup.connected, g)
+        members = tuple(h for h in sup.odd if h in connected)
         for h in members:
             if h in assigned:
                 raise EquivalenceFailure(
@@ -194,37 +201,31 @@ def connection_classes(sup: SupportData) -> list[ConnectionClass]:
                     witness={"element": h.format(), "class": g.format()},
                 )
             assigned[h] = g
-        classes.append(ConnectionClass(representative=min(members), members=members))
+        if members:  # else g stays unassigned, and the cover check names it
+            classes.append(ConnectionClass(representative=min(members), members=members))
 
     if len(assigned) != len(sup.odd):
         missing = [g.format() for g in sup.odd if g not in assigned]
         raise EquivalenceFailure("classes do not cover the support", witness=missing)
 
     for cls in classes:
+        members = frozenset(cls.members)
         for h in cls.members:
-            for k in cls.members:
-                if not are_connected(sup, h, k):
-                    raise EquivalenceFailure(
-                        "pairwise connectivity recheck failed inside a class",
-                        witness={"pair": (h.format(), k.format())},
-                    )
+            connected = _lookup(sup.connected, h)
+            if connected != members:
+                # the first member h misses, else the first element its set strays to
+                missed = [k for k in cls.members if k not in connected]
+                message = ("pairwise connectivity recheck failed inside a class" if missed
+                           else "elements of distinct classes are connected")
+                k = missed[0] if missed else min(connected - members)
+                raise EquivalenceFailure(message, witness={"pair": (h.format(), k.format())})
             hinv = h.inverse()
             if hinv in sup.odd and (
-                hinv not in cls.members
-                or set(_parents(sup, hinv)) != {x.inverse() for x in _parents(sup, h)}
+                hinv not in members
+                or set(_lookup(sup.closures, hinv)) != {x.inverse() for x in sup.closures[h]}
             ):
                 raise EquivalenceFailure(
                     "class is not inverse-closed",
                     witness={"element": h.format()},
                 )
-        for other in classes:
-            if other is cls:
-                continue
-            for h in cls.members:
-                for k in other.members:
-                    if are_connected(sup, h, k) or are_connected(sup, k, h):
-                        raise EquivalenceFailure(
-                            "elements of distinct classes are connected",
-                            witness={"pair": (h.format(), k.format())},
-                        )
     return classes

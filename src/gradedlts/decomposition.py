@@ -434,7 +434,6 @@ def _lemma_disconnected_brackets_vanish(emb, disconnected, blocks) -> LemmaCheck
     for g, hbar in disconnected:
         check.instances += 1
         check.nonvacuous += 1
-        pair = (g.format(), hbar.format())
         eg = [s + x for x in blocks[g]]
         eh = [s + y for y in blocks[hbar]]
         cg, ch = emb.component(g), emb.component(hbar)
@@ -443,6 +442,7 @@ def _lemma_disconnected_brackets_vanish(emb, disconnected, blocks) -> LemmaCheck
             for x in left:
                 for y in right:
                     if (x, y) in table:
+                        pair = (g.format(), hbar.format())
                         check.failures.append({"pair": pair, "level": level})
     return check
 
@@ -458,10 +458,10 @@ def _lemma_disconnected_inverse_triple_vanishes(system, disconnected, blocks) ->
     )
     for g, hbar in disconnected:
         check.instances += 1
-        if g.inverse() in blocks:
+        if (ginv := g.inverse()) in blocks:
             check.nonvacuous += 1
-        pair = (g.format(), hbar.format())
-        check.failures.extend({"pair": pair} for _ in range(stored[g, g.inverse(), hbar]))
+        for _ in range(stored[g, ginv, hbar]):
+            check.failures.append({"pair": (g.format(), hbar.format())})
     return check
 
 

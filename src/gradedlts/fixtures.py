@@ -20,8 +20,8 @@ from typing import Mapping, NamedTuple
 
 from .errors import InputError, is_int
 from .groups import AbelianGroup, GroupElement
-from .identities import (RIGHT_LEIBNIZ, Violation, grading_violations, index_constants,
-                         term_violations)
+from .identities import (RIGHT_LEIBNIZ, Violation, graded_table, grading_violations,
+                         index_constants, term_violations)
 from .rational import RationalField
 from .triples import GradedTripleSystem
 
@@ -42,20 +42,9 @@ class GradedLeibnizAlgebra(NamedTuple):
 
     @classmethod
     def build(cls, field, group, degrees, brackets: Mapping[tuple[int, int], Mapping[int, object]]):
-        degrees = tuple(degrees)
-        n = len(degrees)
-        canon = []
-        for (i, j) in sorted(brackets):
-            if not (0 <= i < n and 0 <= j < n):
-                raise InputError(f"bracket index {(i, j)} out of range")
-            entry = []
-            for l in sorted(brackets[(i, j)]):
-                value = field.element(brackets[(i, j)][l])
-                if value:
-                    entry.append((l, value))
-            if entry:
-                canon.append(((i, j), tuple(entry)))
-        return cls(field=field, group=group, degrees=degrees, brackets=tuple(canon))
+        degrees, table = graded_table(field, group, degrees, brackets, 2)
+        canon = tuple((key, tuple(sorted(table[key].items()))) for key in sorted(table))
+        return cls(field=field, group=group, degrees=degrees, brackets=canon)
 
     @property
     def dim(self) -> int:

@@ -16,6 +16,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
+from .errors import InputError, is_int
 from .groups import GroupElement
 from .linalg import dense
 
@@ -61,6 +62,32 @@ SIX_TERM = (
 RIGHT_LEIBNIZ = (
     ("right_leibniz", ((1, 0, (0, 1), (2,)), (-1, 0, (0, 2), (1,)), (-1, 1, (1, 2), (0,)))),
 )
+
+
+def graded_table(field, group, degrees, products, arity: int):
+    """(degrees as a tuple, {key: {l: scalar}}) of a graded product table,
+    the one input check of a system's and an algebra's constants: each
+    degree lies in `group`, each key is a tuple of `arity` ints and each
+    output an int (not a bool), all in range(n); scalars are coerced with
+    `field.element`, zeros dropped.  Any defect raises InputError."""
+    degrees = tuple(degrees)
+    n = len(degrees)
+    if not all(isinstance(d, GroupElement) and d.group == group for d in degrees):
+        raise InputError("degree from a different group")
+    table = {}
+    for key, out in products.items():
+        if not (isinstance(key, tuple) and len(key) == arity
+                and all(is_int(i) and 0 <= i < n for i in key)):
+            raise InputError(f"structure constant index {key!r} out of range")
+        entry = {}
+        for l, value in out.items():
+            if not (is_int(l) and 0 <= l < n):
+                raise InputError(f"structure constant output index {l!r} out of range")
+            if value := field.element(value):
+                entry[l] = value
+        if entry:
+            table[key] = entry
+    return degrees, table
 
 
 def index_constants(table, n: int, arity: int):

@@ -23,8 +23,8 @@ from typing import Sequence
 
 from .errors import CertificateFailure, InputError
 from .groups import AbelianGroup, GroupElement
-from .identities import (AXIOM_TERMS, SIX_TERM, Violation, grading_violations, index_constants,
-                         term_violations)
+from .identities import (AXIOM_TERMS, SIX_TERM, Violation, graded_table, grading_violations,
+                         index_constants, term_violations)
 from .linalg import Subspace, dense
 
 
@@ -48,31 +48,13 @@ class GradedTripleSystem:
         degrees: Sequence[GroupElement],
         products: Mapping[tuple[int, int, int], Mapping[int, object]],
     ):
-        degrees = tuple(degrees)
-        n = len(degrees)
-        for d in degrees:
-            if d.group != group:
-                raise InputError("degree from a different group")
-        table: dict[tuple[int, int, int], dict[int, object]] = {}
-        for key, out in products.items():
-            i, j, k = key
-            if not all(0 <= t < n for t in (i, j, k)):
-                raise InputError(f"structure constant index {key} out of range")
-            entry = {}
-            for l, value in out.items():
-                if not 0 <= l < n:
-                    raise InputError(f"structure constant output index {l} out of range")
-                value = field.element(value)
-                if value:
-                    entry[l] = value
-            if entry:
-                table[(i, j, k)] = entry
+        degrees, table = graded_table(field, group, degrees, products, 3)
         self.field = field
         self.group = group
-        self.dim = n
+        self.dim = len(degrees)
         self.degrees = degrees
         self._table, self.scale = field.integer_image(table)
-        self._index = index_constants(self._table, n, 3)
+        self._index = index_constants(self._table, self.dim, 3)
 
     # -- product evaluation -------------------------------------------------
 

@@ -952,6 +952,42 @@ def oracle_classes(sup) -> list[tuple]:
     return sorted(tuple(sorted(c)) for c in set(component.values()))
 
 
+def oracle_class_recheck(sup, classes) -> list[tuple]:
+    """Every defect of the pairwise class recheck, as (message, witness) in
+    the order the pairs are visited; the first is the one it raises.
+
+    `classes` are member tuples.  h is connected to k when k or k^-1 lies in
+    the closure of h, read straight off `sup.closures`.  Class by class:
+    every ordered pair of members must be connected; for each member h
+    whose inverse is in the support, the class must hold h^-1 and the
+    closure of h^-1 must be the inverse image of that of h; then no member
+    may be connected to, or from, a member of another class.
+    """
+    def connected(h, k):
+        return k in sup.closures[h] or k.inverse() in sup.closures[h]
+
+    defects = []
+    for c, members in enumerate(classes):
+        for h in members:
+            for k in members:
+                if not connected(h, k):
+                    defects.append(("pairwise connectivity recheck failed inside a class",
+                                    {"pair": (h.format(), k.format())}))
+            hinv = h.inverse()
+            if hinv in sup.odd and (
+                hinv not in members
+                or set(sup.closures[hinv]) != {x.inverse() for x in sup.closures[h]}
+            ):
+                defects.append(("class is not inverse-closed", {"element": h.format()}))
+        for other in classes[:c] + classes[c + 1:]:
+            for h in members:
+                for k in other:
+                    if connected(h, k) or connected(k, h):
+                        defects.append(("elements of distinct classes are connected",
+                                        {"pair": (h.format(), k.format())}))
+    return defects
+
+
 def mutate_constant(system, i, j, k, l, delta):
     """Return a copy of the system with delta added to one structure cell."""
     prods = {key: dict(entry) for key, entry in system.nonzero_triples()}

@@ -1,5 +1,6 @@
 """Connection relation: closures, classes, witnesses, partition certificates."""
 
+import random
 from functools import partial
 
 import pytest
@@ -13,6 +14,7 @@ from gradedlts.errors import EquivalenceFailure, InputError
 
 from conftest import (
     coordinate_sum,
+    oracle_class_recheck,
     oracle_classes,
     oracle_closures,
     random_variant,
@@ -200,6 +202,10 @@ def test_pair_product_in_even_support_implies_connected():
 def assert_relation_matches_oracle(sup):
     closures = oracle_closures(sup)
     assert {x: g.connection_closure(sup, x) for x in sup.odd} == closures
+    assert sup.connected == {
+        x: frozenset(y for y in sup.odd if y in closures[x] or y.inverse() in closures[x])
+        for x in sup.odd
+    }
     for x in sup.odd:
         for y in sup.odd:
             expected = y in closures[x] or y.inverse() in closures[x]
@@ -297,6 +303,24 @@ def test_closure_search_runs_once_per_support_element(command, monkeypatch, tmp_
     assert sorted(starts) == list(system.support())
 
 
+def test_are_connected_inverts_no_degree(monkeypatch):
+    # the connected sets are worked out once, when the support data is built;
+    # a question about a pair is a lookup, with no degree arithmetic
+    system = sl2_power(4, g.RationalField())
+    sup = g.SupportData.from_system(system, g.build_embedding(system))
+    calls = []
+    inverse = g.GroupElement.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(g.GroupElement, "inverse", counted)
+    answers = [g.are_connected(sup, x, y) for x in sup.odd for y in sup.odd]
+    assert len(answers) == len(sup.odd) ** 2 == 64 and sum(answers) == 16
+    assert calls == []
+
+
 # -- the class recheck on tampered closures ---------------------------------------
 
 
@@ -326,3 +350,80 @@ def tampered(odd, reach):
 def test_tampered_closures_fail_the_class_recheck(odd, reach, message):
     with pytest.raises(EquivalenceFailure, match=message):
         g.connection_classes(tampered(odd, reach))
+
+
+def first_pass(sup):
+    """The classes `connection_classes` grows before its recheck, read off
+    the closures: each element not yet assigned takes the odd h with h or
+    h^-1 in its closure.  Returns (member tuples, []), or (None, [its one
+    defect as (message, witness)])."""
+    classes, assigned = [], set()
+    for x in sup.odd:
+        if x in assigned:
+            continue
+        reach = sup.closures[x]
+        members = tuple(h for h in sup.odd if h in reach or h.inverse() in reach)
+        for h in members:
+            if h in assigned:
+                witness = {"element": h.format(), "class": x.format()}
+                return None, [("closure reached an element already assigned to another class",
+                               witness)]
+        assigned.update(members)
+        classes.append(members)
+    if len(assigned) != len(sup.odd):
+        missing = [x.format() for x in sup.odd if x not in assigned]
+        return None, [("classes do not cover the support", missing)]
+    return classes, []
+
+
+def drawn_reach_maps(count, seed):
+    """(odd, reach) on Z: odd has 2 to 5 nonzero elements of [-3, 3] or of
+    [1, 5], split into random inverse-closed blocks, each element reaching
+    its block and the block's inverses (honest closures); then up to two
+    memberships of the inverse-closed odd support in some reach set are
+    toggled."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pool = rng.choice([[-3, -2, -1, 1, 2, 3], [1, 2, 3, 4, 5]])
+        odd = sorted(rng.sample(pool, rng.randint(2, 5)))
+        sizes = sorted({abs(c) for c in odd})
+        block = {a: rng.randrange(len(sizes)) for a in sizes}
+        reach = {
+            c: {s * x for x in odd if block[abs(x)] == block[abs(c)] for s in (1, -1)}
+            for c in odd
+        }
+        for _ in range(rng.randint(0, 2)):
+            reach[rng.choice(odd)] ^= {rng.choice([s * c for c in odd for s in (1, -1)])}
+        yield odd, reach
+
+
+def test_class_recheck_raises_exactly_when_the_pairwise_oracle_does():
+    raised_messages, single_kind = set(), 0
+    for odd, reach in drawn_reach_maps(400, seed=29):
+        sup = tampered(odd, reach)
+        classes, defects = first_pass(sup)
+        if classes is not None:
+            defects = oracle_class_recheck(sup, classes)
+        try:
+            found = [c.members for c in g.connection_classes(sup)]
+        except EquivalenceFailure as failure:
+            raised = (str(failure), failure.witness)
+        else:
+            raised = None
+            assert found == classes, (odd, reach)
+        assert (raised is None) == (not defects), (odd, reach, raised, defects)
+        if raised is None:
+            continue
+        raised_messages.add(raised[0])
+        if len({message for message, _ in defects}) == 1:
+            # one kind of defect: the same message, and but for a cross-class
+            # defect the same witness; a cross-class failure names the member
+            # whose connected set strays and the least element it strays to
+            single_kind += 1
+            assert raised[0] == defects[0][0], (odd, reach, raised, defects)
+            if raised[0] != "elements of distinct classes are connected":
+                assert raised[1] == defects[0][1], (odd, reach, raised, defects)
+            else:
+                h, k = raised[1]["pair"]
+                assert any(witness["pair"] in ((h, k), (k, h)) for _, witness in defects)
+    assert len(raised_messages) == 5 and single_kind >= 100, (raised_messages, single_kind)

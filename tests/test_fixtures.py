@@ -19,6 +19,42 @@ def test_every_builtin_passes_all_verifications(builtins):
         assert system.verify_fundamental_identity() == [], name
 
 
+Z = g.AbelianGroup((0,))
+DEGREES = (Z.element([1]), Z.element([0]), Z.element([-1]))
+CONSTRUCTORS = {
+    "system": (g.GradedTripleSystem, 3),
+    "algebra": (g.GradedLeibnizAlgebra.build, 2),
+}
+# name -> (degrees, products) of a malformed table of the given arity, over Q
+# with n = 3 and the group Z
+MALFORMED_TABLES = {
+    "short_key": lambda a: (DEGREES, {(0,) * (a - 1): {0: 1}}),
+    "long_key": lambda a: (DEGREES, {(0,) * (a + 1): {0: 1}}),
+    "int_key": lambda a: (DEGREES, {0: {0: 1}}),
+    "bool_index": lambda a: (DEGREES, {(True,) + (0,) * (a - 1): {0: 1}}),
+    "index_past_n": lambda a: (DEGREES, {(3,) + (0,) * (a - 1): {0: 1}}),
+    "negative_index": lambda a: (DEGREES, {(-1,) + (0,) * (a - 1): {0: 1}}),
+    "string_output": lambda a: (DEGREES, {(0,) * a: {"0": 1}}),
+    "other_string_output": lambda a: (DEGREES, {(0,) * a: {"x": 1}}),
+    "bool_output": lambda a: (DEGREES, {(0,) * a: {True: 1}}),
+    "output_past_n": lambda a: (DEGREES, {(0,) * a: {7: 1}}),
+    "negative_output": lambda a: (DEGREES, {(0,) * a: {-1: 1}}),
+    "degree_from_Z2": lambda a: (
+        [g.AbelianGroup((0, 0)).element([c, 0]) for c in (1, 0, -1)], {(0,) * a: {1: 1}}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+@pytest.mark.parametrize("kind", sorted(CONSTRUCTORS))
+def test_both_constructors_reject_a_malformed_table_in_the_shared_check(kind, case):
+    build, arity = CONSTRUCTORS[kind]
+    degrees, products = MALFORMED_TABLES[case](arity)
+    with pytest.raises(InputError) as info:
+        build(Q, Z, degrees, products)
+    assert info.traceback[-1].name == "graded_table"
+
+
 def test_abelian_algebra_gives_zero_triple_system():
     group = g.AbelianGroup((0,))
     algebra = g.GradedLeibnizAlgebra.build(

@@ -100,6 +100,12 @@ def test_support_data_equality_and_hash_ignore_closures():
     a = g.SupportData(**fields)
     b = g.SupportData(**{**fields, "closures": {}})
     assert a == b and hash(a) == hash(b)
+    # the connected sets are derived from the closures, and ignored with them
+    one = Z.element([1])
+    forged = g.SupportData(**{**fields, "closures": {one: {}}})
+    assert a.connected == {one: frozenset([one])} and b.connected == {}
+    assert forged.connected == {one: frozenset()}
+    assert a == forged and hash(a) == hash(forged)
     c = g.SupportData(**{**fields, "even": ()})
     assert a != c
 
