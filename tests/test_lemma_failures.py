@@ -5,9 +5,10 @@ is empty.  Forged supports and forged classes reach the failure branches:
 with each odd element's closure cut down to itself, every class is
 {h, h^-1}, and disconnected degrees that do multiply fail the vanishing
 and confinement laws.  The systems are sl3 graded by its root lattice over
-Q and GF(7), sl2^3, the non-Lie builtin `nonlie_J` and the non-Lie right
-Leibniz algebra sl2 + V4 (`sl2_module`).  Four supports and class lists
-per system:
+Q and GF(7), the direct sum of two such sl3 over Q graded by Z^4 (two
+true classes, many forged ones), sl2^3, the non-Lie builtin `nonlie_J`
+and the non-Lie right Leibniz algebra sl2 + V4 (`sl2_module`).  Four
+supports and class lists per system:
 
   * "forged": the true supports, each closure replaced by {h: None};
   * "singleton": `SupportData.from_parts` with an empty even support,
@@ -64,9 +65,18 @@ def sl2_module(k: int, field) -> g.GradedTripleSystem:
     return g.from_leibniz_algebra(g.GradedLeibnizAlgebra.build(field, group, degrees, brackets))
 
 
+def sl3_root_pair(field) -> g.GradedTripleSystem:
+    """Two copies of sl3, each graded by its root lattice, summed over Z^4: n = 16."""
+    target = g.AbelianGroup((0,) * 4)
+    copy = sl_root(3, field)
+    images = ([[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, 1]])
+    return g.direct_sum(g.relabel_degrees(copy, target, image) for image in images)
+
+
 def systems() -> dict:
     return {
         "sl3_root_Q": lambda: sl_root(3, g.RationalField()),
+        "sl3x2_root_Q": lambda: sl3_root_pair(g.RationalField()),
         "sl3_root_F7": lambda: sl_root(3, g.PrimeField(7)),
         "sl2x3_Q": lambda: sl2_power(3, g.RationalField()),
         # not a Lie system: [x, y] and [y, x] of L need not vanish together
