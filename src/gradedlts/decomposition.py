@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
 from .connections import ConnectionClass, SupportData, are_connected, connection_classes
 from .embedding import StandardEmbedding
-from .errors import DecompositionFailure, IdealCertificateFailure
+from .errors import DecompositionFailure, IdealCertificateFailure, InputError
 from .linalg import Subspace, complete_complement
 from .triples import GradedTripleSystem
 
@@ -114,6 +114,13 @@ def _degree_products(system: GradedTripleSystem, first, second, third):
             yield (p, q, r), entry
 
 
+def _block(blocks: dict, d):
+    try:
+        return blocks[d]
+    except KeyError:
+        raise InputError(f"{d.format()} is not in the support of the system") from None
+
+
 def class_core_span(system: GradedTripleSystem, cls: ConnectionClass) -> Subspace:
     """Span of the products {E_h, E_k, E_{(hk)^-1}}, h in [g], k in [g] or 1.
 
@@ -135,10 +142,11 @@ def class_ideal(system: GradedTripleSystem, cls: ConnectionClass) -> ClassIdeal:
     system are always ideals, so that outcome signals a corrupt input or a
     bug and is surfaced, never suppressed.  An ideal is a subsystem, since
     {I,I,I} lies in {I,E,E}, which lies in I, so no separate check is run.
+    A member degree without basis vectors raises InputError naming it.
     """
     core = class_core_span(system, cls)
     blocks = system.components()
-    units = [{i: 1} for d in cls.members for i in blocks[d]]
+    units = [{i: 1} for d in cls.members for i in _block(blocks, d)]
     vertex = Subspace(system.field, system.dim, units)
     total = core.sum(vertex)
     # dim(core + vertex) = dim core + dim vertex - dim(core & vertex)
@@ -373,173 +381,150 @@ def verify_structure_lemmas(
     exactly; failures carry witnesses.  The report is informational (the
     command line escalates failures to a nonzero exit).
     """
-    # read once: the components, as blocks of basis indices (a degree without
-    # basis vectors has no block); the ordered pairs of disconnected odd
-    # degrees; and per class the degrees allowed by the confinement laws, the
-    # class or 1, with the core sources and their slot products
+    # read once: the odd blocks as basis indices of L, the slot degrees of each
+    # stored constant, and per class the degrees the confinement laws allow
+    s, degrees, identity = emb.dim_even, system.degrees, system.group.identity()
     blocks = system.components()
-    disconnected = [(g, h) for g in sup.odd for h in sup.odd if not are_connected(sup, g, h)]
-    cores = []
-    for cls in classes:
-        members = set(cls.members)
-        allowed = members | {system.group.identity()}
-        pattern = _degree_products(system, members, allowed, members)
-        sources = [(key, u, system.int_slot_products(u)) for key, u in pattern]
-        cores.append((cls, allowed, sources))
+    lifted = {g: [s + x for x in _block(blocks, g)] for g in sup.odd}
+    triples = system.integer_triples()
+    stored = [((p, q, r), (degrees[p], degrees[q], degrees[r])) for (p, q, r), _ in triples]
+    allowed = [{*cls.members, identity} for cls in classes]
     return [
-        *_pair_laws(sup),
-        _lemma_disconnected_brackets_vanish(emb, disconnected, blocks),
-        _lemma_disconnected_inverse_triple_vanishes(system, disconnected, blocks),
-        _lemma_products_confined_to_class(system, cores),
-        _lemma_core_products_confined(system, cores),
-        _lemma_core_disconnected_vanish(system, emb, cores, sup, blocks),
+        *_support_pair_laws(emb, sup, lifted, stored, blocks),
+        _lemma_products_confined_to_class(stored, classes, allowed),
+        *_class_core_laws(system, emb, sup, classes, allowed, lifted, blocks),
     ]
 
 
-# (name, law): g, h in the odd support must be connected whenever the law
-# holds.  The laws read g h in the inverse-closed even support or 1; g in the
-# even support and g h in the odd support or 1; g, h and g h in the even
-# support (g h = 1 allowed).
+# g, h in the odd support must be connected when g h is in the inverse-closed
+# even support or 1; when g is in the even support and g h in the odd support
+# or 1; when g, h and g h are in the even support (g h = 1 allowed).
 _PAIR_LAWS = (
-    ("connected_when_pair_product_in_even_support",
-     lambda sup, g, h, gh: gh in sup.pm_even or gh.is_identity()),
-    ("connected_when_first_in_even_support",
-     lambda sup, g, h, gh: g in sup.pm_even and (gh in sup.pm_odd or gh.is_identity())),
-    ("connected_when_both_in_even_support",
-     lambda sup, g, h, gh: g in sup.pm_even and h in sup.pm_even
-     and (gh in sup.pm_even or gh.is_identity())),
+    "connected_when_pair_product_in_even_support",
+    "connected_when_first_in_even_support",
+    "connected_when_both_in_even_support",
 )
 
 
-def _pair_laws(sup: SupportData) -> list[LemmaCheck]:
-    checks = [LemmaCheck(name) for name, _ in _PAIR_LAWS]
+def _support_pair_laws(emb, sup, lifted, stored, blocks) -> list[LemmaCheck]:
+    # one pass over the ordered pairs (g, h) of odd degrees, g outer
+    implications = [LemmaCheck(name) for name in _PAIR_LAWS]
+    brackets = LemmaCheck("disconnected_brackets_vanish")
+    inverse_triple = LemmaCheck("disconnected_inverse_triple_vanishes")
+    table, pm_odd, pm_even = emb.table, sup.pm_odd, sup.pm_even
+    counts = Counter(triple for _, triple in stored)
     for g in sup.odd:
+        ginv, eg, cg, g_even = g.inverse(), lifted[g], emb.component(g), g in pm_even
         for h in sup.odd:
             gh = g.compose(h)
-            for check, (_, law) in zip(checks, _PAIR_LAWS):
+            one, connected = gh.is_identity(), are_connected(sup, g, h)
+            holds = (
+                gh in pm_even or one,
+                g_even and (gh in pm_odd or one),
+                g_even and h in pm_even and (gh in pm_even or one),
+            )
+            for check, law in zip(implications, holds):
                 check.instances += 1
-                if law(sup, g, h, gh):
+                if law:
                     check.nonvacuous += 1
-                    if not are_connected(sup, g, h):
+                    if not connected:
                         check.failures.append({"pair": (g.format(), h.format())})
-    return checks
-
-
-def _lemma_disconnected_brackets_vanish(emb, disconnected, blocks) -> LemmaCheck:
-    # Disconnected support degrees bracket to zero in the embedding, at all
-    # three levels: odd with odd, even with odd, even with even.  A bracket
-    # of basis elements of L is nonzero exactly when the table stores it.
-    check = LemmaCheck("disconnected_brackets_vanish")
-    s, table = emb.dim_even, emb.table
-    for g, hbar in disconnected:
-        check.instances += 1
-        check.nonvacuous += 1
-        eg = [s + x for x in blocks[g]]
-        eh = [s + y for y in blocks[hbar]]
-        cg, ch = emb.component(g), emb.component(hbar)
-        levels = (("odd_odd", eg, eh), ("even_odd", cg, eh), ("even_even", cg, ch))
-        for level, left, right in levels:
-            for x in left:
-                for y in right:
+            if connected:
+                continue
+            # Disconnected support degrees bracket to zero in the embedding, at
+            # all three levels: odd with odd, even with odd, even with even.  A
+            # bracket of basis elements of L is nonzero exactly when the table
+            # stores it.
+            brackets.instances += 1
+            brackets.nonvacuous += 1
+            eh, ch = lifted[h], emb.component(h)
+            levels = (("odd_odd", eg, eh), ("even_odd", cg, eh), ("even_even", cg, ch))
+            for level, left, right in levels:
+                for x, y in product(left, right):
                     if (x, y) in table:
-                        pair = (g.format(), hbar.format())
-                        check.failures.append({"pair": pair, "level": level})
-    return check
+                        pair = (g.format(), h.format())
+                        brackets.failures.append({"pair": pair, "level": level})
+            # {E_g, E_g^-1, E_hbar} vanishes for disconnected g, hbar: one
+            # failure per nonzero product of basis vectors, that is per stored
+            # constant, of that degree pattern
+            inverse_triple.instances += 1
+            if ginv in blocks:
+                inverse_triple.nonvacuous += 1
+            for _ in range(counts[g, ginv, h]):
+                inverse_triple.failures.append({"pair": (g.format(), h.format())})
+    return [*implications, brackets, inverse_triple]
 
 
-def _lemma_disconnected_inverse_triple_vanishes(system, disconnected, blocks) -> LemmaCheck:
-    # {E_g, E_g^-1, E_hbar} vanishes for disconnected g, hbar: one failure per
-    # nonzero product of basis vectors, that is per stored constant, of that
-    # degree pattern
-    check = LemmaCheck("disconnected_inverse_triple_vanishes")
-    degrees = system.degrees
-    stored = Counter(
-        (degrees[p], degrees[q], degrees[r]) for (p, q, r), _ in system.integer_triples()
-    )
-    for g, hbar in disconnected:
-        check.instances += 1
-        if (ginv := g.inverse()) in blocks:
-            check.nonvacuous += 1
-        for _ in range(stored[g, ginv, hbar]):
-            check.failures.append({"pair": (g.format(), hbar.format())})
-    return check
-
-
-def _lemma_products_confined_to_class(system, cores) -> LemmaCheck:
+def _lemma_products_confined_to_class(stored, classes, allowed) -> LemmaCheck:
     # A nonzero product with one slot of degree inside a class forces the
     # other degrees (and the product degree) into the class or the identity.
     check = LemmaCheck("nonzero_products_confined_to_class")
-    degrees = system.degrees
-    for (p, q, r), _ in system.integer_triples():
-        dp, dq, dr = degrees[p], degrees[q], degrees[r]
+    for key, (dp, dq, dr) in stored:
         total = dp.compose(dq).compose(dr)
-        for cls, allowed, _ in cores:
+        for cls, allow in zip(classes, allowed):
             for slot_degree, others in ((dp, (dq, dr)), (dq, (dp, dr)), (dr, (dp, dq))):
-                if slot_degree in allowed and not slot_degree.is_identity():
+                if slot_degree in allow and not slot_degree.is_identity():
                     check.instances += 1
                     check.nonvacuous += 1
-                    rep = cls.representative
                     check.failures.extend(
-                        {"triple": (p, q, r), "class": rep.format(), "degree": d.format()}
+                        {"triple": key, "class": cls.representative.format(), "degree": d.format()}
                         for d in (*others, total)
-                        if d not in allowed
+                        if d not in allow
                     )
     return check
 
 
-def _lemma_core_products_confined(system, cores) -> LemmaCheck:
-    # The outer degrees of each nonzero slot product of a core vector, and
-    # their product, lie in the class or are 1.  The verdict depends on the
-    # outer degrees alone, so each class decides it once per outer index
-    # pair, which fixes them; keyed by the degrees themselves, the law would
-    # spend most of its time hashing two GroupElements per product.
-    check = LemmaCheck("core_products_confined_to_class")
-    degrees = system.degrees
-    for _, allowed, sources in cores:
-        # (jq, jr) -> the formatted outer degrees outside `allowed`
+def _class_core_laws(system, emb, sup, classes, allowed, lifted, blocks) -> list[LemmaCheck]:
+    # one pass per class over its core sources u = {b_p, b_q, b_r}, p and r of
+    # degree in the class, q in the class or 1: each keeps its odd image in L,
+    # {dim_even + l: u_l}, and counts its products {u, E_1, b_y} by deg(y)
+    confined = LemmaCheck("core_products_confined_to_class")
+    vanish = LemmaCheck("core_disconnected_products_vanish")
+    degrees, s = system.degrees, emb.dim_even
+    units = set(blocks.get(system.group.identity(), ()))
+    for cls, allow in zip(classes, allowed):
+        members = set(cls.members)
+        # The outer degrees of each nonzero slot product of a core vector, and
+        # their product, lie in the class or are 1.  The verdict depends on
+        # the outer degrees alone, so `bad` keeps it per outer index pair:
+        # (jq, jr) -> the formatted outer degrees outside `allow`
         bad: dict[tuple[int, int], list[str]] = {}
-        for (p, q, r), _, products in sources:
+        sources = []
+        for key, u in _degree_products(system, members, allow, members):
+            products = system.int_slot_products(u)
             # each nonzero slot product of the core vector is one instance
-            check.instances += len(products)
-            check.nonvacuous += len(products)
+            confined.instances += len(products)
+            confined.nonvacuous += len(products)
+            through = Counter()
             for jq, jr, slot in products:
                 pair = (jq, jr)
                 if pair not in bad:
                     dl, dm = degrees[jq], degrees[jr]
-                    bad[pair] = [d.format() for d in (dl, dm, dl.compose(dm)) if d not in allowed]
+                    bad[pair] = [d.format() for d in (dl, dm, dl.compose(dm)) if d not in allow]
                 for d in bad[pair]:
-                    check.failures.append(
-                        {"core_triple": (p, q, r), "outer_pair": pair, "slot": slot, "degree": d}
+                    confined.failures.append(
+                        {"core_triple": key, "outer_pair": pair, "slot": slot, "degree": d}
                     )
-    return check
-
-
-def _lemma_core_disconnected_vanish(system, emb, cores, sup, blocks) -> LemmaCheck:
-    # Core products of one class annihilate everything carried by degrees
-    # outside the class: their tensors fall into the null space, the twisted
-    # right action of the outside even component kills them, and triple
-    # products through the identity component vanish.  The brackets are taken
-    # in L, where system vector u is the odd vector {dim_even + l: u_l}.
-    check = LemmaCheck("core_disconnected_products_vanish")
-    s = emb.dim_even
-    identity_comp = blocks.get(system.group.identity(), ())
-    for cls, _, sources in cores:
-        outside = [h for h in sup.odd if h not in cls]
-        for hbar in outside:
-            eh, ch = blocks[hbar], emb.component(hbar)
-            for (p, q, r), u, products in sources:
-                check.instances += 1
-                check.nonvacuous += 1
-                odd = {s + l: x for l, x in u.items()}
+                if slot == 0 and jq in units:
+                    through[degrees[jr]] += 1
+            sources.append((key, {s + l: x for l, x in u.items()}, through))
+        # Core products of one class annihilate everything carried by degrees
+        # outside the class: their tensors fall into the null space, the
+        # twisted right action of the outside even component kills them, and
+        # triple products through the identity component vanish.
+        for hbar in [h for h in sup.odd if h not in cls]:
+            eh, ch = lifted[hbar], emb.component(hbar)
+            for key, odd, through in sources:
+                vanish.instances += 1
+                vanish.nonvacuous += 1
                 levels = (
-                    ("tensor", sum(1 for y in eh if emb.int_bracket(odd, {s + y: 1}))),
+                    ("tensor", sum(1 for y in eh if emb.int_bracket(odd, {y: 1}))),
                     ("even_action", sum(1 for t in ch if emb.int_bracket(odd, {t: 1}))),
-                    ("identity_triple",
-                     sum((e1, y, 0) in products for e1 in identity_comp for y in eh)),
+                    ("identity_triple", through[hbar]),
                 )
                 for level, count in levels:
-                    check.failures.extend(
-                        {"core_triple": (p, q, r), "outside": hbar.format(), "level": level}
+                    vanish.failures.extend(
+                        {"core_triple": key, "outside": hbar.format(), "level": level}
                         for _ in range(count)
                     )
-    return check
+    return [confined, vanish]

@@ -308,6 +308,63 @@ def test_lemma_suite_reads_the_blocks_once(monkeypatch):
     assert calls == ["components"]
 
 
+def test_lemma_suite_asks_one_question_per_support_pair(monkeypatch):
+    # sl2^4 has 8 odd degrees in 4 classes: each ordered pair asks once
+    # whether it is connected, each odd degree is inverted once, and the
+    # stored constants are read once for the suite and once per class core
+    system = sl2_power(4, g.RationalField())
+    emb = g.build_embedding(system)
+    sup = g.SupportData.from_system(system, emb)
+    classes = g.connection_classes(sup)
+    calls = []
+
+    def counting(owner, name):
+        method = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(name)
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(g.decomposition, "are_connected")
+    counting(g.GroupElement, "inverse")
+    counting(g.GradedTripleSystem, "integer_triples")
+    checks = g.verify_structure_lemmas(system, emb, classes, sup)
+    assert all(c.holds for c in checks)
+    assert (len(sup.odd), len(classes)) == (8, 4)
+    assert calls.count("are_connected") == 64
+    assert calls.count("inverse") == 8
+    assert calls.count("integer_triples") == 5
+
+
+def _phantom_class(system):
+    """The true supports of sl2^2 plus the degree [5,0], which has no basis
+    vector, and its classes: the third one is {[5,0]}."""
+    emb = g.build_embedding(system)
+    phantom = system.group.element([5, 0])
+    sup = g.SupportData.from_parts([*system.support(), phantom], emb.support())
+    return emb, sup, g.connection_classes(sup), phantom
+
+
+def test_class_ideal_names_a_degree_without_basis_vectors():
+    system = sl2_power(2, Q)
+    _, _, classes, phantom = _phantom_class(system)
+    assert classes[-1].members == (phantom,)
+    with pytest.raises(g.InputError, match=r"\[5,0\] is not in the support"):
+        g.class_ideal(system, classes[-1])
+    other = g.AbelianGroup((0, 0, 0)).element([1, 0, 0])
+    with pytest.raises(g.InputError, match=r"\[1,0,0\] is not in the support"):
+        g.class_ideal(system, g.ConnectionClass(other, (other,)))
+
+
+def test_lemma_suite_names_a_degree_without_basis_vectors():
+    system = sl2_power(2, Q)
+    emb, sup, classes, _ = _phantom_class(system)
+    with pytest.raises(g.InputError, match=r"\[5,0\] is not in the support"):
+        g.verify_structure_lemmas(system, emb, classes, sup)
+
+
 def test_randomized_variants_have_certified_ideals():
     for seed in range(6):
         system = random_variant(seed)
