@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import combinations, product
+from itertools import product
 from typing import NamedTuple
 
 from .connections import ConnectionClass, SupportData, are_connected, connection_classes
@@ -179,19 +179,18 @@ def support_product_span(system: GradedTripleSystem) -> Subspace:
     return Subspace(system.field, system.dim, [u for _, u in pattern])
 
 
-def _cross_products_vanish(system, left: Subspace, right: Subspace):
+def _cross_products_vanish(field, left_products, right: Subspace):
     """Exact check of the three product families between two subspaces.
 
-    For rows va of `left` and vb of `right`, each product at b_m is a
-    combination of the slot products of va with the coordinates of vb:
+    For rows va of the left one and vb of `right`, each product at b_m is a
+    combination of the slot products of va, `left_products`, with vb's entries:
     {I_a, E, I_b} is sum_k vb[k] {va, b_m, b_k}, {I_a, I_b, E} is
     sum_j vb[j] {va, b_j, b_m} and {E, I_a, I_b} is sum_k vb[k] {b_m, va, b_k}.
     The sums are zero-tested on the integer images of va, vb and the constants.
     """
     checks = {"left_middle": True, "left_right": True, "middle_right": True}
     rights = right.integral_rows()
-    for va in left.integral_rows():
-        products = system.int_slot_products(va)
+    for products in left_products:
         for vb in rights:
             sums = {}  # (family, m) -> {l: int}
             for (j, k, slot), w in products.items():
@@ -207,7 +206,7 @@ def _cross_products_vanish(system, left: Subspace, right: Subspace):
                         for l, x in w.items():
                             out[l] = out.get(l, 0) + coef * x
             for (family, _), out in sums.items():
-                if system.field.clean(out):
+                if field.clean(out):
                     checks[family] = False
     return checks
 
@@ -234,17 +233,15 @@ def decompose(
         )
 
     orthogonality, disjoint = [], []
-    for a, b in combinations(ideals, 2):
-        checks = _cross_products_vanish(system, a.total, b.total)
-        orthogonality.append(
-            {
-                "classes": (a.cls.representative.format(), b.cls.representative.format()),
-                "vanish": all(checks.values()),
-                "families": checks,
-            }
-        )
-        # dim(a + b) = dim a + dim b - dim(a & b)
-        disjoint.append(a.total.sum(b.total).dim == a.total.dim + b.total.dim)
+    for t, a in enumerate(ideals[:-1]):
+        products = [system.int_slot_products(row) for row in a.total.integral_rows()]
+        for b in ideals[t + 1:]:
+            checks = _cross_products_vanish(system.field, products, b.total)
+            classes = (a.cls.representative.format(), b.cls.representative.format())
+            vanish = all(checks.values())
+            orthogonality.append({"classes": classes, "vanish": vanish, "families": checks})
+            # dim(a + b) = dim a + dim b - dim(a & b)
+            disjoint.append(a.total.sum(b.total).dim == a.total.dim + b.total.dim)
 
     tight, ann = u.is_zero(), system.annihilator()
     direct_sum = None

@@ -18,7 +18,7 @@ has a chance to descend.  Descent is not assumed: `build_embedding`
 certifies that bracketing the tensor square into N stays inside N and that
 the quotient algebra satisfies the right Leibniz identity on every basis
 triple, raising `NotWellDefined` or `LeibnizIdentityFailure` with a witness
-otherwise; descent needs the brackets of N with the pivot tensors only.
+otherwise; only pivot tensors with an identity residual are bracketed with N.
 
 N is read off the sparse reduced row echelon form R of the stacked action
 matrix A (the phi rows, then the psi rows, built sparse from the structure
@@ -43,7 +43,7 @@ from math import lcm
 
 from .errors import DecompositionFailure, LeibnizIdentityFailure, NotWellDefined
 from .groups import GroupElement
-from .identities import RIGHT_LEIBNIZ, index_constants, term_violations
+from .identities import PAIR_TERMS, RIGHT_LEIBNIZ, index_constants, join_residuals, term_violations
 from .linalg import Subspace, dense
 from .triples import GradedTripleSystem
 
@@ -204,26 +204,6 @@ class StandardEmbedding:
         """Nonidentity degrees with a nonzero even component, sorted."""
         return tuple(g for g in self.components() if not g.is_identity())
 
-    def verify_even_grading(self) -> list[dict]:
-        """Check [L0_g, L0_h] lands in L0_{gh} for all component pairs: the
-        stored bracket of each pair of block coordinates must be supported in
-        the target block; a violation reports the exact bracket."""
-        violations = []
-        comps = self.components()
-        scale = self.system.scale * self._reduction_scale
-        for g, block_g in comps.items():
-            for h, block_h in comps.items():
-                target = set(self.component(g.compose(h)))
-                for r in block_g:
-                    for t in block_h:
-                        w = self.table.get((r, t), {})
-                        if not target.issuperset(w):
-                            exact = dense(self.system.field, w, self.dim_even, scale)
-                            bracket = [self.system.field.format(x) for x in exact]
-                            degrees = (g.format(), h.format())
-                            violations.append({"degrees": degrees, "bracket": bracket})
-        return violations
-
     def __repr__(self):
         return (
             f"StandardEmbedding(dim_even={self.dim_even}, "
@@ -238,7 +218,8 @@ class _ActionMatrix:
     column i*n + j, and the psi row (z, out) that of
     {b_z, b_i, b_j} - {b_z, b_j, b_i}.  All phi rows come first, then all
     psi rows, each in (w, out) order; zero rows are left out.  The rows hold
-    D A, read off the integer image, which has the kernel and RREF of A.
+    D A, read off the integer image, which has the kernel and RREF of A
+    (`echelon`); the complement of N that it picks is certified (`certify`).
     """
 
     def __init__(self, system: GradedTripleSystem):
@@ -250,8 +231,7 @@ class _ActionMatrix:
                 row = blocks["psi"].setdefault((i, l), {})
                 row[j * n + k] = row.get(j * n + k, 0) + c
                 row[k * n + j] = row.get(k * n + j, 0) - c
-        self.field = system.field
-        self.ncols = n * n
+        self.dim, self.field, self.ncols, self._index = n, system.field, n * n, system._index
         self.rows = []  # (tag, {column: int})
         for tag, block in blocks.items():
             for key in sorted(block):
@@ -261,6 +241,38 @@ class _ActionMatrix:
         for r, (_, row) in enumerate(self.rows):
             for c, v in row.items():
                 self._columns[c].append((r, v))
+        self.echelon = Subspace(self.field, self.ncols, (row for _, row in self.rows))
+        self.certify(self.echelon.pivots, self.echelon.free_vectors())
+
+    def certify(self, pivots, free):
+        """Certify the complement of N spanned by the tensors `pivots`, `free`
+        holding one null vector per other column, in column order:
+        `span_failure` is None when each vector is its column c plus pivot
+        coordinates and lies in ker A, so the pivot columns span A's, else
+        (t, message, witness) of the first failing vector t.  The join started
+        at a pivot (a, b) finds right_slot and six_term residuals Phi(L) and
+        Psi(L, P) of column a*n + b = (L, P), linear in it: `residual_pivots`
+        lists the pivots with one.  With neither list, all three identities
+        hold (`identities_hold`), as middle(x,b,c,d,e) + six(b,c,x,d,e) +
+        right(x,d,b,c,e) = 0.
+        """
+        n, chosen = self.dim, set(pivots)
+        self.free, self.span_failure = free, None
+        columns = (c for c in range(self.ncols) if c not in chosen)
+        for t, (c, nu) in enumerate(zip_longest(columns, free)):
+            if nu is None or set(nu) - chosen != {c}:
+                message = "null vectors do not match the free columns of the action matrix"
+                self.span_failure = t, message, {"column": c}
+            elif failing := self.failing_action(nu):
+                action = "left" if failing == "phi" else "twisted right"
+                message = f"{action} action of a null tensor does not vanish"
+                self.span_failure = t, message, {"tensor": self.format(nu, nu[c])}
+            if self.span_failure:
+                break
+        leads = [divmod(p, n) for p in pivots]
+        found = join_residuals(self._index, PAIR_TERMS, leads, self.field.clean)
+        self.residual_pivots = list(dict.fromkeys(q[0] * n + q[1] for (q, _), _ in found))
+        self.identities_hold = not (self.span_failure or self.residual_pivots)
 
     def failing_action(self, vec):
         """Tag of the first row r with (A vec)_r != 0, or None when A vec = 0 (vec sparse)."""
@@ -270,6 +282,10 @@ class _ActionMatrix:
                 acc[r] = acc.get(r, 0) + v * x
         failing = self.field.clean(acc)
         return self.rows[min(failing)][0] if failing else None
+
+    def format(self, tensor, scale) -> list[str]:
+        """The exact tensor of which the sparse `tensor` is `scale` times, formatted."""
+        return [self.field.format(x) for x in dense(self.field, tensor, self.ncols, scale)]
 
 
 def build_embedding(system: GradedTripleSystem) -> StandardEmbedding:
@@ -281,64 +297,45 @@ def build_embedding(system: GradedTripleSystem) -> StandardEmbedding:
         LeibnizIdentityFailure: the quotient algebra fails the right
             Leibniz identity on some basis triple (witness attached).
     """
-    action = _ActionMatrix(system)
     # One RREF gives everything: ker(R) = N, the pivot columns index the
     # greedy standard-tensor complement of N, and R kills N while sending
     # the pivot tensor of row r to the r-th quotient coordinate.
-    reduced = Subspace(system.field, action.ncols, (row for _, row in action.rows))
+    action = system._action_matrix()
+    reduced = action.echelon
     rows = tuple(reduced.integral_rows())
-    free = reduced.free_vectors()
-    emb = StandardEmbedding(system, action.ncols, free, reduced.pivots, rows)
-    _certify_descent(emb, action, free)
+    emb = StandardEmbedding(system, action.ncols, action.free, reduced.pivots, rows)
+    _certify_descent(emb, action)
     _certify_leibniz_identity(emb)
     return emb
 
 
-def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix, free: list[dict]):
-    """Certify the bracket descends to the tensor-square quotient by N = span(free).
+def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix):
+    """Certify the bracket descends to the quotient by N, on the complement
+    that `action` certified, that of `emb`.
 
-    Membership in N is tested by its definition, A x = 0, against the sparse
-    rows of A, so a fault in the elimination cannot certify itself; the tag
-    of the first nonzero row names the action that does not vanish.
-    Bracketing N with the pivot tensors p (`emb.coset_indices`) suffices:
-    * `free` has one vector nu per non-pivot column c, in column order, with
-      no other non-pivot coordinate, so A nu = 0 puts column c of A, which
-      holds L(c) = {b_i, b_j, -} for c = b_i(x)b_j, in the span of the pivots;
-    * [c, y] depends on c only through L(c), so A [p, nu] = 0 at every pivot
-      p gives A [c, nu] = 0 at every coordinate tensor c;
-    * [nu, b_k(x)b_l] = L(nu)b_k (x) b_l - L(nu)b_l (x) b_k = 0, as the phi
-      rows of A nu = 0 say L(nu) = 0.
-    Tests run on sparse integer images, which move no zero; exact witnesses
-    are built on failure.
+    Membership in N is tested by its definition, A x = 0, on the sparse rows
+    of A, so a fault in the elimination cannot certify itself.  As the pivot
+    columns span A's, the brackets [p, nu] with the pivot tensors p decide
+    descent: [c, y] depends on c = b_i(x)b_j only through L(c) = {b_i, b_j, -},
+    and [nu, c] = 0 as A nu = 0 says L(nu) = 0.  By the relations
+    phi([p,nu])(w) = L(phi(nu)(w)) + psi(nu)(Lw) - sum nu_kl Phi(L)(k,l,w)
+    and psi([p,nu])(z) = psi(nu)(Pz) - P(psi(nu)(z)) - sum nu_kl
+    (Psi(z,k,l) - Psi(z,l,k)), A [p, nu] = 0 where p has no residual, so only
+    `residual_pivots` are bracketed and the first failing (nu, p) is the full
+    loop's.  `descent_instances` counts the instances certified.
     """
-    field = emb.system.field
-    pivots = set(emb.coset_indices)
-    action_messages = {
-        "phi": "left action of a null tensor does not vanish",
-        "psi": "twisted right action of a null tensor does not vanish",
-    }
-
-    def formatted(vec, scale):
-        return [field.format(x) for x in dense(field, vec, emb.tensor_dim, scale)]
-
-    columns = (c for c in range(emb.tensor_dim) if c not in pivots)
-    for c, nu in zip_longest(columns, free):
-        emb.descent_instances += 1 + len(pivots)
-        if nu is None or set(nu) - pivots != {c}:
-            message = "null vectors do not match the free columns of the action matrix"
-            raise NotWellDefined(message, witness={"column": c})
-        if failing := action.failing_action(nu):
-            raise NotWellDefined(action_messages[failing], witness={"tensor": formatted(nu, nu[c])})
-        for p in emb.coset_indices:
+    failure = action.span_failure
+    for nu in action.free[: failure[0] if failure else None]:
+        for p in action.residual_pivots:
             if action.failing_action(outward := emb._bracket(p, nu)):
-                raise NotWellDefined(
-                    "bracket of the tensor square into the null space escapes it",
-                    witness={
-                        "coordinate": p,
-                        "null_vector": formatted(nu, nu[c]),
-                        "bracket": formatted(outward, emb.system.scale * nu[c]),
-                    },
-                )
+                c = min(set(nu) - set(emb.coset_indices))
+                witness = {"coordinate": p, "null_vector": action.format(nu, nu[c]),
+                           "bracket": action.format(outward, emb.system.scale * nu[c])}
+                message = "bracket of the tensor square into the null space escapes it"
+                raise NotWellDefined(message, witness=witness)
+    if failure:
+        raise NotWellDefined(failure[1], witness=failure[2])
+    emb.descent_instances = len(action.free) * (1 + emb.dim_even)
 
 
 def _certify_leibniz_identity(emb: StandardEmbedding):

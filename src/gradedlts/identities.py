@@ -58,6 +58,7 @@ SIX_TERM = (
                   (-1, 0, (2, 1, 0), (3, 4)), (1, 0, (2, 0, 1), (3, 4)),
                   (-1, 1, (0, 1, 3), (2, 4)), (-1, 2, (0, 1, 4), (2, 3)))),
 )
+PAIR_TERMS = (AXIOM_TERMS[1], *SIX_TERM)  # all hold positions 0 and 1 in one constant
 # [[y,z],x] - [[y,x],z] - [y,[z,x]] = 0 in a right Leibniz algebra, at (y, z, x)
 RIGHT_LEIBNIZ = (
     ("right_leibniz", ((1, 0, (0, 1), (2,)), (-1, 0, (0, 2), (1,)), (-1, 1, (1, 2), (0,)))),
@@ -109,7 +110,7 @@ def index_constants(table, n: int, arity: int):
     return table, by_slot, by_output
 
 
-def join_residuals(index, identities):
+def join_residuals(index, identities, leads=None, clean=None):
     """Residuals of the identities at every basis tuple that some term reaches.
 
     A term at a tuple sums, over the outputs b_l of its inner constant, x_l
@@ -119,12 +120,13 @@ def join_residuals(index, identities):
     with a nonzero term and sums each term there in full; a tuple no term
     reaches has every term zero, so its residual is zero: the join is exact.
 
-    One leading index a = q[0] at a time: a term starts from the stored
-    constants with a in the slot that carries position 0, inner (then outer
-    through `by_slot`) or outer (then inner through `by_output`).  Yields
-    ((q, identity index), residual) for every reached pair, cancelled
-    residuals included, in increasing order, holding one bucket at a time;
-    residuals are left unreduced.
+    One bucket per lead, q[0] = a each in turn, or q[:2] = (a, b) for the
+    pairs of `leads` when every term holds positions 0 and 1 in one constant:
+    a term starts from the constants with the lead in those slots, inner
+    (then outer via `by_slot`) or outer (then inner via `by_output`).  Yields
+    ((q, identity index), residual) at every reached pair, cancelled ones
+    too, in increasing order, unreduced; with a field's `clean`, a bucket is
+    reduced whole and only nonzero residuals come out.
     """
     table, by_slot, by_output = index
     arity = len(by_slot)
@@ -135,33 +137,32 @@ def join_residuals(index, identities):
             slots = [t for t in range(arity) if t != fed]
             source = [inner.index(p) if p in inner else arity + slots[outer.index(p)]
                       for p in range(2 * arity - 1)]
-            start = (True, source[0]) if source[0] < arity else (False, source[0] - arity)
-            plan.append((ident, sign < 0, fed, itemgetter(*source), start))
-    for a in range(len(by_output)):
+            start = [s if source[0] < arity else s - arity for s in source[:2]]
+            plan.append((ident, sign, fed, itemgetter(*source), source[0] < arity, start))
+    for lead in [(a,) for a in range(len(by_output))] if leads is None else leads:
         acc: dict[tuple, object] = {}  # (q, identity index, output m) -> scalar
-        for ident, negate, fed, place, (from_inner, slot) in plan:
+        for ident, sign, fed, place, from_inner, (slot, second) in plan:
+            first = [k for k in by_slot[slot][lead[0]] if len(lead) == 1 or k[second] == lead[1]]
             if from_inner:
                 pairs = (
-                    (key, x, outer)
-                    for key in by_slot[slot][a]
+                    (key, sign * x, outer)
+                    for key in first
                     for l, x in table[key].items()
                     for outer in by_slot[fed][l]
                 )
             else:
                 pairs = (
-                    (key, table[key][outer[fed]], outer)
-                    for outer in by_slot[slot][a]
+                    (key, sign * table[key][outer[fed]], outer)
+                    for outer in first
                     for key in by_output[outer[fed]]
                 )
             for inner, x, outer in pairs:
                 q = place(inner + outer)
                 for m, y in table[outer].items():
                     key = (q, ident, m)
-                    if negate:
-                        acc[key] = acc.get(key, 0) - x * y
-                    else:
-                        acc[key] = acc.get(key, 0) + x * y
-        for target, group in groupby(sorted(acc), key=lambda key: key[:2]):
+                    acc[key] = acc.get(key, 0) + x * y
+        acc = acc if clean is None else clean(acc)
+        for target, group in groupby(sorted(acc), key=itemgetter(0, 1)):
             yield target, {key[2]: acc[key] for key in group}
 
 
@@ -169,10 +170,9 @@ def term_violations(field, index, identities, scale) -> list[Violation]:
     """The nonzero residuals of `join_residuals` as violations, in its order,
     divided back by `scale`, the factor by which the indexed table scales them."""
     violations = []
-    for (indices, ident), residual in join_residuals(index, identities):
-        if residual := field.clean(residual):
-            vector = dense(field, residual, len(index[2]), scale)
-            violations.append(Violation(identities[ident][0], indices, vector))
+    for (indices, ident), residual in join_residuals(index, identities, clean=field.clean):
+        vector = dense(field, residual, len(index[2]), scale)
+        violations.append(Violation(identities[ident][0], indices, vector))
     return violations
 
 

@@ -297,12 +297,14 @@ class Subspace:
         """One kernel vector per free (non-pivot) column c, in column order:
         d e_c minus, at each pivot q, d / row[q] times the entry of row q in
         column c, with d the lcm of those pivot entries (1 over GF(p))."""
-        rows, vectors = self.int_rows, []
+        rows, entries, vectors = self.int_rows, {}, []
+        for q, row in rows.items():
+            for c, x in row.items():
+                entries.setdefault(c, []).append((q, x, row[q]))
         for c in range(self.ambient):
             if c not in rows:
-                entries = [(q, row[c], row[q]) for q, row in rows.items() if c in row]
-                d = lcm(*(a for _, _, a in entries))
-                vectors.append({c: d, **{q: -x * (d // a) for q, x, a in entries}})
+                d = lcm(*(a for _, _, a in entries.get(c, ())))
+                vectors.append({c: d, **{q: -x * (d // a) for q, x, a in entries.get(c, ())}})
         return vectors
 
     def kernel(self) -> "Subspace":

@@ -2,8 +2,9 @@
 
 A system is a finite-dimensional vector space with an ordered basis, a
 degree map into an abelian group, and a trilinear product {.,.,.} given by
-sparse structure constants.  The identities are checked by the join of
-`identities`, the grading {E_g, E_h, E_k} in E_{ghk} constant by constant;
+sparse structure constants.  The identities are certified at the pivot
+pairs of the embedding's action matrix, their violations found by the join
+of `identities`, the grading {E_g, E_h, E_k} in E_{ghk} constant by constant;
 the basis is homogeneous, so each component E_g is a block of basis indices.
 Products of a vector with every basis pair come from one enumerator, which
 reads only the constants the vector meets; `ideal_closure` streams it.
@@ -11,8 +12,8 @@ Zero and span tests run on the integer image of the constants (`scale` =
 D times them; over GF(p) the residues) and on primitive integer vectors:
 scaling moves no zero.
 
-Systems are immutable after construction; verification sweeps are pure and
-may be run concurrently on the same instance.
+Systems are immutable after construction but for the cached action matrix,
+an equal one from any call; verification sweeps may run concurrently.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class GradedTripleSystem:
     times them (over GF(p) the residues, D = 1); exact values divide by D.
     """
 
-    __slots__ = ("field", "group", "dim", "degrees", "scale", "_table", "_index")
+    __slots__ = ("field", "group", "dim", "degrees", "scale", "_table", "_index", "_action")
 
     def __init__(
         self,
@@ -55,6 +56,7 @@ class GradedTripleSystem:
         self.degrees = degrees
         self._table, self.scale = field.integer_image(table)
         self._index = index_constants(self._table, self.dim, 3)
+        self._action = None
 
     # -- product evaluation -------------------------------------------------
 
@@ -91,23 +93,26 @@ class GradedTripleSystem:
 
     # -- identity sweeps ----------------------------------------------------
 
-    def verify_axioms(self) -> list[Violation]:
-        """Check both defining five-term identities on every basis quintuple.
+    def _action_matrix(self):
+        """The embedding's certified `_ActionMatrix`, built on first call."""
+        if self._action is None:
+            from .embedding import _ActionMatrix
+            self._action = _ActionMatrix(self)
+        return self._action
 
-        Exact by the term-driven join (`join_residuals`): a quintuple that no
-        term reaches has every term zero.  Violations name the quintuple and
-        its nonzero residual, in quintuple order, then middle_slot before
-        right_slot; a valid system yields the empty list.
-        """
+    def verify_axioms(self) -> list[Violation]:
+        """Check both defining five-term identities on every basis quintuple:
+        they hold when the action matrix certifies them at its pivot pairs,
+        else the exact join (`join_residuals`) names every violation and its
+        residual, in quintuple order, then middle_slot before right_slot."""
+        if self._action_matrix().identities_hold:
+            return []
         return term_violations(self.field, self._index, AXIOM_TERMS, self.scale**2)
 
     def verify_fundamental_identity(self) -> list[Violation]:
-        """Check the derived six-term identity on every basis quintuple.
-
-        The same exact join as `verify_axioms`.  The identity follows from
-        the two defining ones, so it must come back empty whenever those
-        pass; it is checked independently as a cross-validation.
-        """
+        """Check the six-term identity, implied by the axioms, as `verify_axioms` does."""
+        if self._action_matrix().identities_hold:
+            return []
         return term_violations(self.field, self._index, SIX_TERM, self.scale**2)
 
     def verify_grading(self) -> list[Violation]:

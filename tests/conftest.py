@@ -384,6 +384,57 @@ def oracle_components(emb):
     return comps
 
 
+def even_grading_violations(emb) -> list[dict]:
+    """The even-grading check the library no longer runs: [L0_g, L0_h] must
+    lie in L0_gh for every pair of components, so the stored bracket of each
+    pair of block coordinates must be supported in the target block; a
+    violation reports the exact bracket.  For a system that passes
+    `verify_grading` it is implied by the homogeneity certificate of
+    `StandardEmbedding.components`: the bracket of coset tensors of degrees
+    g and h is a tensor of degree gh, whose image lies in block gh."""
+    violations = []
+    comps = emb.components()
+    field, scale = emb.system.field, emb.system.scale * emb._reduction_scale
+    for a, block_a in comps.items():
+        for b, block_b in comps.items():
+            target = set(comps.get(a.compose(b), ()))
+            for r, t in product(block_a, block_b):
+                w = emb.table.get((r, t), {})
+                if not target.issuperset(w):
+                    bracket = [field.format(x) for x in linalg.dense(field, w, emb.dim_even, scale)]
+                    violations.append({"degrees": (a.format(), b.format()), "bracket": bracket})
+    return violations
+
+
+def oracle_even_grading(system, emb):
+    """`even_grading_violations` by the dense oracles: reduce the oracle bracket of
+    the lifted exact basis rows of every pair of components."""
+    field, n = system.field, system.dim
+    table = dense_table(system)
+    reduction = oracle_reduction(emb.null_space, emb.coset_indices)
+
+    def lift(coords):
+        tensor = [field.zero] * (n * n)
+        for p, x in zip(emb.coset_indices, coords):
+            tensor[p] = x
+        return tensor
+
+    comps = oracle_components(emb)
+    zero = g.Subspace(field, emb.dim_even)
+    violations = []
+    for a, ca in comps.items():
+        for b, cb in comps.items():
+            target = comps.get(a.compose(b), zero)
+            for u in ca.basis:
+                for v in cb.basis:
+                    tensor = oracle_tensor_bracket(system, lift(u), lift(v), table)
+                    w = library_vector(oracle_reduce(field, reduction, tensor))
+                    if any(w) and not target.contains(w):
+                        bracket = [field.format(x) for x in w]
+                        violations.append({"degrees": (a.format(), b.format()), "bracket": bracket})
+    return violations
+
+
 def oracle_certify(system, null_space, coset_indices, coordinates=None, vectors=None):
     """The dense descent and Leibniz certificates, on the oracles above.
 
@@ -729,6 +780,45 @@ def pivot_pair_verdict(system):
             phi_zero = phi_zero and not clean(phi)
             psi_zero = psi_zero and not clean(psi)
     return phi_zero and psi_zero, psi_zero
+
+
+def over_f7(system):
+    """A rational system with integer-coded constants read over GF(7)."""
+    F7 = g.PrimeField(7)
+    constants = {
+        key: {l: F7.element(str(x)) for l, x in entry.items()}
+        for key, entry in system.nonzero_triples()
+    }
+    return g.GradedTripleSystem(F7, system.group, system.degrees, constants)
+
+
+def pivot_pair_cases():
+    """Valid systems over Q and GF(7) with seeded one-constant mutants, four
+    of each but one of sl4 root, whose joins take a second, and
+    {b0, b1, b2} = b0 on zero_3, which fails middle_slot and right_slot but
+    not six_term.  Many mutants leave a residual at some pivots of A only."""
+    Q, F7 = g.RationalField(), g.PrimeField(7)
+    bases = {}
+    for name in g.BUILTIN_NAMES:
+        bases[f"{name}_Q"] = g.builtin(name)
+        bases[f"{name}_F7"] = over_f7(g.builtin(name))
+    for label, field in (("Q", Q), ("F7", F7)):
+        bases[f"sl2x2_{label}"] = sl2_power(2, field)
+        bases[f"sl2x3_{label}"] = sl2_power(3, field)
+        bases[f"sl3_root_{label}"] = sl_root(3, field)
+        bases[f"sl4_root_{label}"] = sl_root(4, field)
+    for seed in range(10):
+        bases[f"variant{seed}"] = random_variant(seed)
+    cases = {}
+    for name, system in bases.items():
+        rng = random.Random(name)
+        cases[name] = [system]
+        for _ in range(1 if name.startswith("sl4") else 4):
+            cell = [rng.randrange(system.dim) for _ in range(4)]
+            delta = system.field.element(rng.choice([1, -1, 2]))
+            cases[name].append(mutate_constant(system, *cell, delta))
+    cases["zero_3_Q"].append(mutate_constant(g.builtin("zero_3"), 0, 1, 2, 0, Q.one))
+    return cases
 
 
 def oracle_slot_products(system, v):

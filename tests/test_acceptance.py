@@ -21,6 +21,7 @@ import pytest
 import gradedlts as g
 from conftest import (
     child_env,
+    even_grading_violations,
     mutate_constant,
     oracle_is_lie,
     oracle_is_valid,
@@ -108,8 +109,9 @@ def test_criterion_02_defect_ideal_certificates(systems):
 def test_criterion_03_standard_embedding(pipelines):
     for name, (system, emb, sup, classes) in pipelines.items():
         # construction already certified well-definedness and the right
-        # Leibniz identity on all quotient basis triples (exact, or raise)
-        assert emb.verify_even_grading() == [], name
+        # Leibniz identity on all quotient basis triples (exact, or raise);
+        # the even grading follows from the system's
+        assert system.verify_grading() == [] and even_grading_violations(emb) == [], name
         comps = emb.components()
         assert sorted(r for c in comps.values() for r in c) == list(range(emb.dim_even)), name
     _passed(3, "standard-embedding-certificates")

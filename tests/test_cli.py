@@ -14,8 +14,9 @@ import pytest
 import gradedlts as g
 from gradedlts import cli
 from gradedlts.cli import main
+from gradedlts.embedding import _ActionMatrix
 from gradedlts.fixtures import fixture_text
-from conftest import child_env
+from conftest import child_env, mutate_constant
 
 
 def run_cli(*args):
@@ -80,11 +81,6 @@ def test_certificate_failure_exits_1_with_one_line(fixture_files, monkeypatch, c
     assert captured.err == "certificate failure [NotWellDefined]: bracketing N escapes N\n"
 
 
-def _fail_even_grading(monkeypatch):
-    violation = {"degrees": ["[0]", "[0]"], "bracket": ["1", "0", "0"]}
-    monkeypatch.setattr(g.StandardEmbedding, "verify_even_grading", lambda self: [violation])
-
-
 def _fail_a_lemma(monkeypatch):
     checked = cli.verify_structure_lemmas
 
@@ -99,8 +95,6 @@ def _fail_a_lemma(monkeypatch):
 @pytest.mark.parametrize(
     "command, plant, verdict, section, key",
     [
-        ("embed", _fail_even_grading, "fail (even grading)", "embedding", "even_grading_ok"),
-        ("decompose", _fail_even_grading, "fail (certificates)", "embedding", "even_grading_ok"),
         ("decompose", _fail_a_lemma, "fail (certificates)", "lemmas", "all_hold"),
     ],
 )
@@ -113,6 +107,27 @@ def test_failed_certificate_exits_1_and_writes_the_report(
     captured = capsys.readouterr()
     assert captured.err == "" and captured.out.endswith(f"verdict: {verdict}\n")
     assert json.loads(out.read_text(encoding="utf-8"))[section][key] is False
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze", "embed", "decompose"])
+@pytest.mark.parametrize("corrupt", [False, True], ids=["valid", "corrupt"])
+def test_each_command_builds_the_action_matrix_once(command, corrupt, tmp_path, monkeypatch):
+    # the identity checks and build_embedding read one certified action matrix
+    system = g.builtin("sl2_Z")
+    if corrupt:
+        system = mutate_constant(system, 0, 2, 0, 0, g.RationalField().one)
+    path = tmp_path / "system.json"
+    path.write_text(g.dumps_system(system), encoding="utf-8")
+    built = []
+    init = _ActionMatrix.__init__
+
+    def counted(self, system):
+        built.append(system)
+        init(self, system)
+
+    monkeypatch.setattr(_ActionMatrix, "__init__", counted)
+    assert main([command, str(path)]) == int(corrupt)
+    assert len(built) == 1
 
 
 def test_verify_rejects_malformed_scalar(tmp_path):

@@ -158,6 +158,12 @@ def test_cross_class_products_vanish_by_direct_evaluation(disjoint_pipe):
                     assert all(x == 0 for x in oracle_triple(system, *args))
 
 
+def cross_products_vanish(system, left, right):
+    """`_cross_products_vanish` of two subspaces, as `decompose` calls it."""
+    products = [system.int_slot_products(row) for row in left.integral_rows()]
+    return _cross_products_vanish(system.field, products, right)
+
+
 def oracle_cross_products_vanish(system, left, right):
     """The three families evaluated densely, one unit vector b_m at a time."""
     n = system.dim
@@ -199,7 +205,7 @@ def test_cross_products_match_dense_oracle_on_random_subspaces(field):
     ]
     outcomes = set()
     for left, right in pairs:
-        checks = _cross_products_vanish(system, left, right)
+        checks = cross_products_vanish(system, left, right)
         assert checks == oracle_cross_products_vanish(system, left, right)
         outcomes.add(tuple(checks.values()))
     # vanishing, partly vanishing and nonvanishing pairs all occur
@@ -219,7 +225,7 @@ def test_cross_products_tell_the_three_families_apart():
         (1, 2): {"left_middle": True, "left_right": True, "middle_right": False},
     }
     for (a, b), checks in expected.items():
-        assert _cross_products_vanish(system, line[a], line[b]) == checks
+        assert cross_products_vanish(system, line[a], line[b]) == checks
         assert oracle_cross_products_vanish(system, line[a], line[b]) == checks
 
 
@@ -378,13 +384,14 @@ def test_randomized_variants_have_certified_ideals():
 
 @pytest.mark.parametrize(
     "field,push,streams",
-    [(g.RationalField(), None, 67), (g.PrimeField(7), 2, 58)],
+    [(g.RationalField(), None, 64), (g.PrimeField(7), 2, 58)],
     ids=["sl2x3_Q", "sl2x3_F7_Z2"],
 )
 def test_slot_product_evaluations_per_decompose_run(field, push, streams, monkeypatch, tmp_path):
-    # every slot product comes from one stream per vector: 24 and 15 of these
-    # build the sorted `int_slot_products`, 43 feed the closures, which stop
-    # at full rank
+    # every slot product comes from one stream per vector: 21 and 15 of these
+    # build the sorted `int_slot_products`, once per row of a left ideal of
+    # the orthogonality pairs and not once per partner, 43 feed the closures,
+    # which stop at full rank
     system = sl2_power(3, field)
     if push:
         system = coordinate_sum(system, push)

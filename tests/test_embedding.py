@@ -14,6 +14,7 @@ from gradedlts.linalg import complete_complement
 from conftest import (
     coordinate_sum,
     dense_table,
+    even_grading_violations,
     exact_bracket,
     exact_lift,
     exact_reduce,
@@ -21,6 +22,7 @@ from conftest import (
     oracle_actions,
     oracle_bracket_table,
     oracle_components,
+    oracle_even_grading,
     oracle_reduce,
     oracle_reduction,
     oracle_tensor_bracket,
@@ -115,7 +117,7 @@ def test_disjoint_sum_even_support_has_no_mixed_degrees():
 def test_even_grading_violations_empty(builtins):
     for name, system in builtins.items():
         emb = g.build_embedding(system)
-        assert emb.verify_even_grading() == [], name
+        assert even_grading_violations(emb) == [], name
 
 
 def test_reduction_is_representative_independent(sl2_emb):
@@ -182,7 +184,7 @@ def test_prime_field_embedding():
     system = g.from_leibniz_algebra(g.sl2_algebra(field=g.PrimeField(7)))
     emb = g.build_embedding(system)
     assert emb.dim_even == 3
-    assert emb.verify_even_grading() == []
+    assert even_grading_violations(emb) == []
 
 
 def test_descent_failure_names_the_escaping_coordinate():
@@ -251,7 +253,13 @@ def test_one_rref_construction_matches_independent_oracles(name):
     assert outcomes == {True, False} or null.dim == nn
 
 
-# -- the even-grading witness --------------------------------------------------
+# -- the even grading, implied by the system's -----------------------------------
+#
+# [L0_g, L0_h] lies in L0_gh whenever the system passes `verify_grading`, by
+# the homogeneity certificate of `components`, so the library does not check
+# it.  `even_grading_violations` is that check, kept here: its witnesses
+# against the dense oracle, and the implication on graded and misgraded
+# systems.
 
 
 def misgraded(base, degrees, basis=None):
@@ -278,43 +286,15 @@ def sl2(field):
     return g.from_leibniz_algebra(g.sl2_algebra(field))
 
 
-def oracle_even_grading(system, emb):
-    """`verify_even_grading` by the dense oracles: reduce the oracle bracket of
-    the lifted exact basis rows of every pair of components."""
-    field, n = system.field, system.dim
-    table = dense_table(system)
-    reduction = oracle_reduction(emb.null_space, emb.coset_indices)
-
-    def lift(coords):
-        tensor = [field.zero] * (n * n)
-        for p, x in zip(emb.coset_indices, coords):
-            tensor[p] = x
-        return tensor
-
-    comps = oracle_components(emb)
-    zero = g.Subspace(field, emb.dim_even)
-    violations = []
-    for a, ca in comps.items():
-        for b, cb in comps.items():
-            target = comps.get(a.compose(b), zero)
-            for u in ca.basis:
-                for v in cb.basis:
-                    tensor = oracle_tensor_bracket(system, lift(u), lift(v), table)
-                    w = library_vector(oracle_reduce(field, reduction, tensor))
-                    if any(w) and not target.contains(w):
-                        bracket = [field.format(x) for x in w]
-                        violations.append({"degrees": (a.format(), b.format()), "bracket": bracket})
-    return violations
-
-
 @pytest.mark.parametrize("field", [Q, g.PrimeField(7)], ids=["Q", "F7"])
 def test_even_grading_witnesses_match_the_dense_oracle(field):
     flagged = 0
     for degrees in product(range(-2, 3), repeat=3):
         system = misgraded(sl2(field), degrees)
         emb = g.build_embedding(system)
-        violations = emb.verify_even_grading()
+        violations = even_grading_violations(emb)
         assert violations == oracle_even_grading(system, emb), degrees
+        assert bool(violations) == bool(system.verify_grading()), degrees
         flagged += bool(violations)
     assert flagged == 120
 
@@ -329,8 +309,9 @@ def test_even_grading_witnesses_in_a_rescaled_basis():
         system = misgraded(sl2(Q), degrees, RESCALED_BASIS)
         assert system.scale > 1
         emb = g.build_embedding(system)
-        violations = emb.verify_even_grading()
+        violations = even_grading_violations(emb)
         assert violations == oracle_even_grading(system, emb), degrees
+        assert bool(violations) == bool(system.verify_grading()), degrees
         flagged += bool(violations)
     assert flagged == 124
 
@@ -348,12 +329,38 @@ def test_even_grading_witnesses_divide_by_the_reduction_scale():
     # sl3 graded by its root lattice has D_R = 2 and a graded even part
     system = sl_root(3, Q)
     emb = g.build_embedding(system)
-    assert emb._reduction_scale == 2 and emb.verify_even_grading() == []
+    assert emb._reduction_scale == 2 and even_grading_violations(emb) == []
     system = shifted(system, [1, 0])
+    assert system.verify_grading()
     emb = g.build_embedding(system)
-    violations = emb.verify_even_grading()
+    violations = even_grading_violations(emb)
     assert emb._reduction_scale == 2 and len(violations) == 42
     assert violations == oracle_even_grading(system, emb)
+
+
+def graded_inputs():
+    """Every golden input, `random_variant` 0-19 and sl2 in the rescaled
+    basis above, graded trivially so that the basis is homogeneous."""
+    cases = {name: g.builtin(name) for name in g.BUILTIN_NAMES}
+    for label, field in (("Q", Q), ("F7", F7)):
+        cases[f"sl2x2_{label}"] = sl2_square(field)
+    cases["sl2x3_Q"] = sl2_power(3, Q)
+    cases["sl2x3_F7_Z2"] = coordinate_sum(sl2_power(3, F7), 2)
+    cases["sl3_root_Q"], cases["sl4_root_Q"] = sl_root(3, Q), sl_root(4, Q)
+    for seed in range(20):
+        cases[f"variant{seed}"] = random_variant(seed)
+    cases["sl2_rescaled"] = misgraded(sl2(Q), (0, 0, 0), RESCALED_BASIS)
+    return cases
+
+
+GRADED = graded_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(GRADED))
+def test_a_graded_system_has_a_graded_even_part(name):
+    system = GRADED[name]
+    assert system.verify_grading() == []
+    assert even_grading_violations(g.build_embedding(system)) == []
 
 
 # -- the even components as coordinate blocks ----------------------------------

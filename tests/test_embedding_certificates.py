@@ -28,6 +28,7 @@ from gradedlts.linalg import Subspace
 
 from conftest import (
     dense_table,
+    pivot_pair_cases,
     exact_bracket,
     mutate_constant,
     oracle_certify,
@@ -42,13 +43,13 @@ from conftest import (
 
 def uncertified(system):
     """The embedding as `build_embedding` constructs it, before either
-    certificate, with the action matrix and the kernel's free-column vectors."""
+    certificate, with a fresh action matrix and the kernel's free-column
+    vectors, which the action matrix has certified."""
     action = _ActionMatrix(system)
-    reduced = Subspace(system.field, action.ncols, (row for _, row in action.rows))
-    rows = tuple(reduced.integral_rows())
-    free = reduced.free_vectors()
-    emb = StandardEmbedding(system, action.ncols, free, reduced.pivots, rows)
-    return emb, action, free
+    reduced = action.echelon
+    emb = StandardEmbedding(system, action.ncols, action.free, reduced.pivots,
+                            tuple(reduced.integral_rows()))
+    return emb, action, action.free
 
 
 def outcome(run):
@@ -64,7 +65,7 @@ def library_outcome(system):
     emb, action, free = uncertified(system)
 
     def certify():
-        _certify_descent(emb, action, free)
+        _certify_descent(emb, action)
         _certify_leibniz_identity(emb)
 
     return emb, free, outcome(certify)
@@ -153,13 +154,52 @@ def test_mutant_certificates_match_dense_oracle():
     }
 
 
+def ungated_outcome(system):
+    """`outcome` of both certificates with the bracket [p, nu] formed at every
+    pivot p, as before the residual gate."""
+    emb, action, _ = uncertified(system)
+    action.residual_pivots = list(emb.coset_indices)
+
+    def certify():
+        _certify_descent(emb, action)
+        _certify_leibniz_identity(emb)
+
+    return outcome(certify)
+
+
+GATE_CASES = pivot_pair_cases()
+
+
+@pytest.mark.parametrize("name", sorted(GATE_CASES))
+def test_descent_gate_keeps_the_outcome_of_the_full_bracket_loop(name):
+    # the bracket loop runs only at pivots with an identity residual; the
+    # first failing (nu, p), and so the witness, stays that of the full loop
+    for system in GATE_CASES[name]:
+        assert outcome(lambda: g.build_embedding(system)) == ungated_outcome(system)
+
+
+def test_descent_gate_cases_reach_every_outcome():
+    paths = Counter(
+        failure_path(ungated_outcome(system))
+        for systems in GATE_CASES.values()
+        for system in systems
+    )
+    assert set(paths) == {
+        "pass",
+        "NotWellDefined: bracket of the tensor square into the null space escapes it",
+        "LeibnizIdentityFailure: quotient algebra fails the right Leibniz identity",
+    }
+
+
 def test_certificate_instance_counters():
     system = sl2_square(g.RationalField())
     emb = g.build_embedding(system)
     n, null_dim = system.dim, emb.null_space.dim
     assert (n, null_dim, emb.dim_even) == (6, 30, 6)
     # one free-column vector per null dimension: its shape and actions, then
-    # [p, nu] for the dim_even pivot coordinates p
+    # [p, nu] for the dim_even pivot coordinates p, certified by the residual
+    # gate, as the system passes the identities, without forming a bracket
+    assert emb.system._action_matrix().residual_pivots == []
     assert emb.descent_instances == null_dim * (1 + emb.dim_even) == 210
     # every basis triple of L0 + L1
     assert emb.leibniz_instances == (emb.dim_even + n) ** 3 == 1728
@@ -187,8 +227,10 @@ def test_shape_check_rejects_forged_free_vectors(forgery):
     vectors, column = forged_free_vectors(free, columns)[forgery]
     # every forged vector lies in ker A: only the shape check can reject them
     assert all(action.failing_action(nu) is None for nu in vectors)
+    action.certify(emb.coset_indices, vectors)
+    assert not action.identities_hold
     with pytest.raises(g.NotWellDefined) as info:
-        _certify_descent(emb, action, vectors)
+        _certify_descent(emb, action)
     assert str(info.value) == "null vectors do not match the free columns of the action matrix"
     assert info.value.witness == {"column": column}
 
@@ -200,8 +242,9 @@ def test_free_vector_outside_the_kernel_is_rejected():
     t, nu = next((t, nu) for t, nu in enumerate(free) if len(nu) > 1)
     c = min(set(nu) - set(emb.coset_indices))
     forged = [*free[:t], {**nu, c: 2 * nu[c]}, *free[t + 1:]]
+    action.certify(emb.coset_indices, forged)
     with pytest.raises(g.NotWellDefined) as info:
-        _certify_descent(emb, action, forged)
+        _certify_descent(emb, action)
     assert str(info.value) == "left action of a null tensor does not vanish"
     assert info.value.witness["tensor"][c] == "1"
 
@@ -226,6 +269,7 @@ def embedding_eliminating_last(system, last):
     rows = tuple(back(reduced.int_rows[position[p]]) for p in pivots)
     free = sorted(map(back, reduced.free_vectors()), key=lambda v: min(set(v) - set(pivots)))
     emb = StandardEmbedding(system, nn, free, pivots, rows)
+    action.certify(pivots, free)
     return emb, action, free
 
 
@@ -235,7 +279,7 @@ def test_escape_at_a_free_column_is_witnessed_at_a_pivot():
     system = mutate_constant(sl2_square(g.RationalField()), 0, 3, 3, 4, g.RationalField().one)
     emb, action, free = embedding_eliminating_last(system, 1)
     assert 1 not in emb.coset_indices and 6 in emb.coset_indices
-    got = outcome(lambda: _certify_descent(emb, action, free))
+    got = outcome(lambda: _certify_descent(emb, action))
     every_pair = assert_oracle_agrees(system, emb, free, got)
     assert (every_pair[2]["coordinate"], got[2]["coordinate"]) == (1, 6)
 

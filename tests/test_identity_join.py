@@ -13,18 +13,21 @@ reached by the join.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 import gradedlts as g
+from gradedlts.embedding import _ActionMatrix
 from gradedlts.identities import (
     AXIOM_TERMS,
     RIGHT_LEIBNIZ,
     SIX_TERM,
     index_constants,
     join_residuals,
+    term_violations,
 )
 from conftest import (
     coordinate_sum,
@@ -41,6 +44,7 @@ from conftest import (
     oracle_tensor_bracket,
     oracle_triple,
     oracle_zero_one,
+    pivot_pair_cases,
     pivot_pair_verdict,
     random_variant,
     sl2_power,
@@ -263,41 +267,6 @@ def test_index_lists_each_constant_under_every_slot_and_output():
 # -- the verdict at the pivot pairs of the action matrix ------------------------
 
 
-def over_f7(system):
-    """A rational system with integer-coded constants read over GF(7)."""
-    constants = {
-        key: {l: F7.element(str(x)) for l, x in entry.items()}
-        for key, entry in system.nonzero_triples()
-    }
-    return g.GradedTripleSystem(F7, system.group, system.degrees, constants)
-
-
-def pivot_pair_cases():
-    """Valid systems over Q and GF(7), four seeded one-constant mutants of
-    each, and {b0, b1, b2} = b0 on zero_3, which fails middle_slot and
-    right_slot but not six_term."""
-    bases = {}
-    for name in g.BUILTIN_NAMES:
-        bases[f"{name}_Q"] = g.builtin(name)
-        bases[f"{name}_F7"] = over_f7(g.builtin(name))
-    for label, field in (("Q", Q), ("F7", F7)):
-        bases[f"sl2x2_{label}"] = sl2_power(2, field)
-        bases[f"sl2x3_{label}"] = sl2_power(3, field)
-        bases[f"sl3_root_{label}"] = sl_root(3, field)
-    for seed in range(10):
-        bases[f"variant{seed}"] = random_variant(seed)
-    cases = {}
-    for name, system in bases.items():
-        rng = random.Random(name)
-        cases[name] = [system]
-        for _ in range(4):
-            cell = [rng.randrange(system.dim) for _ in range(4)]
-            delta = system.field.element(rng.choice([1, -1, 2]))
-            cases[name].append(mutate_constant(system, *cell, delta))
-    cases["zero_3_Q"].append(mutate_constant(g.builtin("zero_3"), 0, 1, 2, 0, Q.one))
-    return cases
-
-
 PIVOT_PAIR_CASES = pivot_pair_cases()
 
 
@@ -307,11 +276,41 @@ def failing_identities(system):
     return names | ({"six_term"} if system.verify_fundamental_identity() else set())
 
 
+def full_joins(system):
+    """The violations of both axioms and of the six-term identity by the
+    joins over every quintuple, as the failure path runs them."""
+    scale = system.scale**2
+    axioms = term_violations(system.field, system._index, AXIOM_TERMS, scale)
+    return axioms, term_violations(system.field, system._index, SIX_TERM, scale)
+
+
 @pytest.mark.parametrize("name", sorted(PIVOT_PAIR_CASES))
 def test_pivot_pair_verdict_equals_the_joins_verdict(name):
+    # the library's restricted join, the dense oracle and the full joins
     for system in PIVOT_PAIR_CASES[name]:
-        joins = (not system.verify_axioms(), not system.verify_fundamental_identity())
-        assert pivot_pair_verdict(system) == joins
+        axioms, six = full_joins(system)
+        action = _ActionMatrix(system)
+        assert action.span_failure is None
+        assert pivot_pair_verdict(system) == (not axioms, not six)
+        assert action.identities_hold == (not axioms and not six)
+        assert (system.verify_axioms(), system.verify_fundamental_identity()) == (axioms, six)
+        # and pivot by pivot, against the full joins filtered afterwards: a
+        # right_slot or six_term residual at (a, b, c, d, e) is one at the
+        # column a*n + b of A, a pivot or not
+        n = system.dim
+        kept = [v.indices for v in axioms + six if v.identity != "middle_slot"]
+        found = {q[0] * n + q[1] for q in kept}
+        assert action.residual_pivots == [p for p in action.echelon.pivots if p in found]
+
+
+def test_some_mutants_leave_a_residual_at_some_pivots_only():
+    counts = Counter()
+    for systems in PIVOT_PAIR_CASES.values():
+        for system in systems[1:]:
+            action = _ActionMatrix(system)
+            share = len(action.residual_pivots), len(action.echelon.pivots)
+            counts["none" if not share[0] else "all" if share[0] == share[1] else "some"] += 1
+    assert min(counts["none"], counts["some"], counts["all"]) >= 10
 
 
 def test_pivot_pair_cases_pass_fail_all_three_and_fail_exactly_two():

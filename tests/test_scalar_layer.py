@@ -175,10 +175,10 @@ def test_cross_products_reduce_mod_p_before_the_zero_test():
     system = g.GradedTripleSystem(
         F7, group, [group.identity()] * 4, {(0, 1, 2): {0: 3}, (0, 1, 3): {0: 4}}
     )
-    left, right = g.Subspace(F7, 4, [[1, 0, 0, 0]]), g.Subspace(F7, 4, [[0, 0, 1, 1]])
-    checks = _cross_products_vanish(system, left, right)
+    left, right = [system.int_slot_products({0: 1})], g.Subspace(F7, 4, [[0, 0, 1, 1]])
+    checks = _cross_products_vanish(F7, left, right)
     assert checks == {"left_middle": True, "left_right": True, "middle_right": True}
-    assert not _cross_products_vanish(system, left, g.Subspace(F7, 4, [[0, 0, 1, 0]]))["left_right"]
+    assert not _cross_products_vanish(F7, left, g.Subspace(F7, 4, [[0, 0, 1, 0]]))["left_right"]
 
 
 # -- scaling every constant by c --------------------------------------------------------
