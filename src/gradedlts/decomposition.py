@@ -237,9 +237,8 @@ def decompose(
         products = [system.int_slot_products(row) for row in a.total.integral_rows()]
         for b in ideals[t + 1:]:
             checks = _cross_products_vanish(system.field, products, b.total)
-            classes = (a.cls.representative.format(), b.cls.representative.format())
-            vanish = all(checks.values())
-            orthogonality.append({"classes": classes, "vanish": vanish, "families": checks})
+            pair = (a.cls.representative.format(), b.cls.representative.format())
+            orthogonality.append(dict(classes=pair, vanish=all(checks.values()), families=checks))
             # dim(a + b) = dim a + dim b - dim(a & b)
             disjoint.append(a.total.sum(b.total).dim == a.total.dim + b.total.dim)
 

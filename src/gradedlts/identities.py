@@ -4,9 +4,10 @@ The two five-term identities of a Leibniz triple system, the derived
 six-term identity and the right Leibniz identity of an algebra each nest
 one stored constant in another, so they hold on all basis tuples (enough,
 as each is multilinear) exactly when the join finds no nonzero residual: a
-tuple the join never reaches has residual zero.  On an integer image (D
-times the constants) a residual scales by D^2 and is divided back.  The
-grading condition of an algebra or a system is read off the same image.
+tuple it never reaches has residual zero.  Started at pivot pairs (a, b),
+it gives the action matrix's certificate (`embedding._ActionMatrix`).  On
+an integer image (D times the constants) a residual scales by D^2 and is
+divided back; the grading of an algebra or a system is read off it too.
 """
 
 from __future__ import annotations
