@@ -13,7 +13,6 @@ from gradedlts.linalg import complete_complement
 
 from conftest import (
     coordinate_sum,
-    dense_table,
     even_grading_violations,
     exact_bracket,
     exact_lift,
@@ -23,9 +22,6 @@ from conftest import (
     oracle_bracket_table,
     oracle_components,
     oracle_even_grading,
-    oracle_reduce,
-    oracle_reduction,
-    oracle_tensor_bracket,
     oracle_triple,
     random_variant,
     sl2_power,
