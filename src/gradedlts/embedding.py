@@ -32,13 +32,13 @@ and the certified even components are blocks of coordinates.  Everything but
 the even components and N as a `Subspace`, built on first read, is fixed
 after build, the bracket table of L on its basis included: its even entries
 are reduced brackets of coset tensors, and its mixed entries, the actions
-phi and psi of a coset tensor on a basis vector, are read off the stored
-constants.
+phi and psi of a coset tensor on a basis vector, are A's coset columns: the
+certified action matrix is the embedding's one source.
 """
 
 from __future__ import annotations
 
-from itertools import product, zip_longest
+from itertools import zip_longest
 from math import lcm
 
 from .errors import DecompositionFailure, LeibnizIdentityFailure, NotWellDefined
@@ -51,20 +51,22 @@ from .triples import GradedTripleSystem
 class StandardEmbedding:
     """The computed standard embedding; construct via `build_embedding`.
 
+    It reads the system, N's free vectors and A's columns off `action`.
     Tensors, quotient coordinates and system vectors are mappings
     {index: nonzero scalar}, and products are read straight off the integer
     images of the constants and of the reduction, so `_bracket` returns
     D = `system.scale` times the value and `_reduce` D_R times it.  They
     run once per pair of even basis elements of L, at construction, to fill
-    `table`; its mixed entries are stored constants of the system.  Basis
-    element a < dim_even of L is the even coordinate a and dim_even + i the
-    system basis vector i, and table[a, b] = {c: int} is D D_R [a, b],
-    stored for the nonzero brackets only.  Every later bracket is read off
-    it by `int_bracket`, and `linalg.dense` divides a scaled result back
-    to a dense exact tuple.
+    `table`; its mixed entries are A's coset columns.  Basis element
+    a < dim_even of L is the even coordinate a and dim_even + i the system
+    basis vector i, and table[a, b] = {c: int} is D D_R [a, b], stored for
+    the nonzero brackets only.  Every later bracket is read off it by
+    `int_bracket`, and `linalg.dense` divides a scaled result back to a
+    dense exact tuple.
     """
 
     __slots__ = (
+        "action",
         "system",
         "tensor_dim",
         "coset_indices",
@@ -75,38 +77,48 @@ class StandardEmbedding:
         "_columns",
         "_reduction_scale",
         "_components",
-        "_free",
         "_null_space",
     )
 
-    def __init__(self, system, tensor_dim, free, coset_indices, reduction):
-        self.system = system
-        self.tensor_dim = tensor_dim
-        self._free = free
+    def __init__(self, action, coset_indices, reduction):
+        self.action, self.system, self.tensor_dim = action, action.system, action.ncols
         self._null_space = None
         self.coset_indices = coset_indices
-        self.dim_even = len(coset_indices)
+        self.dim_even = s = len(coset_indices)
         self.descent_instances = self.leibniz_instances = 0
-        n = system.dim
+        n = self.system.dim
         # `reduction` row r is a positive int multiple of the row of R with pivot
         # coset_indices[r]; column c = i*n + j of D_R R, {row: int}, is D_R times
         # the image of b_i (x) b_j
         pivots = [row[p] for p, row in zip(coset_indices, reduction)]
         self._reduction_scale = lcm(*pivots)
-        self._columns = [{} for _ in range(tensor_dim)]
+        self._columns = [{} for _ in range(self.tensor_dim)]
         for r, (row, a) in enumerate(zip(reduction, pivots)):
             for c, x in row.items():
                 self._columns[c][r] = x * (self._reduction_scale // a)
         self._components = None
-        m = self.dim_even + n
-        self.table = {(a, b): e for a, b in product(range(m), repeat=2) if (e := self._entry(a, b))}
+        # [b_i, b_j] is the image of b_i (x) b_j; at the coset column p of e_a,
+        # the phi row (w, out) of D A holds D [e_a, b_w]_out and the psi row
+        # (z, out) D [b_z, e_a]_out
+        self.table = table = {}
+        for c, image in enumerate(self._columns):
+            if image:
+                table[s + c // n, s + c % n] = {r: self.system.scale * x for r, x in image.items()}
+        for a, p in enumerate(coset_indices):
+            for b, q in enumerate(coset_indices):
+                if even := self._reduce(self._bracket(p, {q: 1})):
+                    table[a, b] = even
+            for r, x in action._columns[p]:
+                tag, u, out = action.rows[r][0]
+                key = (a, s + u) if tag == "phi" else (s + u, a)
+                table.setdefault(key, {})[s + out] = self._reduction_scale * x
 
     @property
     def null_space(self) -> Subspace:
         """N, spanned by the kernel's free-column vectors, built on first read;
         its dimension is tensor_dim - dim_even (rank-nullity)."""
         if self._null_space is None:
-            self._null_space = Subspace(self.system.field, self.tensor_dim, self._free)
+            self._null_space = Subspace(self.system.field, self.tensor_dim, self.action.free)
         return self._null_space
 
     # -- sparse kernels ---------------------------------------------------------
@@ -133,24 +145,6 @@ class StandardEmbedding:
                 for m, x in minus.items():
                     acc[m * n + k] = acc.get(m * n + k, 0) - y * x
         return self.system.field.clean(acc)
-
-    def _entry(self, a, b) -> dict:
-        """D D_R [a, b] of basis elements a, b of L.  With b_i(x)b_j the coset
-        tensor of the even coordinate, the mixed entries are stored constants:
-        [e_a, b_w] = D {b_i, b_j, b_w}, [b_z, e_b] = D ({b_z, b_i, b_j} - {b_z, b_j, b_i})."""
-        system, s, cosets = self.system, self.dim_even, self.coset_indices
-        n = system.dim
-        if a < s and b < s:
-            return self._reduce(self._bracket(cosets[a], {cosets[b]: 1}))
-        if a >= s and b >= s:
-            return {r: system.scale * x for r, x in self._columns[(a - s) * n + b - s].items()}
-        if a < s:
-            i, j = divmod(cosets[a], n)
-            odd = system._combination((i, j, b - s))
-        else:
-            i, j = divmod(cosets[b], n)
-            odd = system._combination((a - s, i, j), minus=(a - s, j, i))
-        return {s + l: self._reduction_scale * x for l, x in odd.items()}
 
     # -- the bracket of L -------------------------------------------------------
 
@@ -212,14 +206,15 @@ class StandardEmbedding:
 
 
 class _ActionMatrix:
-    """The stacked phi/psi action matrix A as tagged sparse rows; N = ker(A).
+    """The stacked phi/psi action matrix A as keyed sparse rows; N = ker(A).
 
     The phi row (w, out) holds the out-coordinate of {b_i, b_j, b_w} in
     column i*n + j, and the psi row (z, out) that of
-    {b_z, b_i, b_j} - {b_z, b_j, b_i}.  All phi rows come first, then all
-    psi rows, each in (w, out) order; zero rows are left out.  The rows hold
-    D A, read off the integer image, which has the kernel and RREF of A
-    (`echelon`); the complement of N that it picks is certified (`certify`).
+    {b_z, b_i, b_j} - {b_z, b_j, b_i}; `rows` pairs each row with its key
+    (tag, w, out).  All phi rows come first, then all psi rows, each in
+    (w, out) order; zero rows are left out.  The rows hold D A, read off
+    the integer image, which has the kernel and RREF of A (`echelon`); the
+    complement of N that it picks is certified (`certify`).
     """
 
     def __init__(self, system: GradedTripleSystem):
@@ -231,12 +226,12 @@ class _ActionMatrix:
                 row = blocks["psi"].setdefault((i, l), {})
                 row[j * n + k] = row.get(j * n + k, 0) + c
                 row[k * n + j] = row.get(k * n + j, 0) - c
-        self.dim, self.field, self.ncols, self._index = n, system.field, n * n, system._index
-        self.rows = []  # (tag, {column: int})
+        self.system, self.field, self.ncols = system, system.field, n * n
+        self.rows = []  # ((tag, w, out), {column: int})
         for tag, block in blocks.items():
             for key in sorted(block):
                 if row := system.field.clean(block[key]):
-                    self.rows.append((tag, row))
+                    self.rows.append(((tag, *key), row))
         self._columns = [[] for _ in range(self.ncols)]
         for r, (_, row) in enumerate(self.rows):
             for c, v in row.items():
@@ -249,28 +244,28 @@ class _ActionMatrix:
         holding one null vector per other column, in column order:
         `span_failure` is None when each vector is its column c plus pivot
         coordinates and lies in ker A, so the pivot columns span A's, else
-        (t, message, witness) of the first failing vector t.  The join started
+        (message, witness) of the first failing vector.  The join started
         at a pivot (a, b) finds right_slot and six_term residuals Phi(L) and
         Psi(L, P) of column a*n + b = (L, P), linear in it: `residual_pivots`
         lists the pivots with one.  With neither list, all three identities
         hold (`identities_hold`), as middle(x,b,c,d,e) + six(b,c,x,d,e) +
         right(x,d,b,c,e) = 0.
         """
-        n, chosen = self.dim, set(pivots)
+        n, chosen = self.system.dim, set(pivots)
         self.free, self.span_failure = free, None
         columns = (c for c in range(self.ncols) if c not in chosen)
-        for t, (c, nu) in enumerate(zip_longest(columns, free)):
+        for c, nu in zip_longest(columns, free):
             if nu is None or set(nu) - chosen != {c}:
                 message = "null vectors do not match the free columns of the action matrix"
-                self.span_failure = t, message, {"column": c}
+                self.span_failure = message, {"column": c}
             elif failing := self.failing_action(nu):
                 action = "left" if failing == "phi" else "twisted right"
                 message = f"{action} action of a null tensor does not vanish"
-                self.span_failure = t, message, {"tensor": self.format(nu, nu[c])}
+                self.span_failure = message, {"tensor": self.format(nu, nu[c])}
             if self.span_failure:
                 break
         leads = [divmod(p, n) for p in pivots]
-        found = join_residuals(self._index, PAIR_TERMS, leads, self.field.clean)
+        found = join_residuals(self.system._index, PAIR_TERMS, leads, self.field.clean)
         self.residual_pivots = list(dict.fromkeys(q[0] * n + q[1] for (q, _), _ in found))
         self.identities_hold = not (self.span_failure or self.residual_pivots)
 
@@ -281,7 +276,7 @@ class _ActionMatrix:
             for r, v in self._columns[c]:
                 acc[r] = acc.get(r, 0) + v * x
         failing = self.field.clean(acc)
-        return self.rows[min(failing)][0] if failing else None
+        return self.rows[min(failing)][0][0] if failing else None
 
     def format(self, tensor, scale) -> list[str]:
         """The exact tensor of which the sparse `tensor` is `scale` times, formatted."""
@@ -302,16 +297,16 @@ def build_embedding(system: GradedTripleSystem) -> StandardEmbedding:
     # the pivot tensor of row r to the r-th quotient coordinate.
     action = system._action_matrix()
     reduced = action.echelon
-    rows = tuple(reduced.integral_rows())
-    emb = StandardEmbedding(system, action.ncols, action.free, reduced.pivots, rows)
-    _certify_descent(emb, action)
+    emb = StandardEmbedding(action, reduced.pivots, tuple(reduced.integral_rows()))
+    _certify_descent(emb)
     _certify_leibniz_identity(emb)
     return emb
 
 
-def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix):
+def _certify_descent(emb: StandardEmbedding):
     """Certify the bracket descends to the quotient by N, on the complement
-    that `action` certified, that of `emb`.
+    of `emb` that `emb.action` certified.  A span failure of that
+    certificate is raised first, before any bracket is formed.
 
     Membership in N is tested by its definition, A x = 0, on the sparse rows
     of A, so a fault in the elimination cannot certify itself.  As the pivot
@@ -324,8 +319,11 @@ def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix):
     `residual_pivots` are bracketed and the first failing (nu, p) is the full
     loop's.  `descent_instances` counts the instances certified.
     """
-    failure = action.span_failure
-    for nu in action.free[: failure[0] if failure else None]:
+    action = emb.action
+    if action.span_failure:
+        message, witness = action.span_failure
+        raise NotWellDefined(message, witness=witness)
+    for nu in action.free:
         for p in action.residual_pivots:
             if action.failing_action(outward := emb._bracket(p, nu)):
                 c = min(set(nu) - set(emb.coset_indices))
@@ -333,8 +331,6 @@ def _certify_descent(emb: StandardEmbedding, action: _ActionMatrix):
                            "bracket": action.format(outward, emb.system.scale * nu[c])}
                 message = "bracket of the tensor square into the null space escapes it"
                 raise NotWellDefined(message, witness=witness)
-    if failure:
-        raise NotWellDefined(failure[1], witness=failure[2])
     emb.descent_instances = len(action.free) * (1 + emb.dim_even)
 
 

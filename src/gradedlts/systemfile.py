@@ -104,10 +104,7 @@ def system_from_data(data) -> GradedTripleSystem:
             or not all(is_int(a) for a in args)
         ):
             raise InputError(f"args must be three integers, got {args!r}")
-        i, j, k = args
-        if not all(0 <= t < n for t in (i, j, k)):
-            raise InputError(f"args {args} out of range for dimension {n}")
-        if (i, j, k) in products:
+        if tuple(args) in products:
             raise InputError(f"duplicate triple record for args {args}")
         out = record["out"]
         if not isinstance(out, list):
@@ -117,15 +114,15 @@ def system_from_data(data) -> GradedTripleSystem:
             if not isinstance(item, dict) or "idx" not in item or "val" not in item:
                 raise InputError("each output needs 'idx' and 'val'")
             l = item["idx"]
-            if not is_int(l) or not 0 <= l < n:
-                raise InputError(f"output index {l!r} out of range")
+            if not is_int(l):
+                raise InputError(f"output index must be an integer, got {l!r}")
             if l in entry:
                 raise InputError(f"duplicate output index {l} for args {args}")
             val = item["val"]
             if not isinstance(val, str):
                 raise InputError(f"scalar values must be strings, got {val!r}")
             entry[l] = field.element(val)
-        products[(i, j, k)] = entry
+        products[tuple(args)] = entry
     return GradedTripleSystem(field, group, degrees, products)
 
 

@@ -199,10 +199,13 @@ class GradedTripleSystem:
         reached = set()
         for a, b, c in self._table:
             reached.update(((a, b, c), (a, c, b), (c, a, b)))
-        generators = [
-            self._combination((i, j, k), (j, k, i), minus=(i, k, j))
-            for i, j, k in sorted(reached)
-        ]
+        generators = []
+        for i, j, k in sorted(reached):
+            acc: dict[int, object] = {}
+            for key, sign in (((i, j, k), 1), ((j, k, i), 1), ((i, k, j), -1)):
+                for l, c in self._table.get(key, {}).items():
+                    acc[l] = acc.get(l, 0) + sign * c
+            generators.append(self.field.clean(acc))
         ideal = self.ideal_closure(Subspace(self.field, self.dim, generators))
         for row in ideal.integral_rows():
             # keyed (j, k, -slot) so that on each pair {E,E,I} (slot 2)
@@ -218,17 +221,6 @@ class GradedTripleSystem:
                     witness={"vector": vector, "j": j, "k": k},
                 )
         return ideal
-
-    def _combination(self, *keys, minus=None) -> dict[int, object]:
-        """{b_i, b_j, b_k} summed over `keys`, less the constant at `minus`,
-        on the integer image, zeros dropped."""
-        acc: dict[int, object] = {}
-        for key in keys:
-            for l, c in self._table.get(key, {}).items():
-                acc[l] = acc.get(l, 0) + c
-        for l, c in self._table.get(minus, {}).items():
-            acc[l] = acc.get(l, 0) - c
-        return self.field.clean(acc)
 
     def annihilator(self) -> Subspace:
         """Elements x with {x,E,E} + {E,x,E} + {E,E,x} = 0.

@@ -433,6 +433,7 @@ TABLE_CASES = {
     "sl3_root": lambda: sl_root(3, Q),
     "sl2_rescaled": lambda: misgraded(sl2(Q), (1, 0, -1), RESCALED_BASIS),
     "sl3_root_shifted": lambda: shifted(sl_root(3, Q), [1, 0]),
+    **{f"variant{seed}": (lambda seed=seed: random_variant(seed)) for seed in range(10)},
 }
 
 

@@ -47,8 +47,7 @@ def uncertified(system):
     vectors, which the action matrix has certified."""
     action = _ActionMatrix(system)
     reduced = action.echelon
-    emb = StandardEmbedding(system, action.ncols, action.free, reduced.pivots,
-                            tuple(reduced.integral_rows()))
+    emb = StandardEmbedding(action, reduced.pivots, tuple(reduced.integral_rows()))
     return emb, action, action.free
 
 
@@ -65,7 +64,7 @@ def library_outcome(system):
     emb, action, free = uncertified(system)
 
     def certify():
-        _certify_descent(emb, action)
+        _certify_descent(emb)
         _certify_leibniz_identity(emb)
 
     return emb, free, outcome(certify)
@@ -161,7 +160,7 @@ def ungated_outcome(system):
     action.residual_pivots = list(emb.coset_indices)
 
     def certify():
-        _certify_descent(emb, action)
+        _certify_descent(emb)
         _certify_leibniz_identity(emb)
 
     return outcome(certify)
@@ -230,7 +229,30 @@ def test_shape_check_rejects_forged_free_vectors(forgery):
     action.certify(emb.coset_indices, vectors)
     assert not action.identities_hold
     with pytest.raises(g.NotWellDefined) as info:
-        _certify_descent(emb, action)
+        _certify_descent(emb)
+    assert str(info.value) == "null vectors do not match the free columns of the action matrix"
+    assert info.value.witness == {"column": column}
+
+
+@pytest.mark.parametrize("forgery", ["two_free_coordinates", "missing", "extra", "out_of_order"])
+def test_span_failure_is_raised_before_any_bracket(forgery, monkeypatch):
+    # a mutant whose descent fails at a residual pivot: re-certified with
+    # forged free vectors, the span failure is raised and no bracket is formed
+    system = GATE_CASES["sl2x2_Q"][1]
+    emb, action, free = uncertified(system)
+    escape = "bracket of the tensor square into the null space escapes it"
+    assert outcome(lambda: _certify_descent(emb))[1] == escape
+    columns = [c for c in range(emb.tensor_dim) if c not in emb.coset_indices]
+    vectors, column = forged_free_vectors(free, columns)[forgery]
+    action.certify(emb.coset_indices, vectors)
+    assert action.residual_pivots
+
+    def no_bracket(*args):
+        raise AssertionError("a bracket was formed")
+
+    monkeypatch.setattr(StandardEmbedding, "_bracket", no_bracket)
+    with pytest.raises(g.NotWellDefined) as info:
+        _certify_descent(emb)
     assert str(info.value) == "null vectors do not match the free columns of the action matrix"
     assert info.value.witness == {"column": column}
 
@@ -244,7 +266,7 @@ def test_free_vector_outside_the_kernel_is_rejected():
     forged = [*free[:t], {**nu, c: 2 * nu[c]}, *free[t + 1:]]
     action.certify(emb.coset_indices, forged)
     with pytest.raises(g.NotWellDefined) as info:
-        _certify_descent(emb, action)
+        _certify_descent(emb)
     assert str(info.value) == "left action of a null tensor does not vanish"
     assert info.value.witness["tensor"][c] == "1"
 
@@ -268,9 +290,8 @@ def embedding_eliminating_last(system, last):
     pivots = tuple(sorted(order[q] for q in reduced.pivots))
     rows = tuple(back(reduced.int_rows[position[p]]) for p in pivots)
     free = sorted(map(back, reduced.free_vectors()), key=lambda v: min(set(v) - set(pivots)))
-    emb = StandardEmbedding(system, nn, free, pivots, rows)
     action.certify(pivots, free)
-    return emb, action, free
+    return StandardEmbedding(action, pivots, rows), action, free
 
 
 def test_escape_at_a_free_column_is_witnessed_at_a_pivot():
@@ -279,7 +300,7 @@ def test_escape_at_a_free_column_is_witnessed_at_a_pivot():
     system = mutate_constant(sl2_square(g.RationalField()), 0, 3, 3, 4, g.RationalField().one)
     emb, action, free = embedding_eliminating_last(system, 1)
     assert 1 not in emb.coset_indices and 6 in emb.coset_indices
-    got = outcome(lambda: _certify_descent(emb, action))
+    got = outcome(lambda: _certify_descent(emb))
     every_pair = assert_oracle_agrees(system, emb, free, got)
     assert (every_pair[2]["coordinate"], got[2]["coordinate"]) == (1, 6)
 
