@@ -14,26 +14,30 @@ subspace acting trivially in both actions, so the bracket
     [(x(x)y, z), (u(x)v, w)] = ({x,y,u}(x)v - {x,y,v}(x)u + z(x)w,
                                 {x,y,w} + {z,u,v} - {z,v,u})
 
-has a chance to descend.  Descent is not assumed: `build_embedding`
-certifies that bracketing the tensor square into N stays inside N and that
-the quotient algebra satisfies the right Leibniz identity on every basis
-triple, raising `NotWellDefined` or `LeibnizIdentityFailure` with a witness
-otherwise; only pivot tensors with an identity residual are bracketed with N.
+has a chance to descend.  Nothing is assumed: `build_embedding` raises
+`NotWellDefined` unless the span certificate holds and
+`LeibnizIdentityFailure` unless the bracket table satisfies the right
+Leibniz identity on every basis triple, each with a witness.
 
 N is read off the sparse reduced row echelon form R of the stacked action
 matrix A (the phi rows, then the psi rows, built sparse from the structure
 constants): N is the kernel of R, the quotient coordinates are the pivot
 columns of R, and R's sparse rows are the reduction, since R kills N and
 sends the pivot tensor of each row to that row's coordinate; R is kept as
-D_R R, D_R the lcm of its denominators.  The pivot tensors are exactly the
-greedy standard-tensor complement of N, so the choice is deterministic, and
-they are homogeneous, so each quotient coordinate has its tensor's degree
-and the certified even components are blocks of coordinates.  Everything but
-the even components and N as a `Subspace`, built on first read, is fixed
-after build, the bracket table of L on its basis included: its even entries
-are reduced brackets of coset tensors, and its mixed entries, the actions
-phi and psi of a coset tensor on a basis vector, are A's coset columns: the
-certified action matrix is the embedding's one source.
+D_R R, D_R the lcm of its denominators.  The pivot tensors are the greedy
+standard-tensor complement of N, and they are homogeneous, so the even
+components are blocks of coordinates.  Once the span certificate shows
+A nu = 0 for the kernel's free-column vectors, the table's odd entries (the
+reduction's columns) and mixed entries (A's coset columns) give
+[[b_i, b_j], b_k] = {b_i, b_j, b_k}: the product is the double bracket of
+L, so a passing table makes it satisfy both defining identities (Bremner
+and Sanchez-Ortega 2014, "Leibniz triple systems", cited by name), and a
+system that fails them fails the table.  The table's (even, odd, odd)
+block at (e_a, b_k, b_l) says R [p_a, nu] = 0 for the pivot tensor p_a and
+the null part nu of b_k (x) b_l: descent into ker R in ker A.  So one join
+certifies the identities, descent and the Leibniz identity.  All but the
+even components and N as a `Subspace`, built on first read, is fixed after
+build: the certified action matrix is the embedding's one source.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from math import lcm
 
 from .errors import DecompositionFailure, LeibnizIdentityFailure, NotWellDefined
 from .groups import GroupElement
-from .identities import PAIR_TERMS, RIGHT_LEIBNIZ, index_constants, join_residuals, term_violations
+from .identities import RIGHT_LEIBNIZ, index_constants, join_residuals
 from .linalg import Subspace, dense
 from .triples import GradedTripleSystem
 
@@ -51,13 +55,14 @@ from .triples import GradedTripleSystem
 class StandardEmbedding:
     """The computed standard embedding; construct via `build_embedding`.
 
-    It reads the system, N's free vectors and A's columns off `action`.
-    Tensors, quotient coordinates and system vectors are mappings
-    {index: nonzero scalar}, and products are read straight off the integer
-    images of the constants and of the reduction, so `_bracket` returns
-    D = `system.scale` times the value and `_reduce` D_R times it.  They
-    run once per pair of even basis elements of L, at construction, to fill
-    `table`; its mixed entries are A's coset columns.  Basis element
+    It reads the system, N's free vectors, A's columns and the reduction
+    (A's echelon) off `action`.  Tensors, quotient coordinates and system
+    vectors are mappings {index: nonzero scalar}, and products are read
+    straight off the integer images of the constants and of the reduction,
+    so `_bracket` returns D = `system.scale` times the value and `_reduce`
+    D_R times it.  They run once per pair of coset tensors that can bracket
+    to nonzero, at construction, to fill `table`; its mixed entries are A's
+    coset columns.  Basis element
     a < dim_even of L is the even coordinate a and dim_even + i the system
     basis vector i, and table[a, b] = {c: int} is D D_R [a, b], stored for
     the nonzero brackets only.  Every later bracket is read off it by
@@ -80,16 +85,17 @@ class StandardEmbedding:
         "_null_space",
     )
 
-    def __init__(self, action, coset_indices, reduction):
+    def __init__(self, action):
         self.action, self.system, self.tensor_dim = action, action.system, action.ncols
         self._null_space = None
-        self.coset_indices = coset_indices
+        self.coset_indices = coset_indices = action.echelon.pivots
         self.dim_even = s = len(coset_indices)
         self.descent_instances = self.leibniz_instances = 0
         n = self.system.dim
-        # `reduction` row r is a positive int multiple of the row of R with pivot
+        # reduction row r is a positive int multiple of the row of R with pivot
         # coset_indices[r]; column c = i*n + j of D_R R, {row: int}, is D_R times
         # the image of b_i (x) b_j
+        reduction = action.echelon.integral_rows()
         pivots = [row[p] for p, row in zip(coset_indices, reduction)]
         self._reduction_scale = lcm(*pivots)
         self._columns = [{} for _ in range(self.tensor_dim)]
@@ -99,14 +105,21 @@ class StandardEmbedding:
         self._components = None
         # [b_i, b_j] is the image of b_i (x) b_j; at the coset column p of e_a,
         # the phi row (w, out) of D A holds D [e_a, b_w]_out and the psi row
-        # (z, out) D [b_z, e_a]_out
+        # (z, out) D [b_z, e_a]_out; [b_i(x)b_j, b_k(x)b_l] is formed only if
+        # {b_i, b_j, b_k} or {b_i, b_j, b_l} is stored, else it is zero
         self.table = table = {}
         for c, image in enumerate(self._columns):
             if image:
                 table[s + c // n, s + c % n] = {r: self.system.scale * x for r, x in image.items()}
+        thirds, meeting = {}, [[] for _ in range(n)]
+        for i, j, k in self.system._table:
+            thirds.setdefault(i * n + j, []).append(k)
+        for b, q in enumerate(coset_indices):
+            meeting[q // n].append(b)
+            meeting[q % n].append(b)
         for a, p in enumerate(coset_indices):
-            for b, q in enumerate(coset_indices):
-                if even := self._reduce(self._bracket(p, {q: 1})):
+            for b in sorted({b for k in thirds.get(p, ()) for b in meeting[k]}):
+                if even := self._reduce(self._bracket(p, {coset_indices[b]: 1})):
                     table[a, b] = even
             for r, x in action._columns[p]:
                 tag, u, out = action.rows[r][0]
@@ -214,7 +227,9 @@ class _ActionMatrix:
     (tag, w, out).  All phi rows come first, then all psi rows, each in
     (w, out) order; zero rows are left out.  The rows hold D A, read off
     the integer image, which has the kernel and RREF of A (`echelon`); the
-    complement of N that it picks is certified (`certify`).
+    complement of N that it picks is certified (`certify`), and the
+    embedding on it and its Leibniz verdict are built on first request
+    (`embedding`).
     """
 
     def __init__(self, system: GradedTripleSystem):
@@ -237,21 +252,16 @@ class _ActionMatrix:
             for c, v in row.items():
                 self._columns[c].append((r, v))
         self.echelon = Subspace(self.field, self.ncols, (row for _, row in self.rows))
-        self.certify(self.echelon.pivots, self.echelon.free_vectors())
+        self._embedding = None
+        self.certify(self.echelon.free_vectors())
 
-    def certify(self, pivots, free):
-        """Certify the complement of N spanned by the tensors `pivots`, `free`
-        holding one null vector per other column, in column order:
+    def certify(self, free):
+        """Certify the complement of N spanned by the echelon's pivot tensors,
+        `free` holding one null vector per other column, in column order:
         `span_failure` is None when each vector is its column c plus pivot
         coordinates and lies in ker A, so the pivot columns span A's, else
-        (message, witness) of the first failing vector.  The join started
-        at a pivot (a, b) finds right_slot and six_term residuals Phi(L) and
-        Psi(L, P) of column a*n + b = (L, P), linear in it: `residual_pivots`
-        lists the pivots with one.  With neither list, all three identities
-        hold (`identities_hold`), as middle(x,b,c,d,e) + six(b,c,x,d,e) +
-        right(x,d,b,c,e) = 0.
-        """
-        n, chosen = self.system.dim, set(pivots)
+        (message, witness) of the first failing vector."""
+        chosen = set(self.echelon.pivots)
         self.free, self.span_failure = free, None
         columns = (c for c in range(self.ncols) if c not in chosen)
         for c, nu in zip_longest(columns, free):
@@ -264,10 +274,23 @@ class _ActionMatrix:
                 self.span_failure = message, {"tensor": self.format(nu, nu[c])}
             if self.span_failure:
                 break
-        leads = [divmod(p, n) for p in pivots]
-        found = join_residuals(self.system._index, PAIR_TERMS, leads, self.field.clean)
-        self.residual_pivots = list(dict.fromkeys(q[0] * n + q[1] for (q, _), _ in found))
-        self.identities_hold = not (self.span_failure or self.residual_pivots)
+
+    def embedding(self):
+        """(the standard embedding on the echelon's pivots, the first basis
+        triple (y, z, x) of L failing the right Leibniz identity or None),
+        built on first call: the exact join over the nonzero entries of
+        `table`, at the common scale D D_R, stops at the first failing bucket."""
+        if self._embedding is None:
+            emb = StandardEmbedding(self)
+            index = index_constants(emb.table, emb.dim_even + self.system.dim, 2)
+            found = next(join_residuals(index, RIGHT_LEIBNIZ, clean=self.field.clean), None)
+            self._embedding = emb, found and found[0][0]
+        return self._embedding
+
+    @property
+    def identities_hold(self) -> bool:
+        """The span certificate and the table's right Leibniz identity hold."""
+        return self.span_failure is None and self.embedding()[1] is None
 
     def failing_action(self, vec):
         """Tag of the first row r with (A vec)_r != 0, or None when A vec = 0 (vec sparse)."""
@@ -284,71 +307,28 @@ class _ActionMatrix:
 
 
 def build_embedding(system: GradedTripleSystem) -> StandardEmbedding:
-    """Construct and certify the standard embedding of a verified system.
+    """Certify and return the one standard embedding of `system`'s action
+    matrix.  `descent_instances` counts the null_dim (1 + dim_even)
+    instances it certifies (each free vector's shape and actions, then its
+    bracket with each pivot tensor), `leibniz_instances` the (dim_even + n)^3
+    basis triples of L.
 
     Raises:
-        NotWellDefined: bracketing the tensor square into N escapes N, so
-            the bracket does not descend to the quotient (witness attached).
+        NotWellDefined: the null vectors fail the span certificate, which
+            is checked first (witness attached).
         LeibnizIdentityFailure: the quotient algebra fails the right
-            Leibniz identity on some basis triple (witness attached).
+            Leibniz identity on some basis triple, as every system that
+            fails its identities does (witness attached).
     """
-    # One RREF gives everything: ker(R) = N, the pivot columns index the
-    # greedy standard-tensor complement of N, and R kills N while sending
-    # the pivot tensor of row r to the r-th quotient coordinate.
     action = system._action_matrix()
-    reduced = action.echelon
-    emb = StandardEmbedding(action, reduced.pivots, tuple(reduced.integral_rows()))
-    _certify_descent(emb)
-    _certify_leibniz_identity(emb)
-    return emb
-
-
-def _certify_descent(emb: StandardEmbedding):
-    """Certify the bracket descends to the quotient by N, on the complement
-    of `emb` that `emb.action` certified.  A span failure of that
-    certificate is raised first, before any bracket is formed.
-
-    Membership in N is tested by its definition, A x = 0, on the sparse rows
-    of A, so a fault in the elimination cannot certify itself.  As the pivot
-    columns span A's, the brackets [p, nu] with the pivot tensors p decide
-    descent: [c, y] depends on c = b_i(x)b_j only through L(c) = {b_i, b_j, -},
-    and [nu, c] = 0 as A nu = 0 says L(nu) = 0.  By the relations
-    phi([p,nu])(w) = L(phi(nu)(w)) + psi(nu)(Lw) - sum nu_kl Phi(L)(k,l,w)
-    and psi([p,nu])(z) = psi(nu)(Pz) - P(psi(nu)(z)) - sum nu_kl
-    (Psi(z,k,l) - Psi(z,l,k)), A [p, nu] = 0 where p has no residual, so only
-    `residual_pivots` are bracketed and the first failing (nu, p) is the full
-    loop's.  `descent_instances` counts the instances certified.
-    """
-    action = emb.action
     if action.span_failure:
         message, witness = action.span_failure
         raise NotWellDefined(message, witness=witness)
-    for nu in action.free:
-        for p in action.residual_pivots:
-            if action.failing_action(outward := emb._bracket(p, nu)):
-                c = min(set(nu) - set(emb.coset_indices))
-                witness = {"coordinate": p, "null_vector": action.format(nu, nu[c]),
-                           "bracket": action.format(outward, emb.system.scale * nu[c])}
-                message = "bracket of the tensor square into the null space escapes it"
-                raise NotWellDefined(message, witness=witness)
-    emb.descent_instances = len(action.free) * (1 + emb.dim_even)
-
-
-def _certify_leibniz_identity(emb: StandardEmbedding):
-    """Check the right Leibniz identity on all basis triples of L0 + L1.
-
-    The identity runs through the exact term-driven join over the nonzero
-    entries of the bracket table `emb.table`, at the common scale D D_R
-    (residuals scale by (D D_R)^2), and the witness is the first failing
-    (y, z, x) of basis elements of L.
-    """
-    m = emb.dim_even + emb.system.dim
-    index = index_constants(emb.table, m, 2)
-    scale = emb.system.scale * emb._reduction_scale
-    violations = term_violations(emb.system.field, index, RIGHT_LEIBNIZ, scale**2)
-    if violations:
+    emb, failing = action.embedding()
+    if failing:
         raise LeibnizIdentityFailure(
-            "quotient algebra fails the right Leibniz identity",
-            witness={"triple": violations[0].indices},
+            "quotient algebra fails the right Leibniz identity", witness={"triple": failing}
         )
-    emb.leibniz_instances = m**3
+    emb.descent_instances = len(action.free) * (1 + emb.dim_even)
+    emb.leibniz_instances = (emb.dim_even + system.dim) ** 3
+    return emb

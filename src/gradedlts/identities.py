@@ -4,10 +4,11 @@ The two five-term identities of a Leibniz triple system, the derived
 six-term identity and the right Leibniz identity of an algebra each nest
 one stored constant in another, so they hold on all basis tuples (enough,
 as each is multilinear) exactly when the join finds no nonzero residual: a
-tuple it never reaches has residual zero.  Started at pivot pairs (a, b),
-it gives the action matrix's certificate (`embedding._ActionMatrix`).  On
-an integer image (D times the constants) a residual scales by D^2 and is
-divided back; the grading of an algebra or a system is read off it too.
+tuple it never reaches has residual zero.  Run on the bracket table of the
+standard embedding, the right Leibniz join is the pass certificate of the
+system's identities too (`embedding._ActionMatrix`).  On an integer image
+(D times the constants) a residual scales by D^2 and is divided back; the
+grading of an algebra or a system is read off it too.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ SIX_TERM = (
                   (-1, 0, (2, 1, 0), (3, 4)), (1, 0, (2, 0, 1), (3, 4)),
                   (-1, 1, (0, 1, 3), (2, 4)), (-1, 2, (0, 1, 4), (2, 3)))),
 )
-PAIR_TERMS = (AXIOM_TERMS[1], *SIX_TERM)  # all hold positions 0 and 1 in one constant
 # [[y,z],x] - [[y,x],z] - [y,[z,x]] = 0 in a right Leibniz algebra, at (y, z, x)
 RIGHT_LEIBNIZ = (
     ("right_leibniz", ((1, 0, (0, 1), (2,)), (-1, 0, (0, 2), (1,)), (-1, 1, (1, 2), (0,)))),
@@ -111,7 +111,7 @@ def index_constants(table, n: int, arity: int):
     return table, by_slot, by_output
 
 
-def join_residuals(index, identities, leads=None, clean=None):
+def join_residuals(index, identities, clean=None):
     """Residuals of the identities at every basis tuple that some term reaches.
 
     A term at a tuple sums, over the outputs b_l of its inner constant, x_l
@@ -121,13 +121,13 @@ def join_residuals(index, identities, leads=None, clean=None):
     with a nonzero term and sums each term there in full; a tuple no term
     reaches has every term zero, so its residual is zero: the join is exact.
 
-    One bucket per lead, q[0] = a each in turn, or q[:2] = (a, b) for the
-    pairs of `leads` when every term holds positions 0 and 1 in one constant:
-    a term starts from the constants with the lead in those slots, inner
-    (then outer via `by_slot`) or outer (then inner via `by_output`).  Yields
+    One bucket per lead q[0] = a, each in turn: a term starts from the
+    constants with a in the slot of position 0, inner (then outer via
+    `by_slot`) or outer (then inner via `by_output`).  Yields
     ((q, identity index), residual) at every reached pair, cancelled ones
     too, in increasing order, unreduced; with a field's `clean`, a bucket is
-    reduced whole and only nonzero residuals come out.
+    reduced whole and only nonzero residuals come out, so a caller that
+    stops at the first one joins no further bucket.
     """
     table, by_slot, by_output = index
     arity = len(by_slot)
@@ -138,12 +138,12 @@ def join_residuals(index, identities, leads=None, clean=None):
             slots = [t for t in range(arity) if t != fed]
             source = [inner.index(p) if p in inner else arity + slots[outer.index(p)]
                       for p in range(2 * arity - 1)]
-            start = [s if source[0] < arity else s - arity for s in source[:2]]
-            plan.append((ident, sign, fed, itemgetter(*source), source[0] < arity, start))
-    for lead in [(a,) for a in range(len(by_output))] if leads is None else leads:
+            zero = source[0]  # position 0 sits in slot zero % arity of its key
+            plan.append((ident, sign, fed, itemgetter(*source), zero < arity, zero % arity))
+    for lead in range(len(by_output)):
         acc: dict[tuple, object] = {}  # (q, identity index, output m) -> scalar
-        for ident, sign, fed, place, from_inner, (slot, second) in plan:
-            first = [k for k in by_slot[slot][lead[0]] if len(lead) == 1 or k[second] == lead[1]]
+        for ident, sign, fed, place, from_inner, slot in plan:
+            first = by_slot[slot][lead]
             if from_inner:
                 pairs = (
                     (key, sign * x, outer)

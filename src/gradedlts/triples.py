@@ -2,9 +2,9 @@
 
 A system is a finite-dimensional vector space with an ordered basis, a
 degree map into an abelian group, and a trilinear product {.,.,.} given by
-sparse structure constants.  The identities are certified at the pivot
-pairs of the embedding's action matrix, their violations found by the join
-of `identities`, the grading {E_g, E_h, E_k} in E_{ghk} constant by constant;
+sparse structure constants.  The identities are certified by the right
+Leibniz join on the embedding's bracket table, their violations found by
+the join of `identities`, the grading {E_g, E_h, E_k} in E_{ghk} constant by constant;
 the basis is homogeneous, so each component E_g is a block of basis indices.
 Products of a vector with every basis pair come from one enumerator, which
 reads only the constants the vector meets; `ideal_closure` streams it.
@@ -12,8 +12,8 @@ Zero and span tests run on the integer image of the constants (`scale` =
 D times them; over GF(p) the residues) and on primitive integer vectors:
 scaling moves no zero.
 
-Systems are immutable after construction but for the cached action matrix,
-an equal one from any call; verification sweeps may run concurrently.
+Systems are immutable after construction but for the cached action matrix
+and embedding, equal ones from any call; verification sweeps may run concurrently.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class GradedTripleSystem:
 
     def verify_axioms(self) -> list[Violation]:
         """Check both defining five-term identities on every basis quintuple:
-        they hold when the action matrix certifies them at its pivot pairs,
+        they hold when the action matrix certifies them (`identities_hold`),
         else the exact join (`join_residuals`) names every violation and its
         residual, in quintuple order, then middle_slot before right_slot."""
         if self._action_matrix().identities_hold:
@@ -191,7 +191,7 @@ class GradedTripleSystem:
         {E,E,I} = {E,I,E} = 0 exactly, on every nonzero slot product of
         every basis row; a certificate failure means the input system itself
         is corrupt.  The witness is the first failing pair (j, k), with
-        {E,E,I} tested before {E,I,E} on each pair.
+        {E,E,I} tested before {E,I,E} on each pair, and its row, formatted.
         """
         # the combination at (i, j, k) is zero unless (i, j, k), (i, k, j) or
         # (j, k, i) is stored: the stored (a, b, c) is each of them in turn
@@ -218,7 +218,7 @@ class GradedTripleSystem:
                 vector = dense(self.field, row, self.dim, row[min(row)])
                 raise CertificateFailure(
                     f"products {family} of the defect ideal do not vanish",
-                    witness={"vector": vector, "j": j, "k": k},
+                    witness={"vector": [self.field.format(x) for x in vector], "j": j, "k": k},
                 )
         return ideal
 

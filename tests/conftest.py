@@ -736,7 +736,7 @@ def pivot_pair_verdict(system):
     and middle_slot follows from the two, since middle(x,b,c,d,e) +
     six(b,c,x,d,e) + right(x,d,b,c,e) = 0.  Phi and Psi are linear in (L, P),
     so they vanish on every pair once they vanish on the pivot columns of A,
-    which span its columns: that claim is certified first, as the descent
+    which span its columns: that claim is certified first, as the span
     certificate does, by the free-vector shape and A nu = 0.  Everything
     runs on the integer image, where each term scales by D^2.
     """
@@ -782,32 +782,33 @@ def pivot_pair_verdict(system):
     return phi_zero and psi_zero, psi_zero
 
 
-def over_f7(system):
-    """A rational system with integer-coded constants read over GF(7)."""
-    F7 = g.PrimeField(7)
+def over_fp(system, p=7):
+    """A rational system with integer-coded constants read over GF(p)."""
+    field = g.PrimeField(p)
     constants = {
-        key: {l: F7.element(str(x)) for l, x in entry.items()}
+        key: {l: field.element(str(x)) for l, x in entry.items()}
         for key, entry in system.nonzero_triples()
     }
-    return g.GradedTripleSystem(F7, system.group, system.degrees, constants)
+    return g.GradedTripleSystem(field, system.group, system.degrees, constants)
 
 
 def pivot_pair_cases():
-    """Valid systems over Q and GF(7) with seeded one-constant mutants, four
-    of each but one of sl4 root, whose joins take a second, and
-    {b0, b1, b2} = b0 on zero_3, which fails middle_slot and right_slot but
-    not six_term.  Many mutants leave a residual at some pivots of A only."""
-    Q, F7 = g.RationalField(), g.PrimeField(7)
+    """Valid systems over Q, GF(2), GF(3) and GF(7) and `random_variant`
+    0-49, each with seeded one-constant mutants, four of each but one of sl4
+    root, whose joins take a second, and {b0, b1, b2} = b0 on zero_3, which
+    fails middle_slot and right_slot but not six_term.  Many mutants leave
+    a residual at some pivots of A only."""
+    fields = {"Q": g.RationalField(), **{f"F{p}": g.PrimeField(p) for p in (2, 3, 7)}}
     bases = {}
-    for name in g.BUILTIN_NAMES:
-        bases[f"{name}_Q"] = g.builtin(name)
-        bases[f"{name}_F7"] = over_f7(g.builtin(name))
-    for label, field in (("Q", Q), ("F7", F7)):
+    for label, field in fields.items():
+        for name in g.BUILTIN_NAMES:
+            builtin = g.builtin(name)
+            bases[f"{name}_{label}"] = builtin if label == "Q" else over_fp(builtin, field.p)
         bases[f"sl2x2_{label}"] = sl2_power(2, field)
         bases[f"sl2x3_{label}"] = sl2_power(3, field)
         bases[f"sl3_root_{label}"] = sl_root(3, field)
         bases[f"sl4_root_{label}"] = sl_root(4, field)
-    for seed in range(10):
+    for seed in range(50):
         bases[f"variant{seed}"] = random_variant(seed)
     cases = {}
     for name, system in bases.items():
@@ -817,7 +818,7 @@ def pivot_pair_cases():
             cell = [rng.randrange(system.dim) for _ in range(4)]
             delta = system.field.element(rng.choice([1, -1, 2]))
             cases[name].append(mutate_constant(system, *cell, delta))
-    cases["zero_3_Q"].append(mutate_constant(g.builtin("zero_3"), 0, 1, 2, 0, Q.one))
+    cases["zero_3_Q"].append(mutate_constant(g.builtin("zero_3"), 0, 1, 2, 0, fields["Q"].one))
     return cases
 
 

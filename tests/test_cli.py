@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import gradedlts as g
-from gradedlts import cli
+from gradedlts import cli, embedding, identities
 from gradedlts.cli import main
-from gradedlts.embedding import _ActionMatrix
+from gradedlts.embedding import StandardEmbedding, _ActionMatrix
 from gradedlts.fixtures import fixture_text
 from conftest import child_env, mutate_constant
 
@@ -112,22 +112,42 @@ def test_failed_certificate_exits_1_and_writes_the_report(
 @pytest.mark.parametrize("command", ["verify", "analyze", "embed", "decompose"])
 @pytest.mark.parametrize("corrupt", [False, True], ids=["valid", "corrupt"])
 def test_each_command_builds_the_action_matrix_once(command, corrupt, tmp_path, monkeypatch):
-    # the identity checks and build_embedding read one certified action matrix
+    # the identity checks and build_embedding read one certified action
+    # matrix, one bracket table and one Leibniz join; only a system that
+    # fails runs the full joins of the identities, and no other join runs
     system = g.builtin("sl2_Z")
     if corrupt:
         system = mutate_constant(system, 0, 2, 0, 0, g.RationalField().one)
     path = tmp_path / "system.json"
     path.write_text(g.dumps_system(system), encoding="utf-8")
-    built = []
-    init = _ActionMatrix.__init__
+    built, joins = [], []
 
-    def counted(self, system):
-        built.append(system)
-        init(self, system)
+    def counting(cls, record):
+        init = cls.__init__
 
-    monkeypatch.setattr(_ActionMatrix, "__init__", counted)
+        def counted(self, *args):
+            record.append(cls)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    def joining(module):
+        join = module.join_residuals
+
+        def recorded(index, identities, *args, **kwargs):
+            joins.append(tuple(name for name, _ in identities))
+            return join(index, identities, *args, **kwargs)
+
+        monkeypatch.setattr(module, "join_residuals", recorded)
+
+    counting(_ActionMatrix, built)
+    counting(StandardEmbedding, built)
+    joining(embedding)
+    joining(identities)
     assert main([command, str(path)]) == int(corrupt)
-    assert len(built) == 1
+    assert built == [_ActionMatrix, StandardEmbedding]
+    full = [("middle_slot", "right_slot"), ("six_term",)] if corrupt else []
+    assert joins == [("right_leibniz",), *full]
 
 
 def test_verify_rejects_malformed_scalar(tmp_path):

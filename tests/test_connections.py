@@ -1,5 +1,6 @@
 """Connection relation: closures, classes, witnesses, partition certificates."""
 
+import json
 import random
 from functools import partial
 
@@ -138,6 +139,7 @@ def test_witness_sequence_with_a_step_outside_the_supports_raises(disjoint_sup):
     with pytest.raises(EquivalenceFailure) as info:
         g.witness_sequence(sup, start, end)
     assert info.value.witness == {"pair": ("[1,0]", "[0,1]")}
+    json.dumps(info.value.witness)
 
 
 # (odd support, even support, sequence, g, h) on Z: each sequence breaks

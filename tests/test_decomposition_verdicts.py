@@ -11,6 +11,7 @@ U + sum of ideals = E is forced to fail once, since no valid system
 reaches it.
 """
 
+import json
 from itertools import combinations
 
 import pytest
@@ -89,3 +90,4 @@ def test_spanning_check_fires_when_the_ideals_fall_short(monkeypatch):
         g.decompose(system, g.build_embedding(system))
     assert str(caught.value) == "complement plus class ideals do not span the system"
     assert caught.value.witness == {"dim_reached": 1, "dim_expected": 3}
+    json.dumps(caught.value.witness)

@@ -1,5 +1,7 @@
 """Degenerate inputs (dimension zero) and forced certificate failures."""
 
+import json
+
 import pytest
 
 import gradedlts as g
@@ -78,6 +80,7 @@ def test_dependent_core_and_vertex_parts_are_rejected():
         g.class_ideal(system, cls)
     assert str(info.value) == "core and vertex parts of a class ideal are not independent"
     assert info.value.witness == {"class": "[-1]"}
+    json.dumps(info.value.witness)
 
 
 def test_one_dimensional_zero_system():

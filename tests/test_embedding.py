@@ -20,6 +20,7 @@ from conftest import (
     library_vector,
     oracle_actions,
     oracle_bracket_table,
+    oracle_certify,
     oracle_components,
     oracle_even_grading,
     oracle_triple,
@@ -183,14 +184,20 @@ def test_prime_field_embedding():
     assert even_grading_violations(emb) == []
 
 
-def test_descent_failure_names_the_escaping_coordinate():
+def test_a_descent_failure_fails_the_leibniz_identity():
+    # the dense descent loop finds [b_2 (x) b_1, nu] escaping N; the table's
+    # (even, odd, odd) block holds exactly that, so the Leibniz join fails
     base = g.builtin("zero_3")
     products = {(0, 0, 1): {2: Fraction(1)}, (2, 1, 2): {0: Fraction(-1)}}
     system = g.GradedTripleSystem(base.field, base.group, base.degrees, products)
-    with pytest.raises(g.NotWellDefined) as info:
+    assert system.verify_axioms() and system.verify_fundamental_identity()
+    with pytest.raises(g.LeibnizIdentityFailure) as info:
         g.build_embedding(system)
-    assert str(info.value) == "bracket of the tensor square into the null space escapes it"
-    assert info.value.witness["coordinate"] == 7
+    assert str(info.value) == "quotient algebra fails the right Leibniz identity"
+    assert info.value.witness == {"triple": (0, 2, 5)}
+    emb, _ = system._action_matrix().embedding()
+    escape = oracle_certify(system, emb.null_space, emb.coset_indices)
+    assert (escape[0], escape[2]["coordinate"]) == (g.NotWellDefined, 7)
 
 
 def test_leibniz_failure_names_the_witness_triple():

@@ -1,30 +1,27 @@
 """Sparse embedding kernels and certificates against the dense oracles.
 
 `StandardEmbedding` carries every bracket on sparse kernels read off the
-stored constants, and `build_embedding` runs the descent and Leibniz
-certificates on them.  Here both are compared with `oracle_tensor_bracket`,
-`oracle_triple`, `oracle_reduce` and `oracle_certify` in conftest, which
-work on dense vectors and share no code with the kernels: on the builtins,
-on sl2^2 over Q and GF(7), on sl3 graded by its root lattice over GF(7),
-and on seeded one-constant mutants, which reach the failure paths.
+stored constants, and `build_embedding` runs the span certificate of the
+action matrix and the right Leibniz join on its bracket table, the one
+certificate of descent and of the identities.  Here both are compared with
+`oracle_tensor_bracket`, `oracle_triple`, `oracle_reduce` and
+`oracle_certify` in conftest, which work on dense vectors and share no code
+with the kernels: on the builtins, on sl2^2 over Q and GF(7), on sl3 graded
+by its root lattice over GF(7), and on seeded one-constant mutants, which
+reach the failure paths.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
 import pytest
 
 import gradedlts as g
-from gradedlts import linalg
-from gradedlts.embedding import (
-    StandardEmbedding,
-    _ActionMatrix,
-    _certify_descent,
-    _certify_leibniz_identity,
-)
-from gradedlts.linalg import Subspace
+from gradedlts.embedding import StandardEmbedding, _ActionMatrix
+from gradedlts.identities import RIGHT_LEIBNIZ, index_constants, term_violations
 
 from conftest import (
     dense_table,
@@ -41,39 +38,22 @@ from conftest import (
 )
 
 
-def uncertified(system):
-    """The embedding as `build_embedding` constructs it, before either
-    certificate, with a fresh action matrix and the kernel's free-column
-    vectors, which the action matrix has certified."""
-    action = _ActionMatrix(system)
-    reduced = action.echelon
-    emb = StandardEmbedding(action, reduced.pivots, tuple(reduced.integral_rows()))
-    return emb, action, action.free
-
-
 def outcome(run):
-    """None when `run()` passes, else (type, message, witness) of what it raised."""
+    """None when `run()` passes, else (type, message, witness) of what it
+    raised; every witness survives `json.dumps`."""
     try:
         run()
     except (g.NotWellDefined, g.LeibnizIdentityFailure) as exc:
+        json.dumps(exc.witness)
         return type(exc), str(exc), exc.witness
     return None
 
 
 def library_outcome(system):
-    emb, action, free = uncertified(system)
-
-    def certify():
-        _certify_descent(emb)
-        _certify_leibniz_identity(emb)
-
-    return emb, free, outcome(certify)
-
-
-def exact_rows(emb, free):
-    """The free-column vectors as exact dense rows, 1 at their free column."""
-    field, pivots = emb.system.field, set(emb.coset_indices)
-    return [linalg.dense(field, nu, emb.tensor_dim, nu[min(set(nu) - pivots)]) for nu in free]
+    """The embedding of the system's action matrix, built whether or not it
+    passes, and the outcome of `build_embedding`."""
+    emb, _ = system._action_matrix().embedding()
+    return emb, outcome(lambda: g.build_embedding(system))
 
 
 def verdict(result):
@@ -81,29 +61,27 @@ def verdict(result):
     return result and result[:2]
 
 
-def assert_oracle_agrees(system, emb, free, got):
-    """`got` has the verdict of the dense oracle over all (coordinate tensor,
-    basis vector of N) pairs, and equals its outcome over the pivot
-    coordinates and the free-column vectors, witness included; returns the
-    outcome over all pairs."""
+def assert_oracle_agrees(system, emb, got):
+    """`got` is the dense oracle's Leibniz outcome on the embedding's table,
+    witness included, and the dense descent loop over all (coordinate
+    tensor, basis vector of N) pairs finds no failure that the table misses;
+    returns the oracle's outcome with that loop."""
     every_pair = oracle_certify(system, emb.null_space, emb.coset_indices)
-    assert verdict(got) == verdict(every_pair)
-    # the second run checks a subset of the brackets of the same span: only
-    # a descent failure can differ
+    leibniz = oracle_certify(system, emb.null_space, emb.coset_indices, vectors=[])
+    assert got == leibniz
+    # a bracket escaping N shows in the table as a Leibniz failure
     if every_pair is None or every_pair[0] is not g.NotWellDefined:
-        assert got == every_pair
+        assert every_pair == leibniz
     else:
-        cosets = emb.coset_indices
-        vectors = exact_rows(emb, free)
-        assert got == oracle_certify(system, emb.null_space, cosets, cosets, vectors)
+        assert verdict(leibniz) == (
+            g.LeibnizIdentityFailure, "quotient algebra fails the right Leibniz identity"
+        )
     return every_pair
 
 
 def assert_matches_oracle(system):
-    emb, free, got = library_outcome(system)
-    assert_oracle_agrees(system, emb, free, got)
-    # build_embedding reaches the same outcome through its own construction
-    assert outcome(lambda: g.build_embedding(system)) == got
+    emb, got = library_outcome(system)
+    assert_oracle_agrees(system, emb, got)
     return got
 
 
@@ -141,51 +119,60 @@ def failure_path(result):
 
 
 def test_mutant_certificates_match_dense_oracle():
-    paths = Counter(failure_path(assert_matches_oracle(m)) for m in random_mutants(60, 5))
-    # Two paths are unreachable once the elimination is right: the shape and
-    # the action check of the free-column vectors.  The inward bracket is not
-    # formed at all: [nu, b_k (x) b_l] = L(nu) b_k (x) b_l - L(nu) b_l (x) b_k,
-    # and the action check says L(nu) = 0.
-    assert paths == {
-        "pass": 5,
-        "NotWellDefined: bracket of the tensor square into the null space escapes it": 4,
-        "LeibnizIdentityFailure: quotient algebra fails the right Leibniz identity": 51,
-    }
+    paths, dense_paths = Counter(), Counter()
+    for mutant in random_mutants(60, 5):
+        emb, got = library_outcome(mutant)
+        paths[failure_path(got)] += 1
+        dense_paths[failure_path(assert_oracle_agrees(mutant, emb, got))] += 1
+    # The dense loop finds four brackets escaping N; the table fails the
+    # Leibniz identity on each of them, as on every mutant that fails.  The
+    # shape and the action check of the free-column vectors are unreachable
+    # once the elimination is right.
+    leibniz = "LeibnizIdentityFailure: quotient algebra fails the right Leibniz identity"
+    escape = "NotWellDefined: bracket of the tensor square into the null space escapes it"
+    assert paths == {"pass": 5, leibniz: 55}
+    assert dense_paths == {"pass": 5, escape: 4, leibniz: 51}
 
 
-def ungated_outcome(system):
-    """`outcome` of both certificates with the bracket [p, nu] formed at every
-    pivot p, as before the residual gate."""
-    emb, action, _ = uncertified(system)
-    action.residual_pivots = list(emb.coset_indices)
-
-    def certify():
-        _certify_descent(emb)
-        _certify_leibniz_identity(emb)
-
-    return outcome(certify)
+def first_leibniz_violation(emb):
+    """The first triple of the full right Leibniz join on the table, as
+    `build_embedding` named it when it collected every violation, or None."""
+    m = emb.dim_even + emb.system.dim
+    scale = emb.system.scale * emb._reduction_scale
+    index = index_constants(emb.table, m, 2)
+    violations = term_violations(emb.system.field, index, RIGHT_LEIBNIZ, scale**2)
+    return violations[0].indices if violations else None
 
 
-GATE_CASES = pivot_pair_cases()
+IDENTITY_CASES = pivot_pair_cases()
 
 
-@pytest.mark.parametrize("name", sorted(GATE_CASES))
-def test_descent_gate_keeps_the_outcome_of_the_full_bracket_loop(name):
-    # the bracket loop runs only at pivots with an identity residual; the
-    # first failing (nu, p), and so the witness, stays that of the full loop
-    for system in GATE_CASES[name]:
-        assert outcome(lambda: g.build_embedding(system)) == ungated_outcome(system)
+@pytest.mark.parametrize("name", sorted(IDENTITY_CASES))
+def test_build_embedding_raises_exactly_when_the_identities_fail(name):
+    # NotWellDefined only for a span failure, which a correct eliminator
+    # never produces; a system that fails its identities fails the table's
+    # Leibniz identity, at the first triple of the full join
+    for system in IDENTITY_CASES[name]:
+        fails = bool(system.verify_axioms() or system.verify_fundamental_identity())
+        got = outcome(lambda: g.build_embedding(system))
+        emb, failing = system._action_matrix().embedding()
+        assert failing == first_leibniz_violation(emb)
+        if fails:
+            assert got == (g.LeibnizIdentityFailure,
+                           "quotient algebra fails the right Leibniz identity",
+                           {"triple": failing})
+        else:
+            assert got is None and failing is None
 
 
-def test_descent_gate_cases_reach_every_outcome():
+def test_identity_cases_reach_both_outcomes():
     paths = Counter(
-        failure_path(ungated_outcome(system))
-        for systems in GATE_CASES.values()
+        failure_path(outcome(lambda: g.build_embedding(system)))
+        for systems in IDENTITY_CASES.values()
         for system in systems
     )
     assert set(paths) == {
         "pass",
-        "NotWellDefined: bracket of the tensor square into the null space escapes it",
         "LeibnizIdentityFailure: quotient algebra fails the right Leibniz identity",
     }
 
@@ -196,12 +183,13 @@ def test_certificate_instance_counters():
     n, null_dim = system.dim, emb.null_space.dim
     assert (n, null_dim, emb.dim_even) == (6, 30, 6)
     # one free-column vector per null dimension: its shape and actions, then
-    # [p, nu] for the dim_even pivot coordinates p, certified by the residual
-    # gate, as the system passes the identities, without forming a bracket
-    assert emb.system._action_matrix().residual_pivots == []
+    # [p, nu] for the dim_even pivot coordinates p, certified by the table's
+    # (even, odd, odd) block without forming a bracket with nu
     assert emb.descent_instances == null_dim * (1 + emb.dim_even) == 210
     # every basis triple of L0 + L1
     assert emb.leibniz_instances == (emb.dim_even + n) ** 3 == 1728
+    # the embedding is built once per system
+    assert g.build_embedding(system) is emb
 
 
 def forged_free_vectors(free, columns):
@@ -218,41 +206,44 @@ def forged_free_vectors(free, columns):
     }
 
 
+def forge(system, forgery):
+    """The system's action matrix re-certified with forged free vectors,
+    and the column the shape check names."""
+    action = system._action_matrix()
+    columns = [c for c in range(action.ncols) if c not in action.echelon.pivots]
+    vectors, column = forged_free_vectors(action.free, columns)[forgery]
+    # every forged vector lies in ker A: only the shape check can reject them
+    assert all(action.failing_action(nu) is None for nu in vectors)
+    action.certify(vectors)
+    return action, column
+
+
 @pytest.mark.parametrize("forgery", ["two_free_coordinates", "missing", "extra", "out_of_order"])
 def test_shape_check_rejects_forged_free_vectors(forgery):
     system = sl2_square(g.RationalField())
-    emb, action, free = uncertified(system)
-    columns = [c for c in range(emb.tensor_dim) if c not in emb.coset_indices]
-    vectors, column = forged_free_vectors(free, columns)[forgery]
-    # every forged vector lies in ker A: only the shape check can reject them
-    assert all(action.failing_action(nu) is None for nu in vectors)
-    action.certify(emb.coset_indices, vectors)
+    action, column = forge(system, forgery)
     assert not action.identities_hold
     with pytest.raises(g.NotWellDefined) as info:
-        _certify_descent(emb)
+        g.build_embedding(system)
     assert str(info.value) == "null vectors do not match the free columns of the action matrix"
     assert info.value.witness == {"column": column}
 
 
 @pytest.mark.parametrize("forgery", ["two_free_coordinates", "missing", "extra", "out_of_order"])
-def test_span_failure_is_raised_before_any_bracket(forgery, monkeypatch):
-    # a mutant whose descent fails at a residual pivot: re-certified with
-    # forged free vectors, the span failure is raised and no bracket is formed
-    system = GATE_CASES["sl2x2_Q"][1]
-    emb, action, free = uncertified(system)
-    escape = "bracket of the tensor square into the null space escapes it"
-    assert outcome(lambda: _certify_descent(emb))[1] == escape
-    columns = [c for c in range(emb.tensor_dim) if c not in emb.coset_indices]
-    vectors, column = forged_free_vectors(free, columns)[forgery]
-    action.certify(emb.coset_indices, vectors)
-    assert action.residual_pivots
+def test_span_failure_is_raised_before_the_table_is_built(forgery, monkeypatch):
+    # a mutant that fails the Leibniz identity: re-certified with forged
+    # free vectors, the span failure is raised and no table is built
+    system = mutate_constant(g.builtin("sl2_Z"), 1, 2, 0, 1, g.RationalField().one)
+    assert _ActionMatrix(system).embedding()[1] is not None
+    _, column = forge(system, forgery)
 
-    def no_bracket(*args):
-        raise AssertionError("a bracket was formed")
+    def no_table(*args):
+        raise AssertionError("a table was built")
 
-    monkeypatch.setattr(StandardEmbedding, "_bracket", no_bracket)
+    monkeypatch.setattr(StandardEmbedding, "__init__", no_table)
+    assert not system._action_matrix().identities_hold
     with pytest.raises(g.NotWellDefined) as info:
-        _certify_descent(emb)
+        g.build_embedding(system)
     assert str(info.value) == "null vectors do not match the free columns of the action matrix"
     assert info.value.witness == {"column": column}
 
@@ -260,49 +251,15 @@ def test_span_failure_is_raised_before_any_bracket(forgery, monkeypatch):
 def test_free_vector_outside_the_kernel_is_rejected():
     # the right shape, but column c of A is not the combination it claims
     system = sl2_square(g.RationalField())
-    emb, action, free = uncertified(system)
+    action = system._action_matrix()
+    free = action.free
     t, nu = next((t, nu) for t, nu in enumerate(free) if len(nu) > 1)
-    c = min(set(nu) - set(emb.coset_indices))
-    forged = [*free[:t], {**nu, c: 2 * nu[c]}, *free[t + 1:]]
-    action.certify(emb.coset_indices, forged)
+    c = min(set(nu) - set(action.echelon.pivots))
+    action.certify([*free[:t], {**nu, c: 2 * nu[c]}, *free[t + 1:]])
     with pytest.raises(g.NotWellDefined) as info:
-        _certify_descent(emb)
+        g.build_embedding(system)
     assert str(info.value) == "left action of a null tensor does not vanish"
     assert info.value.witness["tensor"][c] == "1"
-
-
-def embedding_eliminating_last(system, last):
-    """The embedding on another complement of N, before its certificates: the
-    greedy one when column `last` of A is eliminated after all the others.
-    Its free-column vectors may use later pivots, which those of
-    `build_embedding` never do: there a free column is a combination of
-    earlier pivot columns, so the first escaping coordinate is a pivot."""
-    action = _ActionMatrix(system)
-    nn = action.ncols
-    order = [c for c in range(nn) if c != last] + [last]
-    position = {c: t for t, c in enumerate(order)}
-
-    def back(vec):
-        return {order[t]: x for t, x in vec.items()}
-
-    moved = ({position[c]: x for c, x in row.items()} for _, row in action.rows)
-    reduced = Subspace(system.field, nn, moved)
-    pivots = tuple(sorted(order[q] for q in reduced.pivots))
-    rows = tuple(back(reduced.int_rows[position[p]]) for p in pivots)
-    free = sorted(map(back, reduced.free_vectors()), key=lambda v: min(set(v) - set(pivots)))
-    action.certify(pivots, free)
-    return StandardEmbedding(action, pivots, rows), action, free
-
-
-def test_escape_at_a_free_column_is_witnessed_at_a_pivot():
-    # {b_0, b_3, b_3} gains b_4: in the order of all coordinates the first
-    # escape is [b_0 (x) b_1, nu], at column 1, free on this complement
-    system = mutate_constant(sl2_square(g.RationalField()), 0, 3, 3, 4, g.RationalField().one)
-    emb, action, free = embedding_eliminating_last(system, 1)
-    assert 1 not in emb.coset_indices and 6 in emb.coset_indices
-    got = outcome(lambda: _certify_descent(emb))
-    every_pair = assert_oracle_agrees(system, emb, free, got)
-    assert (every_pair[2]["coordinate"], got[2]["coordinate"]) == (1, 6)
 
 
 # -- the sparse kernels ----------------------------------------------------------

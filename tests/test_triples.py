@@ -1,5 +1,6 @@
 """Core triple system operations against frozen hand-computed values."""
 
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -413,4 +414,5 @@ def test_defect_ideal_certificate_reports_first_failing_pair(constant, family, p
     with pytest.raises(CertificateFailure) as info:
         bad.lie_defect_ideal()
     assert str(info.value) == f"products {family} of the defect ideal do not vanish"
-    assert info.value.witness == {"vector": (1, 0, 0), "j": pair[0], "k": pair[1]}
+    assert info.value.witness == {"vector": ["1", "0", "0"], "j": pair[0], "k": pair[1]}
+    json.dumps(info.value.witness)
